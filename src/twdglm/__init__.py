@@ -15,9 +15,8 @@ from .errors import (CalibrationError, ConfigError, DomainError,
 from .family import (Approx, FamilySpec, Member, log_density,
                      log_normalizer_saddlepoint, log_normalizer_series,
                      unit_deviance, variance_function)
-from .graph import (ArealGraph, PenaltyConfig, PenaltyMode,
-                    approximate_laplacian, assemble_penalty, build_laplacian,
-                    lattice_graph)
+from .graph import (ArealGraph, PenaltyConfig, PenaltyMode, assemble_penalty,
+                    build_laplacian, lattice_graph)
 from .inference import (WaldRow, alpha_summary, fisher_information,
                         p_value_from_z, wald_table)
 from .likelihood import (Coefficients, Dataset, MeanHessian, grad_disp,
@@ -25,9 +24,9 @@ from .likelihood import (Coefficients, Dataset, MeanHessian, grad_disp,
 from .links import (LinkKind, LinkPair, LinkRole, LinkSpec, default_links,
                     link_apply, link_eval, natural_from_predictor,
                     validate_links)
-from .optimizer import (FitConfig, FitResult, choose_scaling, default_p_grid,
-                        fit, fit_ridge, fit_unpenalized, objective,
-                        solve_disp_step, solve_mean_step, update_index)
+from .optimizer import (FitConfig, FitResult, default_p_grid, fit, fit_ridge,
+                        fit_unpenalized, objective, solve_disp_step,
+                        solve_mean_step, update_index)
 from .simgen import (PatternKind, PatternSpec, SimConfig, gen_covariates,
                      make_dataset, make_pattern, sample_cpg, sse)
 from .tuning import (GridSpec, TuneResult, deviance_ratio, grid_search,

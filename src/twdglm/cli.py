@@ -53,10 +53,8 @@ _DEFAULTS = {
     "data": None,
     "train_frac": 0.6,
     "seed": 0,
-    "threads": 1,
     "out": None,
     "approx": "series",
-    "max_block": None,
     "expand": False,
     # simulate extras
     "pattern": "block",
@@ -94,11 +92,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--train-frac", dest="train_frac", type=float,
                    default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--approx", type=str, default=None,
                    choices=[None, "series", "saddlepoint"])
-    p.add_argument("--max-block", dest="max_block", type=int, default=None)
     p.add_argument("--expand", action="store_true", default=None,
                    help="expand categorical covariate columns to dummies, "
                         "dropping the last level")
@@ -152,7 +148,15 @@ def _effective_options(args: argparse.Namespace) -> dict:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {cfg_path}: {exc}")
         for key, val in file_opts.items():
-            if key in ("command",):
+            # "threads" and "max_block" are echoed by earlier versions
+            if key in ("command", "threads"):
+                continue
+            if key == "max_block":
+                if val is not None:
+                    raise ConfigError(
+                        "config key 'max_block' is no longer supported: "
+                        "the approximate Laplacian was removed and every "
+                        "fit solves the exact penalized system")
                 continue
             if key not in opts:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -161,13 +165,6 @@ def _effective_options(args: argparse.Namespace) -> dict:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             opts[key] = flag_val
-    if opts["threads"] is None or opts["threads"] == _DEFAULTS["threads"]:
-        env = os.environ.get("TWDGLM_THREADS")
-        if env and getattr(args, "threads", None) is None:
-            try:
-                opts["threads"] = int(env)
-            except ValueError:
-                raise ConfigError("TWDGLM_THREADS must be an integer")
     return opts
 
 
@@ -536,11 +533,8 @@ def _fit_config(opts, data) -> FitConfig:
     penalty = assemble_penalty(PenaltyMode.from_name(str(opts["penalty"])),
                                float(opts["lambda1"]),
                                float(opts["lambda2"]),
-                               data.k_beta, data.graph, data.k_gamma,
-                               max_block=opts["max_block"])
-    return FitConfig(penalty=penalty, p_grid=_parse_p_grid(opts, spec),
-                     use_block_solve=opts["max_block"] is not None,
-                     max_block=opts["max_block"])
+                               data.k_beta, data.graph, data.k_gamma)
+    return FitConfig(penalty=penalty, p_grid=_parse_p_grid(opts, spec))
 
 
 def _write_fit_outputs(out, opts, spec, links, data, beta_names,

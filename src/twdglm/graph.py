@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,56 +138,6 @@ def lattice_graph(rows: int, cols: int) -> ArealGraph:
     return ArealGraph.from_edges(rows * cols, edges, labels)
 
 
-def _bfs_blocks(g: ArealGraph, max_block: int) -> list[np.ndarray]:
-    """Greedy balanced partition: BFS-grown blocks of at most max_block."""
-    adj = g.neighbors()
-    assigned = np.full(g.n_vertices, False)
-    blocks = []
-    for start in range(g.n_vertices):
-        if assigned[start]:
-            continue
-        block = []
-        queue = deque([start])
-        assigned[start] = True
-        while queue and len(block) < max_block:
-            v = queue.popleft()
-            block.append(v)
-            for u in adj[v]:
-                if not assigned[u] and len(block) + len(queue) < max_block:
-                    assigned[u] = True
-                    queue.append(u)
-        # anything left queued was admitted, flush it
-        while queue:
-            block.append(queue.popleft())
-        blocks.append(np.array(sorted(block), dtype=int))
-    return blocks
-
-
-def connected_components(g: ArealGraph) -> list[np.ndarray]:
-    return _bfs_blocks(g, g.n_vertices)
-
-
-def approximate_laplacian(g: ArealGraph, max_block: int):
-    """Block-diagonal Laplacian of an edge-pruned subgraph.
-
-    Greedily grows BFS blocks of at most ``max_block`` vertices and
-    deletes every edge crossing blocks. Returns the exact Laplacian of
-    the pruned graph (rows still sum to zero), the permutation grouping
-    blocks contiguously, and the blocks themselves (index arrays into
-    the original vertex order).
-    """
-    if max_block < 1:
-        raise ConfigError("max_block must be at least 1")
-    blocks = _bfs_blocks(g, max_block)
-    block_of = np.empty(g.n_vertices, dtype=int)
-    for bi, idx in enumerate(blocks):
-        block_of[idx] = bi
-    kept = [(a, b) for a, b in g.edges if block_of[a] == block_of[b]]
-    pruned = ArealGraph.from_edges(g.n_vertices, kept, g.labels)
-    perm = np.concatenate(blocks) if blocks else np.arange(0)
-    return build_laplacian(pruned), perm, blocks
-
-
 class PenaltyMode(enum.Enum):
     SPATIAL_ONLY = "spatial"
     SPATIAL_PLUS_RIDGE = "spatial+ridge"
@@ -218,36 +167,10 @@ class PenaltyConfig:
     n_vertices: int
     k_gamma: int
     laplacian: sparse.csr_matrix
-    blocks: tuple
-    perm: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.k_beta + self.n_vertices + self.k_gamma
-
-    @property
-    def mask(self) -> np.ndarray:
-        a = np.zeros(self.dim)
-        if self.mode is PenaltyMode.SPATIAL_ONLY:
-            a[self.k_beta:self.k_beta + self.n_vertices] = 1.0
-        else:
-            a[:] = 1.0
-        return a
-
-    def identity_block(self) -> sparse.csr_matrix:
-        """I0 over the full coefficient vector."""
-        if self.mode is PenaltyMode.SPATIAL_ONLY:
-            d = np.zeros(self.dim)
-            d[self.k_beta:self.k_beta + self.n_vertices] = 1.0
-            return sparse.csr_matrix(sparse.diags(d))
-        return sparse.csr_matrix(sparse.eye(self.dim))
-
-    def laplacian_block(self) -> sparse.csr_matrix:
-        """W0 over the full coefficient vector (Laplacian in the alpha slot)."""
-        kb, nv = self.k_beta, self.n_vertices
-        w0 = sparse.lil_matrix((self.dim, self.dim))
-        w0[kb:kb + nv, kb:kb + nv] = self.laplacian
-        return w0.tocsr()
 
     def value(self, theta_vec: np.ndarray) -> float:
         """Penalty value at a packed (beta, alpha, gamma) vector."""
@@ -267,14 +190,11 @@ class PenaltyConfig:
 
     def eta_matrix(self) -> sparse.csr_matrix:
         """lambda1*I0 + lambda2*W0 restricted to the (beta, alpha) block."""
-        kb, nv = self.k_beta, self.n_vertices
-        diag = np.zeros(kb + nv)
-        diag[kb:] = self.lambda1
-        if self.mode is PenaltyMode.SPATIAL_PLUS_RIDGE:
-            diag[:kb] = self.lambda1
-        mat = sparse.lil_matrix((kb + nv, kb + nv))
-        mat[kb:, kb:] = self.lambda2 * self.laplacian
-        return sparse.csr_matrix(sparse.diags(diag) + mat.tocsr())
+        ridge = (self.lambda1 if self.mode is PenaltyMode.SPATIAL_PLUS_RIDGE
+                 else 0.0)
+        return sparse.block_diag(
+            [ridge * sparse.eye(self.k_beta), self.alpha_penalty_matrix()],
+            format="csr")
 
     def gamma_ridge(self) -> float:
         """Ridge multiplier applied to the dispersion step."""
@@ -290,25 +210,13 @@ class PenaltyConfig:
 
 
 def assemble_penalty(mode: PenaltyMode | str, lambda1: float, lambda2: float,
-                     k_beta: int, g: ArealGraph, k_gamma: int,
-                     max_block: int | None = None) -> PenaltyConfig:
-    """Build the penalty for a coefficient layout (k_beta, L, k_gamma).
-
-    With ``max_block`` set, the Laplacian is replaced by the pruned
-    block-diagonal approximation; the stored blocks then drive the
-    partitioned mean-step solver.
-    """
+                     k_beta: int, g: ArealGraph, k_gamma: int) -> PenaltyConfig:
+    """Build the penalty for a coefficient layout (k_beta, L, k_gamma)."""
     if isinstance(mode, str):
         mode = PenaltyMode.from_name(mode)
     if lambda1 < 0 or lambda2 < 0:
         raise ConfigError("penalty multipliers must be nonnegative")
     if k_beta < 0 or k_gamma < 0:
         raise ConfigError("design dimensions must be nonnegative")
-    if max_block is not None:
-        lap, perm, blocks = approximate_laplacian(g, max_block)
-    else:
-        lap = build_laplacian(g)
-        blocks = connected_components(g)
-        perm = np.concatenate(blocks)
     return PenaltyConfig(mode, float(lambda1), float(lambda2), k_beta,
-                         g.n_vertices, k_gamma, lap, tuple(blocks), perm)
+                         g.n_vertices, k_gamma, build_laplacian(g))

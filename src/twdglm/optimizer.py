@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
+from scipy.sparse import linalg as splinalg
 
 from . import likelihood as lik
 from .errors import (ConfigError, DomainError, NonFiniteError, ScalingError,
@@ -36,8 +37,7 @@ class FitConfig:
     """Controls for one fit.
 
     ``p_grid`` must lie inside the member's index range; a single-point
-    grid pins p. ``use_block_solve`` routes the mean step through the
-    partitioned solver built on the penalty's vertex blocks.
+    grid pins p.
     """
 
     penalty: PenaltyConfig
@@ -45,8 +45,6 @@ class FitConfig:
     eps_converge: float = 1e-8
     max_iters: int = 200
     c_growth: float = 2.0
-    use_block_solve: bool = False
-    max_block: int | None = None
     keep_history: bool = False
 
     def __post_init__(self):
@@ -116,19 +114,6 @@ def _chol_solve(mat: np.ndarray, rhs: np.ndarray):
     return linalg.cho_solve((c, low), rhs, check_finite=False)
 
 
-def _solve_or_lstsq(mat: np.ndarray, rhs: np.ndarray,
-                    allow_singular: bool) -> np.ndarray:
-    out = _chol_solve(mat, rhs)
-    if out is not None:
-        return out
-    if not allow_singular:
-        eigs = np.linalg.eigvalsh(mat)
-        raise SingularSystemError("mean-step system not positive definite",
-                                  smallest_pivot=float(eigs.min()))
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    return sol
-
-
 def _mean_system(data: Dataset, theta: Coefficients, spec: FamilySpec,
                  links: LinkPair, penalty: PenaltyConfig, c1: float,
                  p: float | None):
@@ -138,70 +123,72 @@ def _mean_system(data: Dataset, theta: Coefficients, spec: FamilySpec,
     return hess, rhs
 
 
-def _dense_mean_matrix(hess: MeanHessian, penalty: PenaltyConfig,
-                       c1: float) -> np.ndarray:
-    return c1 * hess.to_dense() + penalty.eta_matrix().toarray()
-
-
 def solve_mean_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                    links: LinkPair, penalty: PenaltyConfig, c1: float,
-                    use_block_solve: bool = False,
-                    allow_singular: bool = False) -> np.ndarray:
-    """Solve [l1*I0 + l2*W0 + c1*H] eta* = c1*H eta - grad for eta*."""
+                    links: LinkPair, penalty: PenaltyConfig,
+                    c1: float) -> np.ndarray:
+    """Solve [l1*I0 + l2*W0 + c1*H] eta* = c1*H eta - grad for eta*.
+
+    With l1 = 0 the system is singular whenever the columns of X span a
+    constant (the vertex indicators sum to one on every row), so that
+    case takes the minimum-norm least-squares solution. Otherwise a
+    system that is not positive definite raises SingularSystemError.
+    """
     hess, rhs = _mean_system(data, theta, spec, links, penalty, c1, None)
-    if use_block_solve:
-        out = _schur_block_solve(hess, penalty, c1, rhs)
-        if out is None:
-            raise SingularSystemError(
-                "block mean-step system not positive definite")
-        return out
-    mat = _dense_mean_matrix(hess, penalty, c1)
-    return _solve_or_lstsq(mat, rhs, allow_singular)
+    if penalty.lambda1 == 0:
+        return _min_norm_solve(hess, penalty, c1, rhs)
+    out = _sparse_schur_solve(hess, penalty, c1, rhs)
+    if out is None:
+        raise SingularSystemError("mean-step system not positive definite")
+    return out
 
 
-def _schur_block_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
-                       rhs: np.ndarray):
-    """Partitioned solve exploiting the block-diagonal alpha system.
+def _min_norm_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
+                    rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solve of the assembled mean system;
+    only for l1 = 0, where the ridge terms vanish."""
+    kb = penalty.k_beta
+    mat = c1 * hess.to_dense()
+    mat[kb:, kb:] += penalty.alpha_penalty_matrix().toarray()
+    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    return sol
 
-    S22 = l1*I + l2*Laplacian + c1*diag(H_aa) factors block-by-block on
-    the penalty's vertex blocks; the small Schur complement
-    A11 - A12 S22^{-1} A21 closes the beta part. Returns None when any
-    factorization fails (not positive definite).
+
+def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
+                        rhs: np.ndarray):
+    """Partitioned solve through the sparse spatial block.
+
+    S22 = l1*I + l2*Laplacian + c1*diag(H_aa) is a sparse GMRF precision.
+    It is factored once with a symmetric fill-reducing ordering and
+    diagonal pivots; such a factor P S22 P' = L U shows S22 positive
+    definite exactly when no row was pivoted away from the diagonal and
+    every pivot (diagonal of U) is positive. The dense k_beta x k_beta
+    Schur complement A11 - A12 S22^{-1} A21 then closes the beta part by
+    Cholesky. Returns None when the system is not positive definite.
     """
     kb = penalty.k_beta
-    nv = penalty.n_vertices
+    s22 = sparse.csc_matrix(penalty.alpha_penalty_matrix()
+                            + sparse.diags(c1 * hess.h_aa_diag))
+    try:
+        lu = splinalg.splu(s22, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+    except RuntimeError:          # exactly singular pivot
+        return None
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(lu.U.diagonal() > 0)):
+        return None
+    v = lu.solve(rhs[kb:])                    # S22^{-1} rhs_a
+    if kb == 0:
+        return v
+    a12 = c1 * hess.h_ba
+    x_cols = lu.solve(np.ascontiguousarray(a12.T))   # S22^{-1} A21
     a11 = c1 * hess.h_bb
     if penalty.mode is PenaltyMode.SPATIAL_PLUS_RIDGE:
         a11 = a11 + penalty.lambda1 * np.eye(kb)
-    a12 = c1 * hess.h_ba
-    s22 = penalty.alpha_penalty_matrix().tolil()
-    s22.setdiag(s22.diagonal() + c1 * hess.h_aa_diag)
-    s22 = s22.tocsr()
-    rhs_b, rhs_a = rhs[:kb], rhs[kb:]
-
-    x_cols = np.zeros((nv, kb))       # S22^{-1} A21
-    v = np.zeros(nv)                  # S22^{-1} rhs_a
-    for idx in penalty.blocks:
-        sub = s22[np.ix_(idx, idx)].toarray()
-        try:
-            c, low = linalg.cho_factor(sub, lower=True, check_finite=False)
-        except linalg.LinAlgError:
-            return None
-        v[idx] = linalg.cho_solve((c, low), rhs_a[idx], check_finite=False)
-        if kb:
-            x_cols[idx] = linalg.cho_solve((c, low), a12[:, idx].T,
-                                           check_finite=False)
-    if kb == 0:
-        return v
-    schur = a11 - a12 @ x_cols
-    try:
-        c, low = linalg.cho_factor(schur, lower=True, check_finite=False)
-    except linalg.LinAlgError:
+    beta_star = _chol_solve(a11 - a12 @ x_cols, rhs[:kb] - a12 @ v)
+    if beta_star is None:
         return None
-    beta_star = linalg.cho_solve((c, low), rhs_b - a12 @ v,
-                                 check_finite=False)
-    alpha_star = v - x_cols @ beta_star
-    return np.concatenate([beta_star, alpha_star])
+    return np.concatenate([beta_star, v - x_cols @ beta_star])
 
 
 def solve_disp_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
@@ -255,12 +242,9 @@ def _descent_margin(penalty: PenaltyConfig, step_kind: str, theta_old,
     return 0.5 * lam * float(d @ d)
 
 
-def _try_mean_candidate(data, theta, spec, links, penalty, c1,
-                        use_block_solve, allow_singular):
+def _try_mean_candidate(data, theta, spec, links, penalty, c1):
     try:
-        eta_star = solve_mean_step(data, theta, spec, links, penalty, c1,
-                                   use_block_solve=use_block_solve,
-                                   allow_singular=allow_singular)
+        eta_star = solve_mean_step(data, theta, spec, links, penalty, c1)
     except SingularSystemError:
         return None
     if not np.all(np.isfinite(eta_star)):
@@ -279,9 +263,7 @@ def _try_disp_candidate(data, theta, spec, links, penalty, c2):
 
 
 def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
-                 f_current: float, c_growth: float,
-                 use_block_solve: bool = False,
-                 allow_singular: bool = False):
+                 f_current: float, c_growth: float):
     """Find the first scaling whose step is solvable and decreases the
     objective by at least the descent margin.
 
@@ -289,12 +271,13 @@ def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
     ScalingError after the doubling budget; reason "not-positive-definite"
     when no system ever factored, "no-decrease" otherwise.
     """
+    if step_kind not in ("mean", "disp"):
+        raise ConfigError("step_kind must be 'mean' or 'disp'")
     c = 1.0
     solvable_seen = False
     for _ in range(MAX_DOUBLINGS + 1):
         if step_kind == "mean":
-            cand = _try_mean_candidate(data, theta, spec, links, penalty, c,
-                                       use_block_solve, allow_singular)
+            cand = _try_mean_candidate(data, theta, spec, links, penalty, c)
         else:
             cand = _try_disp_candidate(data, theta, spec, links, penalty, c)
         if cand is not None:
@@ -309,25 +292,6 @@ def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
     raise ScalingError(
         f"no majorization constant found for the {step_kind} step after "
         f"{MAX_DOUBLINGS} doublings", reason=reason)
-
-
-def choose_scaling(step_kind: str, data: Dataset, theta: Coefficients,
-                   spec: FamilySpec, links: LinkPair,
-                   penalty: PenaltyConfig, f_current: float,
-                   c_growth: float = 2.0,
-                   use_block_solve: bool = False) -> float:
-    """Scaling constant for one mean or dispersion step.
-
-    Starts at 1 and multiplies by ``c_growth`` until the step's system
-    matrix is positive definite and the candidate does not increase the
-    objective (clearing the quantitative descent margin).
-    """
-    if step_kind not in ("mean", "disp"):
-        raise ConfigError("step_kind must be 'mean' or 'disp'")
-    c, _, _ = _scaled_step(step_kind, data, theta, spec, links, penalty,
-                           f_current, c_growth,
-                           use_block_solve=use_block_solve)
-    return c
 
 
 def update_index(data: Dataset, theta_star: Coefficients, spec: FamilySpec,
@@ -356,8 +320,7 @@ def _snap_to_grid(p: float, p_grid: np.ndarray) -> float:
 
 
 def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
-        init: Coefficients | None = None,
-        allow_singular_mean: bool = False) -> FitResult:
+        init: Coefficients | None = None) -> FitResult:
     """Run the coordinate descent to convergence of the objective.
 
     Stops when the per-iteration objective decrease falls below
@@ -403,8 +366,7 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
         try:
             c1, theta_new, f_new = _scaled_step(
                 "mean", data, theta, spec_cur, links, config.penalty, f_cur,
-                config.c_growth, use_block_solve=config.use_block_solve,
-                allow_singular=allow_singular_mean)
+                config.c_growth)
         except ScalingError as err:
             if err.reason != "no-decrease":
                 raise ScalingError(
@@ -458,13 +420,5 @@ def fit_ridge(data: Dataset, spec: FamilySpec, links: LinkPair,
 def fit_unpenalized(data: Dataset, spec: FamilySpec, links: LinkPair,
                     config: FitConfig,
                     init: Coefficients | None = None) -> FitResult:
-    """Comparator fit with no penalty at all.
-
-    The mean system can be exactly singular (an intercept column is
-    collinear with the vertex indicators), in which case the step falls
-    back to the minimum-norm least-squares solution.
-    """
-    penalty = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.0, 0.0,
-                               data.k_beta, data.graph, data.k_gamma)
-    return fit(data, spec, links, replace(config, penalty=penalty),
-               init=init, allow_singular_mean=True)
+    """Comparator fit with no penalty at all."""
+    return fit_ridge(data, spec, links, config, lambda1=0.0, init=init)

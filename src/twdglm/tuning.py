@@ -112,7 +112,6 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
     train = data.subset(train_idx)
     hold = data.subset(hold_idx)
     mode = config_template.penalty.mode
-    max_block = config_template.max_block
 
     if grid.row_major:
         cells = [(l1, l2) for l1 in grid.log_lambda1
@@ -128,8 +127,7 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
     for ll1, ll2 in cells:
         penalty = assemble_penalty(mode, float(np.exp(ll1)),
                                    float(np.exp(ll2)), data.k_beta,
-                                   data.graph, data.k_gamma,
-                                   max_block=max_block)
+                                   data.graph, data.k_gamma)
         cfg = replace(config_template, penalty=penalty)
         spec_cell = spec if carry_p is None else spec.with_p(carry_p)
         try:

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from twdglm.family import Approx, FamilySpec, Member
-from twdglm.graph import lattice_graph
-from twdglm.likelihood import Coefficients, Dataset
+from twdglm.graph import PenaltyMode, lattice_graph
+from twdglm.likelihood import Coefficients, Dataset, grad_mean, hess_mean
 from twdglm.links import LinkKind, LinkPair
 
 # links whose inverse maps need a positive predictor
@@ -85,6 +86,51 @@ def make_instance(member: Member, mean_link, disp_link="log", n=50,
     data = Dataset(y, np.ones(n), vertex, X, Z, g)
     theta = Coefficients(beta, alpha, gamma)
     return data, theta, spec, links
+
+
+def penalty_mask(pen) -> np.ndarray:
+    """1 on the coefficients the ridge term penalizes, 0 elsewhere."""
+    a = np.zeros(pen.dim)
+    if pen.mode is PenaltyMode.SPATIAL_ONLY:
+        a[pen.k_beta:pen.k_beta + pen.n_vertices] = 1.0
+    else:
+        a[:] = 1.0
+    return a
+
+
+def identity_block(pen) -> np.ndarray:
+    """Dense I0 over the full coefficient vector."""
+    return np.diag(penalty_mask(pen))
+
+
+def laplacian_block(pen) -> np.ndarray:
+    """Dense W0 over the full coefficient vector (Laplacian in the alpha
+    slot)."""
+    kb, nv = pen.k_beta, pen.n_vertices
+    w0 = np.zeros((pen.dim, pen.dim))
+    w0[kb:kb + nv, kb:kb + nv] = pen.laplacian.toarray()
+    return w0
+
+
+def dense_mean_matrix(hess, pen, c1) -> np.ndarray:
+    """Dense mean-step matrix c1*H + l1*I0 + l2*W0 over (beta, alpha)."""
+    m = hess.order
+    big = pen.lambda1 * identity_block(pen) \
+        + pen.lambda2 * laplacian_block(pen)
+    return c1 * hess.to_dense() + big[:m, :m]
+
+
+def dense_mean_step(data, theta, spec, links, pen, c1):
+    """Reference eta* of one mean step by dense Cholesky; None when the
+    system is not positive definite."""
+    hess = hess_mean(data, theta, spec, links)
+    rhs = c1 * hess.to_dense() @ theta.eta \
+        - grad_mean(data, theta, spec, links)
+    try:
+        factor = linalg.cho_factor(dense_mean_matrix(hess, pen, c1))
+    except linalg.LinAlgError:
+        return None
+    return linalg.cho_solve(factor, rhs)
 
 
 def fd_gradient(f, x0, h=1e-6):

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import (MEAN_LINKS_BY_MEMBER, fd_gradient, fd_jacobian,
-                      make_instance, rel_err)
+from conftest import (MEAN_LINKS_BY_MEMBER, dense_mean_step, fd_gradient,
+                      fd_jacobian, make_instance, rel_err)
 from twdglm.family import (Approx, FamilySpec, Member, log_density,
                            log_normalizer_series)
 from twdglm.graph import PenaltyMode, assemble_penalty, lattice_graph
@@ -271,8 +271,7 @@ class TestAcceptance:
 
     def test_08_block_solve_equivalence(self):
         started = time.time()
-        worst_dense = 0.0
-        worst_perm = 0.0
+        worst = {mode: 0.0 for mode in PenaltyMode}
         for seed in range(6):
             data, theta, spec, links = make_instance(
                 Member.COMPOUND_POISSON_GAMMA, "log", n=150, rows=2,
@@ -280,25 +279,16 @@ class TestAcceptance:
             for mode in PenaltyMode:
                 pen = assemble_penalty(mode, 0.9, 1.1, data.k_beta,
                                        data.graph, data.k_gamma)
-                dense = solve_mean_step(data, theta, spec, links, pen,
+                dense = dense_mean_step(data, theta, spec, links, pen,
                                         c1=1.5)
                 block = solve_mean_step(data, theta, spec, links, pen,
-                                        c1=1.5, use_block_solve=True)
-                worst_dense = max(worst_dense,
+                                        c1=1.5)
+                worst[mode] = max(worst[mode],
                                   float(np.max(np.abs(dense - block))))
-                # approximate Laplacian with max_block = L keeps the graph
-                pen_approx = assemble_penalty(
-                    mode, 0.9, 1.1, data.k_beta, data.graph, data.k_gamma,
-                    max_block=data.graph.n_vertices)
-                block2 = solve_mean_step(data, theta, spec, links,
-                                         pen_approx, c1=1.5,
-                                         use_block_solve=True)
-                worst_perm = max(worst_perm,
-                                 float(np.max(np.abs(block2 - dense))))
-        ok = worst_dense < 1e-8 and worst_perm < 1e-8
+        ok = all(w < 1e-8 for w in worst.values())
         _report("criterion 8 (block-solve equivalence)", ok, started,
-                f"max dense-vs-block {worst_dense:.2e}, "
-                f"max approx-Laplacian {worst_perm:.2e}")
+                "max dense-vs-sparse " + ", ".join(
+                    f"{mode.value} {w:.2e}" for mode, w in worst.items()))
 
     def test_09_convergence_bound(self):
         started = time.time()

@@ -180,19 +180,49 @@ class TestPipeline:
         argv = ["fit", "--data", str(sim_dir / "data.csv"), "--graph",
                 str(sim_dir / "graph.tsv"), "--family", "cpg", "--p",
                 "1.5", "--approx", "saddlepoint", "--lambda1", "0.5",
-                "--lambda2", "2", "--threads", "1"]
+                "--lambda2", "2"]
         run_ok(argv + ["--out", str(out1)])
         run_ok(argv + ["--out", str(out2)])
         c1 = (out1 / "coefficients.tsv").read_bytes()
         assert c1 == (out2 / "coefficients.tsv").read_bytes()
-        # ordered reductions make outputs independent of the thread flag
-        out4 = tmp_path / "r4"
-        run_ok(argv[:-2] + ["--threads", "4", "--out", str(out4)])
-        assert c1 == (out4 / "coefficients.tsv").read_bytes()
         # echoed config reproduces the run without any explicit flags
         run_ok(["fit", "--config", str(out1 / "effective_config.json"),
                 "--out", str(out3)])
         assert c1 == (out3 / "coefficients.tsv").read_bytes()
+
+    def test_old_config_with_retired_keys(self, sim_dir, tmp_path, capsys):
+        out1 = tmp_path / "new"
+        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
+                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
+                "--approx", "saddlepoint", "--out", str(out1)])
+        cfg = json.loads((out1 / "effective_config.json").read_text())
+        assert "threads" not in cfg and "max_block" not in cfg
+        # configs echoed before the keys were retired still load
+        cfg.update({"threads": 1, "max_block": None})
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(cfg), encoding="utf-8")
+        run_ok(["fit", "--config", str(old), "--out", str(tmp_path / "o")])
+        assert (out1 / "coefficients.tsv").read_bytes() == \
+            (tmp_path / "o" / "coefficients.tsv").read_bytes()
+        cfg["max_block"] = 25
+        old.write_text(json.dumps(cfg), encoding="utf-8")
+        code = run_command(["fit", "--config", str(old), "--out",
+                            str(tmp_path / "o2")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error[E_CONFIG]") and "'max_block'" in err
+
+    @pytest.mark.parametrize("lambda2", ["0", "1"])
+    def test_zero_lambda1_fits(self, sim_dir, tmp_path, lambda2):
+        # the intercept plus the vertex indicators make the mean system
+        # singular without the ridge term
+        out = tmp_path / "fit"
+        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
+                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
+                "--approx", "saddlepoint", "--lambda1", "0", "--lambda2",
+                lambda2, "--out", str(out)])
+        trace = np.loadtxt(out / "trace.tsv", skiprows=1)[:, 1]
+        assert np.all(np.diff(trace) <= 1e-10)
 
     def test_unknown_family_is_config_error(self, capsys):
         code = run_command(["fit", "--family", "weibull", "--data", "x",

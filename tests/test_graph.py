@@ -1,12 +1,13 @@
-"""Graphs, Laplacians, penalty assembly, block partitioning."""
+"""Graphs, Laplacians and penalty assembly."""
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
+from conftest import identity_block, laplacian_block, penalty_mask
 from twdglm.errors import ConfigError, SchemaError
-from twdglm.graph import (ArealGraph, PenaltyMode, approximate_laplacian,
-                          assemble_penalty, build_laplacian,
-                          connected_components, lattice_graph)
+from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
+                          build_laplacian, lattice_graph)
 
 
 def path_graph(n):
@@ -44,7 +45,9 @@ class TestLaplacian:
         eigs = np.linalg.eigvalsh(lap)
         assert eigs.min() >= -1e-10
         n_zero = int(np.sum(np.abs(eigs) < 1e-8))
-        assert n_zero == len(connected_components(g))
+        n_components, _ = csgraph.connected_components(g.adjacency(),
+                                                       directed=False)
+        assert n_zero == n_components
 
     def test_rejects_self_loops_and_duplicates(self):
         with pytest.raises(ConfigError):
@@ -107,13 +110,22 @@ class TestPenaltyAssembly:
                              path_graph(3), 1)
 
     def test_mask_layout(self):
+        # the penalty ignores exactly the coefficients outside the mask
         g = path_graph(4)
         pen_s = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0, 2, g, 3)
-        np.testing.assert_array_equal(pen_s.mask,
+        np.testing.assert_array_equal(penalty_mask(pen_s),
                                       [0, 0, 1, 1, 1, 1, 0, 0, 0])
         pen_r = assemble_penalty(PenaltyMode.SPATIAL_PLUS_RIDGE, 1.0, 1.0,
                                  2, g, 3)
-        np.testing.assert_array_equal(pen_r.mask, np.ones(9))
+        np.testing.assert_array_equal(penalty_mask(pen_r), np.ones(9))
+        rng = np.random.default_rng(3)
+        for pen in (pen_s, pen_r):
+            mask = penalty_mask(pen)
+            v = rng.normal(0, 1, pen.dim)
+            for i in range(pen.dim):
+                w = v.copy()
+                w[i] += 1.0
+                assert (pen.value(w) != pen.value(v)) == bool(mask[i])
 
     def test_quadratic_form_nonnegative(self):
         g = lattice_graph(3, 3)
@@ -128,48 +140,20 @@ class TestPenaltyAssembly:
         rng = np.random.default_rng(1)
         for mode in PenaltyMode:
             pen = assemble_penalty(mode, 0.4, 1.7, 3, g, 2)
-            big = (0.4 * pen.identity_block()
-                   + 1.7 * pen.laplacian_block()).toarray()
-            a_mask = np.diag(pen.mask)
+            big = 0.4 * identity_block(pen) + 1.7 * laplacian_block(pen)
+            a_mask = np.diag(penalty_mask(pen))
             for _ in range(20):
                 v = rng.normal(0, 1, pen.dim)
                 expected = 0.5 * (a_mask @ v) @ big @ (a_mask @ v)
                 assert pen.value(v) == pytest.approx(expected)
 
-
-class TestApproximateLaplacian:
-    def test_no_pruning_when_block_covers_graph(self):
-        g = lattice_graph(3, 3)
-        lap, perm, blocks = approximate_laplacian(g, g.n_vertices)
-        np.testing.assert_array_equal(lap.toarray(),
-                                      build_laplacian(g).toarray())
-        assert sorted(perm.tolist()) == list(range(9))
-
-    def test_four_path_cuts_middle_edge(self):
-        g = path_graph(4)
-        lap, perm, blocks = approximate_laplacian(g, 2)
-        assert [b.tolist() for b in blocks] == [[0, 1], [2, 3]]
-        # exactly one edge removed, the unique balanced single-edge cut
-        assert lap.toarray().trace() == 2 * (len(g.edges) - 1)
-
-    def test_disconnected_components_untouched(self):
-        g = ArealGraph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
-        lap, perm, blocks = approximate_laplacian(g, 3)
-        np.testing.assert_array_equal(lap.toarray(),
-                                      build_laplacian(g).toarray())
-
-    @pytest.mark.parametrize("max_block", [1, 2, 4, 7])
-    def test_pruned_laplacian_invariants(self, max_block):
-        g = lattice_graph(3, 4)
-        lap, perm, blocks = approximate_laplacian(g, max_block)
-        arr = lap.toarray()
-        np.testing.assert_allclose(arr.sum(axis=1), 0.0, atol=1e-12)
-        np.testing.assert_array_equal(arr, arr.T)
-        assert all(len(b) <= max_block for b in blocks)
-        assert sorted(np.concatenate(blocks).tolist()) == list(range(12))
-        # no coupling across blocks
-        block_of = np.empty(12, dtype=int)
-        for i, b in enumerate(blocks):
-            block_of[b] = i
-        rows, cols = np.nonzero(arr)
-        assert all(block_of[r] == block_of[c] for r, c in zip(rows, cols))
+    @pytest.mark.parametrize("k_beta", [0, 3])
+    def test_eta_matrix_matches_blocks(self, k_beta):
+        g = ArealGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        for mode in PenaltyMode:
+            pen = assemble_penalty(mode, 0.4, 1.7, k_beta, g, 2)
+            m = k_beta + g.n_vertices
+            expected = (0.4 * identity_block(pen)
+                        + 1.7 * laplacian_block(pen))[:m, :m]
+            np.testing.assert_array_equal(pen.eta_matrix().toarray(),
+                                          expected)

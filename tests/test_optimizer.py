@@ -2,18 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import make_instance
-from twdglm.errors import ConfigError
+from conftest import dense_mean_matrix, dense_mean_step, make_instance
+from twdglm.errors import ConfigError, SingularSystemError
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
                           lattice_graph)
-from twdglm.likelihood import (Coefficients, Dataset, grad_disp, grad_mean,
-                               hess_disp, hess_mean)
+from twdglm.likelihood import (Coefficients, Dataset, MeanHessian,
+                               grad_disp, grad_mean, hess_disp, hess_mean)
 from twdglm.links import LinkPair
-from twdglm.optimizer import (FitConfig, choose_scaling, fit, fit_ridge,
-                              fit_unpenalized, objective, solve_disp_step,
-                              solve_mean_step, update_index)
+from twdglm.optimizer import (FitConfig, _scaled_step, _sparse_schur_solve,
+                              fit, fit_ridge, fit_unpenalized, objective,
+                              solve_disp_step, solve_mean_step, update_index)
 from twdglm.simgen import make_dataset
 
 
@@ -72,10 +75,68 @@ class TestSolveMeanStep:
             k_beta=3, seed=seed)
         pen = assemble_penalty(mode, 0.8, 1.3, data.k_beta, data.graph,
                                data.k_gamma)
-        dense = solve_mean_step(data, theta, spec, links, pen, c1=2.0)
-        block = solve_mean_step(data, theta, spec, links, pen, c1=2.0,
-                                use_block_solve=True)
+        dense = dense_mean_step(data, theta, spec, links, pen, c1=2.0)
+        block = solve_mean_step(data, theta, spec, links, pen, c1=2.0)
         assert np.max(np.abs(dense - block)) < 1e-8
+
+    def test_not_positive_definite_raises(self):
+        data, theta, spec, links = make_instance(
+            Member.COMPOUND_POISSON_GAMMA, "log", n=120, rows=2, cols=5,
+            seed=0)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1e-3, 0.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        with pytest.raises(SingularSystemError, match="not positive"):
+            solve_mean_step(data, theta, spec, links, pen, c1=-1.0)
+
+
+@st.composite
+def mean_systems(draw):
+    """A mean-step system on a random small graph: possibly disconnected,
+    with isolated vertices and vertices that no row reaches. Negative row
+    weights make the Hessian indefinite."""
+    nv = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+        if pairs else []
+    graph = ArealGraph.from_edges(nv, edges)
+    kb = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 12))
+    vertex = draw(arrays(np.int64, n, elements=st.integers(0, nv - 1)))
+    x = draw(arrays(np.float64, (n, kb), elements=st.floats(-2, 2)))
+    w = draw(arrays(np.float64, n, elements=st.floats(-3, 3)))
+    indicators = np.zeros((n, nv))
+    indicators[np.arange(n), vertex] = 1.0
+    hess = MeanHessian(x.T @ (w[:, None] * x),
+                       x.T @ (w[:, None] * indicators),
+                       np.bincount(vertex, weights=w, minlength=nv))
+    pen = assemble_penalty(draw(st.sampled_from(list(PenaltyMode))),
+                           draw(st.floats(0.01, 3)), draw(st.floats(0, 3)),
+                           kb, graph, 0)
+    c1 = draw(st.floats(0.5, 4))
+    rhs = draw(arrays(np.float64, kb + nv, elements=st.floats(-2, 2)))
+    return hess, pen, c1, rhs
+
+
+class TestSparseSolveProperties:
+    # eigenvalues within this share of the spectral radius of zero are
+    # left alone: there the sign is decided by rounding
+    MARGIN = 1e-6
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mean_systems())
+    def test_matches_dense_oracle_or_rejects(self, system):
+        hess, pen, c1, rhs = system
+        mat = dense_mean_matrix(hess, pen, c1)
+        eigs = np.linalg.eigvalsh(mat)
+        tol = self.MARGIN * max(1.0, float(np.abs(eigs).max()))
+        got = _sparse_schur_solve(hess, pen, c1, rhs)
+        if eigs.min() > tol:
+            assert got is not None
+            want = np.linalg.solve(mat, rhs)
+            assert np.max(np.abs(got - want)) <= \
+                1e-8 * max(1.0, float(np.abs(want).max()))
+        elif eigs.min() < -tol:
+            assert got is None
 
 
 class TestSolveDispStep:
@@ -118,8 +179,9 @@ class TestChooseScaling:
         pen = _zero_penalty(data)
         theta = data.initial_coefficients(spec, links)
         f0 = objective(data, theta, spec, links, pen)
-        assert choose_scaling("mean", data, theta, spec, links, pen,
-                              f0) == 1.0
+        c1, _, _ = _scaled_step("mean", data, theta, spec, links, pen, f0,
+                                2.0)
+        assert c1 == 1.0
 
     def test_accepted_scale_makes_system_psd(self):
         data, theta, spec, links = make_instance(
@@ -127,13 +189,13 @@ class TestChooseScaling:
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.5, 0.7,
                                data.k_beta, data.graph, data.k_gamma)
         f0 = objective(data, theta, spec, links, pen)
-        c1 = choose_scaling("mean", data, theta, spec, links, pen, f0)
+        c1, _, _ = _scaled_step("mean", data, theta, spec, links, pen, f0,
+                                2.0)
         mat = (pen.eta_matrix().toarray()
                + c1 * hess_mean(data, theta, spec, links).to_dense())
         assert np.linalg.eigvalsh(mat).min() >= -1e-8
 
     def test_accepted_step_never_increases_objective(self):
-        from twdglm.optimizer import _scaled_step
         data, theta, spec, links = make_instance(
             Member.GAMMA, "log", n=100, seed=2)
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
@@ -146,8 +208,8 @@ class TestChooseScaling:
     def test_rejects_unknown_step_kind(self):
         data, links = _normal_instance()
         with pytest.raises(ConfigError):
-            choose_scaling("index", data, None, FamilySpec.normal(), links,
-                           _zero_penalty(data), 0.0)
+            _scaled_step("index", data, None, FamilySpec.normal(), links,
+                         _zero_penalty(data), 0.0, 2.0)
 
 
 class TestUpdateIndex:
@@ -296,6 +358,12 @@ class TestComparators:
         res = fit_unpenalized(data, spec, links,
                               FitConfig(penalty=_zero_penalty(data)))
         assert res.converged
+        design = np.zeros((data.n_rows, data.k_beta + 6))
+        design[:, :data.k_beta] = data.X
+        design[np.arange(data.n_rows), data.k_beta + data.vertex] = 1.0
+        min_norm_ols, *_ = np.linalg.lstsq(design, data.y, rcond=None)
+        np.testing.assert_allclose(res.theta_hat.eta, min_norm_ols,
+                                   atol=1e-6)
 
     def test_convergence_bound_at_termination(self):
         gen = FamilySpec.compound_poisson_gamma(1.5, approx=Approx.SADDLEPOINT)
