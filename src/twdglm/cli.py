@@ -325,6 +325,14 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
                 f"{path}: row {rowno}, column {colname!r}: non-numeric "
                 f"value {raw!r}")
 
+    def check_column(colname, ok, what):
+        """Reject the first cell of a parsed column where ok is False."""
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise SchemaError(
+                f"{path}: row {i + 1}, column {colname!r}: {what} value "
+                f"{rows[i][col[colname]]!r}")
+
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {i}: expected {len(header)} "
@@ -337,6 +345,10 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
             raise SchemaError(f"{path}: row {i}: unknown vertex label "
                               f"{label!r}")
         vertex[i - 1] = label_to_idx[label]
+    check_column("y", np.isfinite(y), "non-finite")
+    if "exposure" in col:
+        check_column("exposure", np.isfinite(w), "non-finite")
+        check_column("exposure", w > 0, "non-positive")
 
     def build_design(colnames):
         mats, names = [], []
@@ -351,6 +363,7 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
                     numeric = False
                     break
             if numeric:
+                check_column(name, np.isfinite(vals), "non-finite")
                 mats.append(vals)
                 names.append(name)
             elif expand:

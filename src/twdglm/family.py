@@ -22,6 +22,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 # Hard limit on terms added on either side of the series mode.
 SERIES_SIDE_CAP = 1_000_000
+# Terms per row added in one step of the series window's outward walk.
+_SERIES_BLOCK = 8
 
 
 class Member(enum.Enum):
@@ -289,13 +291,19 @@ def _series_logsums(y, phi, p, rtol, kmax_cap):
     by the dispersion derivatives; the series for a, a' and a'' share
     the same term mode).
 
-    Terms T_k = t^k / (k! * Gamma(k*xi)) rise then fall in k; summation
-    runs in log space anchored at the running maximum, extending until
-    terms drop below ``rtol`` times that maximum on the right of the
-    mode k_max = y**(2-p) / ((2-p)*phi).
+    Terms T_k = t^k / (k! * Gamma(k*xi)) rise then fall in k, since
+    log T_k is concave in k. Each row sums only a window of terms
+    around its mode k_max = y**(2-p) / ((2-p)*phi) (Dunn & Smyth 2005):
+    starting at max(1, floor(k_max)) it walks outward in blocks of
+    ``_SERIES_BLOCK`` terms, in log space anchored at the row's running
+    maximum. The right side stops once its last term is below ``rtol``
+    times that maximum, the left side at the same threshold or at k = 1.
+    A term below an earlier one lies past the mode, so by concavity
+    every term beyond either end is smaller still and falling.
+    ``SERIES_SIDE_CAP`` bounds the terms on either side.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), y.shape).copy()
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), y.shape)
     if np.any(y <= 0):
         raise DomainError("series normalizer requires y > 0")
     if np.any(phi <= 0):
@@ -310,40 +318,77 @@ def _series_logsums(y, phi, p, rtol, kmax_cap):
             "use the saddlepoint approximation instead")
 
     n = y.size
+    k0 = np.maximum(np.floor(kmax), 1.0).astype(np.int64)
     big_m = np.full(n, -np.inf)
     s0 = np.zeros(n)
     s1 = np.zeros(n)
     s2 = np.zeros(n)
     log_rtol = math.log(rtol)
-    need = np.maximum(kmax, 1.0)
-    k_start = 1
-    chunk = 512
-    hard_stop = int(min(kmax.max() + SERIES_SIDE_CAP, 2 * kmax_cap))
-    while True:
-        k = np.arange(k_start, k_start + chunk, dtype=float)
-        log_terms = (np.outer(log_t, k)
-                     - special.gammaln(k + 1.0)[None, :]
-                     - special.gammaln(xi * k)[None, :])
-        chunk_max = log_terms.max(axis=1)
-        new_m = np.maximum(big_m, chunk_max)
-        rescale = np.exp(big_m - new_m)
+    steps = np.arange(_SERIES_BLOCK)
+    # lgam[k - base] = gammaln(k+1) + gammaln(xi*k) over the k the walk
+    # has reached, +inf at k = 0 so that k < 1 adds no term. A block
+    # outside it extends it by at least the walk's reach from the starts.
+    base = int(k0.min())
+    lgam = np.empty(0)
+
+    def add_block(rows, k, reach):
+        """Fold the terms at k (rows x block) into the rows' sums and
+        return their logs."""
+        nonlocal base, lgam
+        lo, hi = max(int(k.min()), 0), int(k.max())
+        grow = max(4 * _SERIES_BLOCK, reach)
+        end = base + lgam.size
+        if hi >= end:
+            lgam = np.concatenate([lgam, _lgam_range(end, hi + 1 + grow, xi)])
+        if lo < base:
+            start = max(lo - grow, 0)
+            lgam = np.concatenate([_lgam_range(start, base, xi), lgam])
+            base = start
+        log_terms = log_t[rows, None] * k - lgam[np.maximum(k, 0) - base]
+        old_m = big_m[rows]
+        new_m = np.maximum(old_m, log_terms.max(axis=1))
+        rescale = np.exp(old_m - new_m)
         wts = np.exp(log_terms - new_m[:, None])
-        s0 = s0 * rescale + wts.sum(axis=1)
-        s1 = s1 * rescale + (wts * k).sum(axis=1)
-        s2 = s2 * rescale + (wts * k * k).sum(axis=1)
-        big_m = new_m
-        k_end = k_start + chunk - 1
-        tail = log_terms[:, -1] - big_m
-        if (k_end >= need).all() and (tail < log_rtol).all():
-            break
-        if k_end >= hard_stop:
-            break
-        k_start += chunk
+        wk = wts * k
+        s0[rows] = s0[rows] * rescale + wts.sum(axis=1)
+        s1[rows] = s1[rows] * rescale + wk.sum(axis=1)
+        s2[rows] = s2[rows] * rescale + (wk * k).sum(axis=1)
+        big_m[rows] = new_m
+        return log_terms
+
+    # right side: k0, k0+1, ...
+    rows = np.arange(n)
+    offset = 0
+    while rows.size and offset < SERIES_SIDE_CAP:
+        log_terms = add_block(rows, k0[rows, None] + (offset + steps), offset)
+        rows = rows[log_terms[:, -1] - big_m[rows] >= log_rtol]
+        offset += _SERIES_BLOCK
+    # left side: k0-1, k0-2, ..., 1
+    rows = np.flatnonzero(k0 > 1)
+    offset = 1
+    while rows.size and offset <= SERIES_SIDE_CAP:
+        k = k0[rows, None] - (offset + steps)
+        log_terms = add_block(rows, k, offset)
+        done = ((log_terms[:, -1] - big_m[rows] < log_rtol)
+                | (k[:, -1] <= 1))
+        rows = rows[~done]
+        offset += _SERIES_BLOCK
     log_a = -np.log(y) + big_m + np.log(s0)
     scale = 1.0 + xi
     r1 = scale * s1 / s0
     r2 = scale ** 2 * s2 / s0
     return log_a, r1, r2
+
+
+def _lgam_range(start, stop, xi):
+    """gammaln(k+1) + gammaln(xi*k) for k = start, ..., stop-1, computed
+    in place: the table can span millions of k."""
+    ks = np.arange(start, stop, dtype=float)
+    out = ks + 1.0
+    special.gammaln(out, out=out)
+    ks *= xi
+    out += special.gammaln(ks, out=ks)
+    return out
 
 
 def log_normalizer_series(y, phi, p: float, rtol: float = 1e-12,

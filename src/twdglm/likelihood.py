@@ -14,9 +14,8 @@ density with dispersion phi/w.
 
 Gradients and Hessians with respect to eta = (beta, alpha) at fixed
 gamma, and with respect to gamma at fixed eta, are exact analytic
-derivatives of the same assembly. Closed forms per (member, mean link)
-are the fast path; a generic chain-rule path through
-``natural_from_predictor`` is kept for validation.
+derivatives of the same assembly, in closed form per (member, mean
+link).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from . import family as fam
 from .errors import ConfigError, DomainError, NonFiniteError
 from .family import Approx, FamilySpec, Member, LOG_2PI
 from .graph import ArealGraph
-from .links import LinkKind, LinkPair, link_eval, natural_from_predictor
+from .links import LinkKind, LinkPair, link_eval
 
 
 @dataclass
@@ -237,14 +236,11 @@ def _dispersion_scale(data: Dataset, links: LinkPair, s: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _mean_exponent(data: Dataset, spec: FamilySpec, links: LinkPair,
-                   t: np.ndarray, p: float, closed_form: bool = True):
+                   t: np.ndarray, p: float):
     """D(t), D'(t), D''(t) per row at the mean predictor t."""
     y = data.ystar
     kind = links.mean.kind
     mem = spec.member
-    if not closed_form:
-        return _mean_exponent_generic(data, spec, kind, t, p)
-
     if mem is Member.NORMAL and kind is LinkKind.IDENTITY:
         return y * t - t ** 2 / 2.0, y - t, -np.ones_like(t)
     if mem is Member.POISSON:
@@ -284,30 +280,12 @@ def _mean_exponent(data: Dataset, spec: FamilySpec, links: LinkPair,
                 -y / 2.0 + 0.5 / rt,
                 -0.25 * t ** -1.5)
     raise ConfigError(
-        f"no closed form for ({mem.value}, {kind.value}); "
-        "use the generic path")
+        f"no closed form for ({mem.value}, {kind.value})")
 
 
 def _require_positive(t: np.ndarray, what: str):
     if np.any(t <= 0):
         raise DomainError(f"{what} must stay positive")
-
-
-def _mean_exponent_generic(data: Dataset, spec: FamilySpec, kind: LinkKind,
-                           t: np.ndarray, p: float):
-    """Chain-rule evaluation of D and derivatives via the canonical map."""
-    spec_p = spec.with_p(p) if spec.p != p else spec
-    y = data.ystar
-    mu = link_eval(kind, t, 0)
-    fam.check_mean_space(spec_p, mu, what="h1(t)")
-    h1p = link_eval(kind, t, 1)
-    h1pp = link_eval(kind, t, 2)
-    theta1 = fam.theta_of_mu(spec_p, mu, 1)
-    theta2 = fam.theta_of_mu(spec_p, mu, 2)
-    d0 = y * fam.theta_of_mu(spec_p, mu, 0) - fam.cumulant_of_mu(spec_p, mu)
-    d1 = theta1 * h1p * (y - mu)
-    d2 = (theta2 * h1p ** 2 + theta1 * h1pp) * (y - mu) - h1p ** 2 * theta1
-    return d0, d1, d2
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +411,12 @@ def nll_or_inf(data: Dataset, theta: Coefficients, spec: FamilySpec,
 
 
 def grad_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, p: float | None = None,
-              closed_form: bool = True) -> np.ndarray:
+              links: LinkPair, p: float | None = None) -> np.ndarray:
     """Gradient of the negative log-likelihood in eta = (beta, alpha)."""
     _check_member_data(data, spec)
     pp = spec.p if p is None else p
     t, s = _predictors(data, theta)
-    _, d1, _ = _mean_exponent(data, spec, links, t, pp, closed_form)
+    _, d1, _ = _mean_exponent(data, spec, links, t, pp)
     _, _, _, u = _dispersion_scale(data, links, s)
     coef = d1 * u
     g_beta = -(data.X.T @ coef)
@@ -449,14 +426,13 @@ def grad_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
 
 
 def hess_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, p: float | None = None,
-              closed_form: bool = True) -> MeanHessian:
+              links: LinkPair, p: float | None = None) -> MeanHessian:
     """Partitioned Hessian in eta; the alpha block is diagonal because
     rows touch exactly one vertex."""
     _check_member_data(data, spec)
     pp = spec.p if p is None else p
     t, s = _predictors(data, theta)
-    _, _, d2 = _mean_exponent(data, spec, links, t, pp, closed_form)
+    _, _, d2 = _mean_exponent(data, spec, links, t, pp)
     _, _, _, u = _dispersion_scale(data, links, s)
     q = -d2 * u
     kb = data.k_beta
@@ -471,39 +447,36 @@ def hess_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
     return MeanHessian(h_bb, h_ba, h_aa)
 
 
-def grad_disp(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, p: float | None = None) -> np.ndarray:
-    """Gradient of the negative log-likelihood in gamma at fixed eta."""
+def disp_derivatives(data: Dataset, theta: Coefficients, spec: FamilySpec,
+                     links: LinkPair, p: float | None = None):
+    """Gradient and Hessian of the negative log-likelihood in gamma at
+    fixed eta, from one pass over the normalizer (the Hessian is
+    symmetric by construction)."""
     _check_member_data(data, spec)
     if spec.member is Member.POISSON:
         raise ConfigError("constant dispersion member")
     if data.k_gamma == 0:
-        return np.zeros(0)
+        return np.zeros(0), np.zeros((0, 0))
     pp = spec.p if p is None else p
     t, s = _predictors(data, theta)
     d0, _, _ = _mean_exponent(data, spec, links, t, pp)
     _, l1, l2, u = _dispersion_scale(data, links, s)
-    c0, c1, c2 = _lognorm_terms(data, spec, links, s, pp, want_derivs=True)
+    _, c1, c2 = _lognorm_terms(data, spec, links, s, pp, want_derivs=True)
     up = -u * l1
-    rows = d0 * up + c1
-    return -(data.Z.T @ rows)
+    upp = u * (2.0 * l1 ** 2 - l2)
+    grad = -(data.Z.T @ (d0 * up + c1))
+    hess = -(data.Z.T @ ((d0 * upp + c2)[:, None] * data.Z))
+    return grad, 0.5 * (hess + hess.T)
+
+
+def grad_disp(data: Dataset, theta: Coefficients, spec: FamilySpec,
+              links: LinkPair, p: float | None = None) -> np.ndarray:
+    """Gradient of the negative log-likelihood in gamma at fixed eta."""
+    return disp_derivatives(data, theta, spec, links, p)[0]
 
 
 def hess_disp(data: Dataset, theta: Coefficients, spec: FamilySpec,
               links: LinkPair, p: float | None = None) -> np.ndarray:
     """Hessian of the negative log-likelihood in gamma (symmetric by
     construction)."""
-    _check_member_data(data, spec)
-    if spec.member is Member.POISSON:
-        raise ConfigError("constant dispersion member")
-    if data.k_gamma == 0:
-        return np.zeros((0, 0))
-    pp = spec.p if p is None else p
-    t, s = _predictors(data, theta)
-    d0, _, _ = _mean_exponent(data, spec, links, t, pp)
-    _, l1, l2, u = _dispersion_scale(data, links, s)
-    _, _, c2 = _lognorm_terms(data, spec, links, s, pp, want_derivs=True)
-    upp = u * (2.0 * l1 ** 2 - l2)
-    rows = d0 * upp + c2
-    out = -(data.Z.T @ (rows[:, None] * data.Z))
-    return 0.5 * (out + out.T)  # exact symmetry
+    return disp_derivatives(data, theta, spec, links, p)[1]

@@ -90,14 +90,12 @@ def objective(data: Dataset, theta: Coefficients, spec: FamilySpec,
             + penalty.value(theta.as_vector()))
 
 
-def _objective_or_inf(data, theta, spec, links, penalty, p=None) -> float:
-    try:
-        nll = lik.nll_or_inf(data, theta, spec, links, p=p)
-    except ConfigError:
-        raise
+def _objective_or_inf(data, theta, spec, links, penalty):
+    """(F, nll) at theta; both +inf outside the likelihood's domain."""
+    nll = lik.nll_or_inf(data, theta, spec, links)
     if not np.isfinite(nll):
-        return np.inf
-    return nll + penalty.value(theta.as_vector())
+        return np.inf, np.inf
+    return nll + penalty.value(theta.as_vector()), nll
 
 
 # ---------------------------------------------------------------------------
@@ -114,26 +112,34 @@ def _chol_solve(mat: np.ndarray, rhs: np.ndarray):
     return linalg.cho_solve((c, low), rhs, check_finite=False)
 
 
-def _mean_system(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                 links: LinkPair, penalty: PenaltyConfig, c1: float,
-                 p: float | None):
-    g = lik.grad_mean(data, theta, spec, links, p=p)
-    hess = lik.hess_mean(data, theta, spec, links, p=p)
-    rhs = c1 * hess.matvec(theta.eta) - g
-    return hess, rhs
+def _block_derivatives(step_kind: str, data: Dataset, theta: Coefficients,
+                       spec: FamilySpec, links: LinkPair):
+    """What a block step needs of the likelihood at theta, none of which
+    depends on the scaling constant: (grad, H, H @ eta) for the mean,
+    (grad, H) for the dispersion."""
+    if step_kind == "mean":
+        hess = lik.hess_mean(data, theta, spec, links)
+        return (lik.grad_mean(data, theta, spec, links), hess,
+                hess.matvec(theta.eta))
+    return lik.disp_derivatives(data, theta, spec, links)
 
 
 def solve_mean_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
                     links: LinkPair, penalty: PenaltyConfig,
-                    c1: float) -> np.ndarray:
+                    c1: float, derivs=None) -> np.ndarray:
     """Solve [l1*I0 + l2*W0 + c1*H] eta* = c1*H eta - grad for eta*.
 
+    ``derivs`` are the mean-step derivatives at theta from
+    ``_block_derivatives``, computed here when not given.
     With l1 = 0 the system is singular whenever the columns of X span a
     constant (the vertex indicators sum to one on every row), so that
     case takes the minimum-norm least-squares solution. Otherwise a
     system that is not positive definite raises SingularSystemError.
     """
-    hess, rhs = _mean_system(data, theta, spec, links, penalty, c1, None)
+    if derivs is None:
+        derivs = _block_derivatives("mean", data, theta, spec, links)
+    g, hess, h_eta = derivs
+    rhs = c1 * h_eta - g
     if penalty.lambda1 == 0:
         return _min_norm_solve(hess, penalty, c1, rhs)
     out = _sparse_schur_solve(hess, penalty, c1, rhs)
@@ -193,13 +199,15 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
 
 def solve_disp_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
                     links: LinkPair, penalty: PenaltyConfig,
-                    c2: float) -> np.ndarray:
+                    c2: float, derivs=None) -> np.ndarray:
     """Damped Newton step in gamma (ridge-regularized under the full
-    ridge configuration)."""
-    g = lik.grad_disp(data, theta, spec, links)
+    ridge configuration). ``derivs`` are the gradient and Hessian in
+    gamma at theta, computed here when not given."""
+    if derivs is None:
+        derivs = _block_derivatives("disp", data, theta, spec, links)
+    g, h = derivs
     if g.size == 0:
         return theta.gamma.copy()
-    h = lik.hess_disp(data, theta, spec, links)
     lam = penalty.gamma_ridge()
     if lam > 0:
         mat = lam * np.eye(g.size) + c2 * h
@@ -242,9 +250,10 @@ def _descent_margin(penalty: PenaltyConfig, step_kind: str, theta_old,
     return 0.5 * lam * float(d @ d)
 
 
-def _try_mean_candidate(data, theta, spec, links, penalty, c1):
+def _try_mean_candidate(data, theta, spec, links, penalty, c1, derivs):
     try:
-        eta_star = solve_mean_step(data, theta, spec, links, penalty, c1)
+        eta_star = solve_mean_step(data, theta, spec, links, penalty, c1,
+                                   derivs)
     except SingularSystemError:
         return None
     if not np.all(np.isfinite(eta_star)):
@@ -252,9 +261,10 @@ def _try_mean_candidate(data, theta, spec, links, penalty, c1):
     return theta.with_eta(eta_star)
 
 
-def _try_disp_candidate(data, theta, spec, links, penalty, c2):
+def _try_disp_candidate(data, theta, spec, links, penalty, c2, derivs):
     try:
-        gamma_star = solve_disp_step(data, theta, spec, links, penalty, c2)
+        gamma_star = solve_disp_step(data, theta, spec, links, penalty, c2,
+                                     derivs)
     except SingularSystemError:
         return None
     if not np.all(np.isfinite(gamma_star)):
@@ -267,26 +277,29 @@ def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
     """Find the first scaling whose step is solvable and decreases the
     objective by at least the descent margin.
 
-    Returns (c, candidate theta, new objective value). Raises
-    ScalingError after the doubling budget; reason "not-positive-definite"
-    when no system ever factored, "no-decrease" otherwise.
+    The gradient and the Hessian at theta are computed once and shared
+    by every scaling tried. Returns (c, candidate theta, new objective
+    value, its negative log-likelihood). Raises ScalingError after the
+    doubling budget; reason "not-positive-definite" when no system ever
+    factored, "no-decrease" otherwise.
     """
     if step_kind not in ("mean", "disp"):
         raise ConfigError("step_kind must be 'mean' or 'disp'")
+    try_candidate = _try_mean_candidate if step_kind == "mean" \
+        else _try_disp_candidate
+    derivs = _block_derivatives(step_kind, data, theta, spec, links)
     c = 1.0
     solvable_seen = False
     for _ in range(MAX_DOUBLINGS + 1):
-        if step_kind == "mean":
-            cand = _try_mean_candidate(data, theta, spec, links, penalty, c)
-        else:
-            cand = _try_disp_candidate(data, theta, spec, links, penalty, c)
+        cand = try_candidate(data, theta, spec, links, penalty, c, derivs)
         if cand is not None:
             solvable_seen = True
-            f_new = _objective_or_inf(data, cand, spec, links, penalty)
+            f_new, nll_new = _objective_or_inf(data, cand, spec, links,
+                                               penalty)
             margin = _descent_margin(penalty, step_kind, theta, cand)
             if (f_new <= f_current
                     and f_current - f_new >= margin - DESCENT_SLACK):
-                return c, cand, f_new
+                return c, cand, f_new, nll_new
         c *= c_growth
     reason = "no-decrease" if solvable_seen else "not-positive-definite"
     raise ScalingError(
@@ -295,22 +308,24 @@ def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
 
 
 def update_index(data: Dataset, theta_star: Coefficients, spec: FamilySpec,
-                 links: LinkPair, p_grid: np.ndarray) -> float:
+                 links: LinkPair, p_grid: np.ndarray,
+                 nll_cur: float | None = None) -> tuple[float, float]:
     """Profile-likelihood grid update of the index parameter.
 
-    Identity for fixed-p members. Ties break toward the smaller grid
+    Returns (p, negative log-likelihood at p). Identity for fixed-p
+    members and for an empty grid. Ties break toward the smaller grid
     value; the penalty is excluded since it does not involve p.
+    ``nll_cur``, when given, is the likelihood at ``spec.p`` already
+    known to the caller, and that point is not evaluated again.
     """
-    if spec.member is not Member.COMPOUND_POISSON_GAMMA:
-        return spec.p
-    p_grid = np.asarray(p_grid, dtype=float).ravel()
-    if p_grid.size == 0:
-        return spec.p
-    if p_grid.size == 1:
-        return float(p_grid[0])
-    values = np.array([lik.nll_or_inf(data, theta_star, spec, links, p=pk)
-                       for pk in p_grid])
-    return float(p_grid[int(np.argmin(values))])
+    grid = np.asarray(p_grid, dtype=float).ravel()
+    if spec.member is not Member.COMPOUND_POISSON_GAMMA or grid.size == 0:
+        grid = np.array([spec.p])
+    values = [nll_cur if nll_cur is not None and pk == spec.p
+              else lik.nll_or_inf(data, theta_star, spec, links, p=pk)
+              for pk in grid]
+    best = int(np.argmin(values))
+    return float(grid[best]), float(values[best])
 
 
 def _snap_to_grid(p: float, p_grid: np.ndarray) -> float:
@@ -348,7 +363,8 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
         if spec.member is Member.COMPOUND_POISSON_GAMMA else spec.p
     spec_cur = spec.with_p(p_cur) if p_cur != spec.p else spec
 
-    f_cur = _objective_or_inf(data, theta, spec_cur, links, config.penalty)
+    f_cur, nll_cur = _objective_or_inf(data, theta, spec_cur, links,
+                                       config.penalty)
     if not np.isfinite(f_cur):
         raise NonFiniteError("objective not finite at the starting point")
     trace = [f_cur]
@@ -361,10 +377,9 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
                 and spec.member is not Member.POISSON)
 
     for iters in range(1, config.max_iters + 1):
-        theta_new = theta
-        f_new = f_cur
+        theta_new, f_new, nll_new = theta, f_cur, nll_cur
         try:
-            c1, theta_new, f_new = _scaled_step(
+            c1, theta_new, f_new, nll_new = _scaled_step(
                 "mean", data, theta, spec_cur, links, config.penalty, f_cur,
                 config.c_growth)
         except ScalingError as err:
@@ -373,7 +388,7 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
                     f"iteration {iters}: {err}", reason=err.reason)
         if has_disp:
             try:
-                c2, theta_new, f_new = _scaled_step(
+                c2, theta_new, f_new, nll_new = _scaled_step(
                     "disp", data, theta_new, spec_cur, links, config.penalty,
                     f_new, config.c_growth)
             except ScalingError as err:
@@ -381,17 +396,17 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
                     raise ScalingError(
                         f"iteration {iters}: {err}", reason=err.reason)
         if spec.member is Member.COMPOUND_POISSON_GAMMA and p_grid.size > 1:
-            p_new = update_index(data, theta_new, spec_cur, links, p_grid)
+            p_new, nll_p = update_index(data, theta_new, spec_cur, links,
+                                        p_grid, nll_cur=nll_new)
             if p_new != p_cur:
-                f_candidate = _objective_or_inf(
-                    data, theta_new, spec_cur.with_p(p_new), links,
-                    config.penalty)
+                f_candidate = nll_p + config.penalty.value(
+                    theta_new.as_vector())
                 if f_candidate <= f_new:
                     p_cur = p_new
                     spec_cur = spec_cur.with_p(p_new)
-                    f_new = f_candidate
+                    f_new, nll_new = f_candidate, nll_p
         eps_star = f_cur - f_new
-        theta_prev, theta, f_cur = theta, theta_new, f_new
+        theta_prev, theta, f_cur, nll_cur = theta, theta_new, f_new, nll_new
         trace.append(f_cur)
         if history is not None:
             history.append(theta.copy())

@@ -1,13 +1,20 @@
-"""Shared instance generators and finite-difference helpers."""
+"""Shared instance generators, oracles and finite-difference helpers."""
 
 import numpy as np
 import pytest
-from scipy import linalg
+from hypothesis import settings
+from scipy import linalg, special
 
+from twdglm import family as fam
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import PenaltyMode, lattice_graph
 from twdglm.likelihood import Coefficients, Dataset, grad_mean, hess_mean
-from twdglm.links import LinkKind, LinkPair
+from twdglm.links import LinkKind, LinkPair, link_eval
+
+# One Hypothesis profile for the suite: the same examples on every run
+# and no per-example time limit; each test sets only its max_examples.
+settings.register_profile("twdglm", derandomize=True, deadline=None)
+settings.load_profile("twdglm")
 
 # links whose inverse maps need a positive predictor
 POSITIVE_PREDICTOR_LINKS = {LinkKind.SQRT, LinkKind.INVERSE,
@@ -131,6 +138,49 @@ def dense_mean_step(data, theta, spec, links, pen, c1):
     except linalg.LinAlgError:
         return None
     return linalg.cho_solve(factor, rhs)
+
+
+def mean_exponent_generic(data, spec, kind, t, p):
+    """Chain-rule D(t), D'(t), D''(t) through the canonical map; the
+    oracle for the closed forms in ``likelihood._mean_exponent``."""
+    spec_p = spec.with_p(p) if spec.p != p else spec
+    y = data.ystar
+    mu = link_eval(kind, t, 0)
+    fam.check_mean_space(spec_p, mu, what="h1(t)")
+    h1p = link_eval(kind, t, 1)
+    h1pp = link_eval(kind, t, 2)
+    theta1 = fam.theta_of_mu(spec_p, mu, 1)
+    theta2 = fam.theta_of_mu(spec_p, mu, 2)
+    d0 = y * fam.theta_of_mu(spec_p, mu, 0) - fam.cumulant_of_mu(spec_p, mu)
+    d1 = theta1 * h1p * (y - mu)
+    d2 = (theta2 * h1p ** 2 + theta1 * h1pp) * (y - mu) - h1p ** 2 * theta1
+    return d0, d1, d2
+
+
+def full_series_logsums(y, phi, p):
+    """(log_a, r1, r2) of the Bessel series summed over k = 1..K, with K
+    doubled until each row's last term is below e^-40 of its largest;
+    the oracle for the windowed ``family._series_logsums``."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), y.shape)
+    xi = (2.0 - p) / (p - 1.0)
+    log_t = (xi * np.log(y) - xi * np.log(p - 1.0) - np.log(2.0 - p)
+             - (1.0 + xi) * np.log(phi))
+    big_k = 64
+    while True:
+        k = np.arange(1.0, big_k + 1.0)
+        log_terms = np.outer(log_t, k) - (special.gammaln(k + 1.0)
+                                          + special.gammaln(xi * k))
+        top = log_terms.max(axis=1)
+        if np.all(log_terms[:, -1] < top - 40.0):
+            break
+        big_k *= 2
+    wts = np.exp(log_terms - top[:, None])
+    s0 = wts.sum(axis=1)
+    scale = 1.0 + xi
+    return (-np.log(y) + top + np.log(s0),
+            scale * (wts @ k) / s0,
+            scale ** 2 * (wts @ (k * k)) / s0)
 
 
 def fd_gradient(f, x0, h=1e-6):

@@ -1,5 +1,6 @@
 """Batch front end: round trips, schema errors, reproducibility."""
 
+import csv
 import json
 import os
 
@@ -22,6 +23,14 @@ def sim_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sim")
     run_ok(["simulate", "--out", str(out), "--n", "900", "--lattice", "3x3",
             "--zero-prop", "0.2", "--seed", "5", "--p", "1.5"])
+    return out
+
+
+@pytest.fixture(scope="module")
+def small_sim_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    run_ok(["simulate", "--out", str(out), "--n", "200", "--lattice", "3x3",
+            "--seed", "1"])
     return out
 
 
@@ -223,6 +232,31 @@ class TestPipeline:
                 lambda2, "--out", str(out)])
         trace = np.loadtxt(out / "trace.tsv", skiprows=1)[:, 1]
         assert np.all(np.diff(trace) <= 1e-10)
+
+    @pytest.mark.parametrize("column,cell,what", [
+        ("y", "nan", "non-finite"),
+        ("y", "inf", "non-finite"),
+        ("exposure", "0", "non-positive"),
+        ("x_2", "nan", "non-finite"),
+        ("z_3", "-inf", "non-finite"),
+    ])
+    def test_bad_cell_is_schema_error(self, small_sim_dir, tmp_path, capsys,
+                                      column, cell, what):
+        with open(small_sim_dir / "data.csv", encoding="utf-8",
+                  newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[5][rows[0].index(column)] = cell
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = run_command(["fit", "--data", str(bad), "--graph",
+                            str(small_sim_dir / "graph.tsv"), "--family",
+                            "cpg", "--p", "1.5", "--approx", "saddlepoint",
+                            "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error[E_SCHEMA]: {bad}: row 5, column {column!r}: {what} "
+            f"value {cell!r}\n")
 
     def test_unknown_family_is_config_error(self, capsys):
         code = run_command(["fit", "--family", "weibull", "--data", "x",

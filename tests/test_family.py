@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from conftest import full_series_logsums
 from twdglm.errors import ConfigError, DomainError, SeriesInfeasibleError
-from twdglm.family import (Approx, FamilySpec, Member, log_density,
-                           log_normalizer_saddlepoint, log_normalizer_series,
-                           series_mode, unit_deviance, variance_function)
+from twdglm.family import (Approx, FamilySpec, Member, _series_logsums,
+                           log_density, log_normalizer_saddlepoint,
+                           log_normalizer_series, series_mode, unit_deviance,
+                           variance_function)
 
 # Extended-precision full summation (mpmath, 60 digits, 10,000 terms) of
 # the Bessel-series normalizer; frozen reference values for log a(y, phi, p).
@@ -151,6 +155,49 @@ class TestSeriesNormalizer:
     def test_requires_positive_y(self):
         with pytest.raises(DomainError):
             log_normalizer_series(0.0, 1.0, 1.5)
+
+
+# index near either end of (1, 2) or anywhere between
+INDICES = st.one_of(st.floats(1.01, 1.03), st.floats(1.97, 1.99),
+                    st.floats(1.01, 1.99))
+
+
+@st.composite
+def series_rows(draw):
+    """(y, phi, p) whose term modes run from below 1 to about 1e4."""
+    p = draw(INDICES)
+    n = draw(st.integers(1, 6))
+    log_y = np.array(draw(st.lists(st.floats(-3, 3), min_size=n,
+                                   max_size=n)))
+    log_mode = np.array(draw(st.lists(st.floats(-3, 4), min_size=n,
+                                      max_size=n)))
+    y = 10.0 ** log_y
+    phi = y ** (2.0 - p) / ((2.0 - p) * 10.0 ** log_mode)
+    return y, phi, p
+
+
+class TestSeriesWindowProperties:
+    @settings(max_examples=200)
+    @given(series_rows())
+    def test_matches_full_range_sum(self, rows):
+        y, phi, p = rows
+        got = _series_logsums(y, phi, p, 1e-12, 1e7)
+        want = full_series_logsums(y, phi, p)
+        for name, a, b in zip(("log_a", "r1", "r2"), got, want):
+            # log a crosses zero, so it is measured against max(1, |log a|)
+            floor = 1.0 if name == "log_a" else 0.0
+            err = np.abs(a - b) / np.maximum(np.abs(b), floor)
+            assert err.max() <= 1e-10, name
+
+    @settings(max_examples=20)
+    @given(INDICES, st.floats(-3, 3), st.floats(1.001, 100.0),
+           st.sampled_from([1e3, 1e7]))
+    def test_mode_above_cap_raises(self, p, log_y, excess, cap):
+        y = 10.0 ** log_y
+        phi = y ** (2.0 - p) / ((2.0 - p) * cap * excess)
+        with pytest.raises(SeriesInfeasibleError):
+            _series_logsums(np.array([1.0, y]), np.array([1.0, phi]), p,
+                            1e-12, cap)
 
 
 class TestSaddlepointNormalizer:
