@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import inference, tuning
 from .errors import (CalibrationError, ConfigError, DomainError, SchemaError,
                      SingularSystemError, TwdglmError)
-from .family import Approx, FamilySpec, Member
+from .family import Approx, FamilySpec, Member, check_support
 from .graph import ArealGraph, PenaltyMode, assemble_penalty, lattice_graph
 from .inference import alpha_summary, fisher_information, wald_table
 from .likelihood import Coefficients, Dataset
@@ -268,15 +269,13 @@ def _fmt(x: float) -> str:
 def _expand_categorical(name, values):
     """Dummy columns for a string-valued covariate, dropping the last
     sorted level."""
-    levels = sorted(set(values))
-    if len(levels) < 2:
+    levels, codes = np.unique(np.array(values, dtype=object),
+                              return_inverse=True)
+    if levels.size < 2:
         raise SchemaError(f"column {name!r} has a single level; nothing "
                           "to expand")
-    cols, names = [], []
-    for lev in levels[:-1]:
-        cols.append(np.array([1.0 if v == lev else 0.0 for v in values]))
-        names.append(f"{name}[{lev}]")
-    return cols, names
+    return ([(codes == j).astype(float) for j in range(levels.size - 1)],
+            [f"{name}[{lev}]" for lev in levels[:-1]])
 
 
 def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
@@ -287,6 +286,10 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
     (default 1); mean covariates are the ``x_``-prefixed columns,
     dispersion covariates the ``z_``-prefixed ones. Vertex labels must
     exist in the graph. Returns (Dataset, beta_names, gamma_names).
+
+    Cells are checked column by column: of several bad cells the first
+    in the order of README "Dataset CSV" is reported (row widths, y,
+    exposure, vertex, x_ then z_ columns in header order, support).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -296,86 +299,87 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
             raise SchemaError(f"{path}: empty file")
         rows = list(reader)
     header = [h.strip() for h in header]
+    col = {}
+    for j, name in enumerate(header):
+        if name in col:
+            raise SchemaError(f"{path}: duplicate column {name!r}")
+        col[name] = j
     for required in ("y", "vertex"):
-        if required not in header:
+        if required not in col:
             raise SchemaError(f"{path}: missing required column "
                               f"{required!r}")
-    col = {name: i for i, name in enumerate(header)}
     x_cols = [h for h in header if h.startswith("x_")]
     z_cols = [h for h in header if h.startswith("z_")]
-    if spec.member is Member.POISSON and (z_cols or add_intercept):
-        if z_cols:
-            raise ConfigError(
-                "constant dispersion member: Poisson admits no dispersion "
-                "covariates")
+    if spec.member is Member.POISSON and z_cols:
+        raise ConfigError(
+            "constant dispersion member: Poisson admits no dispersion "
+            "covariates")
     n = len(rows)
     if n == 0:
         raise SchemaError(f"{path}: no data rows")
+    widths = np.fromiter(map(len, rows), int, n)
+    ragged = np.flatnonzero(widths != len(header))
+    if ragged.size:
+        i = int(ragged[0])
+        raise SchemaError(f"{path}: row {i + 1}: expected {len(header)} "
+                          f"fields, got {widths[i]}")
 
-    label_to_idx = graph.label_index()
-    y = np.empty(n)
-    w = np.ones(n)
-    vertex = np.empty(n, dtype=int)
+    def column(name):
+        return map(operator.itemgetter(col[name]), rows)
 
-    def parse_float(raw, rowno, colname):
-        try:
-            return float(raw)
-        except ValueError:
-            raise SchemaError(
-                f"{path}: row {rowno}, column {colname!r}: non-numeric "
-                f"value {raw!r}")
-
-    def check_column(colname, ok, what):
+    def check_column(name, ok, what):
         """Reject the first cell of a parsed column where ok is False."""
         if not ok.all():
             i = int(np.argmin(ok))
-            raise SchemaError(
-                f"{path}: row {i + 1}, column {colname!r}: {what} value "
-                f"{rows[i][col[colname]]!r}")
+            raise SchemaError(f"{path}: row {i + 1}, column {name!r}: "
+                              f"{what} value {rows[i][col[name]]!r}")
 
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: row {i}: expected {len(header)} "
-                              f"fields, got {len(row)}")
-        y[i - 1] = parse_float(row[col["y"]], i, "y")
-        if "exposure" in col:
-            w[i - 1] = parse_float(row[col["exposure"]], i, "exposure")
-        label = row[col["vertex"]].strip()
-        if label not in label_to_idx:
-            raise SchemaError(f"{path}: row {i}: unknown vertex label "
-                              f"{label!r}")
-        vertex[i - 1] = label_to_idx[label]
-    check_column("y", np.isfinite(y), "non-finite")
+    def floats(name, design=False):
+        """The column as finite floats; None for a categorical design
+        column when expanding."""
+        try:
+            vals = np.fromiter(map(float, column(name)), float, n)
+        except ValueError:
+            if design and expand:
+                return None
+            for i, cell in enumerate(column(name), start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    break
+            value = "(use --expand for categorical columns)" if design \
+                else repr(cell)
+            raise SchemaError(f"{path}: row {i}, column {name!r}: "
+                              f"non-numeric value {value}")
+        check_column(name, np.isfinite(vals), "non-finite")
+        return vals
+
+    y = floats("y")
+    w = np.ones(n)
     if "exposure" in col:
-        check_column("exposure", np.isfinite(w), "non-finite")
+        w = floats("exposure")
         check_column("exposure", w > 0, "non-positive")
+    label_to_idx = graph.label_index()
+    labels = list(map(str.strip, column("vertex")))
+    try:
+        vertex = np.fromiter(map(label_to_idx.__getitem__, labels), int, n)
+    except KeyError as exc:     # raised at the first unknown label
+        label = exc.args[0]
+        raise SchemaError(f"{path}: row {labels.index(label) + 1}: unknown "
+                          f"vertex label {label!r}")
 
     def build_design(colnames):
         mats, names = [], []
         for name in colnames:
-            raw = [rows[i][col[name]] for i in range(n)]
-            numeric = True
-            vals = np.empty(n)
-            for i, rv in enumerate(raw):
-                try:
-                    vals[i] = float(rv)
-                except ValueError:
-                    numeric = False
-                    break
-            if numeric:
-                check_column(name, np.isfinite(vals), "non-finite")
-                mats.append(vals)
-                names.append(name)
-            elif expand:
-                dummies, dnames = _expand_categorical(name, raw)
+            vals = floats(name, design=True)
+            if vals is None:
+                dummies, dnames = _expand_categorical(name,
+                                                      list(column(name)))
                 mats.extend(dummies)
                 names.extend(dnames)
             else:
-                bad = next(i for i, rv in enumerate(raw, start=1)
-                           if not _is_float(rv))
-                raise SchemaError(
-                    f"{path}: row {bad}, column {name!r}: non-numeric value "
-                    f"(use --expand for categorical columns)")
+                mats.append(vals)
+                names.append(name)
         return mats, names
 
     x_mats, beta_names = build_design(x_cols)
@@ -391,7 +395,6 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
 
     try:
         data = Dataset(y, w, vertex, X, Z, graph)
-        from .family import check_support
         check_support(spec, data.ystar, what="y/exposure")
     except DomainError as exc:
         bad = _first_bad_support(spec, y / w)
@@ -399,16 +402,7 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
     return data, beta_names, gamma_names
 
 
-def _is_float(v) -> bool:
-    try:
-        float(v)
-        return True
-    except ValueError:
-        return False
-
-
 def _first_bad_support(spec: FamilySpec, ystar: np.ndarray) -> int:
-    from .family import check_support
     for i, val in enumerate(ystar, start=1):
         try:
             check_support(spec, float(val))
@@ -425,12 +419,11 @@ def _write_coefficients(path, theta: Coefficients, beta_names, gamma_names,
                         labels):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("block\tname\tvalue\n")
-        for name, val in zip(beta_names, theta.beta):
-            fh.write(f"beta\t{name}\t{_fmt(val)}\n")
-        for lab, val in zip(labels, theta.alpha):
-            fh.write(f"alpha\t{lab}\t{_fmt(val)}\n")
-        for name, val in zip(gamma_names, theta.gamma):
-            fh.write(f"gamma\t{name}\t{_fmt(val)}\n")
+        for block, names, vals in (("beta", beta_names, theta.beta),
+                                   ("alpha", labels, theta.alpha),
+                                   ("gamma", gamma_names, theta.gamma)):
+            fh.writelines(f"{block}\t{name}\t{v}\n"
+                          for name, v in zip(names, map(_fmt, vals.tolist())))
 
 
 def read_coefficients(path):
@@ -471,8 +464,7 @@ def read_coefficients(path):
 def _write_trace(path, trace):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iteration\tobjective\n")
-        for i, val in enumerate(trace):
-            fh.write(f"{i}\t{_fmt(val)}\n")
+        fh.writelines(f"{i}\t{_fmt(v)}\n" for i, v in enumerate(trace))
 
 
 def _write_summary(path, items):
@@ -515,11 +507,10 @@ def _cmd_simulate(opts) -> int:
         writer.writerow(["y", "exposure", "vertex"]
                         + [f"x_{j}" for j in range(1, 5)]
                         + [f"z_{j}" for j in range(1, 5)])
-        for i in range(data.n_rows):
-            writer.writerow([_fmt(data.y[i]), _fmt(data.w[i]),
-                             g.labels[data.vertex[i]]]
-                            + [_fmt(v) for v in data.X[i, 1:]]
-                            + [_fmt(v) for v in data.Z[i, 1:]])
+        y, w, *xz = (map(_fmt, c) for c in np.column_stack(
+            [data.y, data.w, data.X[:, 1:], data.Z[:, 1:]]).T.tolist())
+        writer.writerows(zip(y, w, map(g.labels.__getitem__,
+                                        data.vertex.tolist()), *xz))
     beta_names = ["(intercept)"] + [f"x_{j}" for j in range(1, 5)]
     gamma_names = ["(intercept)"] + [f"z_{j}" for j in range(1, 5)]
     _write_coefficients(os.path.join(out, "oracle.tsv"), oracle,
@@ -609,8 +600,7 @@ def _cmd_tune(opts) -> int:
     export_surface(os.path.join(out, "surface.tsv"), result.surface)
     with open(os.path.join(out, "holdout_rows.txt"), "w",
               encoding="utf-8") as fh:
-        for idx in result.holdout_index:
-            fh.write(f"{idx}\n")
+        fh.writelines(f"{idx}\n" for idx in result.holdout_index)
     train = data.subset(result.train_index)
     best = result.best_fit
     hold = data.subset(result.holdout_index)
@@ -669,10 +659,13 @@ def _cmd_predict(opts) -> int:
               encoding="utf-8") as fh:
         fh.write("row\tvertex\tmu_hat\tphi_hat\texpected_per_exposure\t"
                  "expected_total\n")
-        for i in range(data.n_rows):
-            fh.write(f"{i}\t{graph.labels[data.vertex[i]]}\t{_fmt(mu[i])}\t"
-                     f"{_fmt(phi[i])}\t{_fmt(mu[i])}\t"
-                     f"{_fmt(mu[i] * data.w[i])}\n")
+        fh.writelines(
+            f"{i}\t{lab}\t{m}\t{ph}\t{m}\t{tot}\n"
+            for i, lab, m, ph, tot in zip(
+                range(data.n_rows),
+                map(graph.labels.__getitem__, data.vertex.tolist()),
+                map(_fmt, mu.tolist()), map(_fmt, phi.tolist()),
+                map(_fmt, (mu * data.w).tolist())))
     dev = weighted_deviance(data, theta.eta, spec, links.mean)
     _write_summary(os.path.join(out, "predict_summary.tsv"),
                    [("n_rows", data.n_rows),

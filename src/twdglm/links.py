@@ -1,9 +1,7 @@
 """Link functions for the mean and dispersion models.
 
 A link g maps the parameter to the linear-predictor scale; fitting works
-with the inverse map h = g^{-1} and its first two derivatives, plus the
-composition of h with the canonical-parameter map needed by the
-likelihood derivatives.
+with the inverse map h = g^{-1} and its first two derivatives.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import family
 from .errors import ConfigError, DomainError
 from .family import FamilySpec, Member
 
@@ -155,27 +152,3 @@ def link_apply(link: LinkSpec | LinkKind, value):
             raise DomainError("inverse-squared link requires positive values")
         out = v ** -2.0
     return float(out) if scalar else out
-
-
-def natural_from_predictor(spec: FamilySpec, mean_link: LinkSpec | LinkKind,
-                           t, order: int = 0):
-    """Canonical parameter as a function of the mean predictor.
-
-    Returns theta(h(t)) for order 0 and its first two t-derivatives by
-    the chain rule; these feed the generic likelihood derivative path.
-    """
-    kind = mean_link.kind if isinstance(mean_link, LinkSpec) else mean_link
-    scalar = np.ndim(t) == 0
-    mu = link_eval(kind, t, 0)
-    family.check_mean_space(spec, mu, what="h(t)")
-    if order == 0:
-        out = family.theta_of_mu(spec, mu, 0)
-    elif order == 1:
-        out = family.theta_of_mu(spec, mu, 1) * link_eval(kind, t, 1)
-    elif order == 2:
-        h1 = link_eval(kind, t, 1)
-        out = (family.theta_of_mu(spec, mu, 2) * np.asarray(h1) ** 2
-               + family.theta_of_mu(spec, mu, 1) * link_eval(kind, t, 2))
-    else:
-        raise ValueError("order must be 0, 1 or 2")
-    return float(out) if scalar else np.asarray(out)

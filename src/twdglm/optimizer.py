@@ -334,6 +334,27 @@ def _snap_to_grid(p: float, p_grid: np.ndarray) -> float:
     return float(p_grid[int(np.argmin(np.abs(p_grid - p)))])
 
 
+def _check_identifiable(data: Dataset, penalty: PenaltyConfig,
+                        has_disp: bool) -> None:
+    """Fail fast when a coefficient block without a ridge term has a
+    design of fewer rows than columns or of deficient column rank: its
+    step system is then singular at every scaling constant. (With
+    lambda1 = 0 the mean step takes the minimum-norm solution instead.)
+    """
+    blocks = []
+    if penalty.lambda1 > 0 and penalty.mode is PenaltyMode.SPATIAL_ONLY:
+        blocks.append(("mean", "X", "beta", data.X))
+    if has_disp and penalty.gamma_ridge() == 0:
+        blocks.append(("dispersion", "Z", "gamma", data.Z))
+    for what, name, coef, mat in blocks:
+        rank = np.linalg.matrix_rank(mat)
+        if rank < mat.shape[1]:
+            raise SingularSystemError(
+                f"unpenalized {what} design {name} is {mat.shape[0]} x "
+                f"{mat.shape[1]} with rank {rank}: {coef} is not "
+                "identifiable")
+
+
 def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
         init: Coefficients | None = None) -> FitResult:
     """Run the coordinate descent to convergence of the objective.
@@ -353,6 +374,9 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
     if spec.member is Member.COMPOUND_POISSON_GAMMA:
         if np.any(p_grid <= 1.0) or np.any(p_grid >= 2.0):
             raise ConfigError("p_grid must lie inside (1, 2)")
+    has_disp = (data.k_gamma > 0
+                and spec.member is not Member.POISSON)
+    _check_identifiable(data, config.penalty, has_disp)
     theta = init.copy() if init is not None else \
         data.initial_coefficients(spec, links)
     if theta.beta.size != data.k_beta or theta.gamma.size != data.k_gamma \
@@ -373,8 +397,6 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
     iters = 0
     theta_prev = theta
     history = [theta.copy()] if config.keep_history else None
-    has_disp = (data.k_gamma > 0
-                and spec.member is not Member.POISSON)
 
     for iters in range(1, config.max_iters + 1):
         theta_new, f_new, nll_new = theta, f_cur, nll_cur

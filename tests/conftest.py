@@ -1,11 +1,14 @@
 """Shared instance generators, oracles and finite-difference helpers."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from scipy import linalg, special
 
 from twdglm import family as fam
+from twdglm.errors import ConfigError, DomainError, SchemaError
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import PenaltyMode, lattice_graph
 from twdglm.likelihood import Coefficients, Dataset, grad_mean, hess_mean
@@ -157,6 +160,26 @@ def mean_exponent_generic(data, spec, kind, t, p):
     return d0, d1, d2
 
 
+def natural_from_predictor(spec, kind, t, order=0):
+    """Canonical parameter theta(h(t)) of the mean predictor (order 0)
+    and its first two t-derivatives by the chain rule; the composition
+    that the closed forms in ``likelihood._mean_exponent`` fold in."""
+    scalar = np.ndim(t) == 0
+    mu = link_eval(kind, t, 0)
+    fam.check_mean_space(spec, mu, what="h(t)")
+    if order == 0:
+        out = fam.theta_of_mu(spec, mu, 0)
+    elif order == 1:
+        out = fam.theta_of_mu(spec, mu, 1) * link_eval(kind, t, 1)
+    elif order == 2:
+        h1 = link_eval(kind, t, 1)
+        out = (fam.theta_of_mu(spec, mu, 2) * np.asarray(h1) ** 2
+               + fam.theta_of_mu(spec, mu, 1) * link_eval(kind, t, 2))
+    else:
+        raise ValueError("order must be 0, 1 or 2")
+    return float(out) if scalar else np.asarray(out)
+
+
 def full_series_logsums(y, phi, p):
     """(log_a, r1, r2) of the Bessel series summed over k = 1..K, with K
     doubled until each row's last term is below e^-40 of its largest;
@@ -222,3 +245,130 @@ MEAN_LINKS_BY_MEMBER = {
     Member.GAMMA: ["inverse", "identity", "log"],
     Member.INVERSE_GAUSSIAN: ["inverse-squared"],
 }
+
+
+def _is_float(v) -> bool:
+    try:
+        float(v)
+        return True
+    except ValueError:
+        return False
+
+
+def rowwise_load_dataset(path, spec, graph, expand=False,
+                         add_intercept=True):
+    """The row-at-a-time CSV loader that ``cli.load_dataset`` replaced:
+    the oracle for its values, names and single-bad-cell errors. It
+    checks each row's width, y, exposure and vertex label in row order,
+    then the finite/positive checks, then the x_ and z_ columns."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file")
+        rows = list(reader)
+    header = [h.strip() for h in header]
+    for required in ("y", "vertex"):
+        if required not in header:
+            raise SchemaError(f"{path}: missing required column "
+                              f"{required!r}")
+    col = {name: i for i, name in enumerate(header)}
+    x_cols = [h for h in header if h.startswith("x_")]
+    z_cols = [h for h in header if h.startswith("z_")]
+    if spec.member is Member.POISSON and z_cols:
+        raise ConfigError(
+            "constant dispersion member: Poisson admits no dispersion "
+            "covariates")
+    n = len(rows)
+    if n == 0:
+        raise SchemaError(f"{path}: no data rows")
+    label_to_idx = graph.label_index()
+    y = np.empty(n)
+    w = np.ones(n)
+    vertex = np.empty(n, dtype=int)
+
+    def parse_float(raw, rowno, colname):
+        try:
+            return float(raw)
+        except ValueError:
+            raise SchemaError(
+                f"{path}: row {rowno}, column {colname!r}: non-numeric "
+                f"value {raw!r}")
+
+    def check_column(colname, ok, what):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise SchemaError(
+                f"{path}: row {i + 1}, column {colname!r}: {what} value "
+                f"{rows[i][col[colname]]!r}")
+
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise SchemaError(f"{path}: row {i}: expected {len(header)} "
+                              f"fields, got {len(row)}")
+        y[i - 1] = parse_float(row[col["y"]], i, "y")
+        if "exposure" in col:
+            w[i - 1] = parse_float(row[col["exposure"]], i, "exposure")
+        label = row[col["vertex"]].strip()
+        if label not in label_to_idx:
+            raise SchemaError(f"{path}: row {i}: unknown vertex label "
+                              f"{label!r}")
+        vertex[i - 1] = label_to_idx[label]
+    check_column("y", np.isfinite(y), "non-finite")
+    if "exposure" in col:
+        check_column("exposure", np.isfinite(w), "non-finite")
+        check_column("exposure", w > 0, "non-positive")
+
+    def build_design(colnames):
+        mats, names = [], []
+        for name in colnames:
+            raw = [rows[i][col[name]] for i in range(n)]
+            if all(map(_is_float, raw)):
+                vals = np.array([float(v) for v in raw])
+                check_column(name, np.isfinite(vals), "non-finite")
+                mats.append(vals)
+                names.append(name)
+            elif expand:
+                levels = sorted(set(raw))
+                if len(levels) < 2:
+                    raise SchemaError(f"column {name!r} has a single "
+                                      "level; nothing to expand")
+                for lev in levels[:-1]:
+                    mats.append(np.array([1.0 if v == lev else 0.0
+                                          for v in raw]))
+                    names.append(f"{name}[{lev}]")
+            else:
+                bad = next(i for i, rv in enumerate(raw, start=1)
+                           if not _is_float(rv))
+                raise SchemaError(
+                    f"{path}: row {bad}, column {name!r}: non-numeric value "
+                    f"(use --expand for categorical columns)")
+        return mats, names
+
+    x_mats, beta_names = build_design(x_cols)
+    z_mats, gamma_names = build_design(z_cols)
+    if add_intercept:
+        x_mats.insert(0, np.ones(n))
+        beta_names.insert(0, "(intercept)")
+        if spec.member is not Member.POISSON:
+            z_mats.insert(0, np.ones(n))
+            gamma_names.insert(0, "(intercept)")
+    X = np.column_stack(x_mats) if x_mats else np.zeros((n, 0))
+    Z = np.column_stack(z_mats) if z_mats else np.zeros((n, 0))
+    try:
+        data = Dataset(y, w, vertex, X, Z, graph)
+        fam.check_support(spec, data.ystar, what="y/exposure")
+    except DomainError as exc:
+        bad = next((i for i, v in enumerate(y / w, start=1)
+                    if not _in_support(spec, v)), 0)
+        raise DomainError(f"{path}: row {bad}: {exc}")
+    return data, beta_names, gamma_names
+
+
+def _in_support(spec, value) -> bool:
+    try:
+        fam.check_support(spec, float(value))
+        return True
+    except DomainError:
+        return False

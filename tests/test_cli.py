@@ -1,12 +1,18 @@
 """Batch front end: round trips, schema errors, reproducibility."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import rowwise_load_dataset
 from twdglm.cli import load_dataset, read_coefficients, run_command
 from twdglm.errors import DomainError, SchemaError
 from twdglm.family import FamilySpec
@@ -110,6 +116,24 @@ class TestLoadDataset:
         # last sorted level ("red") dropped
         assert bn == ["(intercept)", "x_color[blue]", "x_color[green]"]
         np.testing.assert_array_equal(data.X[:, 1], [0.0, 1.0, 0.0])
+
+    def test_duplicate_column_rejected(self, small_sim_dir, tmp_path,
+                                       capsys):
+        # the second 'y' would otherwise silently replace the first
+        with open(small_sim_dir / "data.csv", encoding="utf-8",
+                  newline="") as fh:
+            rows = list(csv.reader(fh))[:4]
+        rows = [["y", "exposure", "vertex", "y"]] + [
+            r[:3] + ["-5"] for r in rows[1:]]
+        bad = tmp_path / "dup.csv"
+        with open(bad, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = run_command(["fit", "--data", str(bad), "--graph",
+                            str(small_sim_dir / "graph.tsv"), "--out",
+                            str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error[E_SCHEMA]: {bad}: duplicate column 'y'\n")
 
 
 class TestPipeline:
@@ -258,6 +282,27 @@ class TestPipeline:
             f"error[E_SCHEMA]: {bad}: row 5, column {column!r}: {what} "
             f"value {cell!r}\n")
 
+    def test_too_small_to_fit_fails_before_iterating(self, small_sim_dir,
+                                                     tmp_path, capsys):
+        # one row for five columns of X: the mean step has no solution
+        lines = (small_sim_dir / "data.csv").read_text().split("\n")
+        one = tmp_path / "one.csv"
+        one.write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")
+        argv = ["fit", "--data", str(one), "--graph",
+                str(small_sim_dir / "graph.tsv"), "--out",
+                str(tmp_path / "o")]
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == (
+            "error[E_SINGULAR]: unpenalized mean design X is 1 x 5 with "
+            "rank 1: beta is not identifiable\n")
+        # with lambda1 = 0 the mean step is a minimum-norm solve, but the
+        # dispersion design has no ridge term either
+        assert run_command(argv + ["--lambda1", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error[E_SINGULAR]: unpenalized dispersion design Z is 1 x 5 "
+            "with rank 1: gamma is not identifiable\n")
+        assert not (tmp_path / "o" / "trace.tsv").exists()
+
     def test_unknown_family_is_config_error(self, capsys):
         code = run_command(["fit", "--family", "weibull", "--data", "x",
                             "--graph", "y", "--out", "z"])
@@ -273,3 +318,209 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert code != 0
         assert captured.err.startswith("error[")
+
+
+# ---------------------------------------------------------------------------
+# Column-wise loader against the row-wise oracle
+# ---------------------------------------------------------------------------
+
+LABELS = ("a", "b,c", "d e", "r1c1")
+NUMBER_FORMATS = (repr, "{:.3g}".format, " {!r} ".format, "{:e}".format)
+BAD_VALUES = {
+    "non-numeric": ("abc", "", "1.2.3"),
+    "non-finite": ("nan", "inf", "-Infinity"),
+    "non-positive": ("0", "-2.5"),
+    "unknown label": ("zz", "b", " c "),
+    "negative": ("-1",),
+}
+# within one column: non-numeric cells first, then non-finite, then
+# non-positive
+KIND_ORDER = ("non-numeric", "non-finite", "non-positive")
+ERROR_LINE = re.compile(r"error\[E_[A-Z]+\]: [^\n]*\n")
+
+
+@pytest.fixture(scope="module")
+def label_graph(tmp_path_factory):
+    """A graph whose labels need quoting in a CSV or hold a space."""
+    out = tmp_path_factory.mktemp("labels")
+    path = out / "graph.tsv"
+    path.write_text("a\tb,c\nb,c\td e\nr1c1\n", encoding="utf-8")
+    graph = ArealGraph.from_edge_list_file(path)
+    assert graph.labels == LABELS
+    return out, graph
+
+
+@st.composite
+def clean_csv(draw):
+    """(header, body, expand, column kinds) of a valid dataset CSV."""
+    n = draw(st.integers(1, 8))
+    expand = draw(st.booleans())
+    kinds = {"y": "y", "vertex": "vertex"}
+    if draw(st.booleans()):
+        kinds["exposure"] = "exposure"
+    for prefix, k in (("x_", draw(st.integers(0, 3))),
+                      ("z_", draw(st.integers(0, 2)))):
+        for j in range(k):
+            cat = expand and draw(st.booleans())
+            kinds[f"{prefix}{j}"] = "cat" if cat else "num"
+    if draw(st.booleans()):
+        kinds["note"] = "text"
+    cols = draw(st.permutations(list(kinds)))
+
+    def number(lo, hi):
+        fmt = draw(st.sampled_from(NUMBER_FORMATS))
+        return fmt(draw(st.floats(lo, hi)))
+
+    def cell(kind):
+        if kind == "y":
+            return number(0.0, 1e3)
+        if kind == "exposure":
+            return number(0.01, 100.0)
+        if kind == "num":
+            return number(-1e6, 1e6)
+        if kind == "vertex":
+            pad = draw(st.sampled_from(("", " ", "\t")))
+            return pad + draw(st.sampled_from(LABELS)) + pad
+        if kind == "cat":
+            return draw(st.sampled_from(("red", "blue", "green", " red")))
+        return draw(st.text(alphabet="ab ,\"'", max_size=5))
+
+    body = [[cell(kinds[c]) for c in cols] for _ in range(n)]
+    header = [draw(st.sampled_from(("", " "))) + c for c in cols]
+    return header, body, expand, {c: kinds[c] for c in cols}
+
+
+@st.composite
+def bad_cells(draw, kinds, n, expand, multi):
+    """Injections (kind, column, row, value); only SchemaError kinds when
+    several are drawn."""
+    targets = [("ragged", None)]
+    for name, kind in kinds.items():
+        if kind == "y":
+            targets += [("non-numeric", name), ("non-finite", name)]
+            if not multi:
+                targets.append(("negative", name))
+        elif kind == "exposure":
+            targets += [("non-numeric", name), ("non-finite", name),
+                        ("non-positive", name)]
+        elif kind == "vertex":
+            targets.append(("unknown label", name))
+        elif kind == "num":
+            targets.append(("non-finite", name))
+            if not (multi and expand):
+                targets.append(("non-numeric", name))
+    picks = draw(st.lists(st.sampled_from(targets), min_size=2 if multi
+                          else 1, max_size=3 if multi else 1))
+    return [(kind, name, draw(st.integers(0, n - 1)),
+             None if kind == "ragged"
+             else draw(st.sampled_from(BAD_VALUES[kind])))
+            for kind, name in picks]
+
+
+def _write(path, header, body, injections=()):
+    cols = [h.strip() for h in header]
+    body = [list(row) for row in body]
+    # cells first, so that a shortened row still has the cell
+    for kind, name, row, value in sorted(injections,
+                                         key=lambda inj: inj[0] == "ragged"):
+        if kind == "ragged":
+            width = len(cols) - 1 if row % 2 else len(cols) + 1
+            body[row] = (body[row] + ["1"])[:width]
+        else:
+            body[row][cols.index(name)] = value
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header] + body)
+
+
+def _outcome(loader, path, graph, expand):
+    """Loaded arrays and names, or the exception class and message."""
+    try:
+        data, bn, gn = loader(path, FamilySpec.compound_poisson_gamma(1.5),
+                              graph, expand=expand)
+    except (SchemaError, DomainError) as exc:
+        return type(exc), str(exc)
+    return data.y, data.w, data.vertex, data.X, data.Z, bn, gn
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        else:
+            assert g == w
+
+
+def _first_reported(injections, header):
+    """The injection the column-wise loader reports: row widths first,
+    then y, exposure, vertex, the x_ then the z_ columns in header
+    order; within a column the kinds in KIND_ORDER, then the row. A
+    later injection into the same cell replaces an earlier one."""
+    cols = [h.strip() for h in header]
+    design = ([c for c in cols if c.startswith("x_")]
+              + [c for c in cols if c.startswith("z_")])
+    rank = {"y": 1, "exposure": 2, "vertex": 3}
+    rank.update({c: 4 + i for i, c in enumerate(design)})
+    cells = {}
+    for inj in injections:
+        kind, name, row, _ = inj
+        cells[("ragged", row) if kind == "ragged" else (name, row)] = inj
+
+    def key(inj):
+        kind, name, row, _ = inj
+        if kind == "ragged":
+            return (0, 0, row)
+        return (rank[name], KIND_ORDER.index(kind) if kind in KIND_ORDER
+                else 0, row)
+    return min(cells.values(), key=key)
+
+
+def _fit_stderr(path, graph_dir, expand, out):
+    argv = ["fit", "--data", str(path), "--graph",
+            str(graph_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
+            "--approx", "saddlepoint", "--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run_command(argv + (["--expand"] if expand else []))
+    return code, err.getvalue()
+
+
+class TestLoaderEquivalence:
+    """``load_dataset`` reads column by column; ``rowwise_load_dataset``
+    is the row-at-a-time loader it replaced."""
+
+    @settings(max_examples=300)
+    @given(case=clean_csv(), data=st.data())
+    def test_matches_rowwise_oracle(self, label_graph, case, data):
+        graph_dir, graph = label_graph
+        header, body, expand, kinds = case
+        injections = data.draw(st.one_of(
+            st.just([]), bad_cells(kinds, len(body), expand, multi=False)))
+        path = graph_dir / "one.csv"
+        _write(path, header, body, injections)
+        want = _outcome(rowwise_load_dataset, path, graph, expand)
+        _assert_same(_outcome(load_dataset, path, graph, expand), want)
+        if isinstance(want[0], type):
+            code, err = _fit_stderr(path, graph_dir, expand,
+                                    graph_dir / "out")
+            assert code != 0 and ERROR_LINE.fullmatch(err)
+
+    @settings(max_examples=200)
+    @given(case=clean_csv(), data=st.data())
+    def test_several_bad_cells_report_the_first(self, label_graph, case,
+                                                data):
+        graph_dir, graph = label_graph
+        header, body, expand, kinds = case
+        injections = data.draw(bad_cells(kinds, len(body), expand,
+                                         multi=True))
+        path = graph_dir / "several.csv"
+        # the oracle's error for the first bad cell alone ...
+        _write(path, header, body, [_first_reported(injections, header)])
+        want = _outcome(rowwise_load_dataset, path, graph, expand)
+        assert want[0] is SchemaError
+        # ... is the column-wise loader's error for all of them
+        _write(path, header, body, injections)
+        assert _outcome(load_dataset, path, graph, expand) == want
+        code, err = _fit_stderr(path, graph_dir, expand, graph_dir / "out")
+        assert code == 2 and err == f"error[E_SCHEMA]: {want[1]}\n"

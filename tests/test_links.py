@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import natural_from_predictor
 from twdglm.errors import ConfigError, DomainError
 from twdglm.family import FamilySpec
 from twdglm.links import (LinkKind, LinkPair, LinkRole, LinkSpec,
-                          link_apply, link_eval, natural_from_predictor,
-                          validate_links)
+                          link_apply, link_eval, validate_links)
 
 ALL_KINDS = list(LinkKind)
 
