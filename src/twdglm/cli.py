@@ -243,12 +243,6 @@ def _require(opts: dict, key: str, flag: str):
     return opts[key]
 
 
-def _ensure_outdir(opts: dict) -> str:
-    out = _require(opts, "out", "--out")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _echo_config(out: str, command: str, opts: dict) -> None:
     payload = {"command": command}
     payload.update({k: opts[k] for k in sorted(opts)})
@@ -279,12 +273,13 @@ def _expand_categorical(name, values):
 
 
 def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
-                 expand: bool = False, add_intercept: bool = True):
+                 expand: bool = False):
     """Typed dataset from a headered CSV.
 
     Required columns ``y`` and ``vertex``; optional ``exposure``
-    (default 1); mean covariates are the ``x_``-prefixed columns,
-    dispersion covariates the ``z_``-prefixed ones. Vertex labels must
+    (default 1); mean covariates are an intercept and the
+    ``x_``-prefixed columns, dispersion covariates an intercept (none
+    for Poisson) and the ``z_``-prefixed ones. Vertex labels must
     exist in the graph. Returns (Dataset, beta_names, gamma_names).
 
     Cells are checked column by column: of several bad cells the first
@@ -384,13 +379,12 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
 
     x_mats, beta_names = build_design(x_cols)
     z_mats, gamma_names = build_design(z_cols)
-    if add_intercept:
-        x_mats.insert(0, np.ones(n))
-        beta_names.insert(0, "(intercept)")
-        if spec.member is not Member.POISSON:
-            z_mats.insert(0, np.ones(n))
-            gamma_names.insert(0, "(intercept)")
-    X = np.column_stack(x_mats) if x_mats else np.zeros((n, 0))
+    x_mats.insert(0, np.ones(n))
+    beta_names.insert(0, "(intercept)")
+    if spec.member is not Member.POISSON:
+        z_mats.insert(0, np.ones(n))
+        gamma_names.insert(0, "(intercept)")
+    X = np.column_stack(x_mats)
     Z = np.column_stack(z_mats) if z_mats else np.zeros((n, 0))
 
     try:
@@ -481,12 +475,13 @@ def _write_summary(path, items):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(opts) -> int:
-    out = _ensure_outdir(opts)
+    out = _require(opts, "out", "--out")
     rows, cols = _parse_lattice(opts)
     spec = _family_from_options(opts)
     if spec.member is not Member.COMPOUND_POISSON_GAMMA:
         raise ConfigError("simulate generates compound-poisson-gamma data")
     sim = SimConfig(amplitude=float(opts["amplitude"]))
+    os.makedirs(out, exist_ok=True)
     data, oracle = make_dataset(int(opts["n"]), rows, cols,
                                 str(opts["pattern"]), spec,
                                 float(opts["zero_prop"]),
@@ -576,9 +571,10 @@ def _write_fit_outputs(out, opts, spec, links, data, beta_names,
 
 
 def _cmd_fit(opts) -> int:
-    out = _ensure_outdir(opts)
+    out = _require(opts, "out", "--out")
     spec, links, graph, data, beta_names, gamma_names = _prepare_model(opts)
     cfg = _fit_config(opts, data)
+    os.makedirs(out, exist_ok=True)
     result = fit(data, spec, links, cfg)
     _write_fit_outputs(out, opts, spec, links, data, beta_names,
                        gamma_names, result,
@@ -591,11 +587,12 @@ def _cmd_fit(opts) -> int:
 
 
 def _cmd_tune(opts) -> int:
-    out = _ensure_outdir(opts)
+    out = _require(opts, "out", "--out")
     spec, links, graph, data, beta_names, gamma_names = _prepare_model(opts)
     cfg = _fit_config(opts, data)
     ax1, ax2 = _parse_lambda_grid(opts)
     grid = GridSpec(ax1, ax2, float(opts["train_frac"]), int(opts["seed"]))
+    os.makedirs(out, exist_ok=True)
     result = grid_search(data, spec, links, cfg, grid)
     export_surface(os.path.join(out, "surface.tsv"), result.surface)
     with open(os.path.join(out, "holdout_rows.txt"), "w",
@@ -619,7 +616,7 @@ def _cmd_tune(opts) -> int:
 
 
 def _cmd_predict(opts) -> int:
-    out = _ensure_outdir(opts)
+    out = _require(opts, "out", "--out")
     fit_dir = opts.get("fit_dir")
     coef_path = opts.get("coefficients")
     if coef_path is None:
@@ -651,6 +648,7 @@ def _cmd_predict(opts) -> int:
                               expand=bool(opts["expand"]))
     if data.k_beta != theta.beta.size or data.k_gamma != theta.gamma.size:
         raise ConfigError("coefficient blocks do not match the data design")
+    os.makedirs(out, exist_ok=True)
     t = data.X @ theta.beta + theta.alpha[data.vertex]
     mu = link_eval(links.mean, t, 0)
     s = data.Z @ theta.gamma if data.k_gamma else np.zeros(data.n_rows)
@@ -678,7 +676,7 @@ def _cmd_predict(opts) -> int:
 
 
 def _cmd_report(opts) -> int:
-    out = _ensure_outdir(opts)
+    out = _require(opts, "out", "--out")
     fit_dir = _require(opts, "fit_dir", "--fit-dir")
     theta, beta_names, gamma_names, labels = read_coefficients(
         os.path.join(fit_dir, "coefficients.tsv"))
@@ -687,6 +685,7 @@ def _cmd_report(opts) -> int:
         o_theta, _, _, o_labels = read_coefficients(opts["oracle"])
         lookup = dict(zip(o_labels, o_theta.alpha))
         oracle_alpha = [lookup.get(lab) for lab in labels]
+    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "alpha_vs_pattern.tsv"), "w",
               encoding="utf-8") as fh:
         if oracle_alpha is None:
@@ -719,7 +718,11 @@ _COMMANDS = {
 
 
 def run_command(argv) -> int:
-    """Parse argv and execute one subcommand; returns the exit code."""
+    """Parse argv and execute one subcommand; returns the exit code.
+
+    Each command checks its options and reads its inputs before it
+    creates ``--out``, so a command that fails there leaves none.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -3,15 +3,27 @@
 Each outer iteration majorizes the objective in eta with a scaled
 Hessian c1 * H, solves the penalized linear system for eta*, refreshes
 the mean exponent at eta*, takes the analogous damped Newton step in
-gamma, and finally updates the index parameter by a grid profile
-search. Scaling constants are found by doubling until the step's
-system matrix is positive definite and the objective decrease clears
-the descent margin, which makes the objective trace non-increasing by
+gamma, and finally updates the index parameter by a walk on its grid
+from the current p to a local minimum of the likelihood in p (the grid
+minimum when the profile is unimodal; on a multimodal profile it may
+be a local one). Scaling constants are found by doubling until the
+step's system matrix is positive definite and the objective decrease
+clears the descent margin, and the index moves only when the objective
+does not rise, which makes the objective trace non-increasing by
 construction.
+
+The per-row log-normalizer terms (``likelihood.lognorm_terms``) do
+not depend on eta. The fit holds those of its accepted (gamma, p) and
+replaces them only when a dispersion step or an index move is
+accepted: the mean step's candidates and the next dispersion
+derivatives reuse them, so under the series normalizer an iteration
+sums the series only for the dispersion candidates and the grid points
+the walk visits.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +32,7 @@ from scipy.sparse import linalg as splinalg
 
 from . import likelihood as lik
 from .errors import (ConfigError, DomainError, NonFiniteError, ScalingError,
-                     SingularSystemError)
+                     SeriesInfeasibleError, SingularSystemError)
 from .family import FamilySpec, Member
 from .graph import PenaltyConfig, PenaltyMode, assemble_penalty
 from .likelihood import Coefficients, Dataset, MeanHessian
@@ -90,12 +102,27 @@ def objective(data: Dataset, theta: Coefficients, spec: FamilySpec,
             + penalty.value(theta.as_vector()))
 
 
-def _objective_or_inf(data, theta, spec, links, penalty):
-    """(F, nll) at theta; both +inf outside the likelihood's domain."""
-    nll = lik.nll_or_inf(data, theta, spec, links)
+def _nll_or_inf(data, theta, spec, links, p=None, terms=None):
+    """(nll, normalizer terms) at theta and p, the terms computed unless
+    those at theta's gamma and p are given. (+inf, None) outside the
+    likelihood's domain and where the series normalizer cannot be
+    summed, so that a candidate step or grid point there is rejected."""
+    if terms is None:
+        try:
+            terms = lik.lognorm_terms(data, theta, spec, links, p)
+        except (DomainError, SeriesInfeasibleError):
+            return np.inf, None
+    nll = lik.nll_or_inf(data, theta, spec, links, p, terms=terms)
+    return (nll, terms) if np.isfinite(nll) else (np.inf, None)
+
+
+def _objective_or_inf(data, theta, spec, links, penalty, terms=None):
+    """(F, nll, normalizer terms) at theta, as in ``_nll_or_inf``; F is
+    +inf outside the likelihood's domain."""
+    nll, terms = _nll_or_inf(data, theta, spec, links, terms=terms)
     if not np.isfinite(nll):
-        return np.inf, np.inf
-    return nll + penalty.value(theta.as_vector()), nll
+        return np.inf, np.inf, None
+    return nll + penalty.value(theta.as_vector()), nll, terms
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +140,16 @@ def _chol_solve(mat: np.ndarray, rhs: np.ndarray):
 
 
 def _block_derivatives(step_kind: str, data: Dataset, theta: Coefficients,
-                       spec: FamilySpec, links: LinkPair):
+                       spec: FamilySpec, links: LinkPair, terms=None):
     """What a block step needs of the likelihood at theta, none of which
     depends on the scaling constant: (grad, H, H @ eta) for the mean,
-    (grad, H) for the dispersion."""
+    (grad, H) for the dispersion, the latter from the normalizer
+    ``terms`` at theta when given."""
     if step_kind == "mean":
         hess = lik.hess_mean(data, theta, spec, links)
         return (lik.grad_mean(data, theta, spec, links), hess,
                 hess.matvec(theta.eta))
-    return lik.disp_derivatives(data, theta, spec, links)
+    return lik.disp_derivatives(data, theta, spec, links, terms=terms)
 
 
 def solve_mean_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
@@ -165,9 +193,15 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
 
     S22 = l1*I + l2*Laplacian + c1*diag(H_aa) is a sparse GMRF precision.
     It is factored once with a symmetric fill-reducing ordering and
-    diagonal pivots; such a factor P S22 P' = L U shows S22 positive
-    definite exactly when no row was pivoted away from the diagonal and
-    every pivot (diagonal of U) is positive. The dense k_beta x k_beta
+    diagonal pivots, and is positive definite exactly when every pivot
+    (diagonal of U) is positive. With a pivot threshold of 0, SuperLU
+    leaves the diagonal only at a column whose diagonal entry is exactly
+    0. Up to that column all pivots were positive (or the test already
+    fails), so the entries still to be eliminated keep the sign of
+    S22's off-diagonals, which are -l2 times the adjacency and never
+    positive. The pivot taken off the diagonal is then negative and
+    shows in U, so a permutation test (perm_r == perm_c) would reject
+    no factor that the pivot test accepts. The dense k_beta x k_beta
     Schur complement A11 - A12 S22^{-1} A21 then closes the beta part by
     Cholesky. Returns None when the system is not positive definite.
     """
@@ -180,8 +214,7 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
                            options={"SymmetricMode": True})
     except RuntimeError:          # exactly singular pivot
         return None
-    if not (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(lu.U.diagonal() > 0)):
+    if not np.all(lu.U.diagonal() > 0):
         return None
     v = lu.solve(rhs[kb:])                    # S22^{-1} rhs_a
     if kb == 0:
@@ -202,30 +235,47 @@ def solve_disp_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
                     c2: float, derivs=None) -> np.ndarray:
     """Damped Newton step in gamma (ridge-regularized under the full
     ridge configuration). ``derivs`` are the gradient and Hessian in
-    gamma at theta, computed here when not given."""
+    gamma at theta, computed here when not given.
+
+    The negative log-likelihood need not be convex in gamma. Where the
+    step's system is not positive definite, the Hessian in it is
+    replaced by its absolute-eigenvalue modification (each eigenvalue by
+    its magnitude, floored at sqrt(eps) of the largest), so the step
+    still points downhill and a large enough c2 makes it decrease the
+    objective. Raises SingularSystemError only when that fails too (a
+    zero or non-finite Hessian).
+    """
     if derivs is None:
         derivs = _block_derivatives("disp", data, theta, spec, links)
     g, h = derivs
     if g.size == 0:
         return theta.gamma.copy()
     lam = penalty.gamma_ridge()
-    if lam > 0:
-        mat = lam * np.eye(g.size) + c2 * h
-        rhs = c2 * (h @ theta.gamma) - g
-        out = _chol_solve(mat, rhs)
-        if out is None:
-            eigs = np.linalg.eigvalsh(mat)
-            raise SingularSystemError(
-                "dispersion-step system not positive definite",
-                smallest_pivot=float(eigs.min()))
-        return out
-    step = _chol_solve(h, g)
-    if step is None:
-        eigs = np.linalg.eigvalsh(h)
+    out = _disp_solve(h, g, theta.gamma, lam, c2)
+    if out is None and np.all(np.isfinite(h)):
+        out = _disp_solve(_abs_eigen(h), g, theta.gamma, lam, c2)
+    if out is None:
         raise SingularSystemError(
-            "dispersion Hessian not positive definite",
-            smallest_pivot=float(np.abs(eigs).min()))
-    return theta.gamma - step / c2
+            "dispersion-step system not positive definite")
+    return out
+
+
+def _disp_solve(h, g, gamma, lam, c2):
+    """gamma* of the dispersion step with Hessian h; None when its system
+    is not positive definite."""
+    if lam > 0:
+        return _chol_solve(lam * np.eye(g.size) + c2 * h,
+                           c2 * (h @ gamma) - g)
+    step = _chol_solve(h, g)
+    return None if step is None else gamma - step / c2
+
+
+def _abs_eigen(h):
+    """V |L| V' for h = V L V', with |L| floored at sqrt(eps) max |L|."""
+    vals, vecs = np.linalg.eigh(h)
+    mags = np.abs(vals)
+    mags = np.maximum(mags, np.sqrt(np.finfo(float).eps) * mags.max())
+    return (vecs * mags) @ vecs.T
 
 
 # ---------------------------------------------------------------------------
@@ -273,33 +323,41 @@ def _try_disp_candidate(data, theta, spec, links, penalty, c2, derivs):
 
 
 def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
-                 f_current: float, c_growth: float):
+                 f_current: float, c_growth: float, terms=None):
     """Find the first scaling whose step is solvable and decreases the
     objective by at least the descent margin.
 
     The gradient and the Hessian at theta are computed once and shared
-    by every scaling tried. Returns (c, candidate theta, new objective
-    value, its negative log-likelihood). Raises ScalingError after the
-    doubling budget; reason "not-positive-definite" when no system ever
-    factored, "no-decrease" otherwise.
+    by every scaling tried. ``terms`` are the normalizer terms at
+    theta, computed here when not given; a mean candidate keeps gamma
+    and p, so it is evaluated with them, while each dispersion
+    candidate gets its own. Returns (c, candidate theta, new objective
+    value, its negative log-likelihood, its normalizer terms). Raises
+    ScalingError after the doubling budget; reason
+    "not-positive-definite" when no system ever factored, "no-decrease"
+    otherwise.
     """
     if step_kind not in ("mean", "disp"):
         raise ConfigError("step_kind must be 'mean' or 'disp'")
-    try_candidate = _try_mean_candidate if step_kind == "mean" \
-        else _try_disp_candidate
-    derivs = _block_derivatives(step_kind, data, theta, spec, links)
+    if terms is None:
+        terms = lik.lognorm_terms(data, theta, spec, links)
+    if step_kind == "mean":
+        try_candidate, cand_terms = _try_mean_candidate, terms
+    else:
+        try_candidate, cand_terms = _try_disp_candidate, None
+    derivs = _block_derivatives(step_kind, data, theta, spec, links, terms)
     c = 1.0
     solvable_seen = False
     for _ in range(MAX_DOUBLINGS + 1):
         cand = try_candidate(data, theta, spec, links, penalty, c, derivs)
         if cand is not None:
             solvable_seen = True
-            f_new, nll_new = _objective_or_inf(data, cand, spec, links,
-                                               penalty)
+            f_new, nll_new, terms_new = _objective_or_inf(
+                data, cand, spec, links, penalty, cand_terms)
             margin = _descent_margin(penalty, step_kind, theta, cand)
             if (f_new <= f_current
                     and f_current - f_new >= margin - DESCENT_SLACK):
-                return c, cand, f_new, nll_new
+                return c, cand, f_new, nll_new, terms_new
         c *= c_growth
     reason = "no-decrease" if solvable_seen else "not-positive-definite"
     raise ScalingError(
@@ -308,24 +366,48 @@ def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
 
 
 def update_index(data: Dataset, theta_star: Coefficients, spec: FamilySpec,
-                 links: LinkPair, p_grid: np.ndarray,
-                 nll_cur: float | None = None) -> tuple[float, float]:
-    """Profile-likelihood grid update of the index parameter.
+                 links: LinkPair, p_grid: np.ndarray, current=None):
+    """Grid update of the index parameter by a walk on the likelihood.
 
-    Returns (p, negative log-likelihood at p). Identity for fixed-p
-    members and for an empty grid. Ties break toward the smaller grid
-    value; the penalty is excluded since it does not involve p.
-    ``nll_cur``, when given, is the likelihood at ``spec.p`` already
-    known to the caller, and that point is not evaluated again.
+    Starts at the grid point nearest ``spec.p`` and moves to the
+    smaller-p neighbour while the likelihood does not rise there, or
+    else to the larger-p neighbour while it falls; each point is
+    evaluated at most once, and the penalty is excluded since it does
+    not involve p. The walk stops at a local grid minimum: on a
+    unimodal profile (ties included) that is the grid minimum, with
+    ties broken toward the smaller p, and on a multimodal one it may be
+    a local minimum only. The likelihood there never exceeds the
+    starting point's, so the objective stays non-increasing.
+
+    Returns (p, negative log-likelihood at p, normalizer terms at p).
+    Identity for fixed-p members and for an empty grid. ``current``,
+    when given, is the (likelihood, normalizer terms) pair at
+    ``spec.p`` already known to the caller, and that point is not
+    evaluated again.
     """
     grid = np.asarray(p_grid, dtype=float).ravel()
     if spec.member is not Member.COMPOUND_POISSON_GAMMA or grid.size == 0:
         grid = np.array([spec.p])
-    values = [nll_cur if nll_cur is not None and pk == spec.p
-              else lik.nll_or_inf(data, theta_star, spec, links, p=pk)
-              for pk in grid]
-    best = int(np.argmin(values))
-    return float(grid[best]), float(values[best])
+    i = int(np.argmin(np.abs(grid - spec.p)))
+    if current is not None and grid[i] == spec.p:
+        nll, terms = current
+    else:
+        nll, terms = _nll_or_inf(data, theta_star, spec, links, p=grid[i])
+
+    def walk(step, better) -> bool:
+        nonlocal i, nll, terms
+        moved = False
+        while 0 <= i + step < grid.size:
+            nll_j, terms_j = _nll_or_inf(data, theta_star, spec, links,
+                                         p=grid[i + step])
+            if not better(nll_j, nll):
+                break
+            i, nll, terms, moved = i + step, nll_j, terms_j, True
+        return moved
+
+    if not walk(-1, operator.le):
+        walk(1, operator.lt)
+    return float(grid[i]), float(nll), terms
 
 
 def _snap_to_grid(p: float, p_grid: np.ndarray) -> float:
@@ -387,8 +469,14 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
         if spec.member is Member.COMPOUND_POISSON_GAMMA else spec.p
     spec_cur = spec.with_p(p_cur) if p_cur != spec.p else spec
 
-    f_cur, nll_cur = _objective_or_inf(data, theta, spec_cur, links,
-                                       config.penalty)
+    # evaluated unguarded, so that a start the series cannot sum says so
+    try:
+        terms_cur = lik.lognorm_terms(data, theta, spec_cur, links)
+        nll_cur = lik.neg_log_lik(data, theta, spec_cur, links,
+                                  terms=terms_cur)
+    except (DomainError, NonFiniteError):
+        nll_cur = np.inf
+    f_cur = nll_cur + config.penalty.value(theta.as_vector())
     if not np.isfinite(f_cur):
         raise NonFiniteError("objective not finite at the starting point")
     trace = [f_cur]
@@ -401,32 +489,33 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
     for iters in range(1, config.max_iters + 1):
         theta_new, f_new, nll_new = theta, f_cur, nll_cur
         try:
-            c1, theta_new, f_new, nll_new = _scaled_step(
+            c1, theta_new, f_new, nll_new, _ = _scaled_step(
                 "mean", data, theta, spec_cur, links, config.penalty, f_cur,
-                config.c_growth)
+                config.c_growth, terms_cur)
         except ScalingError as err:
             if err.reason != "no-decrease":
                 raise ScalingError(
                     f"iteration {iters}: {err}", reason=err.reason)
         if has_disp:
             try:
-                c2, theta_new, f_new, nll_new = _scaled_step(
+                c2, theta_new, f_new, nll_new, terms_cur = _scaled_step(
                     "disp", data, theta_new, spec_cur, links, config.penalty,
-                    f_new, config.c_growth)
+                    f_new, config.c_growth, terms_cur)
             except ScalingError as err:
                 if err.reason != "no-decrease":
                     raise ScalingError(
                         f"iteration {iters}: {err}", reason=err.reason)
         if spec.member is Member.COMPOUND_POISSON_GAMMA and p_grid.size > 1:
-            p_new, nll_p = update_index(data, theta_new, spec_cur, links,
-                                        p_grid, nll_cur=nll_new)
+            p_new, nll_p, terms_p = update_index(
+                data, theta_new, spec_cur, links, p_grid,
+                current=(nll_new, terms_cur))
             if p_new != p_cur:
                 f_candidate = nll_p + config.penalty.value(
                     theta_new.as_vector())
                 if f_candidate <= f_new:
                     p_cur = p_new
                     spec_cur = spec_cur.with_p(p_new)
-                    f_new, nll_new = f_candidate, nll_p
+                    f_new, nll_new, terms_cur = f_candidate, nll_p, terms_p
         eps_star = f_cur - f_new
         theta_prev, theta, f_cur, nll_cur = theta, theta_new, f_new, nll_new
         trace.append(f_cur)

@@ -8,6 +8,7 @@ from hypothesis import settings
 from scipy import linalg, special
 
 from twdglm import family as fam
+from twdglm import likelihood as lik
 from twdglm.errors import ConfigError, DomainError, SchemaError
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import PenaltyMode, lattice_graph
@@ -180,6 +181,21 @@ def natural_from_predictor(spec, kind, t, order=0):
     return float(out) if scalar else np.asarray(out)
 
 
+def scan_update_index(data, theta_star, spec, links, p_grid, nll_cur=None):
+    """(p, nll at p) by evaluating the likelihood at every grid point,
+    the point at ``spec.p`` taken as ``nll_cur`` when given, and taking
+    the first minimum; the oracle for the walk in
+    ``optimizer.update_index``."""
+    grid = np.asarray(p_grid, dtype=float).ravel()
+    if spec.member is not Member.COMPOUND_POISSON_GAMMA or grid.size == 0:
+        grid = np.array([spec.p])
+    values = [nll_cur if nll_cur is not None and pk == spec.p
+              else lik.nll_or_inf(data, theta_star, spec, links, p=pk)
+              for pk in grid]
+    best = int(np.argmin(values))
+    return float(grid[best]), float(values[best])
+
+
 def full_series_logsums(y, phi, p):
     """(log_a, r1, r2) of the Bessel series summed over k = 1..K, with K
     doubled until each row's last term is below e^-40 of its largest;
@@ -255,8 +271,7 @@ def _is_float(v) -> bool:
         return False
 
 
-def rowwise_load_dataset(path, spec, graph, expand=False,
-                         add_intercept=True):
+def rowwise_load_dataset(path, spec, graph, expand=False):
     """The row-at-a-time CSV loader that ``cli.load_dataset`` replaced:
     the oracle for its values, names and single-bad-cell errors. It
     checks each row's width, y, exposure and vertex label in row order,
@@ -348,13 +363,12 @@ def rowwise_load_dataset(path, spec, graph, expand=False,
 
     x_mats, beta_names = build_design(x_cols)
     z_mats, gamma_names = build_design(z_cols)
-    if add_intercept:
-        x_mats.insert(0, np.ones(n))
-        beta_names.insert(0, "(intercept)")
-        if spec.member is not Member.POISSON:
-            z_mats.insert(0, np.ones(n))
-            gamma_names.insert(0, "(intercept)")
-    X = np.column_stack(x_mats) if x_mats else np.zeros((n, 0))
+    x_mats.insert(0, np.ones(n))
+    beta_names.insert(0, "(intercept)")
+    if spec.member is not Member.POISSON:
+        z_mats.insert(0, np.ones(n))
+        gamma_names.insert(0, "(intercept)")
+    X = np.column_stack(x_mats)
     Z = np.column_stack(z_mats) if z_mats else np.zeros((n, 0))
     try:
         data = Dataset(y, w, vertex, X, Z, graph)

@@ -303,12 +303,32 @@ class TestPipeline:
             "with rank 1: gamma is not identifiable\n")
         assert not (tmp_path / "o" / "trace.tsv").exists()
 
-    def test_unknown_family_is_config_error(self, capsys):
+    def test_unknown_family_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "z"
         code = run_command(["fit", "--family", "weibull", "--data", "x",
-                            "--graph", "y", "--out", "z"])
+                            "--graph", "y", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
         assert "error[E_CONFIG]" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate", "--lattice", "3by3"], "E_CONFIG"),
+        (["fit", "--data", "{sim}/nope.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg"], "E_IO"),
+        (["tune", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--grid", "0:1"], "E_CONFIG"),
+        (["predict", "--data", "{sim}/data.csv", "--graph",
+          "{sim}/graph.tsv"], "E_CONFIG"),
+        (["report"], "E_CONFIG"),
+    ], ids=["simulate", "fit", "tune", "predict", "report"])
+    def test_invalid_options_create_no_outdir(self, sim_dir, tmp_path,
+                                              capsys, argv, code):
+        out = tmp_path / "out"
+        argv = [a.format(sim=sim_dir) for a in argv] + ["--out", str(out)]
+        assert run_command(argv) != 0
+        assert capsys.readouterr().err.startswith(f"error[{code}]")
+        assert not out.exists()
 
     def test_missing_data_file_is_io_error(self, sim_dir, tmp_path, capsys):
         code = run_command(

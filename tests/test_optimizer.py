@@ -1,12 +1,17 @@
 """Coordinate descent: steps, scaling, descent guarantees, comparators."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import dense_mean_matrix, dense_mean_step, make_instance
+from conftest import (dense_mean_matrix, dense_mean_step, make_instance,
+                      scan_update_index)
+from twdglm import family as fam
+from twdglm import likelihood as lik
 from twdglm.errors import ConfigError, SingularSystemError
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
@@ -161,6 +166,24 @@ class TestSolveDispStep:
         h = hess_disp(data, theta, spec, links)[0, 0]
         assert got[0] == pytest.approx(theta.gamma[0] - g / (c2 * h))
 
+    @pytest.mark.parametrize("mode", list(PenaltyMode))
+    def test_indefinite_hessian_uses_absolute_eigenvalues(self, mode):
+        data, theta, spec, links = make_instance(
+            Member.COMPOUND_POISSON_GAMMA, "log", k_gamma=2, seed=3)
+        pen = assemble_penalty(mode, 0.5, 1.0, data.k_beta, data.graph,
+                               data.k_gamma)
+        g = np.array([1.0, -2.0])
+        h = np.array([[1.0, 2.0], [2.0, 1.0]])      # eigenvalues 3, -1
+        h_abs = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 3, 1
+        got = solve_disp_step(data, theta, spec, links, pen, 4.0, (g, h))
+        lam = pen.gamma_ridge()
+        if lam > 0:
+            want = np.linalg.solve(lam * np.eye(2) + 4.0 * h_abs,
+                                   4.0 * h_abs @ theta.gamma - g)
+        else:
+            want = theta.gamma - np.linalg.solve(h_abs, g) / 4.0
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
     def test_huge_ridge_shrinks_gamma_to_zero(self):
         data, links = _normal_instance(seed=4)
         spec = FamilySpec.normal()
@@ -201,9 +224,24 @@ class TestChooseScaling:
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
                                data.k_beta, data.graph, data.k_gamma)
         f0 = objective(data, theta, spec, links, pen)
-        _, cand, f_new, _ = _scaled_step("mean", data, theta, spec, links,
-                                         pen, f0, 2.0)
+        _, cand, f_new, *_ = _scaled_step("mean", data, theta, spec, links,
+                                          pen, f0, 2.0)
         assert f_new <= f0
+
+    @pytest.mark.parametrize("kind", ["mean", "disp"])
+    def test_returns_the_candidates_normalizer_terms(self, kind):
+        data, theta, spec, links = make_instance(
+            Member.COMPOUND_POISSON_GAMMA, "log", n=200, seed=5)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        f0 = objective(data, theta, spec, links, pen)
+        terms = lik.lognorm_terms(data, theta, spec, links)
+        _, cand, _, nll, got = _scaled_step(kind, data, theta, spec, links,
+                                            pen, f0, 2.0, terms)
+        want = lik.lognorm_terms(data, cand, spec, links)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert nll == lik.neg_log_lik(data, cand, spec, links)
 
     def test_rejects_unknown_step_kind(self):
         data, links = _normal_instance()
@@ -223,6 +261,83 @@ class TestUpdateIndex:
             Member.COMPOUND_POISSON_GAMMA, "log", seed=1)
         assert update_index(data, theta, spec, links,
                             np.array([1.3]))[0] == 1.3
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_walk_matches_scan_on_unimodal_profiles(self, draw):
+        """Profiles fall strictly to a flat bottom of one or more equal
+        values, then rise strictly; integer steps make values on the two
+        sides tie too."""
+        data = draw.draw
+        n = data(st.integers(1, 19))
+        grid = np.round(1.05 + 0.05 * np.arange(n), 10)
+        bottom = data(st.integers(0, n - 1))
+        width = data(st.integers(1, n - bottom))
+        steps = st.integers(1, 3)
+        low = float(data(st.integers(-5, 5)))
+        left = low + np.cumsum([data(steps) for _ in range(bottom)])[::-1]
+        right = low + np.cumsum([data(steps)
+                                 for _ in range(n - bottom - width)])
+        values = np.concatenate([left, np.full(width, low), right])
+        start = data(st.integers(0, n - 1))
+        spec = FamilySpec.compound_poisson_gamma(float(grid[start]))
+        known = data(st.booleans())
+        current = (values[start], "terms") if known else None
+        profile = dict(zip(grid.tolist(), values.tolist()))
+        seen = []
+
+        def nll_at(data, theta, spec, links, p=None, terms=None):
+            seen.append(p)
+            return profile[float(p)]
+
+        with mock.patch.object(lik, "nll_or_inf", nll_at), \
+                mock.patch.object(lik, "lognorm_terms",
+                                  lambda *a, **k: "terms"):
+            got = update_index(None, None, spec, None, grid, current)
+            n_walk = len(seen)
+            want = scan_update_index(None, None, spec, None, grid,
+                                     current and current[0])
+        assert got[:2] == want
+        walked = seen[:n_walk]
+        assert len(set(walked)) == len(walked)
+        assert not known or grid[start] not in walked
+
+    def test_walk_matches_scan_on_the_likelihood(self):
+        gen = FamilySpec.compound_poisson_gamma(1.5)
+        data, _ = make_dataset(2000, 3, 3, "smooth", gen, 0.3, seed=44)
+        links = LinkPair.of("log", "log")
+        theta = data.initial_coefficients(gen, links)
+        grid = np.round(np.arange(1.05, 1.951, 0.05), 10)
+        for p0 in (1.05, 1.3, 1.5, 1.95):
+            spec = gen.with_p(p0)
+            nll = lik.neg_log_lik(data, theta, spec, links)
+            current = (nll, lik.lognorm_terms(data, theta, spec, links))
+            p, got, terms = update_index(data, theta, spec, links, grid,
+                                         current)
+            assert (p, got) == scan_update_index(data, theta, spec, links,
+                                                 grid, nll)
+            want = lik.lognorm_terms(data, theta, spec, links, p)
+            for a, b in zip(terms, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_series_passes_per_iteration(self, monkeypatch):
+        """A criterion-6 fit sums the series once at the start, then per
+        iteration once for the dispersion candidate and twice for the
+        walk's neighbours."""
+        gen = FamilySpec.compound_poisson_gamma(1.5)
+        data, _ = make_dataset(5000, 5, 5, "smooth", gen, 0.3, seed=200)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        calls = []
+        raw = fam._series_logsums
+        monkeypatch.setattr(fam, "_series_logsums",
+                            lambda *a: calls.append(1) or raw(*a))
+        res = fit(data, gen, LinkPair.of("log", "log"),
+                  FitConfig(penalty=pen,
+                            p_grid=np.round(np.arange(1.05, 1.951, 0.05),
+                                            10)))
+        assert res.iters >= 3
+        assert len(calls) <= 3 * res.iters + 1
 
     def test_recovers_generating_index_roughly(self):
         links = LinkPair.of("log", "log")
@@ -265,6 +380,54 @@ class TestFit:
         res = fit(data, gen, LinkPair.of("log", "log"),
                   FitConfig(penalty=pen, p_grid=np.array([1.5])))
         assert np.all(np.diff(res.objective_trace) <= 1e-10)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 16), p0=st.floats(1.01, 1.99),
+           lam=st.sampled_from([0.1, 1.0, 10.0]),
+           mode=st.sampled_from(list(PenaltyMode)))
+    def test_series_trace_non_increasing(self, seed, p0, lam, mode):
+        """Criterion-6-shaped instances (smooth pattern, zero share 0.3,
+        generating p = 1.5) fitted with the series normalizer and the
+        index walk from any starting p. The last value of the trace,
+        built from reused normalizer terms, is also the objective
+        recomputed from scratch at the fit."""
+        data, _ = make_dataset(400, 3, 3, "smooth",
+                               FamilySpec.compound_poisson_gamma(1.5), 0.3,
+                               seed=seed)
+        pen = assemble_penalty(mode, lam, lam, data.k_beta, data.graph,
+                               data.k_gamma)
+        links = LinkPair.of("log", "log")
+        res = fit(data, FamilySpec.compound_poisson_gamma(p0), links,
+                  FitConfig(penalty=pen,
+                            p_grid=np.round(np.arange(1.05, 1.951, 0.05),
+                                            10)))
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
+        assert res.objective_trace[-1] == objective(
+            data, res.theta_hat, FamilySpec.compound_poisson_gamma(res.p_hat),
+            links, pen)
+
+    @pytest.mark.parametrize("seed, p0, mode", [
+        (31672, 1.0625, PenaltyMode.SPATIAL_ONLY),
+        (52448, 1.041, PenaltyMode.SPATIAL_PLUS_RIDGE)])
+    def test_fits_from_the_low_grid_edge(self, seed, p0, mode):
+        """From p = 1.05 these fits once stopped: the first with an
+        indefinite dispersion Hessian, the second at a dispersion
+        candidate whose series could not be summed."""
+        data, _ = make_dataset(400, 3, 3, "smooth",
+                               FamilySpec.compound_poisson_gamma(1.5), 0.3,
+                               seed=seed)
+        pen = assemble_penalty(mode, 0.1, 0.1, data.k_beta, data.graph,
+                               data.k_gamma)
+        links = LinkPair.of("log", "log")
+        res = fit(data, FamilySpec.compound_poisson_gamma(p0), links,
+                  FitConfig(penalty=pen,
+                            p_grid=np.round(np.arange(1.05, 1.951, 0.05),
+                                            10)))
+        assert res.converged
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
+        assert res.objective_trace[-1] == objective(
+            data, res.theta_hat, FamilySpec.compound_poisson_gamma(res.p_hat),
+            links, pen)
 
     def test_warm_start_from_truth_on_noiseless_normal(self):
         rng = np.random.default_rng(8)
