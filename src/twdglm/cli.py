@@ -15,13 +15,14 @@ import csv
 import json
 import operator
 import os
+import shutil
 import sys
 
 import numpy as np
 
 from . import inference, tuning
 from .errors import (CalibrationError, ConfigError, DomainError, SchemaError,
-                     SingularSystemError, TwdglmError)
+                     SingularSystemError, TwdglmError, utf8_error_at)
 from .family import Approx, FamilySpec, Member, check_support
 from .graph import ArealGraph, PenaltyMode, assemble_penalty, lattice_graph
 from .inference import alpha_summary, fisher_information, wald_table
@@ -143,12 +144,7 @@ def _effective_options(args: argparse.Namespace) -> dict:
     opts = dict(_DEFAULTS)
     cfg_path = getattr(args, "config", None)
     if cfg_path:
-        try:
-            with open(cfg_path, "r", encoding="utf-8") as fh:
-                file_opts = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {cfg_path}: {exc}")
-        for key, val in file_opts.items():
+        for key, val in _read_config(cfg_path).items():
             # "threads" and "max_block" are echoed by earlier versions
             if key in ("command", "threads"):
                 continue
@@ -167,6 +163,22 @@ def _effective_options(args: argparse.Namespace) -> dict:
         if flag_val is not None:
             opts[key] = flag_val
     return opts
+
+
+def _read_config(path) -> dict:
+    """The JSON object in a configuration file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config {path}: "
+                          f"{utf8_error_at(path)}") from None
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"cannot read config {path}: expected a JSON "
+                          "object")
+    return cfg
 
 
 def _family_from_options(opts: dict) -> FamilySpec:
@@ -290,9 +302,13 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file")
-        rows = list(reader)
+        except UnicodeDecodeError:
+            raise SchemaError(f"{path}: {utf8_error_at(path)}") from None
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: line {reader.line_num}: {exc}")
     header = [h.strip() for h in header]
     col = {}
     for j, name in enumerate(header):
@@ -420,37 +436,45 @@ def _write_coefficients(path, theta: Coefficients, beta_names, gamma_names,
                           for name, v in zip(names, map(_fmt, vals.tolist())))
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: {utf8_error_at(path)}") from None
+
+
 def read_coefficients(path):
     """Inverse of the coefficients writer; returns (theta, beta_names,
     gamma_names, alpha_labels)."""
     beta, alpha, gamma = [], [], []
     beta_names, gamma_names, labels = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("block\t"):
-            raise SchemaError(f"{path}: not a coefficients file")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise SchemaError(f"{path}: line {lineno}: expected 3 "
-                                  "fields")
-            block, name, value = parts
-            try:
-                val = float(value)
-            except ValueError:
-                raise SchemaError(f"{path}: line {lineno}: bad value")
-            if block == "beta":
-                beta.append(val)
-                beta_names.append(name)
-            elif block == "alpha":
-                alpha.append(val)
-                labels.append(name)
-            elif block == "gamma":
-                gamma.append(val)
-                gamma_names.append(name)
-            else:
-                raise SchemaError(f"{path}: line {lineno}: unknown block "
-                                  f"{block!r}")
+    lines = _read_lines(path)
+    if not lines or not lines[0].startswith("block\t"):
+        raise SchemaError(f"{path}: not a coefficients file")
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise SchemaError(f"{path}: line {lineno}: expected 3 "
+                              "fields")
+        block, name, value = parts
+        try:
+            val = float(value)
+        except ValueError:
+            raise SchemaError(f"{path}: line {lineno}: bad value")
+        if block == "beta":
+            beta.append(val)
+            beta_names.append(name)
+        elif block == "alpha":
+            alpha.append(val)
+            labels.append(name)
+        elif block == "gamma":
+            gamma.append(val)
+            gamma_names.append(name)
+        else:
+            raise SchemaError(f"{path}: line {lineno}: unknown block "
+                              f"{block!r}")
     theta = Coefficients(np.array(beta), np.array(alpha), np.array(gamma))
     return theta, beta_names, gamma_names, labels
 
@@ -625,8 +649,7 @@ def _cmd_predict(opts) -> int:
         coef_path = os.path.join(fit_dir, "coefficients.tsv")
         cfg_path = os.path.join(fit_dir, "effective_config.json")
         if os.path.exists(cfg_path):
-            with open(cfg_path, "r", encoding="utf-8") as fh:
-                fit_cfg = json.load(fh)
+            fit_cfg = _read_config(cfg_path)
             for key in ("family", "p", "mean_link", "disp_link", "approx",
                         "graph"):
                 if opts.get(key) in (None, _DEFAULTS.get(key)) \
@@ -634,12 +657,15 @@ def _cmd_predict(opts) -> int:
                     opts[key] = fit_cfg[key]
     theta, beta_names, gamma_names, labels = read_coefficients(coef_path)
     # fitted p may differ from the configured one; prefer the summary
-    if fit_dir and os.path.exists(os.path.join(fit_dir, "summary.tsv")):
-        with open(os.path.join(fit_dir, "summary.tsv"),
-                  encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("p_hat\t"):
+    summary = os.path.join(fit_dir or "", "summary.tsv")
+    if fit_dir and os.path.exists(summary):
+        for lineno, line in enumerate(_read_lines(summary), start=1):
+            if line.startswith("p_hat\t"):
+                try:
                     opts["p"] = float(line.split("\t")[1])
+                except ValueError:
+                    raise SchemaError(f"{summary}: line {lineno}: bad "
+                                      "p_hat value") from None
     spec = _family_from_options(opts)
     links = _links_from_options(opts, spec)
     graph = ArealGraph.from_edge_list_file(_require(opts, "graph",
@@ -699,10 +725,7 @@ def _cmd_report(opts) -> int:
                 fh.write(f"{lab}\t{_fmt(a)}\t{oval}\n")
     surface_src = os.path.join(fit_dir, "surface.tsv")
     if os.path.exists(surface_src):
-        with open(surface_src, "r", encoding="utf-8") as src, \
-                open(os.path.join(out, "report_surface.tsv"), "w",
-                     encoding="utf-8") as dst:
-            dst.write(src.read())
+        shutil.copyfile(surface_src, os.path.join(out, "report_surface.tsv"))
     _echo_config(out, "report", opts)
     print(f"report: wrote plot data to {out}")
     return 0

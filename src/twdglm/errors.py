@@ -58,3 +58,17 @@ class ScalingError(TwdglmError, RuntimeError):
 
 class CalibrationError(TwdglmError, RuntimeError):
     """Synthetic-data intercept calibration could not reach its target."""
+
+
+def utf8_error_at(path) -> str:
+    """Where the first byte of the file at ``path`` that is not UTF-8
+    lies, as ``line N: byte 0xXX is not UTF-8``; for a reader that met
+    a UnicodeDecodeError somewhere inside a text stream."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return f"line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8"
+    return "not UTF-8 text"

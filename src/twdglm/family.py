@@ -399,13 +399,6 @@ def log_normalizer_series(y, phi, p: float, rtol: float = 1e-12,
     return float(log_a[0]) if scalar else log_a.reshape(np.shape(y))
 
 
-def series_mode(y, phi, p: float):
-    """Index k at which the series terms peak: y**(2-p) / ((2-p)*phi)."""
-    ya, scalar = _as_array(y)
-    out = ya ** (2.0 - p) / ((2.0 - p) * np.asarray(phi, dtype=float))
-    return float(out) if scalar else out
-
-
 def log_normalizer_saddlepoint(y, phi, spec: FamilySpec):
     """Saddlepoint density prefactor -0.5 * log(2*pi*phi*V(y)).
 

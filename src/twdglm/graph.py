@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, utf8_error_at
 
 
 @dataclass(frozen=True)
@@ -65,58 +67,62 @@ class ArealGraph:
                 order.append(label)
             return index[label]
 
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise SchemaError(f"{path}: {utf8_error_at(path)}") from None
         pairs = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) == 1:
-                    vid(parts[0])
-                elif len(parts) == 2:
-                    a, b = vid(parts[0]), vid(parts[1])
-                    if a == b:
-                        raise SchemaError(
-                            f"{path}:{lineno}: self-loop on {parts[0]!r}")
-                    pairs.append((a, b))
-                else:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) == 1:
+                vid(parts[0])
+            elif len(parts) == 2:
+                a, b = vid(parts[0]), vid(parts[1])
+                if a == b:
                     raise SchemaError(
-                        f"{path}:{lineno}: expected 1 or 2 tab-separated "
-                        f"labels, got {len(parts)}")
+                        f"{path}:{lineno}: self-loop on {parts[0]!r}")
+                pairs.append((a, b))
+            else:
+                raise SchemaError(
+                    f"{path}:{lineno}: expected 1 or 2 tab-separated "
+                    f"labels, got {len(parts)}")
         return cls.from_edges(len(order), pairs, tuple(order))
 
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as an (m, 2) integer array."""
+        return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+
     def adjacency(self) -> sparse.csr_matrix:
         n = self.n_vertices
-        if not self.edges:
-            return sparse.csr_matrix((n, n))
-        rows = [a for a, _ in self.edges] + [b for _, b in self.edges]
-        cols = [b for _, b in self.edges] + [a for a, _ in self.edges]
-        data = np.ones(len(rows))
-        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+        a, b = self.edge_array.T
+        return sparse.csr_matrix(
+            (np.ones(2 * a.size), (np.concatenate([a, b]),
+                                   np.concatenate([b, a]))), shape=(n, n))
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return [sorted(v) for v in adj]
+        return np.bincount(self.edge_array.ravel(),
+                           minlength=self.n_vertices).astype(float)
 
 
 def build_laplacian(g: ArealGraph) -> sparse.csr_matrix:
-    """Graph Laplacian: degree matrix minus adjacency matrix."""
-    adj = g.adjacency()
-    return sparse.csr_matrix(sparse.diags(g.degrees()) - adj)
+    """Graph Laplacian: degree matrix minus adjacency matrix, with no
+    stored entry for an isolated vertex."""
+    n = g.n_vertices
+    a, b = g.edge_array.T
+    deg = g.degrees()
+    diag = np.flatnonzero(deg)
+    rows = np.concatenate([a, b, diag])
+    cols = np.concatenate([b, a, diag])
+    data = np.concatenate([-np.ones(2 * a.size), deg[diag]])
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def lattice_graph(rows: int, cols: int) -> ArealGraph:
@@ -207,6 +213,42 @@ class PenaltyConfig:
         nv = self.n_vertices
         return sparse.csr_matrix(
             self.lambda1 * sparse.eye(nv) + self.lambda2 * self.laplacian)
+
+    @cached_property
+    def alpha_band(self) -> "SpatialBand":
+        """``alpha_penalty_matrix`` laid out for the banded mean-step
+        solve; built on first use and kept for this penalty's life."""
+        return lower_band(self.alpha_penalty_matrix())
+
+
+@dataclass(frozen=True, eq=False)
+class SpatialBand:
+    """A symmetric matrix in reverse Cuthill-McKee order, as the lower
+    band of LAPACK's banded storage: ``ab[d, k]`` holds entry
+    (k + d, k) of the permuted matrix, whose row k is vertex
+    ``order[k]``; ``inverse`` maps a vertex to its permuted row."""
+
+    order: np.ndarray
+    inverse: np.ndarray
+    ab: np.ndarray
+
+
+def lower_band(mat: sparse.csr_matrix) -> SpatialBand:
+    """Reorder a symmetric sparse matrix by reverse Cuthill-McKee and
+    store its lower band, as wide as the farthest nonzero entry from
+    the diagonal."""
+    n = mat.shape[0]
+    order = csgraph.reverse_cuthill_mckee(mat, symmetric_mode=True)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.arange(n)
+    coo = mat.tocoo()
+    row, col = inverse[coo.row], inverse[coo.col]
+    keep = (row >= col) & (coo.data != 0)
+    row, col = row[keep], col[keep]
+    depth = row - col
+    ab = np.zeros((int(depth.max(initial=0)) + 1, n))
+    ab[depth, col] = coo.data[keep]
+    return SpatialBand(order, inverse, ab)
 
 
 def assemble_penalty(mode: PenaltyMode | str, lambda1: float, lambda2: float,

@@ -27,8 +27,7 @@ import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg, sparse
-from scipy.sparse import linalg as splinalg
+from scipy import linalg
 
 from . import likelihood as lik
 from .errors import (ConfigError, DomainError, NonFiniteError, ScalingError,
@@ -192,35 +191,33 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
     """Partitioned solve through the sparse spatial block.
 
     S22 = l1*I + l2*Laplacian + c1*diag(H_aa) is a sparse GMRF precision.
-    It is factored once with a symmetric fill-reducing ordering and
-    diagonal pivots, and is positive definite exactly when every pivot
-    (diagonal of U) is positive. With a pivot threshold of 0, SuperLU
-    leaves the diagonal only at a column whose diagonal entry is exactly
-    0. Up to that column all pivots were positive (or the test already
-    fails), so the entries still to be eliminated keep the sign of
-    S22's off-diagonals, which are -l2 times the adjacency and never
-    positive. The pivot taken off the diagonal is then negative and
-    shows in U, so a permutation test (perm_r == perm_c) would reject
-    no factor that the pivot test accepts. The dense k_beta x k_beta
-    Schur complement A11 - A12 S22^{-1} A21 then closes the beta part by
+    In the reverse Cuthill-McKee order of the penalty's ``alpha_band``
+    it is a band matrix, factored by banded Cholesky; LAPACK stops at
+    the first pivot that is not positive, which is exactly when S22 is
+    not positive definite. The same factor solves for rhs_a and the
+    k_beta columns of A21, and the dense k_beta x k_beta Schur
+    complement A11 - A12 S22^{-1} A21 then closes the beta part by
     Cholesky. Returns None when the system is not positive definite.
     """
     kb = penalty.k_beta
-    s22 = sparse.csc_matrix(penalty.alpha_penalty_matrix()
-                            + sparse.diags(c1 * hess.h_aa_diag))
+    band = penalty.alpha_band
+    ab = band.ab.copy()
+    ab[0] += c1 * hess.h_aa_diag[band.order]
     try:
-        lu = splinalg.splu(s22, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-    except RuntimeError:          # exactly singular pivot
+        factor = linalg.cholesky_banded(ab, lower=True, check_finite=False)
+    except linalg.LinAlgError:
         return None
-    if not np.all(lu.U.diagonal() > 0):
+    if np.isnan(factor[0]).any():       # LAPACK's pivot test passes NaN
         return None
-    v = lu.solve(rhs[kb:])                    # S22^{-1} rhs_a
+    a12 = c1 * hess.h_ba
+    cols = np.empty((band.order.size, kb + 1))
+    cols[:, 0] = rhs[kb:][band.order]
+    cols[:, 1:] = a12[:, band.order].T
+    sol = linalg.cho_solve_banded((factor, True), cols,
+                                  check_finite=False)[band.inverse]
+    v, x_cols = sol[:, 0], sol[:, 1:]         # S22^{-1} rhs_a, S22^{-1} A21
     if kb == 0:
         return v
-    a12 = c1 * hess.h_ba
-    x_cols = lu.solve(np.ascontiguousarray(a12.T))   # S22^{-1} A21
     a11 = c1 * hess.h_bb
     if penalty.mode is PenaltyMode.SPATIAL_PLUS_RIDGE:
         a11 = a11 + penalty.lambda1 * np.eye(kb)

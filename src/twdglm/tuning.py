@@ -30,7 +30,6 @@ class GridSpec:
         default_factory=lambda: np.linspace(-5.0, 5.0, 20))
     train_frac: float = 0.6
     seed: int = 0
-    row_major: bool = True
 
     def __post_init__(self):
         self.log_lambda1 = np.asarray(self.log_lambda1, dtype=float).ravel()
@@ -113,12 +112,7 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
     hold = data.subset(hold_idx)
     mode = config_template.penalty.mode
 
-    if grid.row_major:
-        cells = [(l1, l2) for l1 in grid.log_lambda1
-                 for l2 in grid.log_lambda2]
-    else:
-        cells = [(l1, l2) for l2 in grid.log_lambda2
-                 for l1 in grid.log_lambda1]
+    cells = [(l1, l2) for l1 in grid.log_lambda1 for l2 in grid.log_lambda2]
 
     surface: list[SurfaceCell] = []
     best: tuple[float, float, float, FitResult] | None = None

@@ -196,27 +196,41 @@ def scan_update_index(data, theta_star, spec, links, p_grid, nll_cur=None):
     return float(grid[best]), float(values[best])
 
 
-def full_series_logsums(y, phi, p):
-    """(log_a, r1, r2) of the Bessel series summed over k = 1..K, with K
-    doubled until each row's last term is below e^-40 of its largest;
-    the oracle for the windowed ``family._series_logsums``."""
+def series_mode(y, phi, p: float):
+    """Index k at which the Bessel-series terms peak:
+    y**(2-p) / ((2-p)*phi), the centre of the summation window."""
+    return np.asarray(y, dtype=float) ** (2.0 - p) / (
+        (2.0 - p) * np.asarray(phi, dtype=float))
+
+
+def series_log_terms(y, phi, p, k):
+    """log T_k = k log t - log k! - log Gamma(k xi) of the Bessel series,
+    one row per y and one column per k."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     phi = np.broadcast_to(np.asarray(phi, dtype=float), y.shape)
     xi = (2.0 - p) / (p - 1.0)
     log_t = (xi * np.log(y) - xi * np.log(p - 1.0) - np.log(2.0 - p)
              - (1.0 + xi) * np.log(phi))
+    return np.outer(log_t, k) - (special.gammaln(k + 1.0)
+                                 + special.gammaln(xi * k))
+
+
+def full_series_logsums(y, phi, p):
+    """(log_a, r1, r2) of the Bessel series summed over k = 1..K, with K
+    doubled until each row's last term is below e^-40 of its largest;
+    the oracle for the windowed ``family._series_logsums``."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     big_k = 64
     while True:
         k = np.arange(1.0, big_k + 1.0)
-        log_terms = np.outer(log_t, k) - (special.gammaln(k + 1.0)
-                                          + special.gammaln(xi * k))
+        log_terms = series_log_terms(y, phi, p, k)
         top = log_terms.max(axis=1)
         if np.all(log_terms[:, -1] < top - 40.0):
             break
         big_k *= 2
     wts = np.exp(log_terms - top[:, None])
     s0 = wts.sum(axis=1)
-    scale = 1.0 + xi
+    scale = 1.0 + (2.0 - p) / (p - 1.0)
     return (-np.log(y) + top + np.log(s0),
             scale * (wts @ k) / s0,
             scale ** 2 * (wts @ (k * k)) / s0)

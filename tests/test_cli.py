@@ -340,6 +340,81 @@ class TestPipeline:
         assert captured.err.startswith("error[")
 
 
+class TestUnreadableFiles:
+    """A file that is not UTF-8 text, or a configuration that is not a
+    JSON object, ends in one error line naming the file (and the line,
+    where it is known), not in a traceback."""
+
+    @pytest.fixture(scope="class")
+    def fit_dir(self, sim_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fit")
+        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
+                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
+                "--approx", "saddlepoint", "--out", str(out)])
+        return out
+
+    @staticmethod
+    def _one_error_line(argv, capsys):
+        code = run_command(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and ERROR_LINE.fullmatch(err), err
+        return err
+
+    def _predict(self, sim_dir, fit_dir, out, extra=()):
+        return ["predict", "--fit-dir", str(fit_dir), "--data",
+                str(sim_dir / "data.csv"), "--graph",
+                str(sim_dir / "graph.tsv"), "--out", str(out), *extra]
+
+    def test_data(self, sim_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"y,vertex\n1,\xff\n")
+        err = self._one_error_line(
+            ["fit", "--data", str(bad), "--graph", str(sim_dir / "graph.tsv"),
+             "--family", "cpg", "--out", str(tmp_path / "o")], capsys)
+        assert err == (f"error[E_SCHEMA]: {bad}: line 2: byte 0xff is not "
+                       "UTF-8\n")
+
+    def test_graph(self, sim_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"r0c0\tr0c1\n\xff\xfe\tr0c2\n")
+        err = self._one_error_line(
+            ["fit", "--data", str(sim_dir / "data.csv"), "--graph", str(bad),
+             "--family", "cpg", "--out", str(tmp_path / "o")], capsys)
+        assert err == (f"error[E_SCHEMA]: {bad}: line 2: byte 0xff is not "
+                       "UTF-8\n")
+
+    def test_coefficients(self, sim_dir, fit_dir, tmp_path, capsys):
+        bad = tmp_path / "coefficients.tsv"
+        lines = (fit_dir / "coefficients.tsv").read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b"\t", b"\xe9\t", 1)
+        bad.write_bytes(b"\n".join(lines))
+        err = self._one_error_line(
+            self._predict(sim_dir, fit_dir, tmp_path / "o",
+                          ["--coefficients", str(bad)]), capsys)
+        assert err == (f"error[E_SCHEMA]: {bad}: line 4: byte 0xe9 is not "
+                       "UTF-8\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content,reason", [
+        (b'{"family": "cpg",\n "p": 1.5,,}',
+         "Expecting property name enclosed in double quotes: line 2 "
+         "column 11 (char 28)"),
+        (b'["cpg"]', "expected a JSON object"),
+        (b'{"family":\n"\xff"}', "line 2: byte 0xff is not UTF-8"),
+    ])
+    def test_fit_dir_config(self, sim_dir, fit_dir, tmp_path, capsys,
+                            content, reason):
+        bad_dir = tmp_path / "fit"
+        bad_dir.mkdir()
+        for name in ("coefficients.tsv", "summary.tsv"):
+            (bad_dir / name).write_bytes((fit_dir / name).read_bytes())
+        cfg = bad_dir / "effective_config.json"
+        cfg.write_bytes(content)
+        err = self._one_error_line(
+            self._predict(sim_dir, bad_dir, tmp_path / "o"), capsys)
+        assert err == f"error[E_CONFIG]: cannot read config {cfg}: {reason}\n"
+
+
 # ---------------------------------------------------------------------------
 # Column-wise loader against the row-wise oracle
 # ---------------------------------------------------------------------------

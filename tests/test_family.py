@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from conftest import full_series_logsums
+from conftest import full_series_logsums, series_log_terms, series_mode
 from twdglm.errors import ConfigError, DomainError, SeriesInfeasibleError
 from twdglm.family import (Approx, FamilySpec, Member, _series_logsums,
                            log_density, log_normalizer_saddlepoint,
-                           log_normalizer_series, series_mode, unit_deviance,
+                           log_normalizer_series, unit_deviance,
                            variance_function)
 
 # Extended-precision full summation (mpmath, 60 digits, 10,000 terms) of
@@ -135,6 +135,11 @@ class TestUnitDeviance:
 class TestSeriesNormalizer:
     def test_window_center(self):
         assert series_mode(1.0, 1.0, 1.5) == pytest.approx(2.0)
+        ys = np.array([0.3, 1.0, 4.0, 20.0])
+        for phi, p in [(0.2, 1.2), (1.0, 1.5), (0.05, 1.8)]:
+            k = np.arange(1.0, 5000.0)
+            peak = k[np.argmax(series_log_terms(ys, phi, p, k), axis=1)]
+            assert np.all(np.abs(peak - series_mode(ys, phi, p)) <= 1.0)
 
     @pytest.mark.parametrize("y,phi,p,expected", _SERIES_ORACLE)
     def test_matches_extended_precision_full_sum(self, y, phi, p, expected):

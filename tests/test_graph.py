@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from conftest import identity_block, laplacian_block, penalty_mask
@@ -49,11 +50,80 @@ class TestLaplacian:
                                                        directed=False)
         assert n_zero == n_components
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_edge_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 25))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.2]
+        dense = np.zeros((n, n))
+        for a, b in edges:
+            dense[a, b] = dense[b, a] = -1.0
+            dense[a, a] += 1.0
+            dense[b, b] += 1.0
+        want = sparse.csr_matrix(dense)        # no stored zeros
+        lap = build_laplacian(ArealGraph.from_edges(n, edges))
+        assert lap.format == "csr" and lap.has_canonical_format
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(lap, attr),
+                                          getattr(want, attr))
+
     def test_rejects_self_loops_and_duplicates(self):
         with pytest.raises(ConfigError):
             ArealGraph(2, ((0, 0),), ("a", "b"))
         with pytest.raises(ConfigError):
             ArealGraph(3, ((0, 1), (0, 1)), ("a", "b", "c"))
+
+
+def shuffled_lattice(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(rows * cols)
+    return ArealGraph.from_edges(
+        rows * cols,
+        [(perm[a], perm[b]) for a, b in lattice_graph(rows, cols).edges])
+
+
+def band_to_dense(ab):
+    n = ab.shape[1]
+    out = np.zeros((n, n))
+    for d in range(ab.shape[0]):
+        k = np.arange(n - d)
+        out[k + d, k] = out[k, k + d] = ab[d, :n - d]
+    return out
+
+
+class TestLowerBand:
+    @pytest.mark.parametrize("rows,cols", [(1, 7), (2, 9), (5, 8), (6, 6),
+                                           (7, 4), (12, 12)])
+    def test_shuffled_lattice(self, rows, cols):
+        g = shuffled_lattice(rows, cols, seed=rows * 100 + cols)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.7, 1.3, 2, g, 1)
+        band = pen.alpha_band
+        n = g.n_vertices
+        # the reverse Cuthill-McKee order undoes the shuffle's spread
+        assert band.ab.shape[0] - 1 <= min(rows, cols) + 1
+        np.testing.assert_array_equal(band.inverse[band.order],
+                                      np.arange(n))
+        perm = np.ix_(band.order, band.order)
+        np.testing.assert_array_equal(
+            band_to_dense(band.ab), pen.alpha_penalty_matrix().toarray()[perm])
+        # entries past the matrix's corner are padding
+        d = np.arange(band.ab.shape[0])
+        assert np.all(band.ab[d[:, None] + np.arange(n) >= n] == 0)
+
+    def test_ridge_only_is_diagonal(self):
+        g = shuffled_lattice(4, 5, seed=1)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.5, 0.0, 1, g, 1)
+        np.testing.assert_array_equal(pen.alpha_band.ab, np.full((1, 20), 0.5))
+
+    def test_star_and_isolated_vertices(self):
+        g = ArealGraph.from_edges(9, [(4, i) for i in (0, 2, 6, 7, 8)])
+        pen = assemble_penalty(PenaltyMode.SPATIAL_PLUS_RIDGE, 1.0, 2.0, 0, g,
+                               0)
+        band = pen.alpha_band
+        perm = np.ix_(band.order, band.order)
+        np.testing.assert_array_equal(
+            band_to_dense(band.ab), pen.alpha_penalty_matrix().toarray()[perm])
 
 
 class TestEdgeListFile:

@@ -11,7 +11,9 @@ from hypothesis.extra.numpy import arrays
 from conftest import (dense_mean_matrix, dense_mean_step, make_instance,
                       scan_update_index)
 from twdglm import family as fam
+from twdglm import graph as graph_mod
 from twdglm import likelihood as lik
+from twdglm import optimizer as opt
 from twdglm.errors import ConfigError, SingularSystemError
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
@@ -23,6 +25,7 @@ from twdglm.optimizer import (FitConfig, _scaled_step, _sparse_schur_solve,
                               fit, fit_ridge, fit_unpenalized, objective,
                               solve_disp_step, solve_mean_step, update_index)
 from twdglm.simgen import make_dataset
+from twdglm.tuning import GridSpec, grid_search
 
 
 def _zero_penalty(data):
@@ -94,18 +97,62 @@ class TestSolveMeanStep:
             solve_mean_step(data, theta, spec, links, pen, c1=-1.0)
 
 
+def _shuffled(draw, nv, edges):
+    perm = draw(st.permutations(range(nv)))
+    return [(perm[a], perm[b]) for a, b in edges]
+
+
+@st.composite
+def _component(draw, max_vertices):
+    """(vertex count, edges) of one graph shape with shuffled vertex
+    numbers: a random graph on at most 8 vertices, a rook lattice,
+    whose narrow band the ordering must find, or a star or wheel, whose
+    hub makes the band as wide as the graph."""
+    shape = draw(st.sampled_from(["random", "lattice", "hub"]))
+    if shape == "random":
+        nv = draw(st.integers(1, min(8, max_vertices)))
+        pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+            if pairs else []
+    elif shape == "lattice":
+        rows = draw(st.integers(1, min(6, max_vertices)))
+        cols = draw(st.integers(1, max(1, min(7, max_vertices // rows))))
+        nv = rows * cols
+        edges = list(lattice_graph(rows, cols).edges)
+    else:
+        nv = draw(st.integers(2, max(2, max_vertices)))
+        edges = [(0, i) for i in range(1, nv)]
+        if draw(st.booleans()):            # wheel: close the rim
+            edges += [(i, i % (nv - 1) + 1) for i in range(1, nv)
+                      if i != i % (nv - 1) + 1]
+    return nv, _shuffled(draw, nv, edges)
+
+
+@st.composite
+def spatial_graphs(draw):
+    """One shape of ``_component`` or several side by side with isolated
+    vertices, all vertices shuffled together; about 40 vertices at
+    most."""
+    if draw(st.booleans()):
+        nv, edges = draw(_component(40))
+        return ArealGraph.from_edges(nv, edges)
+    nv, edges = draw(st.integers(0, 3)), []
+    for _ in range(draw(st.integers(2, 4))):
+        size, part = draw(_component(12))
+        edges += [(a + nv, b + nv) for a, b in part]
+        nv += size
+    return ArealGraph.from_edges(nv, _shuffled(draw, nv, edges))
+
+
 @st.composite
 def mean_systems(draw):
-    """A mean-step system on a random small graph: possibly disconnected,
-    with isolated vertices and vertices that no row reaches. Negative row
-    weights make the Hessian indefinite."""
-    nv = draw(st.integers(1, 8))
-    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) \
-        if pairs else []
-    graph = ArealGraph.from_edges(nv, edges)
+    """A mean-step system on a random graph of up to about 40 vertices:
+    possibly disconnected, with isolated vertices and vertices that no
+    row reaches. Negative row weights make the Hessian indefinite."""
+    graph = draw(spatial_graphs())
+    nv = graph.n_vertices
     kb = draw(st.integers(0, 3))
-    n = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 60))
     vertex = draw(arrays(np.int64, n, elements=st.integers(0, nv - 1)))
     x = draw(arrays(np.float64, (n, kb), elements=st.floats(-2, 2)))
     w = draw(arrays(np.float64, n, elements=st.floats(-3, 3)))
@@ -115,7 +162,8 @@ def mean_systems(draw):
                        x.T @ (w[:, None] * indicators),
                        np.bincount(vertex, weights=w, minlength=nv))
     pen = assemble_penalty(draw(st.sampled_from(list(PenaltyMode))),
-                           draw(st.floats(0.01, 3)), draw(st.floats(0, 3)),
+                           draw(st.floats(0.01, 3)),
+                           draw(st.one_of(st.floats(0.01, 3), st.just(0.0))),
                            kb, graph, 0)
     c1 = draw(st.floats(0.5, 4))
     rhs = draw(arrays(np.float64, kb + nv, elements=st.floats(-2, 2)))
@@ -142,6 +190,47 @@ class TestSparseSolveProperties:
                 1e-8 * max(1.0, float(np.abs(want).max()))
         elif eigs.min() < -tol:
             assert got is None
+
+
+class TestBandLayout:
+    """The spatial band is laid out once per penalty and reused by every
+    mean-step solve made with it."""
+
+    @staticmethod
+    def _count(call):
+        with mock.patch.object(graph_mod, "lower_band",
+                               wraps=graph_mod.lower_band) as layouts, \
+                mock.patch.object(opt, "_sparse_schur_solve",
+                                  wraps=opt._sparse_schur_solve) as solves:
+            out = call()
+        return out, layouts.call_count, solves.call_count
+
+    def _instance(self):
+        gen = FamilySpec.compound_poisson_gamma(1.5)
+        data, _ = make_dataset(600, 3, 4, "block", gen, 0.2, seed=5)
+        spec = FamilySpec.compound_poisson_gamma(1.5,
+                                                 approx=Approx.SADDLEPOINT)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        cfg = FitConfig(penalty=pen, p_grid=np.array([1.5]))
+        return data, spec, LinkPair.of("log", "log"), cfg
+
+    def test_fit(self):
+        data, spec, links, cfg = self._instance()
+        res, layouts, solves = self._count(
+            lambda: fit(data, spec, links, cfg))
+        assert res.iters > 1 and solves >= res.iters
+        assert layouts == 1
+
+    def test_grid_search(self):
+        data, spec, links, cfg = self._instance()
+        grid = GridSpec(np.array([-1.0, 1.0]), np.array([-1.0, 0.0, 1.0]),
+                        0.6, seed=5)
+        res, layouts, solves = self._count(
+            lambda: grid_search(data, spec, links, cfg, grid))
+        assert not any(cell.failed for cell in res.surface)
+        assert solves > 2 * len(res.surface)
+        assert layouts == len(res.surface)
 
 
 class TestSolveDispStep:

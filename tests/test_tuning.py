@@ -1,8 +1,11 @@
 """Hold-out grid search, deviance scoring, warm starts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from twdglm import tuning
 from twdglm.errors import ConfigError
 from twdglm.family import Approx, FamilySpec, unit_deviance
 from twdglm.graph import PenaltyMode, assemble_penalty, lattice_graph
@@ -105,16 +108,24 @@ class TestGridSearch:
         data, oracle, spec, links, cfg = _cpg_instance(n=500, seed=9)
         grid = GridSpec(np.array([-1.0, 1.0]), np.array([-1.0, 1.0]), 0.6,
                         seed=9)
-        res = grid_search(data, spec, links, cfg, grid)
+        real_fit = tuning.fit
+        calls = []
+
+        def spy(train, spec_cell, links, cfg, init=None):
+            res = real_fit(train, spec_cell, links, cfg, init=init)
+            calls.append((cfg.penalty, init, res))
+            return res
+
+        with mock.patch.object(tuning, "fit", spy):
+            res = grid_search(data, spec, links, cfg, grid)
         coords = [(c.log_lambda1, c.log_lambda2) for c in res.surface]
         assert coords == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0),
                           (1.0, 1.0)]
-        grid_cm = GridSpec(np.array([-1.0, 1.0]), np.array([-1.0, 1.0]),
-                           0.6, seed=9, row_major=False)
-        res_cm = grid_search(data, spec, links, cfg, grid_cm)
-        coords_cm = [(c.log_lambda1, c.log_lambda2) for c in res_cm.surface]
-        assert coords_cm == [(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0),
-                             (1.0, 1.0)]
+        assert [(pen.lambda1, pen.lambda2) for pen, _, _ in calls] == \
+            [(float(np.exp(a)), float(np.exp(b))) for a, b in coords]
+        assert calls[0][1] is None
+        for (_, _, prev), (_, init, _) in zip(calls, calls[1:]):
+            assert init is prev.theta_hat
 
     def test_warm_vs_cold_on_convex_instance(self):
         rng = np.random.default_rng(12)
