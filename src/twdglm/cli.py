@@ -22,7 +22,8 @@ import numpy as np
 
 from . import inference, tuning
 from .errors import (CalibrationError, ConfigError, DomainError, SchemaError,
-                     SingularSystemError, TwdglmError, utf8_error_at)
+                     SingularSystemError, TwdglmError, read_lines,
+                     utf8_error_at)
 from .family import Approx, FamilySpec, Member, check_support
 from .graph import ArealGraph, PenaltyMode, assemble_penalty, lattice_graph
 from .inference import alpha_summary, fisher_information, wald_table
@@ -436,21 +437,12 @@ def _write_coefficients(path, theta: Coefficients, beta_names, gamma_names,
                           for name, v in zip(names, map(_fmt, vals.tolist())))
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError:
-        raise SchemaError(f"{path}: {utf8_error_at(path)}") from None
-
-
 def read_coefficients(path):
     """Inverse of the coefficients writer; returns (theta, beta_names,
     gamma_names, alpha_labels)."""
     beta, alpha, gamma = [], [], []
     beta_names, gamma_names, labels = [], [], []
-    lines = _read_lines(path)
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("block\t"):
         raise SchemaError(f"{path}: not a coefficients file")
     for lineno, line in enumerate(lines[1:], start=2):
@@ -659,7 +651,7 @@ def _cmd_predict(opts) -> int:
     # fitted p may differ from the configured one; prefer the summary
     summary = os.path.join(fit_dir or "", "summary.tsv")
     if fit_dir and os.path.exists(summary):
-        for lineno, line in enumerate(_read_lines(summary), start=1):
+        for lineno, line in enumerate(read_lines(summary), start=1):
             if line.startswith("p_hat\t"):
                 try:
                     opts["p"] = float(line.split("\t")[1])

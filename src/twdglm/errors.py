@@ -72,3 +72,13 @@ def utf8_error_at(path) -> str:
         line = raw.count(b"\n", 0, exc.start) + 1
         return f"line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8"
     return "not UTF-8 text"
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 raises
+    SchemaError naming the file and the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: {utf8_error_at(path)}") from None

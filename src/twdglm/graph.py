@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.sparse import csgraph
 
-from .errors import ConfigError, SchemaError, utf8_error_at
+from .errors import ConfigError, SchemaError, read_lines
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,8 @@ class ArealGraph:
                 order.append(label)
             return index[label]
 
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except UnicodeDecodeError:
-            raise SchemaError(f"{path}: {utf8_error_at(path)}") from None
         pairs = []
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(read_lines(path), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -231,6 +226,24 @@ class SpatialBand:
     order: np.ndarray
     inverse: np.ndarray
     ab: np.ndarray
+
+    def solve(self, diag: np.ndarray, cols: np.ndarray):
+        """Solve (M + diag(diag)) x = cols by banded Cholesky, for the
+        matrix M held here, with ``diag`` and the rows of ``cols`` and
+        of x in vertex order. LAPACK stops at the first pivot that is
+        not positive, so None comes back exactly when M + diag(diag) is
+        not positive definite."""
+        ab = self.ab.copy()
+        ab[0] += diag[self.order]
+        try:
+            factor = linalg.cholesky_banded(ab, lower=True,
+                                            check_finite=False)
+        except linalg.LinAlgError:
+            return None
+        if np.isnan(factor[0]).any():       # LAPACK's pivot test passes NaN
+            return None
+        return linalg.cho_solve_banded((factor, True), cols[self.order],
+                                       check_finite=False)[self.inverse]
 
 
 def lower_band(mat: sparse.csr_matrix) -> SpatialBand:

@@ -190,31 +190,19 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
                         rhs: np.ndarray):
     """Partitioned solve through the sparse spatial block.
 
-    S22 = l1*I + l2*Laplacian + c1*diag(H_aa) is a sparse GMRF precision.
-    In the reverse Cuthill-McKee order of the penalty's ``alpha_band``
-    it is a band matrix, factored by banded Cholesky; LAPACK stops at
-    the first pivot that is not positive, which is exactly when S22 is
-    not positive definite. The same factor solves for rhs_a and the
-    k_beta columns of A21, and the dense k_beta x k_beta Schur
-    complement A11 - A12 S22^{-1} A21 then closes the beta part by
+    S22 = l1*I + l2*Laplacian + c1*diag(H_aa) is a sparse GMRF precision,
+    factored by the penalty's ``alpha_band`` (banded
+    Cholesky in reverse Cuthill-McKee order). The same factor solves for
+    rhs_a and the k_beta columns of A21, and the dense k_beta x k_beta
+    Schur complement A11 - A12 S22^{-1} A21 then closes the beta part by
     Cholesky. Returns None when the system is not positive definite.
     """
     kb = penalty.k_beta
-    band = penalty.alpha_band
-    ab = band.ab.copy()
-    ab[0] += c1 * hess.h_aa_diag[band.order]
-    try:
-        factor = linalg.cholesky_banded(ab, lower=True, check_finite=False)
-    except linalg.LinAlgError:
-        return None
-    if np.isnan(factor[0]).any():       # LAPACK's pivot test passes NaN
-        return None
     a12 = c1 * hess.h_ba
-    cols = np.empty((band.order.size, kb + 1))
-    cols[:, 0] = rhs[kb:][band.order]
-    cols[:, 1:] = a12[:, band.order].T
-    sol = linalg.cho_solve_banded((factor, True), cols,
-                                  check_finite=False)[band.inverse]
+    sol = penalty.alpha_band.solve(c1 * hess.h_aa_diag,
+                                   np.column_stack([rhs[kb:], a12.T]))
+    if sol is None:
+        return None
     v, x_cols = sol[:, 0], sol[:, 1:]         # S22^{-1} rhs_a, S22^{-1} A21
     if kb == 0:
         return v

@@ -125,6 +125,25 @@ class TestLowerBand:
         np.testing.assert_array_equal(
             band_to_dense(band.ab), pen.alpha_penalty_matrix().toarray()[perm])
 
+    def test_solve_in_vertex_order(self):
+        g = shuffled_lattice(4, 5, seed=2)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.5, 1.0, 0, g, 0)
+        rng = np.random.default_rng(3)
+        diag, cols = rng.uniform(0, 2, 20), rng.normal(size=(20, 3))
+        mat = pen.alpha_penalty_matrix().toarray() + np.diag(diag)
+        np.testing.assert_allclose(pen.alpha_band.solve(diag, cols),
+                                   np.linalg.solve(mat, cols), rtol=1e-12,
+                                   atol=1e-12)
+        # e_7' (M + diag) e_7 < 0, and a NaN passes LAPACK's pivot test
+        for bad in (-10.0, np.nan):
+            diag[7] = bad
+            assert pen.alpha_band.solve(diag, cols) is None
+        # the solves left the band as laid out
+        np.testing.assert_array_equal(
+            band_to_dense(pen.alpha_band.ab),
+            pen.alpha_penalty_matrix().toarray()[np.ix_(
+                pen.alpha_band.order, pen.alpha_band.order)])
+
 
 class TestEdgeListFile:
     def test_parse(self, tmp_path):
