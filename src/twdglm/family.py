@@ -202,57 +202,6 @@ def unit_deviance(spec: FamilySpec, y, mu):
     return float(out) if (s1 and s2) else out
 
 
-def theta_of_mu(spec: FamilySpec, mu, order: int = 0):
-    """Canonical parameter theta(mu) and its first two mu-derivatives."""
-    m, scalar = _as_array(mu)
-    check_mean_space(spec, m)
-    p = spec.p
-    mem = spec.member
-    if order == 0:
-        if mem is Member.NORMAL:
-            out = m.copy()
-        elif mem is Member.POISSON:
-            out = np.log(m)
-        elif mem is Member.GAMMA:
-            out = -1.0 / m
-        elif mem is Member.INVERSE_GAUSSIAN:
-            out = -0.5 / m ** 2
-        else:
-            out = m ** (1 - p) / (1 - p)
-    elif order == 1:
-        # theta'(mu) = 1 / V(mu) for every member
-        if mem is Member.NORMAL:
-            out = np.ones_like(m)
-        else:
-            out = m ** (-p)
-    elif order == 2:
-        if mem is Member.NORMAL:
-            out = np.zeros_like(m)
-        else:
-            out = -p * m ** (-p - 1)
-    else:
-        raise ValueError("order must be 0, 1 or 2")
-    return float(out) if scalar else out
-
-
-def cumulant_of_mu(spec: FamilySpec, mu):
-    """Cumulant kappa(theta(mu)) expressed directly in the mean."""
-    m, scalar = _as_array(mu)
-    check_mean_space(spec, m)
-    mem = spec.member
-    if mem is Member.NORMAL:
-        out = m ** 2 / 2.0
-    elif mem is Member.POISSON:
-        out = m.copy()
-    elif mem is Member.GAMMA:
-        out = np.log(m)
-    elif mem is Member.INVERSE_GAUSSIAN:
-        out = -1.0 / m
-    else:
-        out = m ** (2 - spec.p) / (2 - spec.p)
-    return float(out) if scalar else out
-
-
 def saturated_cumulant_term(spec: FamilySpec, y):
     """The saturated exponent y*theta(y) - kappa(theta(y)).
 

@@ -215,6 +215,13 @@ class PenaltyConfig:
         solve; built on first use and kept for this penalty's life."""
         return lower_band(self.alpha_penalty_matrix())
 
+    @cached_property
+    def alpha_components(self) -> np.ndarray:
+        """Each vertex's component in the graph of lambda2*Laplacian."""
+        if self.lambda2 == 0:
+            return np.arange(self.n_vertices)
+        return csgraph.connected_components(self.laplacian)[1]
+
 
 @dataclass(frozen=True, eq=False)
 class SpatialBand:

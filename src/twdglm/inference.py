@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,27 +30,19 @@ def p_value_from_z(z: float) -> float:
 
 
 def fisher_information(data: Dataset, theta_hat: Coefficients, p_hat: float,
-                       spec: FamilySpec, links: LinkPair) -> np.ndarray:
-    """Observed information: the unpenalized Hessian of the negative
-    log-likelihood at the fit, with the mean-dispersion cross block set
-    to zero (mean and dispersion parameters are orthogonal in this
-    family).
-
-    The returned matrix is ordered (beta, alpha, gamma). It is additive
-    over rows, so duplicating the dataset doubles it.
+                       spec: FamilySpec, links: LinkPair):
+    """The observed-information blocks the Wald rows read: the Hessians
+    of the unpenalized negative log-likelihood at the fit in beta and in
+    gamma (zero without a dispersion model). The spatial blocks and the
+    mean-dispersion cross block (zero in this family) are not built.
+    Both are additive over rows: duplicating the dataset doubles them.
     """
     spec_hat = spec.with_p(p_hat) if spec.p != p_hat else spec
-    mean_block = lik.hess_mean(data, theta_hat, spec_hat, links).to_dense()
-    kg = data.k_gamma
-    if kg and spec.member is not Member.POISSON:
-        disp_block = lik.hess_disp(data, theta_hat, spec_hat, links)
-    else:
-        disp_block = np.zeros((kg, kg))
-    dim = mean_block.shape[0] + kg
-    info = np.zeros((dim, dim))
-    info[:mean_block.shape[0], :mean_block.shape[0]] = mean_block
-    info[mean_block.shape[0]:, mean_block.shape[0]:] = disp_block
-    return info
+    h_bb = lik.hess_mean(data, theta_hat, spec_hat, links).h_bb
+    h_gg = np.zeros((data.k_gamma, data.k_gamma))
+    if data.k_gamma and spec.member is not Member.POISSON:
+        _, h_gg = lik.disp_derivatives(data, theta_hat, spec_hat, links)
+    return h_bb, h_gg
 
 
 def _block_std_errors(block: np.ndarray, what: str) -> np.ndarray:
@@ -67,31 +60,28 @@ def _block_std_errors(block: np.ndarray, what: str) -> np.ndarray:
     return np.sqrt(np.diag(cov))
 
 
-def wald_table(theta_hat: Coefficients, info: np.ndarray,
+def wald_table(theta_hat: Coefficients, info,
                beta_names: list[str] | None = None,
                gamma_names: list[str] | None = None) -> list[WaldRow]:
     """Wald rows for the fixed effects (beta, gamma).
 
-    Standard errors invert the beta and gamma diagonal sub-blocks of
-    the information, conditioning on the penalized spatial effect
-    (whose joint block is singular whenever an intercept is present).
-    The spatial effect itself is summarized separately, not tested.
+    Standard errors invert the two blocks ``info`` of
+    ``fisher_information``, conditioning on the penalized spatial
+    effect (whose joint block with beta is singular whenever an
+    intercept is present). The spatial effect itself is summarized
+    separately, not tested.
     """
-    kb = theta_hat.beta.size
-    nv = theta_hat.alpha.size
-    kg = theta_hat.gamma.size
-    if info.shape != (kb + nv + kg, kb + nv + kg):
-        raise SingularSystemError("information matrix has wrong order")
+    h_bb, h_gg = info
+    kb, kg = theta_hat.beta.size, theta_hat.gamma.size
+    if h_bb.shape != (kb, kb) or h_gg.shape != (kg, kg):
+        raise SingularSystemError("information blocks have wrong order")
     beta_names = beta_names or [f"beta_{j}" for j in range(kb)]
     gamma_names = gamma_names or [f"gamma_{j}" for j in range(kg)]
-    se_beta = _block_std_errors(info[:kb, :kb], "mean fixed-effect")
-    se_gamma = _block_std_errors(info[kb + nv:, kb + nv:], "dispersion")
+    se_beta = _block_std_errors(h_bb, "mean fixed-effect")
+    se_gamma = _block_std_errors(h_gg, "dispersion")
     rows = []
-    for name, est, se in zip(beta_names, theta_hat.beta, se_beta):
-        z = est / se
-        rows.append(WaldRow(name, float(est), float(se), float(z),
-                            p_value_from_z(z)))
-    for name, est, se in zip(gamma_names, theta_hat.gamma, se_gamma):
+    for name, est, se in chain(zip(beta_names, theta_hat.beta, se_beta),
+                               zip(gamma_names, theta_hat.gamma, se_gamma)):
         z = est / se
         rows.append(WaldRow(name, float(est), float(se), float(z),
                             p_value_from_z(z)))

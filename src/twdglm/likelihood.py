@@ -29,7 +29,7 @@ from . import family as fam
 from .errors import ConfigError, DomainError, NonFiniteError
 from .family import Approx, FamilySpec, Member, LOG_2PI
 from .graph import ArealGraph
-from .links import LinkKind, LinkPair, link_eval
+from .links import LinkKind, LinkPair, link_apply, link_eval
 
 
 @dataclass
@@ -65,15 +65,6 @@ class Coefficients:
     def copy(self) -> "Coefficients":
         return Coefficients(self.beta.copy(), self.alpha.copy(),
                             self.gamma.copy())
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, k_beta: int, n_vertices: int,
-                    k_gamma: int) -> "Coefficients":
-        vec = np.asarray(vec, dtype=float)
-        if vec.size != k_beta + n_vertices + k_gamma:
-            raise ConfigError("coefficient vector has wrong length")
-        return cls(vec[:k_beta], vec[k_beta:k_beta + n_vertices],
-                   vec[k_beta + n_vertices:])
 
 
 @dataclass(eq=False)
@@ -158,21 +149,16 @@ class Dataset:
         gamma = np.zeros(self.k_gamma)
         try:
             if self.k_beta:
-                beta[0] = _apply_forward(links.mean.kind, ybar)
+                beta[0] = link_apply(links.mean.kind, ybar)
             if self.k_gamma:
                 resid2 = float(np.mean((self.ystar - ybar) ** 2))
                 vfun = max(abs(ybar), 1e-8) ** spec.p
                 phi0 = min(max(resid2 / vfun, 1e-4), 1e6)
-                gamma[0] = _apply_forward(links.disp.kind, phi0)
+                gamma[0] = link_apply(links.disp.kind, phi0)
         except DomainError:
             beta = np.zeros(self.k_beta)
             gamma = np.zeros(self.k_gamma)
         return Coefficients(beta, np.zeros(self.graph.n_vertices), gamma)
-
-
-def _apply_forward(kind: LinkKind, value: float) -> float:
-    from .links import link_apply
-    return float(link_apply(kind, value))
 
 
 @dataclass
@@ -183,20 +169,6 @@ class MeanHessian:
     h_bb: np.ndarray
     h_ba: np.ndarray
     h_aa_diag: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.h_bb.shape[0] + self.h_aa_diag.size
-
-    def to_dense(self) -> np.ndarray:
-        kb = self.h_bb.shape[0]
-        n = self.order
-        out = np.zeros((n, n))
-        out[:kb, :kb] = self.h_bb
-        out[:kb, kb:] = self.h_ba
-        out[kb:, :kb] = self.h_ba.T
-        out[kb:, kb:] = np.diag(self.h_aa_diag)
-        return out
 
     def matvec(self, eta: np.ndarray) -> np.ndarray:
         kb = self.h_bb.shape[0]

@@ -41,6 +41,9 @@ MAX_DOUBLINGS = 60
 # Absolute slack on the quantitative descent margin; strictly tighter
 # than the 1e-8 the descent bound is verified at.
 DESCENT_SLACK = 5e-9
+# Eigenvalues of a lambda1 = 0 mean step's Schur complement within this
+# share of c1*H's largest entry are null: rounding leaves them that small.
+SCHUR_NULL_TOL = 1e-9
 
 
 @dataclass
@@ -157,33 +160,19 @@ def solve_mean_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
     """Solve [l1*I0 + l2*W0 + c1*H] eta* = c1*H eta - grad for eta*.
 
     ``derivs`` are the mean-step derivatives at theta from
-    ``_block_derivatives``, computed here when not given.
-    With l1 = 0 the system is singular whenever the columns of X span a
-    constant (the vertex indicators sum to one on every row), so that
-    case takes the minimum-norm least-squares solution. Otherwise a
-    system that is not positive definite raises SingularSystemError.
+    ``_block_derivatives``, computed here when not given. With l1 = 0
+    the system is singular when X spans a constant or a graph component
+    has no rows, and eta* is its minimum-norm solution. A system that is
+    not positive (with l1 = 0, semi-)definite raises SingularSystemError.
     """
     if derivs is None:
         derivs = _block_derivatives("mean", data, theta, spec, links)
     g, hess, h_eta = derivs
     rhs = c1 * h_eta - g
-    if penalty.lambda1 == 0:
-        return _min_norm_solve(hess, penalty, c1, rhs)
     out = _sparse_schur_solve(hess, penalty, c1, rhs)
     if out is None:
         raise SingularSystemError("mean-step system not positive definite")
     return out
-
-
-def _min_norm_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
-                    rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solve of the assembled mean system;
-    only for l1 = 0, where the ridge terms vanish."""
-    kb = penalty.k_beta
-    mat = c1 * hess.to_dense()
-    mat[kb:, kb:] += penalty.alpha_penalty_matrix().toarray()
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    return sol
 
 
 def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
@@ -194,12 +183,27 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
     factored by the penalty's ``alpha_band`` (banded
     Cholesky in reverse Cuthill-McKee order). The same factor solves for
     rhs_a and the k_beta columns of A21, and the dense k_beta x k_beta
-    Schur complement A11 - A12 S22^{-1} A21 then closes the beta part by
-    Cholesky. Returns None when the system is not positive definite.
+    Schur complement A11 - A12 S22^{-1} A21 then closes the beta part,
+    by Cholesky when l1 > 0 and by ``_min_norm_close`` when l1 = 0.
+    Returns None when the system is not positive definite, or with
+    l1 = 0 not positive semidefinite.
+
+    With l1 = 0 a component of ``penalty.alpha_components`` that no row
+    reaches has no Hessian entry and is decoupled from the rest. A fit's
+    right-hand side is 0 there, and a unit diagonal makes the band
+    return its minimum-norm alpha, 0; else there is no solution (None).
     """
     kb = penalty.k_beta
     a12 = c1 * hess.h_ba
-    sol = penalty.alpha_band.solve(c1 * hess.h_aa_diag,
+    diag = c1 * hess.h_aa_diag
+    singular = penalty.lambda1 == 0
+    if singular:
+        labels = penalty.alpha_components
+        touched = (hess.h_aa_diag != 0) | np.any(hess.h_ba != 0, axis=0)
+        loose = np.bincount(labels, weights=touched)[labels] == 0
+        if np.any(rhs[kb:][loose] != 0):
+            return None
+    sol = penalty.alpha_band.solve(diag + loose if singular else diag,
                                    np.column_stack([rhs[kb:], a12.T]))
     if sol is None:
         return None
@@ -209,10 +213,30 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
     a11 = c1 * hess.h_bb
     if penalty.mode is PenaltyMode.SPATIAL_PLUS_RIDGE:
         a11 = a11 + penalty.lambda1 * np.eye(kb)
-    beta_star = _chol_solve(a11 - a12 @ x_cols, rhs[:kb] - a12 @ v)
+    schur, r_beta = a11 - a12 @ x_cols, rhs[:kb] - a12 @ v
+    if singular:
+        tol = SCHUR_NULL_TOL * max(np.abs(a11).max(), np.abs(diag).max())
+        return _min_norm_close(schur, r_beta, v, x_cols, tol)
+    beta_star = _chol_solve(schur, r_beta)
     if beta_star is None:
         return None
     return np.concatenate([beta_star, v - x_cols @ beta_star])
+
+
+def _min_norm_close(schur, r_beta, v, x_cols, tol):
+    """Minimum-norm eta of a consistent l1 = 0 system from its Schur
+    complement, r_beta = rhs_b - A12 v, v = S22^{-1} rhs_a and x_cols =
+    S22^{-1} A21: beta by the pseudo-inverse over eigenvalues above tol
+    (None if one is below -tol), null directions [B; -x_cols B] out."""
+    vals, vecs = np.linalg.eigh(schur)
+    if vals.min() < -tol:
+        return None
+    live = vals > tol
+    beta = vecs[:, live] @ ((vecs[:, live].T @ r_beta) / vals[live])
+    eta = np.concatenate([beta, v - x_cols @ beta])
+    null = vecs[:, ~live]
+    basis, _ = np.linalg.qr(np.vstack([null, -x_cols @ null]))
+    return eta - basis @ (basis.T @ eta)
 
 
 def solve_disp_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
@@ -285,26 +309,15 @@ def _descent_margin(penalty: PenaltyConfig, step_kind: str, theta_old,
     return 0.5 * lam * float(d @ d)
 
 
-def _try_mean_candidate(data, theta, spec, links, penalty, c1, derivs):
+def _try_candidate(solve, with_block, data, theta, spec, links, penalty, c,
+                   derivs):
+    """theta with the block ``solve`` at scaling c put in by
+    ``with_block``; None where its system is singular or not finite."""
     try:
-        eta_star = solve_mean_step(data, theta, spec, links, penalty, c1,
-                                   derivs)
+        star = solve(data, theta, spec, links, penalty, c, derivs)
     except SingularSystemError:
         return None
-    if not np.all(np.isfinite(eta_star)):
-        return None
-    return theta.with_eta(eta_star)
-
-
-def _try_disp_candidate(data, theta, spec, links, penalty, c2, derivs):
-    try:
-        gamma_star = solve_disp_step(data, theta, spec, links, penalty, c2,
-                                     derivs)
-    except SingularSystemError:
-        return None
-    if not np.all(np.isfinite(gamma_star)):
-        return None
-    return theta.with_gamma(gamma_star)
+    return with_block(star) if np.all(np.isfinite(star)) else None
 
 
 def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
@@ -327,14 +340,16 @@ def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
     if terms is None:
         terms = lik.lognorm_terms(data, theta, spec, links)
     if step_kind == "mean":
-        try_candidate, cand_terms = _try_mean_candidate, terms
+        solve, with_block, cand_terms = solve_mean_step, theta.with_eta, terms
     else:
-        try_candidate, cand_terms = _try_disp_candidate, None
+        solve, with_block, cand_terms = (solve_disp_step, theta.with_gamma,
+                                         None)
     derivs = _block_derivatives(step_kind, data, theta, spec, links, terms)
     c = 1.0
     solvable_seen = False
     for _ in range(MAX_DOUBLINGS + 1):
-        cand = try_candidate(data, theta, spec, links, penalty, c, derivs)
+        cand = _try_candidate(solve, with_block, data, theta, spec, links,
+                              penalty, c, derivs)
         if cand is not None:
             solvable_seen = True
             f_new, nll_new, terms_new = _objective_or_inf(

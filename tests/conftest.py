@@ -9,6 +9,7 @@ from scipy import linalg, special
 
 from twdglm import family as fam
 from twdglm import likelihood as lik
+from twdglm import optimizer as opt
 from twdglm.errors import ConfigError, DomainError, SchemaError
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import PenaltyMode, lattice_graph
@@ -123,25 +124,126 @@ def laplacian_block(pen) -> np.ndarray:
     return w0
 
 
+def dense_hessian(hess) -> np.ndarray:
+    """A partitioned ``MeanHessian`` as one dense (beta, alpha) matrix."""
+    kb = hess.h_bb.shape[0]
+    n = kb + hess.h_aa_diag.size
+    out = np.zeros((n, n))
+    out[:kb, :kb] = hess.h_bb
+    out[:kb, kb:] = hess.h_ba
+    out[kb:, :kb] = hess.h_ba.T
+    out[kb:, kb:] = np.diag(hess.h_aa_diag)
+    return out
+
+
 def dense_mean_matrix(hess, pen, c1) -> np.ndarray:
     """Dense mean-step matrix c1*H + l1*I0 + l2*W0 over (beta, alpha)."""
-    m = hess.order
+    m = pen.k_beta + pen.n_vertices
     big = pen.lambda1 * identity_block(pen) \
         + pen.lambda2 * laplacian_block(pen)
-    return c1 * hess.to_dense() + big[:m, :m]
+    return c1 * dense_hessian(hess) + big[:m, :m]
 
 
 def dense_mean_step(data, theta, spec, links, pen, c1):
     """Reference eta* of one mean step by dense Cholesky; None when the
     system is not positive definite."""
     hess = hess_mean(data, theta, spec, links)
-    rhs = c1 * hess.to_dense() @ theta.eta \
+    rhs = c1 * dense_hessian(hess) @ theta.eta \
         - grad_mean(data, theta, spec, links)
     try:
         factor = linalg.cho_factor(dense_mean_matrix(hess, pen, c1))
     except linalg.LinAlgError:
         return None
     return linalg.cho_solve(factor, rhs)
+
+
+def min_norm_mean_solve(hess, pen, c1, rhs, rcond=None) -> np.ndarray:
+    """Minimum-norm least-squares solution of the dense mean-step system,
+    singular values up to ``rcond`` times the largest taken as zero
+    (lstsq's default when None); the oracle for the lambda1 = 0 solve in
+    ``optimizer._sparse_schur_solve``."""
+    sol, *_ = np.linalg.lstsq(dense_mean_matrix(hess, pen, c1), rhs,
+                              rcond=rcond)
+    return sol
+
+
+def min_norm_mean_step(data, theta, spec, links, penalty, c1, derivs=None):
+    """``optimizer.solve_mean_step`` with the dense ``min_norm_mean_solve``
+    in place of the partitioned solve; a fit with it patched in is the
+    oracle for lambda1 = 0 fits."""
+    if derivs is None:
+        derivs = opt._block_derivatives("mean", data, theta, spec, links)
+    g, hess, h_eta = derivs
+    return min_norm_mean_solve(hess, penalty, c1, c1 * h_eta - g)
+
+
+def dense_fisher_information(data, theta_hat, p_hat, spec, links):
+    """Observed information over (beta, alpha, gamma) as one dense
+    matrix, the mean-dispersion cross block zero; the oracle for the
+    blocks of ``inference.fisher_information``."""
+    spec_hat = spec.with_p(p_hat) if spec.p != p_hat else spec
+    mean_block = dense_hessian(hess_mean(data, theta_hat, spec_hat, links))
+    kg = data.k_gamma
+    if kg and spec.member is not Member.POISSON:
+        disp_block = lik.hess_disp(data, theta_hat, spec_hat, links)
+    else:
+        disp_block = np.zeros((kg, kg))
+    m = mean_block.shape[0]
+    info = np.zeros((m + kg, m + kg))
+    info[:m, :m] = mean_block
+    info[m:, m:] = disp_block
+    return info
+
+
+def theta_of_mu(spec, mu, order: int = 0):
+    """Canonical parameter theta(mu) and its first two mu-derivatives."""
+    m = np.asarray(mu, dtype=float)
+    fam.check_mean_space(spec, m)
+    p = spec.p
+    mem = spec.member
+    if order == 0:
+        if mem is Member.NORMAL:
+            out = m.copy()
+        elif mem is Member.POISSON:
+            out = np.log(m)
+        elif mem is Member.GAMMA:
+            out = -1.0 / m
+        elif mem is Member.INVERSE_GAUSSIAN:
+            out = -0.5 / m ** 2
+        else:
+            out = m ** (1 - p) / (1 - p)
+    elif order == 1:
+        # theta'(mu) = 1 / V(mu) for every member
+        if mem is Member.NORMAL:
+            out = np.ones_like(m)
+        else:
+            out = m ** (-p)
+    elif order == 2:
+        if mem is Member.NORMAL:
+            out = np.zeros_like(m)
+        else:
+            out = -p * m ** (-p - 1)
+    else:
+        raise ValueError("order must be 0, 1 or 2")
+    return float(out) if m.ndim == 0 else out
+
+
+def cumulant_of_mu(spec, mu):
+    """Cumulant kappa(theta(mu)) expressed directly in the mean."""
+    m = np.asarray(mu, dtype=float)
+    fam.check_mean_space(spec, m)
+    mem = spec.member
+    if mem is Member.NORMAL:
+        out = m ** 2 / 2.0
+    elif mem is Member.POISSON:
+        out = m.copy()
+    elif mem is Member.GAMMA:
+        out = np.log(m)
+    elif mem is Member.INVERSE_GAUSSIAN:
+        out = -1.0 / m
+    else:
+        out = m ** (2 - spec.p) / (2 - spec.p)
+    return float(out) if m.ndim == 0 else out
 
 
 def mean_exponent_generic(data, spec, kind, t, p):
@@ -153,9 +255,9 @@ def mean_exponent_generic(data, spec, kind, t, p):
     fam.check_mean_space(spec_p, mu, what="h1(t)")
     h1p = link_eval(kind, t, 1)
     h1pp = link_eval(kind, t, 2)
-    theta1 = fam.theta_of_mu(spec_p, mu, 1)
-    theta2 = fam.theta_of_mu(spec_p, mu, 2)
-    d0 = y * fam.theta_of_mu(spec_p, mu, 0) - fam.cumulant_of_mu(spec_p, mu)
+    theta1 = theta_of_mu(spec_p, mu, 1)
+    theta2 = theta_of_mu(spec_p, mu, 2)
+    d0 = y * theta_of_mu(spec_p, mu, 0) - cumulant_of_mu(spec_p, mu)
     d1 = theta1 * h1p * (y - mu)
     d2 = (theta2 * h1p ** 2 + theta1 * h1pp) * (y - mu) - h1p ** 2 * theta1
     return d0, d1, d2
@@ -169,13 +271,13 @@ def natural_from_predictor(spec, kind, t, order=0):
     mu = link_eval(kind, t, 0)
     fam.check_mean_space(spec, mu, what="h(t)")
     if order == 0:
-        out = fam.theta_of_mu(spec, mu, 0)
+        out = theta_of_mu(spec, mu, 0)
     elif order == 1:
-        out = fam.theta_of_mu(spec, mu, 1) * link_eval(kind, t, 1)
+        out = theta_of_mu(spec, mu, 1) * link_eval(kind, t, 1)
     elif order == 2:
         h1 = link_eval(kind, t, 1)
-        out = (fam.theta_of_mu(spec, mu, 2) * np.asarray(h1) ** 2
-               + fam.theta_of_mu(spec, mu, 1) * link_eval(kind, t, 2))
+        out = (theta_of_mu(spec, mu, 2) * np.asarray(h1) ** 2
+               + theta_of_mu(spec, mu, 1) * link_eval(kind, t, 2))
     else:
         raise ValueError("order must be 0, 1 or 2")
     return float(out) if scalar else np.asarray(out)

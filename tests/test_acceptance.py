@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import (MEAN_LINKS_BY_MEMBER, dense_mean_step, fd_gradient,
-                      fd_jacobian, make_instance, rel_err)
+from conftest import (MEAN_LINKS_BY_MEMBER, dense_hessian, dense_mean_step,
+                      fd_gradient, fd_jacobian, make_instance, rel_err)
 from twdglm.family import (Approx, FamilySpec, Member, log_density,
                            log_normalizer_series)
 from twdglm.graph import PenaltyMode, assemble_penalty, lattice_graph
@@ -61,7 +61,7 @@ class TestAcceptance:
                     worst_g = max(worst_g,
                                   rel_err(g, fd_gradient(nll_eta,
                                                          theta.eta)))
-                    h = hess_mean(data, theta, spec, links).to_dense()
+                    h = dense_hessian(hess_mean(data, theta, spec, links))
                     fd_h = fd_jacobian(
                         lambda e: grad_mean(data, theta.with_eta(e), spec,
                                             links), theta.eta)

@@ -6,17 +6,20 @@ import io
 import json
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rowwise_load_dataset
+from conftest import dense_fisher_information, rowwise_load_dataset
+from twdglm import cli
 from twdglm.cli import load_dataset, read_coefficients, run_command
 from twdglm.errors import DomainError, SchemaError
 from twdglm.family import FamilySpec
 from twdglm.graph import ArealGraph
+from twdglm.inference import wald_table, write_wald_table
 
 
 def run_ok(argv, capsys=None):
@@ -152,6 +155,24 @@ class TestPipeline:
         lines = (rep_out / "alpha_vs_pattern.tsv").read_text().strip()
         assert lines.startswith("vertex\talpha_hat\talpha_oracle")
         assert len(lines.split("\n")) == 10
+
+    def test_wald_table_from_the_dense_information(self, sim_dir, tmp_path):
+        out = tmp_path / "fit"
+        with mock.patch.object(cli, "fisher_information",
+                               wraps=cli.fisher_information) as info:
+            run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
+                    str(sim_dir / "graph.tsv"), "--family", "cpg", "--p",
+                    "1.5", "--out", str(out)])
+        theta = info.call_args.args[1]
+        dense = dense_fisher_information(*info.call_args.args)
+        kb, m = theta.beta.size, theta.beta.size + theta.alpha.size
+        _, beta_names, gamma_names, _ = read_coefficients(
+            out / "coefficients.tsv")
+        rows = wald_table(theta, (dense[:kb, :kb], dense[m:, m:]),
+                          beta_names, gamma_names)
+        write_wald_table(tmp_path / "want.tsv", rows)
+        assert (out / "wald.tsv").read_bytes() == \
+            (tmp_path / "want.tsv").read_bytes()
 
     def test_alpha_summary_in_fit_summary(self, sim_dir, tmp_path):
         fit_out = tmp_path / "fit2"

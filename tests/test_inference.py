@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import make_instance
+from conftest import dense_fisher_information, dense_hessian, make_instance
 from twdglm.errors import SingularSystemError
 from twdglm.family import FamilySpec, Member
 from twdglm.graph import lattice_graph
 from twdglm.inference import (alpha_summary, fisher_information,
                               p_value_from_z, wald_table)
-from twdglm.likelihood import Coefficients, Dataset
+from twdglm.likelihood import Coefficients, Dataset, hess_mean
 from twdglm.links import LinkPair
 
 # (z, p) pairs printed in the reference Wald tables; every
@@ -71,8 +71,7 @@ class TestFisherInformation:
         data, theta = _plain_normal_data()
         info = fisher_information(data, theta, 0.0, FamilySpec.normal(),
                                   LinkPair.of("identity", "log"))
-        kb = data.k_beta
-        np.testing.assert_allclose(info[:kb, :kb], data.X.T @ data.X,
+        np.testing.assert_allclose(info[0], data.X.T @ data.X,
                                    rtol=1e-12)
 
     def test_psd_at_minimum(self):
@@ -83,9 +82,13 @@ class TestFisherInformation:
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.5, 0.5,
                                data.k_beta, data.graph, data.k_gamma)
         res = fit(data, spec, links, FitConfig(penalty=pen))
+        spec_hat = spec.with_p(res.p_hat)
+        mean = dense_hessian(hess_mean(data, res.theta_hat, spec_hat,
+                                       links))
+        assert np.linalg.eigvalsh(mean).min() >= -1e-8
         info = fisher_information(data, res.theta_hat, res.p_hat, spec,
                                   links)
-        assert np.linalg.eigvalsh(info).min() >= -1e-8
+        assert np.linalg.eigvalsh(info[1]).min() >= -1e-8
 
     def test_additive_over_rows(self):
         data, theta, spec, links = make_instance(Member.NORMAL, "identity",
@@ -95,14 +98,20 @@ class TestFisherInformation:
                           np.tile(data.vertex, 2), np.tile(data.X, (2, 1)),
                           np.tile(data.Z, (2, 1)), data.graph)
         info2 = fisher_information(doubled, theta, spec.p, spec, links)
-        np.testing.assert_allclose(info2, 2.0 * info, rtol=1e-9, atol=1e-9)
+        for block, block2 in zip(info, info2):
+            np.testing.assert_allclose(block2, 2.0 * block, rtol=1e-9,
+                                       atol=1e-9)
 
-    def test_mean_dispersion_cross_block_is_zero(self):
-        data, theta, spec, links = make_instance(Member.GAMMA, "log",
-                                                 seed=7)
+    @pytest.mark.parametrize("member", [Member.GAMMA, Member.POISSON,
+                                        Member.COMPOUND_POISSON_GAMMA],
+                             ids=lambda m: m.value)
+    def test_blocks_of_the_dense_information(self, member):
+        data, theta, spec, links = make_instance(member, "log", seed=7)
         info = fisher_information(data, theta, spec.p, spec, links)
-        kb_l = data.k_beta + data.graph.n_vertices
-        np.testing.assert_array_equal(info[:kb_l, kb_l:], 0.0)
+        dense = dense_fisher_information(data, theta, spec.p, spec, links)
+        kb, m = data.k_beta, data.k_beta + data.graph.n_vertices
+        np.testing.assert_array_equal(info[0], dense[:kb, :kb])
+        np.testing.assert_array_equal(info[1], dense[m:, m:])
 
 
 class TestWaldTable:
@@ -111,7 +120,7 @@ class TestWaldTable:
         info = fisher_information(data, theta, 0.0, FamilySpec.normal(),
                                   LinkPair.of("identity", "log"))
         rows = wald_table(theta, info, beta_names=["a", "b", "c"])
-        cov = np.linalg.inv(info[:3, :3])
+        cov = np.linalg.inv(info[0])
         for j, row in enumerate(rows):
             assert row.std_error == pytest.approx(np.sqrt(cov[j, j]))
             assert row.z == pytest.approx(row.estimate / row.std_error)

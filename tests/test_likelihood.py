@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (MEAN_LINKS_BY_MEMBER, fd_gradient, fd_jacobian,
-                      make_instance, mean_exponent_generic, rel_err)
+from conftest import (MEAN_LINKS_BY_MEMBER, dense_hessian, fd_gradient,
+                      fd_jacobian, make_instance, mean_exponent_generic,
+                      rel_err)
 from twdglm.errors import ConfigError, DomainError
 from twdglm.family import Approx, FamilySpec, Member, log_density
 from twdglm.graph import lattice_graph
@@ -115,7 +116,7 @@ class TestHessMean:
         data, theta, spec, links = make_instance(
             Member.COMPOUND_POISSON_GAMMA, "log", seed=3)
         h = hess_mean(data, theta, spec, links)
-        dense = h.to_dense()
+        dense = dense_hessian(h)
         kb = data.k_beta
         alpha_block = dense[kb:, kb:]
         np.testing.assert_array_equal(
@@ -124,7 +125,7 @@ class TestHessMean:
     def test_normal_identity_gram_matrix(self):
         data, theta, spec, links = make_instance(Member.NORMAL, "identity",
                                                  k_gamma=0, seed=5)
-        h = hess_mean(data, theta, spec, links).to_dense()
+        h = dense_hessian(hess_mean(data, theta, spec, links))
         design = np.zeros((data.n_rows, data.k_beta + 5))
         design[:, :data.k_beta] = data.X
         design[np.arange(data.n_rows), data.k_beta + data.vertex] = 1.0
@@ -135,7 +136,7 @@ class TestHessMean:
     def test_matches_finite_differences_of_gradient(self, member):
         mean_link = MEAN_LINKS_BY_MEMBER[member][0]
         data, theta, spec, links = make_instance(member, mean_link, seed=2)
-        h = hess_mean(data, theta, spec, links).to_dense()
+        h = dense_hessian(hess_mean(data, theta, spec, links))
 
         def grad_at(eta):
             return grad_mean(data, theta.with_eta(eta), spec, links)

@@ -4,11 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (dense_mean_matrix, dense_mean_step, make_instance,
+from conftest import (dense_hessian, dense_mean_matrix, dense_mean_step,
+                      make_instance, min_norm_mean_solve, min_norm_mean_step,
                       scan_update_index)
 from twdglm import family as fam
 from twdglm import graph as graph_mod
@@ -96,6 +97,23 @@ class TestSolveMeanStep:
         with pytest.raises(SingularSystemError, match="not positive"):
             solve_mean_step(data, theta, spec, links, pen, c1=-1.0)
 
+    @pytest.mark.parametrize("lambda2", [0.0, 1.0])
+    def test_zero_lambda1_rowless_rhs_must_be_zero(self, lambda2):
+        # vertices 2 and 3 form a component without Hessian entries: the
+        # system restricted to it is lambda2 * Laplacian, singular
+        graph = ArealGraph.from_edges(4, [(0, 1), (2, 3)])
+        hess = MeanHessian(np.array([[2.0]]), np.array([[1.0, 1.0, 0, 0]]),
+                           np.array([1.0, 1.0, 0, 0]))
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.0, lambda2, 1,
+                               graph, 0)
+        rhs = np.array([2.0, 1.0, 1.0, 0.0, 0.0])
+        got = _sparse_schur_solve(hess, pen, 1.0, rhs)
+        np.testing.assert_allclose(got, min_norm_mean_solve(hess, pen, 1.0,
+                                                            rhs), atol=1e-12)
+        assert np.all(got[3:] == 0.0)
+        rhs[3] = 1e-300
+        assert _sparse_schur_solve(hess, pen, 1.0, rhs) is None
+
 
 def _shuffled(draw, nv, edges):
     perm = draw(st.permutations(range(nv)))
@@ -148,50 +166,88 @@ def spatial_graphs(draw):
 def mean_systems(draw):
     """A mean-step system on a random graph of up to about 40 vertices:
     possibly disconnected, with isolated vertices and vertices that no
-    row reaches. Negative row weights make the Hessian indefinite."""
+    row reaches. Negative row weights make the Hessian indefinite. With
+    lambda1 = 0 the right-hand side is J'u for J = [X, vertex
+    indicators], in the range of J' as in a fit."""
     graph = draw(spatial_graphs())
     nv = graph.n_vertices
     kb = draw(st.integers(0, 3))
     n = draw(st.integers(0, 60))
     vertex = draw(arrays(np.int64, n, elements=st.integers(0, nv - 1)))
-    x = draw(arrays(np.float64, (n, kb), elements=st.floats(-2, 2)))
-    w = draw(arrays(np.float64, n, elements=st.floats(-3, 3)))
+    lambda1 = draw(st.one_of(st.floats(0.01, 3), st.just(0.0)))
+    values, weights = st.floats(-2, 2), st.floats(-3, 3)
+    if lambda1 == 0:
+        # X and the row weights on a grid of quarters, so that the
+        # Hessian's entries are exact and its only near-null directions
+        # are null ones; the weights positive, as in a compound
+        # Poisson-gamma fit, or of both signs
+        values = st.integers(-8, 8).map(lambda k: k / 4)
+        weights = draw(st.sampled_from([st.integers(1, 12),
+                                        st.integers(-12, 12).filter(bool)])
+                       ).map(lambda k: k / 4)
+    x = draw(arrays(np.float64, (n, kb), elements=values))
+    w = draw(arrays(np.float64, n, elements=weights))
     indicators = np.zeros((n, nv))
     indicators[np.arange(n), vertex] = 1.0
     hess = MeanHessian(x.T @ (w[:, None] * x),
                        x.T @ (w[:, None] * indicators),
                        np.bincount(vertex, weights=w, minlength=nv))
+    if lambda1 == 0:
+        # as in a fit, every vertex that a row reaches has a nonzero
+        # Hessian entry; where none has, J'u has no solution
+        touched = (hess.h_aa_diag != 0) | np.any(hess.h_ba != 0, axis=0)
+        assume(np.all(touched[vertex]))
     # lambda2 covers [0, 3]; one draw of floats(0, 3) is 0 in about
-    # half the examples, so the bulk, the small end and 0 are drawn apart
-    lambda2 = draw(st.one_of(st.floats(0.01, 3), st.floats(0, 0.01),
-                             st.just(0.0)))
+    # half the examples, so the bulk, the small end and 0 are drawn apart.
+    # With lambda1 = 0 the small end starts at 1e-3: a far smaller
+    # lambda2 ties a rowless vertex to a reached one by a direction that
+    # the solve takes exactly and lstsq rounds away as null.
+    small = st.floats(1e-3 if lambda1 == 0 else 0, 0.01)
+    lambda2 = draw(st.one_of(st.floats(0.01, 3), small, st.just(0.0)))
     pen = assemble_penalty(draw(st.sampled_from(list(PenaltyMode))),
-                           draw(st.floats(0.01, 3)), lambda2, kb, graph, 0)
+                           lambda1, lambda2, kb, graph, 0)
     c1 = draw(st.floats(0.5, 4))
-    rhs = draw(arrays(np.float64, kb + nv, elements=st.floats(-2, 2)))
+    if lambda1 == 0:
+        u = draw(arrays(np.float64, n, elements=st.floats(-2, 2)))
+        rhs = np.concatenate([x.T @ u, indicators.T @ u])
+    else:
+        rhs = draw(arrays(np.float64, kb + nv, elements=st.floats(-2, 2)))
     return hess, pen, c1, rhs
 
 
 class TestSparseSolveProperties:
-    # eigenvalues within this share of the spectral radius of zero are
-    # left alone: there the sign is decided by rounding
+    # eigenvalues within this share of the spectral radius (taken as at
+    # least 1 when lambda1 > 0) of zero are left alone: there the sign
+    # is decided by rounding
     MARGIN = 1e-6
+    # with lambda1 = 0 an eigenvalue within this share of it of zero is
+    # a null direction of the system, and the lstsq oracle takes it as one
+    NULL = 1e-10
 
-    @settings(max_examples=300)
+    @settings(max_examples=500)
     @given(mean_systems())
     def test_matches_dense_oracle_or_rejects(self, system):
         hess, pen, c1, rhs = system
         mat = dense_mean_matrix(hess, pen, c1)
         eigs = np.linalg.eigvalsh(mat)
-        tol = self.MARGIN * max(1.0, float(np.abs(eigs).max()))
+        scale = float(np.abs(eigs).max())
+        if pen.lambda1 > 0:
+            scale = max(1.0, scale)
+        near_zero = np.abs(eigs) <= self.MARGIN * scale
         got = _sparse_schur_solve(hess, pen, c1, rhs)
-        if eigs.min() > tol:
-            assert got is not None
-            want = np.linalg.solve(mat, rhs)
-            assert np.max(np.abs(got - want)) <= \
-                1e-8 * max(1.0, float(np.abs(want).max()))
-        elif eigs.min() < -tol:
+        if eigs.min() < -self.MARGIN * scale:
             assert got is None
+            return
+        if pen.lambda1 > 0 and not near_zero.any():
+            want = np.linalg.solve(mat, rhs)
+        elif pen.lambda1 == 0 and np.all(
+                np.abs(eigs[near_zero]) <= self.NULL * scale):
+            want = min_norm_mean_solve(hess, pen, c1, rhs, rcond=self.NULL)
+        else:
+            return
+        assert got is not None
+        assert np.max(np.abs(got - want)) <= \
+            1e-8 * max(1.0, float(np.abs(want).max()))
 
 
 class TestBandLayout:
@@ -306,7 +362,7 @@ class TestChooseScaling:
         c1, *_ = _scaled_step("mean", data, theta, spec, links, pen, f0,
                               2.0)
         mat = (pen.eta_matrix().toarray()
-               + c1 * hess_mean(data, theta, spec, links).to_dense())
+               + c1 * dense_hessian(hess_mean(data, theta, spec, links)))
         assert np.linalg.eigvalsh(mat).min() >= -1e-8
 
     def test_accepted_step_never_increases_objective(self):
@@ -618,6 +674,37 @@ class TestComparators:
         min_norm_ols, *_ = np.linalg.lstsq(design, data.y, rcond=None)
         np.testing.assert_allclose(res.theta_hat.eta, min_norm_ols,
                                    atol=1e-6)
+
+    @pytest.mark.parametrize("lambda2", [0.0, 1.0])
+    def test_zero_lambda1_fit_matches_min_norm_oracle(self, lambda2):
+        """A 2x4 lattice whose last vertex lost its rows to an isolated
+        vertex, plus an isolated vertex and a 3-vertex path that no row
+        reaches; an intercept makes the system singular as well."""
+        gen = FamilySpec.compound_poisson_gamma(1.5)
+        base, _ = make_dataset(600, 2, 4, "block", gen, 0.2, seed=5)
+        lattice = list(base.graph.edges)
+        graph = ArealGraph.from_edges(13, lattice + [(10, 11), (11, 12)])
+        vertex = np.where(base.vertex == 7, 8, base.vertex)
+        data = Dataset(base.y, base.w, vertex, base.X, base.Z, graph)
+        rowless = np.setdiff1d(np.arange(13), vertex)
+        assert rowless.tolist() == [7, 9, 10, 11, 12]
+        spec = FamilySpec.compound_poisson_gamma(1.5,
+                                                 approx=Approx.SADDLEPOINT)
+        links = LinkPair.of("log", "log")
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.0, lambda2,
+                               data.k_beta, graph, data.k_gamma)
+        cfg = FitConfig(penalty=pen, p_grid=np.array([1.5]))
+        res = fit(data, spec, links, cfg)
+        with mock.patch.object(opt, "solve_mean_step", min_norm_mean_step):
+            want = fit(data, spec, links, cfg)
+        assert res.converged and res.iters == want.iters
+        np.testing.assert_allclose(res.theta_hat.as_vector(),
+                                   want.theta_hat.as_vector(), rtol=0,
+                                   atol=1e-8)
+        np.testing.assert_allclose(res.objective_trace,
+                                   want.objective_trace, rtol=0, atol=1e-8)
+        unreached = [9, 10, 11, 12] if lambda2 else rowless
+        assert np.all(res.theta_hat.alpha[unreached] == 0.0)
 
     def test_convergence_bound_at_termination(self):
         gen = FamilySpec.compound_poisson_gamma(1.5, approx=Approx.SADDLEPOINT)
