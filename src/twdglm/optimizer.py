@@ -420,8 +420,8 @@ def _check_identifiable(data: Dataset, penalty: PenaltyConfig,
                         has_disp: bool) -> None:
     """Fail fast when a coefficient block without a ridge term has a
     design of fewer rows than columns or of deficient column rank: its
-    step system is then singular at every scaling constant. (With
-    lambda1 = 0 the mean step takes the minimum-norm solution instead.)
+    step system is then singular at every scaling constant. The mean
+    block at lambda1 = 0 is exempt: its step is the minimum-norm one.
     """
     blocks = []
     if penalty.lambda1 > 0 and penalty.mode is PenaltyMode.SPATIAL_ONLY:
