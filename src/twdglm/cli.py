@@ -20,17 +20,17 @@ import sys
 
 import numpy as np
 
-from . import inference, tuning
+from . import inference
 from .errors import (CalibrationError, ConfigError, DomainError, SchemaError,
                      SingularSystemError, TwdglmError, read_lines,
                      utf8_error_at)
-from .family import Approx, FamilySpec, Member, check_support
-from .graph import ArealGraph, PenaltyMode, assemble_penalty, lattice_graph
+from .family import _FIXED_P, Approx, FamilySpec, Member, check_support
+from .graph import ArealGraph, PenaltyMode, assemble_penalty
 from .inference import alpha_summary, fisher_information, wald_table
 from .likelihood import Coefficients, Dataset
-from .links import LinkKind, LinkPair, link_eval, validate_links
+from .links import LinkPair, default_links, link_eval, validate_links
 from .optimizer import FitConfig, default_p_grid, fit
-from .simgen import PatternKind, SimConfig, make_dataset
+from .simgen import SimConfig, make_dataset
 from .tuning import GridSpec, export_surface, grid_search, weighted_deviance
 
 _FAMILY_NAMES = {
@@ -141,8 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_options(args: argparse.Namespace) -> dict:
-    """Defaults, overridden by the config file, overridden by flags."""
-    opts = dict(_DEFAULTS)
+    """Defaults, overridden for ``predict`` by the fit directory's model
+    options and then its fitted p, then by the config file, then by
+    flags. A null in the config file leaves the option unset."""
+    given = {}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         for key, val in _read_config(cfg_path).items():
@@ -156,13 +158,43 @@ def _effective_options(args: argparse.Namespace) -> dict:
                         "the approximate Laplacian was removed and every "
                         "fit solves the exact penalized system")
                 continue
-            if key not in opts:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
-            opts[key] = val
-    for key in opts:
+            if val is not None:
+                given[key] = val
+    for key in _DEFAULTS:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
-            opts[key] = flag_val
+            given[key] = flag_val
+    opts = dict(_DEFAULTS)
+    if args.command == "predict" and given.get("fit_dir"):
+        opts.update(_fit_dir_options(given["fit_dir"]))
+    opts.update(given)
+    return opts
+
+
+# the options of a fit that ``predict --fit-dir`` takes from it
+_FIT_DIR_KEYS = ("family", "p", "mean_link", "disp_link", "approx", "graph")
+
+
+def _fit_dir_options(fit_dir) -> dict:
+    """The model options echoed to a fit directory, with p replaced by
+    the fitted p_hat of its summary."""
+    opts = {}
+    cfg_path = os.path.join(fit_dir, "effective_config.json")
+    if os.path.exists(cfg_path):
+        fit_cfg = _read_config(cfg_path)
+        opts.update((key, fit_cfg[key]) for key in _FIT_DIR_KEYS
+                    if fit_cfg.get(key) is not None)
+    summary = os.path.join(fit_dir, "summary.tsv")
+    if os.path.exists(summary):
+        for lineno, line in enumerate(read_lines(summary), start=1):
+            if line.startswith("p_hat\t"):
+                try:
+                    opts["p"] = float(line.split("\t")[1])
+                except ValueError:
+                    raise SchemaError(f"{summary}: line {lineno}: bad "
+                                      "p_hat value") from None
     return opts
 
 
@@ -187,27 +219,15 @@ def _family_from_options(opts: dict) -> FamilySpec:
     if name not in _FAMILY_NAMES:
         raise ConfigError(f"unknown family {name!r}")
     member = _FAMILY_NAMES[name]
-    approx = Approx(opts["approx"])
-    fixed = {Member.NORMAL: 0.0, Member.POISSON: 1.0, Member.GAMMA: 2.0,
-             Member.INVERSE_GAUSSIAN: 3.0}
-    if member in fixed:
-        p = fixed[member]
-        if opts["p"] is not None and opts["p"] != p:
-            raise ConfigError(
-                f"family {name} has fixed index parameter {p}")
-    else:
-        p = opts["p"] if opts["p"] is not None else 1.5
-    return FamilySpec(member, float(p), approx=approx)
+    p = opts["p"] if opts["p"] is not None else _FIXED_P.get(member, 1.5)
+    return FamilySpec(member, float(p), approx=Approx(opts["approx"]))
 
 
 def _links_from_options(opts: dict, spec: FamilySpec) -> LinkPair:
-    from .links import default_links
     mean = opts["mean_link"]
-    disp = opts["disp_link"] or "log"
     if mean is None:
-        pair = default_links(spec)
-        mean = pair.mean.kind.value
-    links = LinkPair.of(mean, disp)
+        mean = default_links(spec).mean.kind.value
+    links = LinkPair.of(mean, opts["disp_link"])
     validate_links(spec, links)
     return links
 
@@ -633,31 +653,11 @@ def _cmd_tune(opts) -> int:
 
 def _cmd_predict(opts) -> int:
     out = _require(opts, "out", "--out")
-    fit_dir = opts.get("fit_dir")
     coef_path = opts.get("coefficients")
     if coef_path is None:
-        if fit_dir is None:
-            raise ConfigError("--fit-dir or --coefficients is required")
+        fit_dir = _require(opts, "fit_dir", "--fit-dir or --coefficients")
         coef_path = os.path.join(fit_dir, "coefficients.tsv")
-        cfg_path = os.path.join(fit_dir, "effective_config.json")
-        if os.path.exists(cfg_path):
-            fit_cfg = _read_config(cfg_path)
-            for key in ("family", "p", "mean_link", "disp_link", "approx",
-                        "graph"):
-                if opts.get(key) in (None, _DEFAULTS.get(key)) \
-                        and fit_cfg.get(key) is not None:
-                    opts[key] = fit_cfg[key]
     theta, beta_names, gamma_names, labels = read_coefficients(coef_path)
-    # fitted p may differ from the configured one; prefer the summary
-    summary = os.path.join(fit_dir or "", "summary.tsv")
-    if fit_dir and os.path.exists(summary):
-        for lineno, line in enumerate(read_lines(summary), start=1):
-            if line.startswith("p_hat\t"):
-                try:
-                    opts["p"] = float(line.split("\t")[1])
-                except ValueError:
-                    raise SchemaError(f"{summary}: line {lineno}: bad "
-                                      "p_hat value") from None
     spec = _family_from_options(opts)
     links = _links_from_options(opts, spec)
     graph = ArealGraph.from_edge_list_file(_require(opts, "graph",

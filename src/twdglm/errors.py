@@ -35,17 +35,15 @@ class NonFiniteError(TwdglmError, RuntimeError):
 class SingularSystemError(TwdglmError, RuntimeError):
     """A linear system could not be factorized.
 
-    ``smallest_pivot`` holds the magnitude of the smallest pivot seen;
-    ``null_hint`` an approximate null-space vector when available.
+    ``smallest_pivot`` holds the smallest pivot or eigenvalue seen, when
+    known; the message prints it.
     """
 
-    def __init__(self, message: str, smallest_pivot: float | None = None,
-                 null_hint=None):
+    def __init__(self, message: str, smallest_pivot: float | None = None):
         if smallest_pivot is not None:
             message = f"{message} (smallest pivot {smallest_pivot:.3e})"
         super().__init__(message)
         self.smallest_pivot = smallest_pivot
-        self.null_hint = null_hint
 
 
 class ScalingError(TwdglmError, RuntimeError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -20,6 +20,13 @@ from .errors import ConfigError, DomainError, SeriesInfeasibleError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# Stands in for y in the saddlepoint variance factor V(y) at y = 0.
+SADDLE_EPS0 = 1e-6
+# The series window ends where a term falls below this share of the
+# row's largest term.
+SERIES_RTOL = 1e-12
+# Refuse the series when a row's term-mode index exceeds this.
+SERIES_KMAX_CAP = 1e7
 # Hard limit on terms added on either side of the series mode.
 SERIES_SIDE_CAP = 1_000_000
 # Terms per row added in one step of the series window's outward walk.
@@ -53,7 +60,7 @@ _FIXED_P = {
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family member together with its index parameter and normalizer controls.
+    """A family member together with its index parameter and normalizer.
 
     Parameters
     ----------
@@ -65,22 +72,14 @@ class FamilySpec:
         3 (inverse Gaussian).
     approx : Approx
         Normalizer approximation; only consulted for the compound
-        Poisson-gamma member.
-    eps0 : float
-        Small positive constant replacing y in the saddlepoint variance
-        factor at y = 0.
-    series_rtol : float
-        Relative term-truncation tolerance for the series window.
-    series_kmax_cap : float
-        Refuse the series when the term-mode index exceeds this cap.
+        Poisson-gamma member. The series truncation and the saddlepoint's
+        stand-in for y = 0 are the module constants ``SERIES_RTOL``,
+        ``SERIES_KMAX_CAP`` and ``SADDLE_EPS0``.
     """
 
     member: Member
     p: float
     approx: Approx = Approx.SERIES
-    eps0: float = 1e-6
-    series_rtol: float = 1e-12
-    series_kmax_cap: float = 1e7
 
     def __post_init__(self):
         if self.member in _FIXED_P:
@@ -92,10 +91,6 @@ class FamilySpec:
             if not 1.0 < self.p < 2.0:
                 raise ConfigError(
                     f"compound-poisson-gamma requires 1 < p < 2, got {self.p}")
-        if not self.eps0 > 0:
-            raise ConfigError("eps0 must be positive")
-        if not 0.0 < self.series_rtol <= 1e-2:
-            raise ConfigError("series_rtol must lie in (0, 1e-2]")
 
     @property
     def xi(self) -> float:
@@ -231,7 +226,7 @@ def saturated_cumulant_term(spec: FamilySpec, y):
 # Compound Poisson-gamma series normalizer
 # ---------------------------------------------------------------------------
 
-def _series_logsums(y, phi, p, rtol, kmax_cap):
+def _series_logsums(y, phi, p):
     """Windowed log-space summation of the Bessel-series normalizer.
 
     Returns ``(log_a, r1, r2)`` for strictly positive y, where
@@ -245,11 +240,13 @@ def _series_logsums(y, phi, p, rtol, kmax_cap):
     around its mode k_max = y**(2-p) / ((2-p)*phi) (Dunn & Smyth 2005):
     starting at max(1, floor(k_max)) it walks outward in blocks of
     ``_SERIES_BLOCK`` terms, in log space anchored at the row's running
-    maximum. The right side stops once its last term is below ``rtol``
-    times that maximum, the left side at the same threshold or at k = 1.
+    maximum. The right side stops once its last term is below
+    ``SERIES_RTOL`` times that maximum, the left side at the same
+    threshold or at k = 1.
     A term below an earlier one lies past the mode, so by concavity
     every term beyond either end is smaller still and falling.
-    ``SERIES_SIDE_CAP`` bounds the terms on either side.
+    ``SERIES_SIDE_CAP`` bounds the terms on either side, and a mode
+    above ``SERIES_KMAX_CAP`` raises SeriesInfeasibleError.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     phi = np.broadcast_to(np.asarray(phi, dtype=float), y.shape)
@@ -261,9 +258,10 @@ def _series_logsums(y, phi, p, rtol, kmax_cap):
     log_t = (xi * np.log(y) - xi * math.log(p - 1.0) - math.log(2.0 - p)
              - (1.0 + xi) * np.log(phi))
     kmax = y ** (2.0 - p) / ((2.0 - p) * phi)
-    if np.any(kmax > kmax_cap):
+    if np.any(kmax > SERIES_KMAX_CAP):
         raise SeriesInfeasibleError(
-            f"series mode index {kmax.max():.3e} exceeds cap {kmax_cap:.3e}; "
+            f"series mode index {kmax.max():.3e} exceeds cap "
+            f"{SERIES_KMAX_CAP:.3e}; "
             "use the saddlepoint approximation instead")
 
     n = y.size
@@ -272,7 +270,7 @@ def _series_logsums(y, phi, p, rtol, kmax_cap):
     s0 = np.zeros(n)
     s1 = np.zeros(n)
     s2 = np.zeros(n)
-    log_rtol = math.log(rtol)
+    log_rtol = math.log(SERIES_RTOL)
     steps = np.arange(_SERIES_BLOCK)
     # lgam[k - base] = gammaln(k+1) + gammaln(xi*k) over the k the walk
     # has reached, +inf at k = 0 so that k < 1 adds no term. A block
@@ -340,18 +338,17 @@ def _lgam_range(start, stop, xi):
     return out
 
 
-def log_normalizer_series(y, phi, p: float, rtol: float = 1e-12,
-                          kmax_cap: float = 1e7):
+def log_normalizer_series(y, phi, p: float):
     """log a(y, phi, p) for y > 0 via the windowed series summation."""
     ya, scalar = _as_array(y)
-    log_a, _, _ = _series_logsums(ya, phi, p, rtol, kmax_cap)
+    log_a, _, _ = _series_logsums(ya, phi, p)
     return float(log_a[0]) if scalar else log_a.reshape(np.shape(y))
 
 
 def log_normalizer_saddlepoint(y, phi, spec: FamilySpec):
     """Saddlepoint density prefactor -0.5 * log(2*pi*phi*V(y)).
 
-    V uses y for y > 0 and the configured eps0 at y = 0.
+    V uses y for y > 0 and ``SADDLE_EPS0`` at y = 0.
     """
     ya, scalar = _as_array(y)
     ph = np.broadcast_to(np.asarray(phi, dtype=float), ya.shape)
@@ -359,7 +356,7 @@ def log_normalizer_saddlepoint(y, phi, spec: FamilySpec):
         raise DomainError("phi must be positive")
     if np.any(ya < 0):
         raise DomainError("y must be nonnegative")
-    v_arg = np.where(ya > 0, ya, spec.eps0)
+    v_arg = np.where(ya > 0, ya, SADDLE_EPS0)
     out = -0.5 * (LOG_2PI + np.log(ph) + spec.p * np.log(v_arg))
     return float(out) if scalar else out
 
@@ -407,8 +404,6 @@ def log_density(spec: FamilySpec, y, mu, phi=1.0):
             pf = np.atleast_1d(np.broadcast_to(pha, ya.shape))
             pos = yf > 0
             if np.any(pos):
-                out[pos] += log_normalizer_series(
-                    yf[pos], pf[pos], p, spec.series_rtol,
-                    spec.series_kmax_cap)
+                out[pos] += log_normalizer_series(yf[pos], pf[pos], p)
             out = out.reshape(ya.shape)
     return float(out) if (s1 and s2) else out

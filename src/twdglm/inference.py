@@ -48,14 +48,13 @@ def fisher_information(data: Dataset, theta_hat: Coefficients, p_hat: float,
 def _block_std_errors(block: np.ndarray, what: str) -> np.ndarray:
     if block.size == 0:
         return np.zeros(0)
-    eigvals, eigvecs = np.linalg.eigh(block)
+    eigvals = np.linalg.eigvalsh(block)
     tol = max(block.shape[0], 1) * np.finfo(float).eps * max(
         abs(eigvals.max(initial=0.0)), 1.0)
     if eigvals.min() <= tol:
         raise SingularSystemError(
             f"{what} information block is singular",
-            smallest_pivot=float(eigvals.min()),
-            null_hint=eigvecs[:, 0])
+            smallest_pivot=float(eigvals.min()))
     cov = np.linalg.inv(block)
     return np.sqrt(np.diag(cov))
 

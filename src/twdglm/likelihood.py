@@ -20,7 +20,7 @@ link).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -267,25 +267,21 @@ def _require_positive(t: np.ndarray, what: str):
 # Dispersion-side log-normalizer logC(s) and derivatives
 # ---------------------------------------------------------------------------
 
-def _lognorm_saddle_family(log_vy, d_sat, w, h2, l1, l2, want_derivs):
+def _lognorm_saddle_family(log_vy, d_sat, w, h2, l1, l2):
     """logC = -0.5*log(2*pi*Vy*phi*) - Dsat * u for saddlepoint-shaped
     normalizers (exact for Normal and inverse Gaussian)."""
     u = w / h2
     c0 = -0.5 * (LOG_2PI + log_vy + np.log(h2) - np.log(w)) - d_sat * u
-    if not want_derivs:
-        return c0, None, None
     c1 = -0.5 * l1 + d_sat * u * l1
     c2 = -0.5 * (l2 - l1 ** 2) - d_sat * u * (2.0 * l1 ** 2 - l2)
     return c0, c1, c2
 
 
-def _lognorm_gamma(y, w, h2, l1, l2, want_derivs):
+def _lognorm_gamma(y, w, h2, l1, l2):
     u = w / h2                      # 1/phi*
     log_phis = np.log(h2) - np.log(w)
     log_y = np.log(y)
     c0 = u * (log_y - log_phis) - log_y - special.gammaln(u)
-    if not want_derivs:
-        return c0, None, None
     up = -u * l1
     upp = u * (2.0 * l1 ** 2 - l2)
     a = log_y - log_phis - special.digamma(u)
@@ -296,10 +292,10 @@ def _lognorm_gamma(y, w, h2, l1, l2, want_derivs):
 
 
 def _lognorm_terms(data: Dataset, spec: FamilySpec, links: LinkPair,
-                   s: np.ndarray, p: float, want_derivs: bool):
+                   s: np.ndarray, p: float):
     """Per-row logC and its first two derivatives in the dispersion
-    predictor. Derivative outputs are None when not requested or when
-    the member has no dispersion model."""
+    predictor. Derivative outputs are None when the member has no
+    dispersion model."""
     y = data.ystar
     w = data.w
     mem = spec.member
@@ -311,33 +307,30 @@ def _lognorm_terms(data: Dataset, spec: FamilySpec, links: LinkPair,
         return c0, None, None
     if mem is Member.NORMAL:
         return _lognorm_saddle_family(
-            np.zeros_like(y), y ** 2 / 2.0, w, h2, l1, l2, want_derivs)
+            np.zeros_like(y), y ** 2 / 2.0, w, h2, l1, l2)
     if mem is Member.INVERSE_GAUSSIAN:
         return _lognorm_saddle_family(
-            3.0 * np.log(y), 0.5 / y, w, h2, l1, l2, want_derivs)
+            3.0 * np.log(y), 0.5 / y, w, h2, l1, l2)
     if mem is Member.GAMMA:
-        return _lognorm_gamma(y, w, h2, l1, l2, want_derivs)
+        return _lognorm_gamma(y, w, h2, l1, l2)
 
     # compound Poisson-gamma
     if spec.approx is Approx.SADDLEPOINT:
-        v_arg = np.where(y > 0, y, spec.eps0)
+        v_arg = np.where(y > 0, y, fam.SADDLE_EPS0)
         d_sat = fam.saturated_cumulant_term(spec.with_p(p), y)
         return _lognorm_saddle_family(
-            p * np.log(v_arg), d_sat, w, h2, l1, l2, want_derivs)
+            p * np.log(v_arg), d_sat, w, h2, l1, l2)
 
     pos = y > 0
     c0 = np.zeros(data.n_rows)
-    c1 = np.zeros(data.n_rows) if want_derivs else None
-    c2 = np.zeros(data.n_rows) if want_derivs else None
+    c1 = np.zeros(data.n_rows)
+    c2 = np.zeros(data.n_rows)
     if np.any(pos):
-        phis = h2[pos] / w[pos]
-        log_a, r1, r2 = fam._series_logsums(
-            y[pos], phis, p, spec.series_rtol, spec.series_kmax_cap)
+        log_a, r1, r2 = fam._series_logsums(y[pos], h2[pos] / w[pos], p)
+        l1p, l2p = l1[pos], l2[pos]
         c0[pos] = log_a
-        if want_derivs:
-            l1p, l2p = l1[pos], l2[pos]
-            c1[pos] = -r1 * l1p
-            c2[pos] = (r2 - r1 ** 2 + r1) * l1p ** 2 - r1 * l2p
+        c1[pos] = -r1 * l1p
+        c2[pos] = (r2 - r1 ** 2 + r1) * l1p ** 2 - r1 * l2p
     return c0, c1, c2
 
 
@@ -370,8 +363,7 @@ def lognorm_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
     pp = spec.p if p is None else p
     with np.errstate(over="ignore", invalid="ignore"):
         c0, c1, c2 = _lognorm_terms(data, spec, links,
-                                    _disp_predictor(data, theta), pp,
-                                    want_derivs=True)
+                                    _disp_predictor(data, theta), pp)
     return c0[None] if c1 is None else np.stack([c0, c1, c2])
 
 
@@ -392,27 +384,12 @@ def neg_log_lik(data: Dataset, theta: Coefficients, spec: FamilySpec,
         d0, _, _ = _mean_exponent(data, spec, links, t, pp)
         _, _, _, u = _dispersion_scale(data, links, s)
         if terms is None:
-            terms = _lognorm_terms(data, spec, links, s, pp,
-                                   want_derivs=False)
+            terms = _lognorm_terms(data, spec, links, s, pp)
         rows = d0 * u + terms[0]
     if not np.all(np.isfinite(rows)):
         bad = int(np.flatnonzero(~np.isfinite(rows))[0])
         raise NonFiniteError("non-finite likelihood contribution", row=bad)
     return -float(rows.sum())
-
-
-def nll_or_inf(data: Dataset, theta: Coefficients, spec: FamilySpec,
-               links: LinkPair, p: float | None = None,
-               terms=None) -> float:
-    """As neg_log_lik but mapping domain violations to +inf.
-
-    Used by the step-acceptance rule so out-of-domain candidates are
-    rejected rather than fatal.
-    """
-    try:
-        return neg_log_lik(data, theta, spec, links, p=p, terms=terms)
-    except (DomainError, NonFiniteError):
-        return np.inf
 
 
 def grad_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
@@ -468,7 +445,7 @@ def disp_derivatives(data: Dataset, theta: Coefficients, spec: FamilySpec,
     d0, _, _ = _mean_exponent(data, spec, links, t, pp)
     _, l1, l2, u = _dispersion_scale(data, links, s)
     if terms is None:
-        terms = _lognorm_terms(data, spec, links, s, pp, want_derivs=True)
+        terms = _lognorm_terms(data, spec, links, s, pp)
     _, c1, c2 = terms
     up = -u * l1
     upp = u * (2.0 * l1 ** 2 - l2)

@@ -37,6 +37,12 @@ from .graph import PenaltyConfig, PenaltyMode, assemble_penalty
 from .likelihood import Coefficients, Dataset, MeanHessian
 from .links import LinkPair, validate_links
 
+# Stop once an iteration lowers the objective by less than this.
+EPS_CONVERGE = 1e-8
+# A fit that has not converged after this many iterations stops.
+MAX_ITERS = 200
+# Factor by which a rejected step's scaling constant grows.
+C_GROWTH = 2.0
 MAX_DOUBLINGS = 60
 # Absolute slack on the quantitative descent margin; strictly tighter
 # than the 1e-8 the descent bound is verified at.
@@ -48,7 +54,10 @@ SCHUR_NULL_TOL = 1e-9
 
 @dataclass
 class FitConfig:
-    """Controls for one fit.
+    """Controls for one fit: the penalty, the index grid and whether to
+    keep per-iteration snapshots. The convergence threshold, the
+    iteration budget and the scaling growth factor are the module
+    constants ``EPS_CONVERGE``, ``MAX_ITERS`` and ``C_GROWTH``.
 
     ``p_grid`` must lie inside the member's index range; a single-point
     grid pins p.
@@ -56,19 +65,10 @@ class FitConfig:
 
     penalty: PenaltyConfig
     p_grid: np.ndarray = field(default_factory=lambda: np.array([]))
-    eps_converge: float = 1e-8
-    max_iters: int = 200
-    c_growth: float = 2.0
     keep_history: bool = False
 
     def __post_init__(self):
         self.p_grid = np.asarray(self.p_grid, dtype=float).ravel()
-        if self.eps_converge <= 0:
-            raise ConfigError("eps_converge must be positive")
-        if self.c_growth <= 1.0:
-            raise ConfigError("c_growth must exceed 1")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
         if self.p_grid.size and np.any(np.diff(self.p_grid) <= 0):
             raise ConfigError("p_grid must be strictly ascending")
 
@@ -80,8 +80,6 @@ class FitResult:
     objective_trace: np.ndarray
     iters: int
     converged: bool
-    c1_final: float
-    c2_final: float
     # previous outer iterate, for convergence-bound diagnostics
     theta_prev: Coefficients | None = None
     # per-iteration coefficient snapshots when keep_history is set
@@ -107,15 +105,15 @@ def objective(data: Dataset, theta: Coefficients, spec: FamilySpec,
 def _nll_or_inf(data, theta, spec, links, p=None, terms=None):
     """(nll, normalizer terms) at theta and p, the terms computed unless
     those at theta's gamma and p are given. (+inf, None) outside the
-    likelihood's domain and where the series normalizer cannot be
-    summed, so that a candidate step or grid point there is rejected."""
-    if terms is None:
-        try:
+    likelihood's domain, where it is not finite and where the series
+    normalizer cannot be summed, so that a candidate step or grid point
+    there is rejected."""
+    try:
+        if terms is None:
             terms = lik.lognorm_terms(data, theta, spec, links, p)
-        except (DomainError, SeriesInfeasibleError):
-            return np.inf, None
-    nll = lik.nll_or_inf(data, theta, spec, links, p, terms=terms)
-    return (nll, terms) if np.isfinite(nll) else (np.inf, None)
+        return lik.neg_log_lik(data, theta, spec, links, p, terms=terms), terms
+    except (DomainError, SeriesInfeasibleError, NonFiniteError):
+        return np.inf, None
 
 
 def _objective_or_inf(data, theta, spec, links, penalty, terms=None):
@@ -321,7 +319,7 @@ def _try_candidate(solve, with_block, data, theta, spec, links, penalty, c,
 
 
 def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
-                 f_current: float, c_growth: float, terms=None):
+                 f_current: float, terms=None):
     """Find the first scaling whose step is solvable and decreases the
     objective by at least the descent margin.
 
@@ -358,7 +356,7 @@ def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
             if (f_new <= f_current
                     and f_current - f_new >= margin - DESCENT_SLACK):
                 return c, cand, f_new, nll_new, terms_new
-        c *= c_growth
+        c *= C_GROWTH
     reason = "no-decrease" if solvable_seen else "not-positive-definite"
     raise ScalingError(
         f"no majorization constant found for the {step_kind} step after "
@@ -442,7 +440,7 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
     """Run the coordinate descent to convergence of the objective.
 
     Stops when the per-iteration objective decrease falls below
-    ``config.eps_converge`` or after ``config.max_iters`` iterations.
+    ``EPS_CONVERGE`` or after ``MAX_ITERS`` iterations.
     The trace of objective values is non-increasing; steps that cannot
     improve the objective at any scaling are taken as zero steps, so a
     fully stalled iteration terminates cleanly.
@@ -480,27 +478,26 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
     if not np.isfinite(f_cur):
         raise NonFiniteError("objective not finite at the starting point")
     trace = [f_cur]
-    c1 = c2 = 1.0
     converged = False
     iters = 0
     theta_prev = theta
     history = [theta.copy()] if config.keep_history else None
 
-    for iters in range(1, config.max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         theta_new, f_new, nll_new = theta, f_cur, nll_cur
         try:
-            c1, theta_new, f_new, nll_new, _ = _scaled_step(
+            _, theta_new, f_new, nll_new, _ = _scaled_step(
                 "mean", data, theta, spec_cur, links, config.penalty, f_cur,
-                config.c_growth, terms_cur)
+                terms_cur)
         except ScalingError as err:
             if err.reason != "no-decrease":
                 raise ScalingError(
                     f"iteration {iters}: {err}", reason=err.reason)
         if has_disp:
             try:
-                c2, theta_new, f_new, nll_new, terms_cur = _scaled_step(
+                _, theta_new, f_new, nll_new, terms_cur = _scaled_step(
                     "disp", data, theta_new, spec_cur, links, config.penalty,
-                    f_new, config.c_growth, terms_cur)
+                    f_new, terms_cur)
             except ScalingError as err:
                 if err.reason != "no-decrease":
                     raise ScalingError(
@@ -521,14 +518,14 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
         trace.append(f_cur)
         if history is not None:
             history.append(theta.copy())
-        if eps_star < config.eps_converge:
+        if eps_star < EPS_CONVERGE:
             converged = True
             break
 
     return FitResult(theta_hat=theta, p_hat=p_cur,
                      objective_trace=np.array(trace), iters=iters,
-                     converged=converged, c1_final=c1, c2_final=c2,
-                     theta_prev=theta_prev, history=history)
+                     converged=converged, theta_prev=theta_prev,
+                     history=history)
 
 
 def fit_ridge(data: Dataset, spec: FamilySpec, links: LinkPair,

@@ -5,14 +5,23 @@ sum-of-squared-error metric against the generating coefficients."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationError, ConfigError
 from .family import FamilySpec, Member
-from .graph import ArealGraph, lattice_graph
+from .graph import lattice_graph
 from .likelihood import Coefficients, Dataset
+
+# Variance and decay rate of the structured pattern's squared-exponential
+# kernel.
+GP_SIGMA2 = 1.5
+GP_PHI = 3.0
+# Mean slopes of the four synthetic covariates.
+BETA_SLOPES = (0.5, -0.3, 1.0, -1.0)
+# The calibrated mean intercept is searched in [-bound, bound].
+INTERCEPT_BOUND = 20.0
 
 
 class PatternKind(enum.Enum):
@@ -38,8 +47,6 @@ class PatternSpec:
     rows: int
     cols: int
     amplitude: float = 1.0
-    gp_sigma2: float = 1.5
-    gp_phi: float = 3.0
     seed: int = 0
 
     def __post_init__(self):
@@ -63,13 +70,13 @@ def gp_covariance(spec: PatternSpec) -> np.ndarray:
     lattice coordinates."""
     coords = _lattice_coords(spec.rows, spec.cols)
     d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-    return spec.gp_sigma2 * np.exp(-spec.gp_phi * d2)
+    return GP_SIGMA2 * np.exp(-GP_PHI * d2)
 
 
 def draw_gp(spec: PatternSpec, rng: np.random.Generator) -> np.ndarray:
     """One uncentered draw from the zero-mean lattice Gaussian process."""
     cov = gp_covariance(spec)
-    jitter = 1e-10 * spec.gp_sigma2 * np.eye(cov.shape[0])
+    jitter = 1e-10 * GP_SIGMA2 * np.eye(cov.shape[0])
     chol = np.linalg.cholesky(cov + jitter)
     return chol @ rng.standard_normal(cov.shape[0])
 
@@ -156,20 +163,17 @@ class SimConfig:
     """Generating coefficients for the synthetic studies.
 
     The mean intercept is calibrated at generation time to hit the
-    requested zero proportion; slopes and the dispersion model are
-    fixed here so parameter-recovery metrics are comparable across
-    replications.
+    requested zero proportion within +/-``INTERCEPT_BOUND``; the slopes
+    are ``BETA_SLOPES`` and the dispersion model is fixed here, so
+    parameter-recovery metrics are comparable across replications.
     """
 
-    beta_slopes: tuple = (0.5, -0.3, 1.0, -1.0)
     gamma0: tuple = (0.0, 0.2, -0.1, 0.3, -0.3)
     amplitude: float = 1.0
-    intercept_bound: float = 20.0
 
 
 def _calibrate_intercept(x_slope_part: np.ndarray, alpha_row: np.ndarray,
-                         phi: np.ndarray, p: float, target: float,
-                         bound: float) -> float:
+                         phi: np.ndarray, p: float, target: float) -> float:
     """Bisect the mean intercept so the average zero probability
     exp(-rate) hits the target; raising the intercept raises the mean
     and lowers the zero mass."""
@@ -179,13 +183,13 @@ def _calibrate_intercept(x_slope_part: np.ndarray, alpha_row: np.ndarray,
         lam = mu ** (2.0 - p) / (phi * (2.0 - p))
         return float(np.mean(np.exp(-lam)))
 
-    lo, hi = -bound, bound
+    lo, hi = -INTERCEPT_BOUND, INTERCEPT_BOUND
     f_lo = zero_prob(lo) - target
     f_hi = zero_prob(hi) - target
     if f_lo < 0 or f_hi > 0:
         raise CalibrationError(
             f"zero proportion {target} unreachable within intercept "
-            f"bounds +/-{bound}")
+            f"bounds +/-{INTERCEPT_BOUND}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = zero_prob(mid) - target
@@ -236,10 +240,10 @@ def make_dataset(n: int, rows: int, cols: int, pattern: PatternKind | str,
     Z = np.column_stack([np.ones(n), z_cov])
     gamma0 = np.asarray(sim.gamma0, dtype=float)
     phi = np.exp(Z @ gamma0)
-    slopes = np.asarray(sim.beta_slopes, dtype=float)
+    slopes = np.asarray(BETA_SLOPES, dtype=float)
     x_slope_part = x_cov @ slopes
     beta0_0 = _calibrate_intercept(x_slope_part, alpha0[vertex], phi, spec.p,
-                                   target_zero_prop, sim.intercept_bound)
+                                   target_zero_prop)
     beta0 = np.concatenate([[beta0_0], slopes])
     mu = np.exp(X @ beta0 + alpha0[vertex])
     y = sample_cpg(mu, phi, spec.p, rng)

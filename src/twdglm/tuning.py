@@ -97,14 +97,13 @@ def deviance_ratio(data: Dataset, eta_hat: np.ndarray,
 
 
 def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
-                config_template: FitConfig, grid: GridSpec,
-                warm_start: bool = True) -> TuneResult:
+                config_template: FitConfig, grid: GridSpec) -> TuneResult:
     """Fit every grid cell on the training split, score on the hold-out.
 
-    Cells are visited in row-major order, each warm-started from its
-    predecessor's estimates. Failed cells are recorded on the surface
-    and excluded from the argmin; ties break toward the first (hence
-    lexicographically smallest) cell.
+    Cells are visited in row-major order, each warm-started from the
+    estimates and index of the last cell that fitted. Failed cells are
+    recorded on the surface and excluded from the argmin; ties break
+    toward the first (hence lexicographically smallest) cell.
     """
     train_idx, hold_idx = split_train_holdout(data, grid.train_frac,
                                               grid.seed)
@@ -125,8 +124,7 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
         cfg = replace(config_template, penalty=penalty)
         spec_cell = spec if carry_p is None else spec.with_p(carry_p)
         try:
-            res = fit(train, spec_cell, links, cfg,
-                      init=carry if warm_start else None)
+            res = fit(train, spec_cell, links, cfg, init=carry)
             dev = weighted_deviance(hold, res.theta_hat.eta,
                                     spec.with_p(res.p_hat), links.mean)
         except TwdglmError:
@@ -135,9 +133,7 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
             continue
         surface.append(SurfaceCell(float(ll1), float(ll2), dev,
                                    res.converged))
-        if warm_start:
-            carry = res.theta_hat
-            carry_p = res.p_hat
+        carry, carry_p = res.theta_hat, res.p_hat
         if np.isfinite(dev) and (best is None or dev < best[0]):
             best = (dev, float(ll1), float(ll2), res)
     if best is None:

@@ -3,14 +3,14 @@
 import csv
 
 import numpy as np
-import pytest
 from hypothesis import settings
 from scipy import linalg, special
 
 from twdglm import family as fam
 from twdglm import likelihood as lik
 from twdglm import optimizer as opt
-from twdglm.errors import ConfigError, DomainError, SchemaError
+from twdglm.errors import (ConfigError, DomainError, NonFiniteError,
+                           SchemaError, SeriesInfeasibleError)
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import PenaltyMode, lattice_graph
 from twdglm.likelihood import Coefficients, Dataset, grad_mean, hess_mean
@@ -291,9 +291,15 @@ def scan_update_index(data, theta_star, spec, links, p_grid, nll_cur=None):
     grid = np.asarray(p_grid, dtype=float).ravel()
     if spec.member is not Member.COMPOUND_POISSON_GAMMA or grid.size == 0:
         grid = np.array([spec.p])
+
+    def nll_or_inf(pk):
+        try:
+            return lik.neg_log_lik(data, theta_star, spec, links, p=pk)
+        except (DomainError, NonFiniteError, SeriesInfeasibleError):
+            return np.inf
+
     values = [nll_cur if nll_cur is not None and pk == spec.p
-              else lik.nll_or_inf(data, theta_star, spec, links, p=pk)
-              for pk in grid]
+              else nll_or_inf(pk) for pk in grid]
     best = int(np.argmin(values))
     return float(grid[best]), float(values[best])
 

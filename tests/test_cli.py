@@ -4,7 +4,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import re
 from unittest import mock
 
@@ -359,6 +358,69 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert code != 0
         assert captured.err.startswith("error[")
+
+
+class TestPredictFitDir:
+    """``predict --fit-dir`` takes the fit's model options and its p_hat
+    only where neither a flag nor ``--config`` gives them."""
+
+    @pytest.fixture(scope="class")
+    def fit_dir(self, sim_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fit_identity")
+        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
+                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
+                "--approx", "saddlepoint", "--disp-link", "identity",
+                "--out", str(out)])
+        return out
+
+    @staticmethod
+    def _predict(sim_dir, out, *extra):
+        """The echoed options of a predict run and its two output files."""
+        run_ok(["predict", "--data", str(sim_dir / "data.csv"), "--out",
+                str(out), *extra])
+        return (json.loads((out / "effective_config.json").read_text()),
+                (out / "predictions.tsv").read_bytes(),
+                (out / "predict_summary.tsv").read_bytes())
+
+    @staticmethod
+    def _explicit(sim_dir, fit_dir, p="1.5", disp_link="identity"):
+        """Flags that give predict the fit's coefficients and every model
+        option, so that it reads nothing else of the fit directory."""
+        return ["--coefficients", str(fit_dir / "coefficients.tsv"),
+                "--graph", str(sim_dir / "graph.tsv"), "--approx",
+                "saddlepoint", "--p", p, "--disp-link", disp_link]
+
+    def test_fit_dir_fills_unset_options(self, sim_dir, fit_dir, tmp_path):
+        echoed, *got = self._predict(sim_dir, tmp_path / "a", "--fit-dir",
+                                     str(fit_dir))
+        assert (echoed["disp_link"], echoed["approx"], echoed["p"],
+                echoed["graph"]) == ("identity", "saddlepoint", 1.5,
+                                     str(sim_dir / "graph.tsv"))
+        _, *want = self._predict(sim_dir, tmp_path / "b",
+                                 *self._explicit(sim_dir, fit_dir))
+        assert got == want
+
+    def test_flag_equal_to_default_overrides_fit_dir(self, sim_dir, fit_dir,
+                                                     tmp_path):
+        echoed, got, _ = self._predict(sim_dir, tmp_path / "a", "--fit-dir",
+                                       str(fit_dir), "--disp-link", "log")
+        assert echoed["disp_link"] == "log"
+        _, want, _ = self._predict(
+            sim_dir, tmp_path / "b",
+            *self._explicit(sim_dir, fit_dir, disp_link="log"))
+        _, at_fit, _ = self._predict(sim_dir, tmp_path / "c",
+                                     *self._explicit(sim_dir, fit_dir))
+        assert got == want != at_fit
+
+    def test_p_flag_overrides_fitted_p(self, sim_dir, fit_dir, tmp_path):
+        echoed, _, got = self._predict(sim_dir, tmp_path / "a", "--fit-dir",
+                                       str(fit_dir), "--p", "1.8")
+        assert echoed["p"] == 1.8
+        _, _, want = self._predict(sim_dir, tmp_path / "b",
+                                   *self._explicit(sim_dir, fit_dir, p="1.8"))
+        _, _, at_fit = self._predict(sim_dir, tmp_path / "c",
+                                     *self._explicit(sim_dir, fit_dir))
+        assert got == want != at_fit
 
 
 class TestUnreadableFiles:

@@ -135,9 +135,8 @@ class TestWaldTable:
                               theta.alpha, theta.gamma)
         info = fisher_information(data2, theta2, 0.0, FamilySpec.normal(),
                                   LinkPair.of("identity", "log"))
-        with pytest.raises(SingularSystemError) as err:
+        with pytest.raises(SingularSystemError, match="smallest pivot"):
             wald_table(theta2, info)
-        assert err.value.null_hint is not None
 
     def test_alpha_summary(self):
         summ = alpha_summary(np.array([-1.0, 0.0, 1.0, 2.0]))

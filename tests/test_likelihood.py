@@ -8,7 +8,7 @@ import pytest
 from conftest import (MEAN_LINKS_BY_MEMBER, dense_hessian, fd_gradient,
                       fd_jacobian, make_instance, mean_exponent_generic,
                       rel_err)
-from twdglm.errors import ConfigError, DomainError
+from twdglm.errors import ConfigError
 from twdglm.family import Approx, FamilySpec, Member, log_density
 from twdglm.graph import lattice_graph
 from twdglm.likelihood import (Coefficients, Dataset, grad_disp, grad_mean,

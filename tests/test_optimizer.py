@@ -20,7 +20,7 @@ from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
                           lattice_graph)
 from twdglm.likelihood import (Coefficients, Dataset, MeanHessian,
-                               grad_disp, grad_mean, hess_disp, hess_mean)
+                               grad_disp, hess_disp, hess_mean)
 from twdglm.links import LinkPair
 from twdglm.optimizer import (FitConfig, _scaled_step, _sparse_schur_solve,
                               fit, fit_ridge, fit_unpenalized, objective,
@@ -349,8 +349,7 @@ class TestChooseScaling:
         pen = _zero_penalty(data)
         theta = data.initial_coefficients(spec, links)
         f0 = objective(data, theta, spec, links, pen)
-        c1, *_ = _scaled_step("mean", data, theta, spec, links, pen, f0,
-                              2.0)
+        c1, *_ = _scaled_step("mean", data, theta, spec, links, pen, f0)
         assert c1 == 1.0
 
     def test_accepted_scale_makes_system_psd(self):
@@ -359,8 +358,7 @@ class TestChooseScaling:
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.5, 0.7,
                                data.k_beta, data.graph, data.k_gamma)
         f0 = objective(data, theta, spec, links, pen)
-        c1, *_ = _scaled_step("mean", data, theta, spec, links, pen, f0,
-                              2.0)
+        c1, *_ = _scaled_step("mean", data, theta, spec, links, pen, f0)
         mat = (pen.eta_matrix().toarray()
                + c1 * dense_hessian(hess_mean(data, theta, spec, links)))
         assert np.linalg.eigvalsh(mat).min() >= -1e-8
@@ -372,7 +370,7 @@ class TestChooseScaling:
                                data.k_beta, data.graph, data.k_gamma)
         f0 = objective(data, theta, spec, links, pen)
         _, cand, f_new, *_ = _scaled_step("mean", data, theta, spec, links,
-                                          pen, f0, 2.0)
+                                          pen, f0)
         assert f_new <= f0
 
     @pytest.mark.parametrize("kind", ["mean", "disp"])
@@ -384,7 +382,7 @@ class TestChooseScaling:
         f0 = objective(data, theta, spec, links, pen)
         terms = lik.lognorm_terms(data, theta, spec, links)
         _, cand, _, nll, got = _scaled_step(kind, data, theta, spec, links,
-                                            pen, f0, 2.0, terms)
+                                            pen, f0, terms)
         want = lik.lognorm_terms(data, cand, spec, links)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
@@ -394,7 +392,7 @@ class TestChooseScaling:
         data, links = _normal_instance()
         with pytest.raises(ConfigError):
             _scaled_step("index", data, None, FamilySpec.normal(), links,
-                         _zero_penalty(data), 0.0, 2.0)
+                         _zero_penalty(data), 0.0)
 
 
 class TestUpdateIndex:
@@ -437,7 +435,7 @@ class TestUpdateIndex:
             seen.append(p)
             return profile[float(p)]
 
-        with mock.patch.object(lik, "nll_or_inf", nll_at), \
+        with mock.patch.object(lik, "neg_log_lik", nll_at), \
                 mock.patch.object(lik, "lognorm_terms",
                                   lambda *a, **k: "terms"):
             got = update_index(None, None, spec, None, grid, current)
@@ -711,12 +709,10 @@ class TestComparators:
         data, _ = make_dataset(1000, 3, 3, "smooth",
                                FamilySpec.compound_poisson_gamma(1.5), 0.2,
                                seed=51)
-        eps0 = 1e-8
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
                                data.k_beta, data.graph, data.k_gamma)
         res = fit(data, gen, LinkPair.of("log", "log"),
-                  FitConfig(penalty=pen, p_grid=np.array([1.5]),
-                            eps_converge=eps0))
+                  FitConfig(penalty=pen, p_grid=np.array([1.5])))
         assert res.converged
         diff = res.theta_hat.as_vector() - res.theta_prev.as_vector()
-        assert float(diff @ diff) <= 2.0 * eps0 / 1.0
+        assert float(diff @ diff) <= 2.0 * opt.EPS_CONVERGE / 1.0

@@ -7,9 +7,9 @@ import pytest
 
 from twdglm.errors import CalibrationError, ConfigError
 from twdglm.family import FamilySpec
-from twdglm.simgen import (PatternKind, PatternSpec, SimConfig, draw_gp,
-                           gen_covariates, gp_covariance, make_dataset,
-                           make_pattern, sample_cpg, sse)
+from twdglm.simgen import (BETA_SLOPES, GP_SIGMA2, PatternKind, PatternSpec,
+                           SimConfig, draw_gp, gen_covariates, gp_covariance,
+                           make_dataset, make_pattern, sample_cpg, sse)
 
 
 class TestPatterns:
@@ -44,7 +44,7 @@ class TestPatterns:
         draws = np.array([draw_gp(spec, rng) for _ in range(2000)])
         emp = np.cov(draws.T, bias=True)
         kernel = gp_covariance(spec)
-        mask = np.abs(kernel) > 0.3 * spec.gp_sigma2
+        mask = np.abs(kernel) > 0.3 * GP_SIGMA2
         rel = np.abs(emp[mask] - kernel[mask]) / np.abs(kernel[mask])
         assert rel.max() < 0.10
 
@@ -124,16 +124,17 @@ class TestMakeDataset:
         sim = SimConfig()
         data, oracle = make_dataset(2_000, 4, 4, "block", spec, 0.2, seed=2,
                                     sim=sim)
-        np.testing.assert_array_equal(oracle.beta[1:], sim.beta_slopes)
+        np.testing.assert_array_equal(oracle.beta[1:], BETA_SLOPES)
         np.testing.assert_array_equal(oracle.gamma, sim.gamma0)
         assert oracle.alpha.size == 16
         assert sse(oracle, oracle).total == 0.0
 
     def test_unreachable_target_raises(self):
+        # even at the lowest intercept, -INTERCEPT_BOUND, the mean zero
+        # probability stays below a share this close to 1
         spec = FamilySpec.compound_poisson_gamma(1.5)
-        with pytest.raises(CalibrationError):
-            make_dataset(500, 3, 3, "block", spec, 1e-12, seed=3,
-                         sim=SimConfig(intercept_bound=1.0))
+        with pytest.raises(CalibrationError, match="unreachable"):
+            make_dataset(500, 3, 3, "block", spec, 0.999999, seed=3)
 
     def test_seed_determinism(self):
         spec = FamilySpec.compound_poisson_gamma(1.5)

@@ -9,9 +9,9 @@ from twdglm import tuning
 from twdglm.errors import ConfigError
 from twdglm.family import Approx, FamilySpec, unit_deviance
 from twdglm.graph import PenaltyMode, assemble_penalty, lattice_graph
-from twdglm.likelihood import Coefficients, Dataset
+from twdglm.likelihood import Dataset
 from twdglm.links import LinkPair
-from twdglm.optimizer import FitConfig, fit_ridge
+from twdglm.optimizer import FitConfig, fit, fit_ridge
 from twdglm.simgen import make_dataset
 from twdglm.tuning import (GridSpec, deviance_ratio, export_surface,
                            grid_search, split_train_holdout,
@@ -143,10 +143,14 @@ class TestGridSearch:
         cfg = FitConfig(penalty=pen)
         grid = GridSpec(np.linspace(-2, 2, 3), np.linspace(-2, 2, 3), 0.6,
                         seed=12)
-        warm = grid_search(data, spec, links, cfg, grid, warm_start=True)
-        cold = grid_search(data, spec, links, cfg, grid, warm_start=False)
+        warm = grid_search(data, spec, links, cfg, grid)
+        best_pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY,
+                                    warm.best_lambda1, warm.best_lambda2,
+                                    data.k_beta, data.graph, data.k_gamma)
+        cold = fit(data.subset(warm.train_index), spec, links,
+                   FitConfig(penalty=best_pen))
         f_w = warm.best_fit.objective_trace[-1]
-        f_c = cold.best_fit.objective_trace[-1]
+        f_c = cold.objective_trace[-1]
         assert abs(f_w - f_c) / abs(f_c) < 1e-6
 
     def test_ridge_line_is_grid_with_zero_lambda2(self):
