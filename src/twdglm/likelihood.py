@@ -21,6 +21,7 @@ link).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -130,6 +131,17 @@ class Dataset:
     def k_gamma(self) -> int:
         return self.Z.shape[1]
 
+    @cached_property
+    def rank_X(self) -> int:
+        """Column rank of X, computed on first use (an SVD) and kept:
+        every fit on this dataset checks it."""
+        return int(np.linalg.matrix_rank(self.X))
+
+    @cached_property
+    def rank_Z(self) -> int:
+        """Column rank of Z, as ``rank_X``."""
+        return int(np.linalg.matrix_rank(self.Z))
+
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
         return Dataset(self.y[idx], self.w[idx], self.vertex[idx],
@@ -178,22 +190,14 @@ class MeanHessian:
         return np.concatenate([top, bottom])
 
 
-def _predictors(data: Dataset, theta: Coefficients):
-    t = data.X @ theta.beta + theta.alpha[data.vertex]
-    return t, _disp_predictor(data, theta)
-
-
-def _disp_predictor(data: Dataset, theta: Coefficients):
-    return data.Z @ theta.gamma if data.k_gamma else np.zeros(data.n_rows)
-
-
-def _dispersion_scale(data: Dataset, links: LinkPair, s: np.ndarray):
-    """Per-row link values for the dispersion side.
+def _dispersion_scale(data: Dataset, theta: Coefficients, links: LinkPair):
+    """Per-row link values for the dispersion side at theta's gamma.
 
     Returns (h2, L1, L2, u) with L1 = h2'/h2, L2 = h2''/h2 and
     u = w/h2 = 1/phi*.
     """
     kind = links.disp.kind
+    s = data.Z @ theta.gamma if data.k_gamma else np.zeros(data.n_rows)
     h2 = link_eval(kind, s, 0)
     if np.any(h2 <= 0):
         raise DomainError("dispersion must be positive at every row")
@@ -267,18 +271,17 @@ def _require_positive(t: np.ndarray, what: str):
 # Dispersion-side log-normalizer logC(s) and derivatives
 # ---------------------------------------------------------------------------
 
-def _lognorm_saddle_family(log_vy, d_sat, w, h2, l1, l2):
+def _lognorm_saddle_family(log_vy, d_sat, w, h2, l1, l2, u):
     """logC = -0.5*log(2*pi*Vy*phi*) - Dsat * u for saddlepoint-shaped
     normalizers (exact for Normal and inverse Gaussian)."""
-    u = w / h2
-    c0 = -0.5 * (LOG_2PI + log_vy + np.log(h2) - np.log(w)) - d_sat * u
-    c1 = -0.5 * l1 + d_sat * u * l1
-    c2 = -0.5 * (l2 - l1 ** 2) - d_sat * u * (2.0 * l1 ** 2 - l2)
+    du = d_sat * u
+    c0 = -0.5 * (LOG_2PI + log_vy + np.log(h2) - np.log(w)) - du
+    c1 = -0.5 * l1 + du * l1
+    c2 = -0.5 * (l2 - l1 ** 2) - du * (2.0 * l1 ** 2 - l2)
     return c0, c1, c2
 
 
-def _lognorm_gamma(y, w, h2, l1, l2):
-    u = w / h2                      # 1/phi*
+def _lognorm_gamma(y, w, h2, l1, l2, u):
     log_phis = np.log(h2) - np.log(w)
     log_y = np.log(y)
     c0 = u * (log_y - log_phis) - log_y - special.gammaln(u)
@@ -292,14 +295,14 @@ def _lognorm_gamma(y, w, h2, l1, l2):
 
 
 def _lognorm_terms(data: Dataset, spec: FamilySpec, links: LinkPair,
-                   s: np.ndarray, p: float):
+                   theta: Coefficients, p: float):
     """Per-row logC and its first two derivatives in the dispersion
-    predictor. Derivative outputs are None when the member has no
-    dispersion model."""
+    predictor at theta's gamma. Derivative outputs are None when the
+    member has no dispersion model."""
     y = data.ystar
     w = data.w
     mem = spec.member
-    h2, l1, l2, u = _dispersion_scale(data, links, s)
+    h2, l1, l2, u = _dispersion_scale(data, theta, links)
 
     if mem is Member.POISSON:
         # phi* = 1/w: the scaled-count normalizer, constant in gamma
@@ -307,19 +310,18 @@ def _lognorm_terms(data: Dataset, spec: FamilySpec, links: LinkPair,
         return c0, None, None
     if mem is Member.NORMAL:
         return _lognorm_saddle_family(
-            np.zeros_like(y), y ** 2 / 2.0, w, h2, l1, l2)
+            np.zeros_like(y), y ** 2 / 2.0, w, h2, l1, l2, u)
     if mem is Member.INVERSE_GAUSSIAN:
         return _lognorm_saddle_family(
-            3.0 * np.log(y), 0.5 / y, w, h2, l1, l2)
+            3.0 * np.log(y), 0.5 / y, w, h2, l1, l2, u)
     if mem is Member.GAMMA:
-        return _lognorm_gamma(y, w, h2, l1, l2)
+        return _lognorm_gamma(y, w, h2, l1, l2, u)
 
     # compound Poisson-gamma
     if spec.approx is Approx.SADDLEPOINT:
-        v_arg = np.where(y > 0, y, fam.SADDLE_EPS0)
-        d_sat = fam.saturated_cumulant_term(spec.with_p(p), y)
         return _lognorm_saddle_family(
-            p * np.log(v_arg), d_sat, w, h2, l1, l2)
+            p * np.log(np.where(y > 0, y, fam.SADDLE_EPS0)),
+            fam.saturated_cumulant_term(spec.with_p(p), y), w, h2, l1, l2, u)
 
     pos = y > 0
     c0 = np.zeros(data.n_rows)
@@ -354,38 +356,66 @@ def lognorm_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
     They depend on (gamma, p, y, w) but not on eta, so a fit computes
     them once per accepted (gamma, p) and passes them as ``terms`` to
     ``neg_log_lik`` and ``disp_derivatives`` at every theta sharing
-    that gamma and p; under the series normalizer they are its pass.
-    The rows share one block because a fit holds it across iterations:
-    three separate arrays, left between the pass's temporaries, raised
-    the peak resident memory of a 72 000-row fit by about 1.5 MB.
+    that gamma and p: they are replaced when a dispersion step or an
+    index move is accepted, and under the series normalizer they are
+    its pass. The rows share one block because a fit holds it across
+    iterations: three separate arrays, left between the pass's
+    temporaries, raised the peak resident memory of a 72 000-row fit by
+    about 1.5 MB. ``exponent_terms`` is the mean side's counterpart.
     """
     _check_member_data(data, spec)
     pp = spec.p if p is None else p
     with np.errstate(over="ignore", invalid="ignore"):
-        c0, c1, c2 = _lognorm_terms(data, spec, links,
-                                    _disp_predictor(data, theta), pp)
+        c0, c1, c2 = _lognorm_terms(data, spec, links, theta, pp)
     return c0[None] if c1 is None else np.stack([c0, c1, c2])
+
+
+def exponent_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
+                   links: LinkPair, p: float | None = None) -> np.ndarray:
+    """Per-row mean exponent at theta's eta and p: a (3, n) block whose
+    rows are D(t), D'(t) and D''(t) at t = X beta + alpha[vertex].
+
+    They depend on (eta, p, y) but not on gamma, so a fit computes them
+    once per mean-step candidate and per index-grid point it visits,
+    and passes those of its accepted (eta, p) as ``exponent`` to
+    ``neg_log_lik``, ``grad_mean``, ``hess_mean`` and
+    ``disp_derivatives``: the dispersion step's candidates and the next
+    mean derivatives reuse them. The rows u = w/h2(z'gamma) that these
+    multiply are recomputed by each of those functions rather than
+    held, since they change with every dispersion candidate.
+    """
+    _check_member_data(data, spec)
+    pp = spec.p if p is None else p
+    # The block is allocated before the pass's temporaries: built after
+    # them (np.stack), the block a fit holds sat above their freed space
+    # and raised the peak resident memory of a 72 000-row fit by 3 MB.
+    out = np.empty((3, data.n_rows))
+    t = data.X @ theta.beta + theta.alpha[data.vertex]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[0], out[1], out[2] = _mean_exponent(data, spec, links, t, pp)
+    return out
 
 
 def neg_log_lik(data: Dataset, theta: Coefficients, spec: FamilySpec,
                 links: LinkPair, p: float | None = None,
-                terms=None) -> float:
+                terms=None, exponent=None) -> float:
     """Exposure-adjusted negative log-likelihood of the whole dataset.
 
-    ``terms``, when given, are ``lognorm_terms`` at theta's gamma and p
-    and stand in for the normalizer.
+    ``terms`` and ``exponent``, when given, are ``lognorm_terms`` at
+    theta's gamma and p and ``exponent_terms`` at theta's eta and p,
+    and stand in for the normalizer and the mean exponent. Held rows
+    were checked against the member when they were built, so only
+    missing ones are checked and computed here.
     """
-    _check_member_data(data, spec)
+    if exponent is None:
+        exponent = exponent_terms(data, theta, spec, links, p)
     if data.n_rows == 0:
         return 0.0
-    pp = spec.p if p is None else p
-    t, s = _predictors(data, theta)
+    if terms is None:
+        terms = lognorm_terms(data, theta, spec, links, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        d0, _, _ = _mean_exponent(data, spec, links, t, pp)
-        _, _, _, u = _dispersion_scale(data, links, s)
-        if terms is None:
-            terms = _lognorm_terms(data, spec, links, s, pp)
-        rows = d0 * u + terms[0]
+        u = _dispersion_scale(data, theta, links)[3]
+        rows = exponent[0] * u + terms[0]
     if not np.all(np.isfinite(rows)):
         bad = int(np.flatnonzero(~np.isfinite(rows))[0])
         raise NonFiniteError("non-finite likelihood contribution", row=bad)
@@ -393,14 +423,13 @@ def neg_log_lik(data: Dataset, theta: Coefficients, spec: FamilySpec,
 
 
 def grad_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, p: float | None = None) -> np.ndarray:
-    """Gradient of the negative log-likelihood in eta = (beta, alpha)."""
-    _check_member_data(data, spec)
-    pp = spec.p if p is None else p
-    t, s = _predictors(data, theta)
-    _, d1, _ = _mean_exponent(data, spec, links, t, pp)
-    _, _, _, u = _dispersion_scale(data, links, s)
-    coef = d1 * u
+              links: LinkPair, p: float | None = None,
+              exponent=None) -> np.ndarray:
+    """Gradient of the negative log-likelihood in eta = (beta, alpha);
+    ``exponent`` as in ``neg_log_lik``."""
+    if exponent is None:
+        exponent = exponent_terms(data, theta, spec, links, p)
+    coef = exponent[1] * _dispersion_scale(data, theta, links)[3]
     g_beta = -(data.X.T @ coef)
     g_alpha = -np.bincount(data.vertex, weights=coef,
                            minlength=data.graph.n_vertices)
@@ -408,15 +437,13 @@ def grad_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
 
 
 def hess_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, p: float | None = None) -> MeanHessian:
+              links: LinkPair, p: float | None = None,
+              exponent=None) -> MeanHessian:
     """Partitioned Hessian in eta; the alpha block is diagonal because
-    rows touch exactly one vertex."""
-    _check_member_data(data, spec)
-    pp = spec.p if p is None else p
-    t, s = _predictors(data, theta)
-    _, _, d2 = _mean_exponent(data, spec, links, t, pp)
-    _, _, _, u = _dispersion_scale(data, links, s)
-    q = -d2 * u
+    rows touch exactly one vertex. ``exponent`` as in ``neg_log_lik``."""
+    if exponent is None:
+        exponent = exponent_terms(data, theta, spec, links, p)
+    q = -exponent[2] * _dispersion_scale(data, theta, links)[3]
     kb = data.k_beta
     h_bb = data.X.T @ (q[:, None] * data.X)
     h_bb = 0.5 * (h_bb + h_bb.T)  # exact symmetry
@@ -430,23 +457,23 @@ def hess_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
 
 
 def disp_derivatives(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                     links: LinkPair, p: float | None = None, terms=None):
+                     links: LinkPair, p: float | None = None, terms=None,
+                     exponent=None):
     """Gradient and Hessian of the negative log-likelihood in gamma at
     fixed eta, from one pass over the normalizer, or none when its
     ``terms`` at theta's gamma and p are given (the Hessian is
-    symmetric by construction)."""
-    _check_member_data(data, spec)
+    symmetric by construction); ``exponent`` as in ``neg_log_lik``."""
+    if exponent is None:
+        exponent = exponent_terms(data, theta, spec, links, p)
     if spec.member is Member.POISSON:
         raise ConfigError("constant dispersion member")
     if data.k_gamma == 0:
         return np.zeros(0), np.zeros((0, 0))
-    pp = spec.p if p is None else p
-    t, s = _predictors(data, theta)
-    d0, _, _ = _mean_exponent(data, spec, links, t, pp)
-    _, l1, l2, u = _dispersion_scale(data, links, s)
     if terms is None:
-        terms = _lognorm_terms(data, spec, links, s, pp)
+        terms = lognorm_terms(data, theta, spec, links, p)
+    _, l1, l2, u = _dispersion_scale(data, theta, links)
     _, c1, c2 = terms
+    d0 = exponent[0]
     up = -u * l1
     upp = u * (2.0 * l1 ** 2 - l2)
     grad = -(data.Z.T @ (d0 * up + c1))

@@ -12,13 +12,20 @@ clears the descent margin, and the index moves only when the objective
 does not rise, which makes the objective trace non-increasing by
 construction.
 
-The per-row log-normalizer terms (``likelihood.lognorm_terms``) do
-not depend on eta. The fit holds those of its accepted (gamma, p) and
-replaces them only when a dispersion step or an index move is
-accepted: the mean step's candidates and the next dispersion
-derivatives reuse them, so under the series normalizer an iteration
-sums the series only for the dispersion candidates and the grid points
-the walk visits.
+The fit holds two blocks of per-row terms beside the accepted point.
+The log-normalizer terms (``likelihood.lognorm_terms``) do not depend
+on eta: those of the accepted (gamma, p) are replaced only when a
+dispersion step or an index move is accepted, and the mean step's
+candidates and the next dispersion derivatives reuse them, so under the
+series normalizer an iteration sums the series only for the dispersion
+candidates and the grid points the walk visits. The mean exponent D,
+D', D'' (``likelihood.exponent_terms``) does not depend on gamma: that
+of the accepted (eta, p) is replaced only when a mean step or an index
+move is accepted, and the mean derivatives, the dispersion step's
+derivatives and candidates and the walk's starting point reuse it, so
+an iteration evaluates it once per mean candidate and per grid point
+the walk visits. The rows u = w/h2(z'gamma) are recomputed where they
+are needed rather than held.
 """
 
 from __future__ import annotations
@@ -102,27 +109,34 @@ def objective(data: Dataset, theta: Coefficients, spec: FamilySpec,
             + penalty.value(theta.as_vector()))
 
 
-def _nll_or_inf(data, theta, spec, links, p=None, terms=None):
-    """(nll, normalizer terms) at theta and p, the terms computed unless
-    those at theta's gamma and p are given. (+inf, None) outside the
+def _nll_or_inf(data, theta, spec, links, p=None, terms=None,
+                exponent=None):
+    """(nll, normalizer terms, mean exponent) at theta and p, each block
+    computed unless the one at theta's gamma and p (``terms``) or eta
+    and p (``exponent``) is given. (+inf, None, None) outside the
     likelihood's domain, where it is not finite and where the series
     normalizer cannot be summed, so that a candidate step or grid point
     there is rejected."""
     try:
         if terms is None:
             terms = lik.lognorm_terms(data, theta, spec, links, p)
-        return lik.neg_log_lik(data, theta, spec, links, p, terms=terms), terms
+        if exponent is None:
+            exponent = lik.exponent_terms(data, theta, spec, links, p)
+        return (lik.neg_log_lik(data, theta, spec, links, p, terms=terms,
+                                exponent=exponent), terms, exponent)
     except (DomainError, SeriesInfeasibleError, NonFiniteError):
-        return np.inf, None
+        return np.inf, None, None
 
 
-def _objective_or_inf(data, theta, spec, links, penalty, terms=None):
-    """(F, nll, normalizer terms) at theta, as in ``_nll_or_inf``; F is
-    +inf outside the likelihood's domain."""
-    nll, terms = _nll_or_inf(data, theta, spec, links, terms=terms)
+def _objective_or_inf(data, theta, spec, links, penalty, terms=None,
+                      exponent=None):
+    """(F, nll, normalizer terms, mean exponent) at theta, as in
+    ``_nll_or_inf``; F is +inf outside the likelihood's domain."""
+    nll, terms, exponent = _nll_or_inf(data, theta, spec, links,
+                                       terms=terms, exponent=exponent)
     if not np.isfinite(nll):
-        return np.inf, np.inf, None
-    return nll + penalty.value(theta.as_vector()), nll, terms
+        return np.inf, np.inf, None, None
+    return nll + penalty.value(theta.as_vector()), nll, terms, exponent
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +154,20 @@ def _chol_solve(mat: np.ndarray, rhs: np.ndarray):
 
 
 def _block_derivatives(step_kind: str, data: Dataset, theta: Coefficients,
-                       spec: FamilySpec, links: LinkPair, terms=None):
+                       spec: FamilySpec, links: LinkPair, terms=None,
+                       exponent=None):
     """What a block step needs of the likelihood at theta, none of which
     depends on the scaling constant: (grad, H, H @ eta) for the mean,
-    (grad, H) for the dispersion, the latter from the normalizer
-    ``terms`` at theta when given."""
+    (grad, H) for the dispersion, from the mean ``exponent`` and the
+    normalizer ``terms`` at theta when given."""
+    if exponent is None:
+        exponent = lik.exponent_terms(data, theta, spec, links)
     if step_kind == "mean":
-        hess = lik.hess_mean(data, theta, spec, links)
-        return (lik.grad_mean(data, theta, spec, links), hess,
-                hess.matvec(theta.eta))
-    return lik.disp_derivatives(data, theta, spec, links, terms=terms)
+        hess = lik.hess_mean(data, theta, spec, links, exponent=exponent)
+        return (lik.grad_mean(data, theta, spec, links, exponent=exponent),
+                hess, hess.matvec(theta.eta))
+    return lik.disp_derivatives(data, theta, spec, links, terms=terms,
+                                exponent=exponent)
 
 
 def solve_mean_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
@@ -319,16 +337,18 @@ def _try_candidate(solve, with_block, data, theta, spec, links, penalty, c,
 
 
 def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
-                 f_current: float, terms=None):
+                 f_current: float, terms=None, exponent=None):
     """Find the first scaling whose step is solvable and decreases the
     objective by at least the descent margin.
 
     The gradient and the Hessian at theta are computed once and shared
-    by every scaling tried. ``terms`` are the normalizer terms at
-    theta, computed here when not given; a mean candidate keeps gamma
-    and p, so it is evaluated with them, while each dispersion
-    candidate gets its own. Returns (c, candidate theta, new objective
-    value, its negative log-likelihood, its normalizer terms). Raises
+    by every scaling tried. ``terms`` and ``exponent`` are the
+    normalizer terms and the mean exponent at theta, computed here when
+    not given. A mean candidate keeps gamma and p, so it is evaluated
+    with those terms and its own exponent; a dispersion candidate keeps
+    eta and p, so it is evaluated with that exponent and its own terms.
+    Returns (c, candidate theta, new objective value, its negative
+    log-likelihood, its normalizer terms, its mean exponent). Raises
     ScalingError after the doubling budget; reason
     "not-positive-definite" when no system ever factored, "no-decrease"
     otherwise.
@@ -337,12 +357,16 @@ def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
         raise ConfigError("step_kind must be 'mean' or 'disp'")
     if terms is None:
         terms = lik.lognorm_terms(data, theta, spec, links)
+    if exponent is None:
+        exponent = lik.exponent_terms(data, theta, spec, links)
     if step_kind == "mean":
-        solve, with_block, cand_terms = solve_mean_step, theta.with_eta, terms
+        solve, with_block, held = (solve_mean_step, theta.with_eta,
+                                   {"terms": terms})
     else:
-        solve, with_block, cand_terms = (solve_disp_step, theta.with_gamma,
-                                         None)
-    derivs = _block_derivatives(step_kind, data, theta, spec, links, terms)
+        solve, with_block, held = (solve_disp_step, theta.with_gamma,
+                                   {"exponent": exponent})
+    derivs = _block_derivatives(step_kind, data, theta, spec, links, terms,
+                                exponent)
     c = 1.0
     solvable_seen = False
     for _ in range(MAX_DOUBLINGS + 1):
@@ -350,12 +374,12 @@ def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
                               penalty, c, derivs)
         if cand is not None:
             solvable_seen = True
-            f_new, nll_new, terms_new = _objective_or_inf(
-                data, cand, spec, links, penalty, cand_terms)
+            f_new, nll_new, terms_new, exponent_new = _objective_or_inf(
+                data, cand, spec, links, penalty, **held)
             margin = _descent_margin(penalty, step_kind, theta, cand)
             if (f_new <= f_current
                     and f_current - f_new >= margin - DESCENT_SLACK):
-                return c, cand, f_new, nll_new, terms_new
+                return c, cand, f_new, nll_new, terms_new, exponent_new
         c *= C_GROWTH
     reason = "no-decrease" if solvable_seen else "not-positive-definite"
     raise ScalingError(
@@ -377,35 +401,37 @@ def update_index(data: Dataset, theta_star: Coefficients, spec: FamilySpec,
     a local minimum only. The likelihood there never exceeds the
     starting point's, so the objective stays non-increasing.
 
-    Returns (p, negative log-likelihood at p, normalizer terms at p).
-    Identity for fixed-p members and for an empty grid. ``current``,
-    when given, is the (likelihood, normalizer terms) pair at
-    ``spec.p`` already known to the caller, and that point is not
-    evaluated again.
+    Returns (p, negative log-likelihood at p, normalizer terms at p,
+    mean exponent at p). Identity for fixed-p members and for an empty
+    grid. ``current``, when given, is the (likelihood, normalizer terms,
+    mean exponent) triple at ``spec.p`` already known to the caller, and
+    that point is not evaluated again.
     """
     grid = np.asarray(p_grid, dtype=float).ravel()
     if spec.member is not Member.COMPOUND_POISSON_GAMMA or grid.size == 0:
         grid = np.array([spec.p])
     i = int(np.argmin(np.abs(grid - spec.p)))
     if current is not None and grid[i] == spec.p:
-        nll, terms = current
+        nll, terms, exponent = current
     else:
-        nll, terms = _nll_or_inf(data, theta_star, spec, links, p=grid[i])
+        nll, terms, exponent = _nll_or_inf(data, theta_star, spec, links,
+                                           p=grid[i])
 
     def walk(step, better) -> bool:
-        nonlocal i, nll, terms
+        nonlocal i, nll, terms, exponent
         moved = False
         while 0 <= i + step < grid.size:
-            nll_j, terms_j = _nll_or_inf(data, theta_star, spec, links,
-                                         p=grid[i + step])
+            nll_j, terms_j, exponent_j = _nll_or_inf(
+                data, theta_star, spec, links, p=grid[i + step])
             if not better(nll_j, nll):
                 break
-            i, nll, terms, moved = i + step, nll_j, terms_j, True
+            i, nll, terms, exponent = i + step, nll_j, terms_j, exponent_j
+            moved = True
         return moved
 
     if not walk(-1, operator.le):
         walk(1, operator.lt)
-    return float(grid[i]), float(nll), terms
+    return float(grid[i]), float(nll), terms, exponent
 
 
 def _snap_to_grid(p: float, p_grid: np.ndarray) -> float:
@@ -423,11 +449,11 @@ def _check_identifiable(data: Dataset, penalty: PenaltyConfig,
     """
     blocks = []
     if penalty.lambda1 > 0 and penalty.mode is PenaltyMode.SPATIAL_ONLY:
-        blocks.append(("mean", "X", "beta", data.X))
+        blocks.append(("mean", "X", "beta"))
     if has_disp and penalty.gamma_ridge() == 0:
-        blocks.append(("dispersion", "Z", "gamma", data.Z))
-    for what, name, coef, mat in blocks:
-        rank = np.linalg.matrix_rank(mat)
+        blocks.append(("dispersion", "Z", "gamma"))
+    for what, name, coef in blocks:
+        mat, rank = getattr(data, name), getattr(data, "rank_" + name)
         if rank < mat.shape[1]:
             raise SingularSystemError(
                 f"unpenalized {what} design {name} is {mat.shape[0]} x "
@@ -470,8 +496,9 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
     # evaluated unguarded, so that a start the series cannot sum says so
     try:
         terms_cur = lik.lognorm_terms(data, theta, spec_cur, links)
+        exponent_cur = lik.exponent_terms(data, theta, spec_cur, links)
         nll_cur = lik.neg_log_lik(data, theta, spec_cur, links,
-                                  terms=terms_cur)
+                                  terms=terms_cur, exponent=exponent_cur)
     except (DomainError, NonFiniteError):
         nll_cur = np.inf
     f_cur = nll_cur + config.penalty.value(theta.as_vector())
@@ -486,33 +513,34 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
     for iters in range(1, MAX_ITERS + 1):
         theta_new, f_new, nll_new = theta, f_cur, nll_cur
         try:
-            _, theta_new, f_new, nll_new, _ = _scaled_step(
+            _, theta_new, f_new, nll_new, _, exponent_cur = _scaled_step(
                 "mean", data, theta, spec_cur, links, config.penalty, f_cur,
-                terms_cur)
+                terms_cur, exponent_cur)
         except ScalingError as err:
             if err.reason != "no-decrease":
                 raise ScalingError(
                     f"iteration {iters}: {err}", reason=err.reason)
         if has_disp:
             try:
-                _, theta_new, f_new, nll_new, terms_cur = _scaled_step(
+                _, theta_new, f_new, nll_new, terms_cur, _ = _scaled_step(
                     "disp", data, theta_new, spec_cur, links, config.penalty,
-                    f_new, terms_cur)
+                    f_new, terms_cur, exponent_cur)
             except ScalingError as err:
                 if err.reason != "no-decrease":
                     raise ScalingError(
                         f"iteration {iters}: {err}", reason=err.reason)
         if spec.member is Member.COMPOUND_POISSON_GAMMA and p_grid.size > 1:
-            p_new, nll_p, terms_p = update_index(
+            p_new, nll_p, terms_p, exponent_p = update_index(
                 data, theta_new, spec_cur, links, p_grid,
-                current=(nll_new, terms_cur))
+                current=(nll_new, terms_cur, exponent_cur))
             if p_new != p_cur:
                 f_candidate = nll_p + config.penalty.value(
                     theta_new.as_vector())
                 if f_candidate <= f_new:
                     p_cur = p_new
                     spec_cur = spec_cur.with_p(p_new)
-                    f_new, nll_new, terms_cur = f_candidate, nll_p, terms_p
+                    f_new, nll_new = f_candidate, nll_p
+                    terms_cur, exponent_cur = terms_p, exponent_p
         eps_star = f_cur - f_new
         theta_prev, theta, f_cur, nll_cur = theta, theta_new, f_new, nll_new
         trace.append(f_cur)

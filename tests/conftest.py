@@ -100,6 +100,13 @@ def make_instance(member: Member, mean_link, disp_link="log", n=50,
     return data, theta, spec, links
 
 
+def predictors(data, theta):
+    """Per-row mean predictor t = X beta + alpha[vertex] and dispersion
+    predictor s = Z gamma."""
+    return (data.X @ theta.beta + theta.alpha[data.vertex],
+            data.Z @ theta.gamma)
+
+
 def penalty_mask(pen) -> np.ndarray:
     """1 on the coefficients the ridge term penalizes, 0 elsewhere."""
     a = np.zeros(pen.dim)

@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (MEAN_LINKS_BY_MEMBER, dense_hessian, fd_gradient,
                       fd_jacobian, make_instance, mean_exponent_generic,
-                      rel_err)
+                      predictors, rel_err)
 from twdglm.errors import ConfigError
 from twdglm.family import Approx, FamilySpec, Member, log_density
 from twdglm.graph import lattice_graph
-from twdglm.likelihood import (Coefficients, Dataset, grad_disp, grad_mean,
-                               hess_disp, hess_mean, neg_log_lik)
-from twdglm.likelihood import _mean_exponent, _predictors
+from twdglm.likelihood import (Coefficients, Dataset, disp_derivatives,
+                               exponent_terms, grad_disp, grad_mean,
+                               hess_disp, hess_mean, lognorm_terms,
+                               neg_log_lik)
+from twdglm.likelihood import _mean_exponent
 from twdglm.links import LinkPair
 
 DISP_MEMBERS = [Member.NORMAL, Member.GAMMA, Member.INVERSE_GAUSSIAN,
@@ -62,7 +66,7 @@ class TestValues:
         w = rng.uniform(0.5, 2.0, data.n_rows)
         data_w = Dataset(data.y * w, w, data.vertex, data.X, data.Z,
                          data.graph)
-        t, s = _predictors(data_w, theta)
+        t, s = predictors(data_w, theta)
         manual = -np.sum(log_density(spec, data_w.ystar, np.exp(t),
                                      np.exp(s) / w))
         assert neg_log_lik(data_w, theta, spec, links) == \
@@ -192,14 +196,13 @@ class TestDispDerivatives:
     def test_series_and_saddlepoint_agree_at_small_dispersion(self):
         # data drawn at phi = 0.1 (where the saddlepoint is accurate),
         # scores compared away from the root so they are O(n)
-        from twdglm.likelihood import _predictors
         from twdglm.simgen import sample_cpg
         data, theta, spec, links = make_instance(
             Member.COMPOUND_POISSON_GAMMA, "log", n=200, seed=6)
         gamma_gen = np.zeros_like(theta.gamma)
         gamma_gen[0] = math.log(0.1)
         theta = theta.with_gamma(gamma_gen)
-        t, s = _predictors(data, theta)
+        t, s = predictors(data, theta)
         y = sample_cpg(np.exp(t), np.exp(s), 1.5, seed=13)
         data = Dataset(y, data.w, data.vertex, data.X, data.Z, data.graph)
         gamma_eval = gamma_gen.copy()
@@ -220,10 +223,80 @@ class TestClosedFormVsGeneric:
         for mean_link in MEAN_LINKS_BY_MEMBER[member]:
             data, theta, spec, links = make_instance(member, mean_link,
                                                      seed=9)
-            t, _ = _predictors(data, theta)
+            t, _ = predictors(data, theta)
             fast = _mean_exponent(data, spec, links, t, spec.p)
             generic = mean_exponent_generic(data, spec, links.mean.kind, t,
                                             spec.p)
             for a, b in zip(fast, generic):
                 np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14,
                                            err_msg=f"{member} {mean_link}")
+
+
+@st.composite
+def held_row_instances(draw):
+    """A random member (the compound one under either normalizer), mean
+    and dispersion links, exposures and a 2x4 lattice whose vertices
+    past the first ``used`` have no rows. Poisson keeps the log
+    dispersion link: its fixed dispersion is h2(0), which the identity
+    link puts at 0."""
+    member = draw(st.sampled_from(list(Member)))
+    approx = draw(st.sampled_from(list(Approx)))
+    mean_link = draw(st.sampled_from(MEAN_LINKS_BY_MEMBER[member]))
+    disp_link = "log" if member is Member.POISSON else draw(
+        st.sampled_from(["log", "identity"]))
+    seed = draw(st.integers(0, 2 ** 16))
+    data, theta, spec, links = make_instance(
+        member, mean_link, disp_link=disp_link, rows=2, cols=4, seed=seed,
+        approx=approx)
+    used = draw(st.integers(1, data.graph.n_vertices))
+    w = np.random.default_rng([seed, 1]).uniform(0.5, 2.0, data.n_rows)
+    data = Dataset(data.ystar * w, w, data.vertex % used, data.X, data.Z,
+                   data.graph)
+    return data, theta, spec, links
+
+
+class TestHeldRows:
+    """The likelihood and its derivatives given held normalizer terms and
+    mean exponent equal those computed afresh, and both agree with the
+    oracles."""
+
+    @settings(max_examples=200)
+    @given(held_row_instances())
+    def test_held_rows_match_fresh_and_oracles(self, instance):
+        data, theta, spec, links = instance
+        terms = lognorm_terms(data, theta, spec, links)
+        exponent = exponent_terms(data, theta, spec, links)
+
+        assert neg_log_lik(data, theta, spec, links, terms=terms,
+                           exponent=exponent) == \
+            neg_log_lik(data, theta, spec, links)
+        np.testing.assert_array_equal(
+            grad_mean(data, theta, spec, links, exponent=exponent),
+            grad_mean(data, theta, spec, links))
+        held, fresh = (hess_mean(data, theta, spec, links, exponent=exponent),
+                       hess_mean(data, theta, spec, links))
+        np.testing.assert_array_equal(dense_hessian(held),
+                                      dense_hessian(fresh))
+        t = predictors(data, theta)[0]
+        for got, want in zip(exponent, mean_exponent_generic(
+                data, spec, links.mean.kind, t, spec.p)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+        assert rel_err(grad_mean(data, theta, spec, links, exponent=exponent),
+                       fd_gradient(_nll_eta(data, theta, spec, links),
+                                   theta.eta)) < 1e-5
+        assert rel_err(dense_hessian(held), fd_jacobian(
+            lambda eta: grad_mean(data, theta.with_eta(eta), spec, links),
+            theta.eta), floor=1e-6) < 1e-4
+
+        if spec.member is Member.POISSON:
+            return
+        g, h = disp_derivatives(data, theta, spec, links, terms=terms,
+                                exponent=exponent)
+        g_fresh, h_fresh = disp_derivatives(data, theta, spec, links)
+        np.testing.assert_array_equal(g, g_fresh)
+        np.testing.assert_array_equal(h, h_fresh)
+        assert rel_err(g, fd_gradient(_nll_gamma(data, theta, spec, links),
+                                      theta.gamma)) < 1e-5
+        assert rel_err(h, fd_jacobian(
+            lambda ga: grad_disp(data, theta.with_gamma(ga), spec, links),
+            theta.gamma), floor=1e-6) < 1e-4

@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (dense_hessian, dense_mean_matrix, dense_mean_step,
-                      make_instance, min_norm_mean_solve, min_norm_mean_step,
+from conftest import (MEAN_LINKS_BY_MEMBER, dense_hessian,
+                      dense_mean_matrix, dense_mean_step, make_instance,
+                      min_norm_mean_solve, min_norm_mean_step,
                       scan_update_index)
 from twdglm import family as fam
 from twdglm import graph as graph_mod
@@ -381,11 +382,13 @@ class TestChooseScaling:
                                data.k_beta, data.graph, data.k_gamma)
         f0 = objective(data, theta, spec, links, pen)
         terms = lik.lognorm_terms(data, theta, spec, links)
-        _, cand, _, nll, got = _scaled_step(kind, data, theta, spec, links,
-                                            pen, f0, terms)
-        want = lik.lognorm_terms(data, cand, spec, links)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        exponent = lik.exponent_terms(data, theta, spec, links)
+        _, cand, _, nll, got, got_exponent = _scaled_step(
+            kind, data, theta, spec, links, pen, f0, terms, exponent)
+        np.testing.assert_array_equal(
+            got, lik.lognorm_terms(data, cand, spec, links))
+        np.testing.assert_array_equal(
+            got_exponent, lik.exponent_terms(data, cand, spec, links))
         assert nll == lik.neg_log_lik(data, cand, spec, links)
 
     def test_rejects_unknown_step_kind(self):
@@ -427,17 +430,20 @@ class TestUpdateIndex:
         start = data(st.integers(0, n - 1))
         spec = FamilySpec.compound_poisson_gamma(float(grid[start]))
         known = data(st.booleans())
-        current = (values[start], "terms") if known else None
+        current = (values[start], "terms", "exponent") if known else None
         profile = dict(zip(grid.tolist(), values.tolist()))
         seen = []
 
-        def nll_at(data, theta, spec, links, p=None, terms=None):
+        def nll_at(data, theta, spec, links, p=None, terms=None,
+                   exponent=None):
             seen.append(p)
             return profile[float(p)]
 
         with mock.patch.object(lik, "neg_log_lik", nll_at), \
                 mock.patch.object(lik, "lognorm_terms",
-                                  lambda *a, **k: "terms"):
+                                  lambda *a, **k: "terms"), \
+                mock.patch.object(lik, "exponent_terms",
+                                  lambda *a, **k: "exponent"):
             got = update_index(None, None, spec, None, grid, current)
             n_walk = len(seen)
             want = scan_update_index(None, None, spec, None, grid,
@@ -456,14 +462,16 @@ class TestUpdateIndex:
         for p0 in (1.05, 1.3, 1.5, 1.95):
             spec = gen.with_p(p0)
             nll = lik.neg_log_lik(data, theta, spec, links)
-            current = (nll, lik.lognorm_terms(data, theta, spec, links))
-            p, got, terms = update_index(data, theta, spec, links, grid,
-                                         current)
+            current = (nll, lik.lognorm_terms(data, theta, spec, links),
+                       lik.exponent_terms(data, theta, spec, links))
+            p, got, terms, exponent = update_index(data, theta, spec, links,
+                                                   grid, current)
             assert (p, got) == scan_update_index(data, theta, spec, links,
                                                  grid, nll)
-            want = lik.lognorm_terms(data, theta, spec, links, p)
-            for a, b in zip(terms, want):
-                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(
+                terms, lik.lognorm_terms(data, theta, spec, links, p))
+            np.testing.assert_array_equal(
+                exponent, lik.exponent_terms(data, theta, spec, links, p))
 
     def test_series_passes_per_iteration(self, monkeypatch):
         """A criterion-6 fit sums the series once at the start, then per
@@ -483,6 +491,28 @@ class TestUpdateIndex:
                                             10)))
         assert res.iters >= 3
         assert len(calls) <= 3 * res.iters + 1
+
+    def test_mean_exponent_passes_per_candidate(self, monkeypatch):
+        """A fixed-p saddlepoint fit evaluates the mean exponent once at
+        the start and once per mean-step candidate: the mean and
+        dispersion derivatives and the dispersion candidates reuse that
+        of the accepted eta."""
+        gen = FamilySpec.compound_poisson_gamma(1.5)
+        data, _ = make_dataset(2000, 4, 4, "smooth", gen, 0.2, seed=201)
+        spec = FamilySpec.compound_poisson_gamma(1.5,
+                                                 approx=Approx.SADDLEPOINT)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        passes = []
+        raw = lik._mean_exponent
+        monkeypatch.setattr(lik, "_mean_exponent",
+                            lambda *a: passes.append(1) or raw(*a))
+        with mock.patch.object(opt, "solve_mean_step",
+                               wraps=opt.solve_mean_step) as candidates:
+            res = fit(data, spec, LinkPair.of("log", "log"),
+                      FitConfig(penalty=pen, p_grid=np.array([1.5])))
+        assert res.iters >= 3
+        assert len(passes) <= candidates.call_count + 1
 
     def test_recovers_generating_index_roughly(self):
         links = LinkPair.of("log", "log")
@@ -550,6 +580,40 @@ class TestFit:
         assert res.objective_trace[-1] == objective(
             data, res.theta_hat, FamilySpec.compound_poisson_gamma(res.p_hat),
             links, pen)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2 ** 16),
+           member=st.sampled_from(list(Member)),
+           approx=st.sampled_from(list(Approx)),
+           p_gen=st.floats(1.1, 1.9), p0=st.floats(1.01, 1.99),
+           zero=st.floats(0.05, 0.6), lam=st.sampled_from([0.1, 1.0, 10.0]),
+           mode=st.sampled_from(list(PenaltyMode)), data=st.data())
+    def test_trace_non_increasing_any_member(self, seed, member, approx,
+                                             p_gen, p0, zero, lam, mode,
+                                             data):
+        """Every member and mean link, the compound one under either
+        normalizer on draws of any generating p and zero share, fitted
+        from any starting p. The trace never rises, and its last value,
+        built from the held normalizer terms and mean exponent, is the
+        objective recomputed from scratch at the fit."""
+        if member is Member.COMPOUND_POISSON_GAMMA:
+            inst, _ = make_dataset(300, 3, 3, "smooth",
+                                   FamilySpec.compound_poisson_gamma(p_gen),
+                                   zero, seed=seed)
+            spec = FamilySpec.compound_poisson_gamma(p0, approx=approx)
+            links = LinkPair.of("log", "log")
+        else:
+            mean_link = data.draw(st.sampled_from(
+                MEAN_LINKS_BY_MEMBER[member]))
+            inst, _, spec, links = make_instance(member, mean_link, n=120,
+                                                 rows=2, cols=3, seed=seed)
+        pen = assemble_penalty(mode, lam, lam, inst.k_beta, inst.graph,
+                               inst.k_gamma)
+        res = fit(inst, spec, links, FitConfig(penalty=pen))
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
+        spec_hat = spec if res.p_hat == spec.p else spec.with_p(res.p_hat)
+        assert res.objective_trace[-1] == objective(
+            inst, res.theta_hat, spec_hat, links, pen)
 
     @pytest.mark.parametrize("seed, p0, mode", [
         (31672, 1.0625, PenaltyMode.SPATIAL_ONLY),

@@ -127,6 +127,22 @@ class TestGridSearch:
         for (_, _, prev), (_, init, _) in zip(calls, calls[1:]):
             assert init is prev.theta_hat
 
+    def test_each_design_ranked_once(self):
+        """Every cell's fit checks that X and Z have full column rank on
+        the same training rows, so each is ranked (an SVD) only once."""
+        data, oracle, spec, links, cfg = _cpg_instance(n=500, seed=9)
+        grid = GridSpec(np.array([-1.0, 1.0]), np.array([-1.0, 0.0, 1.0]),
+                        0.6, seed=9)
+        with mock.patch.object(np.linalg, "matrix_rank",
+                               wraps=np.linalg.matrix_rank) as rank:
+            res = grid_search(data, spec, links, cfg, grid)
+        assert not any(cell.failed for cell in res.surface)
+        ranked = [call.args[0] for call in rank.call_args_list]
+        assert len(ranked) == 2
+        assert {mat.shape[1] for mat in ranked} <= {data.k_beta,
+                                                    data.k_gamma}
+        assert ranked[0] is not ranked[1]
+
     def test_warm_vs_cold_on_convex_instance(self):
         rng = np.random.default_rng(12)
         g = lattice_graph(2, 3)
