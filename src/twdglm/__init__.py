@@ -25,7 +25,7 @@ from .links import (LinkKind, LinkPair, LinkRole, LinkSpec, default_links,
                     link_apply, link_eval, validate_links)
 from .optimizer import (FitConfig, FitResult, default_p_grid, fit, fit_ridge,
                         fit_unpenalized, objective, solve_disp_step,
-                        solve_mean_step, update_index)
+                        solve_mean_step)
 from .simgen import (PatternKind, PatternSpec, SimConfig, gen_covariates,
                      make_dataset, make_pattern, sample_cpg, sse)
 from .tuning import (GridSpec, TuneResult, deviance_ratio, grid_search,

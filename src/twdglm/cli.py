@@ -572,8 +572,8 @@ def _fit_config(opts, data) -> FitConfig:
     return FitConfig(penalty=penalty, p_grid=_parse_p_grid(opts, spec))
 
 
-def _write_fit_outputs(out, opts, spec, links, data, beta_names,
-                       gamma_names, result, extra_summary=()):
+def _write_fit_outputs(out, spec, links, data, beta_names, gamma_names,
+                       result, extra_summary):
     labels = data.graph.labels
     _write_coefficients(os.path.join(out, "coefficients.tsv"),
                         result.theta_hat, beta_names, gamma_names, labels)
@@ -602,7 +602,7 @@ def _write_fit_outputs(out, opts, spec, links, data, beta_names,
         ("alpha_median", summ["median"]),
         ("alpha_sd", summ["sd"]),
         ("alpha_range", summ["range"]),
-    ] + list(extra_summary)
+    ] + extra_summary
     _write_summary(os.path.join(out, "summary.tsv"), items)
 
 
@@ -612,10 +612,10 @@ def _cmd_fit(opts) -> int:
     cfg = _fit_config(opts, data)
     os.makedirs(out, exist_ok=True)
     result = fit(data, spec, links, cfg)
-    _write_fit_outputs(out, opts, spec, links, data, beta_names,
-                       gamma_names, result,
-                       extra_summary=[("lambda1", float(opts["lambda1"])),
-                                      ("lambda2", float(opts["lambda2"]))])
+    _write_fit_outputs(
+        out, spec, links, data, beta_names, gamma_names, result,
+        extra_summary=[("lambda1", float(opts["lambda1"])),
+                       ("lambda2", float(opts["lambda2"]))])
     _echo_config(out, "fit", opts)
     print(f"fit: converged={result.converged} iters={result.iters} "
           f"p_hat={result.p_hat:g} out={out}")
@@ -639,11 +639,11 @@ def _cmd_tune(opts) -> int:
     hold = data.subset(result.holdout_index)
     dev = weighted_deviance(hold, best.theta_hat.eta,
                             spec.with_p(best.p_hat), links.mean)
-    _write_fit_outputs(out, opts, spec, links, train, beta_names,
-                       gamma_names, best,
-                       extra_summary=[("lambda1", result.best_lambda1),
-                                      ("lambda2", result.best_lambda2),
-                                      ("holdout_weighted_deviance", dev)])
+    _write_fit_outputs(
+        out, spec, links, train, beta_names, gamma_names, best,
+        extra_summary=[("lambda1", result.best_lambda1),
+                       ("lambda2", result.best_lambda2),
+                       ("holdout_weighted_deviance", dev)])
     _echo_config(out, "tune", opts)
     print(f"tune: best lambda1={result.best_lambda1:g} "
           f"lambda2={result.best_lambda2:g} holdout_deviance={dev:.6g} "

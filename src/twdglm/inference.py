@@ -36,12 +36,16 @@ def fisher_information(data: Dataset, theta_hat: Coefficients, p_hat: float,
     gamma (zero without a dispersion model). The spatial blocks and the
     mean-dispersion cross block (zero in this family) are not built.
     Both are additive over rows: duplicating the dataset doubles them.
+    Both read the mean exponent at the fit, which is evaluated once.
     """
     spec_hat = spec.with_p(p_hat) if spec.p != p_hat else spec
-    h_bb = lik.hess_mean(data, theta_hat, spec_hat, links).h_bb
+    exponent = lik.exponent_terms(data, theta_hat, spec_hat, links)
+    h_bb = lik.hess_mean(data, theta_hat, spec_hat, links,
+                         exponent=exponent).h_bb
     h_gg = np.zeros((data.k_gamma, data.k_gamma))
     if data.k_gamma and spec.member is not Member.POISSON:
-        _, h_gg = lik.disp_derivatives(data, theta_hat, spec_hat, links)
+        _, h_gg = lik.disp_derivatives(data, theta_hat, spec_hat, links,
+                                       exponent=exponent)
     return h_bb, h_gg
 
 

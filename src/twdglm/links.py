@@ -98,6 +98,12 @@ def validate_links(spec: FamilySpec, links: LinkPair) -> None:
             f"{spec.member.value}; allowed: {allowed}")
     if links.disp.kind not in (LinkKind.LOG, LinkKind.IDENTITY):
         raise ConfigError("dispersion link must be log or identity")
+    if spec.member is Member.POISSON and links.disp.kind is LinkKind.IDENTITY:
+        # Poisson has no dispersion coefficients: its dispersion is h2(0),
+        # which the identity link puts at 0.
+        raise ConfigError(
+            "dispersion link 'identity' not permitted for poisson: its "
+            "fixed dispersion h2(0) would be 0; use 'log'")
 
 
 def _check_domain(kind: LinkKind, t: np.ndarray) -> None:

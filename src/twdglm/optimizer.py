@@ -8,24 +8,26 @@ from the current p to a local minimum of the likelihood in p (the grid
 minimum when the profile is unimodal; on a multimodal profile it may
 be a local one). Scaling constants are found by doubling until the
 step's system matrix is positive definite and the objective decrease
-clears the descent margin, and the index moves only when the objective
-does not rise, which makes the objective trace non-increasing by
-construction.
+clears the descent margin, and the index moves only when the
+likelihood does not rise, which makes the objective trace
+non-increasing by construction.
 
-The fit holds two blocks of per-row terms beside the accepted point.
-The log-normalizer terms (``likelihood.lognorm_terms``) do not depend
-on eta: those of the accepted (gamma, p) are replaced only when a
-dispersion step or an index move is accepted, and the mean step's
-candidates and the next dispersion derivatives reuse them, so under the
-series normalizer an iteration sums the series only for the dispersion
-candidates and the grid points the walk visits. The mean exponent D,
-D', D'' (``likelihood.exponent_terms``) does not depend on gamma: that
-of the accepted (eta, p) is replaced only when a mean step or an index
-move is accepted, and the mean derivatives, the dispersion step's
-derivatives and candidates and the walk's starting point reuse it, so
-an iteration evaluates it once per mean candidate and per grid point
-the walk visits. The rows u = w/h2(z'gamma) are recomputed where they
-are needed rather than held.
+The descent holds its accepted point as one ``_Point``: theta, p, the
+negative log-likelihood, the penalty at theta, and two blocks of
+per-row terms. Each block step takes that point and returns the point
+it accepts. The log-normalizer terms (``likelihood.lognorm_terms``) do
+not depend on eta: a mean candidate reuses those of the held point,
+and they are replaced only when a dispersion step or an index move is
+accepted, so under the series normalizer an iteration sums the series
+only for the dispersion candidates and the grid points the walk
+visits. The mean exponent D, D', D'' (``likelihood.exponent_terms``)
+does not depend on gamma: a dispersion candidate reuses that of the
+held point, and it is replaced only when a mean step or an index move
+is accepted, so an iteration evaluates it once per mean candidate and
+per grid point the walk visits. The rows u = w/h2(z'gamma) are
+recomputed where they are needed rather than held. The fit keeps one
+point and the previous objective value; its history is the
+coefficients alone.
 """
 
 from __future__ import annotations
@@ -61,10 +63,10 @@ SCHUR_NULL_TOL = 1e-9
 
 @dataclass
 class FitConfig:
-    """Controls for one fit: the penalty, the index grid and whether to
-    keep per-iteration snapshots. The convergence threshold, the
-    iteration budget and the scaling growth factor are the module
-    constants ``EPS_CONVERGE``, ``MAX_ITERS`` and ``C_GROWTH``.
+    """Controls for one fit: the penalty and the index grid. The
+    convergence threshold, the iteration budget and the scaling growth
+    factor are the module constants ``EPS_CONVERGE``, ``MAX_ITERS`` and
+    ``C_GROWTH``.
 
     ``p_grid`` must lie inside the member's index range; a single-point
     grid pins p.
@@ -72,7 +74,6 @@ class FitConfig:
 
     penalty: PenaltyConfig
     p_grid: np.ndarray = field(default_factory=lambda: np.array([]))
-    keep_history: bool = False
 
     def __post_init__(self):
         self.p_grid = np.asarray(self.p_grid, dtype=float).ravel()
@@ -82,15 +83,18 @@ class FitConfig:
 
 @dataclass
 class FitResult:
+    """The fit's estimate and its path. ``history`` holds the
+    coefficients of the start and of each iteration's accepted point,
+    one per entry of ``objective_trace`` (``history[-1]`` is
+    ``theta_hat``, ``history[-2]`` the iterate before it); it keeps no
+    per-row terms."""
+
     theta_hat: Coefficients
     p_hat: float
     objective_trace: np.ndarray
     iters: int
     converged: bool
-    # previous outer iterate, for convergence-bound diagnostics
-    theta_prev: Coefficients | None = None
-    # per-iteration coefficient snapshots when keep_history is set
-    history: list | None = None
+    history: list[Coefficients]
 
 
 def default_p_grid(spec: FamilySpec) -> np.ndarray:
@@ -109,34 +113,49 @@ def objective(data: Dataset, theta: Coefficients, spec: FamilySpec,
             + penalty.value(theta.as_vector()))
 
 
-def _nll_or_inf(data, theta, spec, links, p=None, terms=None,
-                exponent=None):
-    """(nll, normalizer terms, mean exponent) at theta and p, each block
-    computed unless the one at theta's gamma and p (``terms``) or eta
-    and p (``exponent``) is given. (+inf, None, None) outside the
-    likelihood's domain, where it is not finite and where the series
-    normalizer cannot be summed, so that a candidate step or grid point
-    there is rejected."""
+@dataclass(frozen=True, eq=False)
+class _Point:
+    """An evaluated point of the descent: theta at index p with its
+    negative log-likelihood ``nll``, the penalty value ``pen`` at theta,
+    the normalizer ``terms`` at theta's gamma and p and the mean
+    ``exponent`` at theta's eta and p."""
+
+    theta: Coefficients
+    p: float
+    nll: float
+    pen: float
+    terms: np.ndarray
+    exponent: np.ndarray
+
+    @property
+    def f(self) -> float:
+        """The objective F = nll + pen."""
+        return self.nll + self.pen
+
+
+def _evaluate(data, theta, p, spec, links, pen, terms=None,
+              exponent=None) -> _Point:
+    """The point at theta and p whose penalty value is ``pen``, reusing
+    the normalizer ``terms`` at theta's gamma and p or the mean
+    ``exponent`` at theta's eta and p where one is given. Raises where
+    the likelihood is outside its domain or not finite, or the series
+    normalizer cannot be summed."""
+    if terms is None:
+        terms = lik.lognorm_terms(data, theta, spec, links, p)
+    if exponent is None:
+        exponent = lik.exponent_terms(data, theta, spec, links, p)
+    nll = lik.neg_log_lik(data, theta, spec, links, p, terms=terms,
+                          exponent=exponent)
+    return _Point(theta, p, nll, pen, terms, exponent)
+
+
+def _evaluate_or_reject(*args, **kwargs) -> _Point | None:
+    """``_evaluate``, or None where it raises for the point itself, so
+    that a candidate step or grid point there is rejected."""
     try:
-        if terms is None:
-            terms = lik.lognorm_terms(data, theta, spec, links, p)
-        if exponent is None:
-            exponent = lik.exponent_terms(data, theta, spec, links, p)
-        return (lik.neg_log_lik(data, theta, spec, links, p, terms=terms,
-                                exponent=exponent), terms, exponent)
+        return _evaluate(*args, **kwargs)
     except (DomainError, SeriesInfeasibleError, NonFiniteError):
-        return np.inf, None, None
-
-
-def _objective_or_inf(data, theta, spec, links, penalty, terms=None,
-                      exponent=None):
-    """(F, nll, normalizer terms, mean exponent) at theta, as in
-    ``_nll_or_inf``; F is +inf outside the likelihood's domain."""
-    nll, terms, exponent = _nll_or_inf(data, theta, spec, links,
-                                       terms=terms, exponent=exponent)
-    if not np.isfinite(nll):
-        return np.inf, np.inf, None, None
-    return nll + penalty.value(theta.as_vector()), nll, terms, exponent
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -336,37 +355,30 @@ def _try_candidate(solve, with_block, data, theta, spec, links, penalty, c,
     return with_block(star) if np.all(np.isfinite(star)) else None
 
 
-def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
-                 f_current: float, terms=None, exponent=None):
-    """Find the first scaling whose step is solvable and decreases the
-    objective by at least the descent margin.
+def _scaled_step(step_kind: str, data, point: _Point, spec, links, penalty):
+    """Find the first scaling whose step from the held ``point`` is
+    solvable and decreases the objective by at least the descent margin.
 
-    The gradient and the Hessian at theta are computed once and shared
-    by every scaling tried. ``terms`` and ``exponent`` are the
-    normalizer terms and the mean exponent at theta, computed here when
-    not given. A mean candidate keeps gamma and p, so it is evaluated
-    with those terms and its own exponent; a dispersion candidate keeps
-    eta and p, so it is evaluated with that exponent and its own terms.
-    Returns (c, candidate theta, new objective value, its negative
-    log-likelihood, its normalizer terms, its mean exponent). Raises
-    ScalingError after the doubling budget; reason
-    "not-positive-definite" when no system ever factored, "no-decrease"
-    otherwise.
+    The gradient and the Hessian at the point are computed once and
+    shared by every scaling tried. A mean candidate keeps gamma and p,
+    so it is evaluated with the point's normalizer terms and its own
+    mean exponent; a dispersion candidate keeps eta and p, so it is
+    evaluated with the point's mean exponent and its own terms. Returns
+    (c, the accepted point). Raises ScalingError after the doubling
+    budget; reason "not-positive-definite" when no system ever
+    factored, "no-decrease" otherwise.
     """
     if step_kind not in ("mean", "disp"):
         raise ConfigError("step_kind must be 'mean' or 'disp'")
-    if terms is None:
-        terms = lik.lognorm_terms(data, theta, spec, links)
-    if exponent is None:
-        exponent = lik.exponent_terms(data, theta, spec, links)
+    theta = point.theta
     if step_kind == "mean":
         solve, with_block, held = (solve_mean_step, theta.with_eta,
-                                   {"terms": terms})
+                                   {"terms": point.terms})
     else:
         solve, with_block, held = (solve_disp_step, theta.with_gamma,
-                                   {"exponent": exponent})
-    derivs = _block_derivatives(step_kind, data, theta, spec, links, terms,
-                                exponent)
+                                   {"exponent": point.exponent})
+    derivs = _block_derivatives(step_kind, data, theta, spec, links,
+                                point.terms, point.exponent)
     c = 1.0
     solvable_seen = False
     for _ in range(MAX_DOUBLINGS + 1):
@@ -374,12 +386,13 @@ def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
                               penalty, c, derivs)
         if cand is not None:
             solvable_seen = True
-            f_new, nll_new, terms_new, exponent_new = _objective_or_inf(
-                data, cand, spec, links, penalty, **held)
+            new = _evaluate_or_reject(data, cand, point.p, spec, links,
+                                      penalty.value(cand.as_vector()),
+                                      **held)
             margin = _descent_margin(penalty, step_kind, theta, cand)
-            if (f_new <= f_current
-                    and f_current - f_new >= margin - DESCENT_SLACK):
-                return c, cand, f_new, nll_new, terms_new, exponent_new
+            if (new is not None and new.f <= point.f
+                    and point.f - new.f >= margin - DESCENT_SLACK):
+                return c, new
         c *= C_GROWTH
     reason = "no-decrease" if solvable_seen else "not-positive-definite"
     raise ScalingError(
@@ -387,51 +400,45 @@ def _scaled_step(step_kind: str, data, theta, spec, links, penalty,
         f"{MAX_DOUBLINGS} doublings", reason=reason)
 
 
-def update_index(data: Dataset, theta_star: Coefficients, spec: FamilySpec,
-                 links: LinkPair, p_grid: np.ndarray, current=None):
+def update_index(data: Dataset, point: _Point, spec: FamilySpec,
+                 links: LinkPair, p_grid: np.ndarray) -> _Point:
     """Grid update of the index parameter by a walk on the likelihood.
 
-    Starts at the grid point nearest ``spec.p`` and moves to the
-    smaller-p neighbour while the likelihood does not rise there, or
+    Starts at the held ``point``, whose p lies on the grid, and moves to
+    the smaller-p neighbour while the likelihood does not rise there, or
     else to the larger-p neighbour while it falls; each point is
-    evaluated at most once, and the penalty is excluded since it does
-    not involve p. The walk stops at a local grid minimum: on a
-    unimodal profile (ties included) that is the grid minimum, with
-    ties broken toward the smaller p, and on a multimodal one it may be
-    a local minimum only. The likelihood there never exceeds the
-    starting point's, so the objective stays non-increasing.
+    evaluated at most once, and the held one not again. The penalty is
+    the held point's, since it does not involve p. The walk stops at a
+    local grid minimum: on a unimodal profile (ties included) that is
+    the grid minimum, with ties broken toward the smaller p, and on a
+    multimodal one it may be a local minimum only. The likelihood there
+    never exceeds the held point's, so the objective stays
+    non-increasing.
 
-    Returns (p, negative log-likelihood at p, normalizer terms at p,
-    mean exponent at p). Identity for fixed-p members and for an empty
-    grid. ``current``, when given, is the (likelihood, normalizer terms,
-    mean exponent) triple at ``spec.p`` already known to the caller, and
-    that point is not evaluated again.
+    Returns the point reached: the held one when no neighbour is
+    better, for fixed-p members and for an empty grid.
     """
     grid = np.asarray(p_grid, dtype=float).ravel()
     if spec.member is not Member.COMPOUND_POISSON_GAMMA or grid.size == 0:
-        grid = np.array([spec.p])
-    i = int(np.argmin(np.abs(grid - spec.p)))
-    if current is not None and grid[i] == spec.p:
-        nll, terms, exponent = current
-    else:
-        nll, terms, exponent = _nll_or_inf(data, theta_star, spec, links,
-                                           p=grid[i])
+        return point
+    i = int(np.argmin(np.abs(grid - point.p)))
 
     def walk(step, better) -> bool:
-        nonlocal i, nll, terms, exponent
+        nonlocal i, point
         moved = False
         while 0 <= i + step < grid.size:
-            nll_j, terms_j, exponent_j = _nll_or_inf(
-                data, theta_star, spec, links, p=grid[i + step])
-            if not better(nll_j, nll):
+            near = _evaluate_or_reject(data, point.theta,
+                                       float(grid[i + step]), spec, links,
+                                       point.pen)
+            if near is None or not better(near.nll, point.nll):
                 break
-            i, nll, terms, exponent = i + step, nll_j, terms_j, exponent_j
+            i, point = i + step, near
             moved = True
         return moved
 
     if not walk(-1, operator.le):
         walk(1, operator.lt)
-    return float(grid[i]), float(nll), terms, exponent
+    return point
 
 
 def _snap_to_grid(p: float, p_grid: np.ndarray) -> float:
@@ -489,71 +496,48 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
             or theta.alpha.size != data.graph.n_vertices:
         raise ConfigError("init has wrong block sizes for this dataset")
 
-    p_cur = _snap_to_grid(spec.p, p_grid) \
+    p0 = _snap_to_grid(spec.p, p_grid) \
         if spec.member is Member.COMPOUND_POISSON_GAMMA else spec.p
-    spec_cur = spec.with_p(p_cur) if p_cur != spec.p else spec
+    spec_cur = spec.with_p(p0) if p0 != spec.p else spec
 
     # evaluated unguarded, so that a start the series cannot sum says so
     try:
-        terms_cur = lik.lognorm_terms(data, theta, spec_cur, links)
-        exponent_cur = lik.exponent_terms(data, theta, spec_cur, links)
-        nll_cur = lik.neg_log_lik(data, theta, spec_cur, links,
-                                  terms=terms_cur, exponent=exponent_cur)
+        point = _evaluate(data, theta, p0, spec_cur, links,
+                          config.penalty.value(theta.as_vector()))
     except (DomainError, NonFiniteError):
-        nll_cur = np.inf
-    f_cur = nll_cur + config.penalty.value(theta.as_vector())
-    if not np.isfinite(f_cur):
+        point = None
+    if point is None or not np.isfinite(point.f):
         raise NonFiniteError("objective not finite at the starting point")
-    trace = [f_cur]
+    trace = [point.f]
+    history = [theta]
     converged = False
     iters = 0
-    theta_prev = theta
-    history = [theta.copy()] if config.keep_history else None
+    steps = ("mean", "disp") if has_disp else ("mean",)
+    walks = spec.member is Member.COMPOUND_POISSON_GAMMA and p_grid.size > 1
 
     for iters in range(1, MAX_ITERS + 1):
-        theta_new, f_new, nll_new = theta, f_cur, nll_cur
-        try:
-            _, theta_new, f_new, nll_new, _, exponent_cur = _scaled_step(
-                "mean", data, theta, spec_cur, links, config.penalty, f_cur,
-                terms_cur, exponent_cur)
-        except ScalingError as err:
-            if err.reason != "no-decrease":
-                raise ScalingError(
-                    f"iteration {iters}: {err}", reason=err.reason)
-        if has_disp:
+        f_prev = point.f
+        for kind in steps:
             try:
-                _, theta_new, f_new, nll_new, terms_cur, _ = _scaled_step(
-                    "disp", data, theta_new, spec_cur, links, config.penalty,
-                    f_new, terms_cur, exponent_cur)
+                _, point = _scaled_step(kind, data, point, spec_cur, links,
+                                        config.penalty)
             except ScalingError as err:
                 if err.reason != "no-decrease":
                     raise ScalingError(
                         f"iteration {iters}: {err}", reason=err.reason)
-        if spec.member is Member.COMPOUND_POISSON_GAMMA and p_grid.size > 1:
-            p_new, nll_p, terms_p, exponent_p = update_index(
-                data, theta_new, spec_cur, links, p_grid,
-                current=(nll_new, terms_cur, exponent_cur))
-            if p_new != p_cur:
-                f_candidate = nll_p + config.penalty.value(
-                    theta_new.as_vector())
-                if f_candidate <= f_new:
-                    p_cur = p_new
-                    spec_cur = spec_cur.with_p(p_new)
-                    f_new, nll_new = f_candidate, nll_p
-                    terms_cur, exponent_cur = terms_p, exponent_p
-        eps_star = f_cur - f_new
-        theta_prev, theta, f_cur, nll_cur = theta, theta_new, f_new, nll_new
-        trace.append(f_cur)
-        if history is not None:
-            history.append(theta.copy())
-        if eps_star < EPS_CONVERGE:
+        if walks:
+            point = update_index(data, point, spec_cur, links, p_grid)
+            if point.p != spec_cur.p:
+                spec_cur = spec_cur.with_p(point.p)
+        trace.append(point.f)
+        history.append(point.theta)
+        if f_prev - point.f < EPS_CONVERGE:
             converged = True
             break
 
-    return FitResult(theta_hat=theta, p_hat=p_cur,
+    return FitResult(theta_hat=point.theta, p_hat=point.p,
                      objective_trace=np.array(trace), iters=iters,
-                     converged=converged, theta_prev=theta_prev,
-                     history=history)
+                     converged=converged, history=history)
 
 
 def fit_ridge(data: Dataset, spec: FamilySpec, links: LinkPair,

@@ -108,8 +108,7 @@ class TestAcceptance:
                 pen = assemble_penalty(mode, lam1, 0.8, data.k_beta,
                                        data.graph, data.k_gamma)
                 res = fit(data, fit_spec, links,
-                          FitConfig(penalty=pen, p_grid=np.array([1.5]),
-                                    keep_history=True))
+                          FitConfig(penalty=pen, p_grid=np.array([1.5])))
                 trace = res.objective_trace
                 monotone_ok &= bool(np.all(np.diff(trace) <= 1e-10))
                 if mode is PenaltyMode.SPATIAL_ONLY:
@@ -305,7 +304,7 @@ class TestAcceptance:
                                    data.k_beta, data.graph, data.k_gamma)
             res = fit(data, fit_spec, links,
                       FitConfig(penalty=pen, p_grid=np.array([1.5])))
-            diff = res.theta_hat.as_vector() - res.theta_prev.as_vector()
+            diff = res.theta_hat.as_vector() - res.history[-2].as_vector()
             sq = float(diff @ diff)
             worst = max(worst, sq)
             ok &= res.converged and sq <= 2.0 * EPS_CONVERGE / lam1

@@ -195,6 +195,27 @@ class TestPipeline:
         assert "error[E_CONFIG]" in captured.err
         assert "constant dispersion" in captured.err
 
+    def test_poisson_with_identity_dispersion_link_rejected(self, sim_dir,
+                                                            tmp_path,
+                                                            capsys):
+        """Poisson's fixed dispersion is h2(0), which the identity link
+        puts at 0, so no fit could start; counts without dispersion
+        columns reach the link check."""
+        data = tmp_path / "counts.csv"
+        data.write_text("y,vertex,x_1\n" + "".join(
+            f"{k % 4},r{k % 3}c{k // 3 % 3},{k % 5}\n" for k in range(30)))
+        argv = ["fit", "--data", str(data), "--graph",
+                str(sim_dir / "graph.tsv"), "--family", "poisson"]
+        run_ok(argv + ["--out", str(tmp_path / "log")])
+        out = tmp_path / "identity"
+        code = run_command(argv + ["--disp-link", "identity", "--out",
+                                   str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error[E_CONFIG]: ") and err.count("\n") == 1
+        assert "poisson" in err
+        assert not out.exists()
+
     def test_tune_then_predict_consistency(self, sim_dir, tmp_path):
         tune_out = tmp_path / "tune"
         run_ok(["tune", "--data", str(sim_dir / "data.csv"), "--graph",

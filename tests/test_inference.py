@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_fisher_information, dense_hessian, make_instance
+from twdglm import likelihood as lik
 from twdglm.errors import SingularSystemError
 from twdglm.family import FamilySpec, Member
 from twdglm.graph import lattice_graph
@@ -112,6 +113,19 @@ class TestFisherInformation:
         kb, m = data.k_beta, data.k_beta + data.graph.n_vertices
         np.testing.assert_array_equal(info[0], dense[:kb, :kb])
         np.testing.assert_array_equal(info[1], dense[m:, m:])
+
+    @pytest.mark.parametrize("member", [Member.GAMMA, Member.POISSON,
+                                        Member.COMPOUND_POISSON_GAMMA],
+                             ids=lambda m: m.value)
+    def test_one_mean_exponent_pass(self, member, monkeypatch):
+        """Both blocks read the mean exponent at the fit from one pass."""
+        data, theta, spec, links = make_instance(member, "log", seed=7)
+        passes = []
+        raw = lik._mean_exponent
+        monkeypatch.setattr(lik, "_mean_exponent",
+                            lambda *a: passes.append(1) or raw(*a))
+        fisher_information(data, theta, spec.p, spec, links)
+        assert len(passes) == 1
 
 
 class TestWaldTable:

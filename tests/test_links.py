@@ -127,6 +127,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_links(FamilySpec.compound_poisson_gamma(1.5),
                            LinkPair.of("identity", "log"))
+        # Poisson's fixed dispersion h2(0) is 0 under the identity link
+        validate_links(FamilySpec.poisson(), LinkPair.of("log", "log"))
+        with pytest.raises(ConfigError, match="identity.*poisson"):
+            validate_links(FamilySpec.poisson(),
+                           LinkPair.of("log", "identity"))
 
     def test_config_strings(self):
         assert LinkKind.from_name("inverse-squared") is \

@@ -343,14 +343,20 @@ class TestSolveDispStep:
         assert abs(got[0]) < 1e-6
 
 
+def _held(data, theta, spec, links, pen):
+    """The fit's held point at theta and spec.p."""
+    return opt._evaluate(data, theta, spec.p, spec, links,
+                         pen.value(theta.as_vector()))
+
+
 class TestChooseScaling:
     def test_convex_quadratic_accepts_unit_scale(self):
         data, links = _normal_instance()
         spec = FamilySpec.normal()
         pen = _zero_penalty(data)
         theta = data.initial_coefficients(spec, links)
-        f0 = objective(data, theta, spec, links, pen)
-        c1, *_ = _scaled_step("mean", data, theta, spec, links, pen, f0)
+        point = _held(data, theta, spec, links, pen)
+        c1, _ = _scaled_step("mean", data, point, spec, links, pen)
         assert c1 == 1.0
 
     def test_accepted_scale_makes_system_psd(self):
@@ -358,8 +364,8 @@ class TestChooseScaling:
             Member.COMPOUND_POISSON_GAMMA, "log", n=150, seed=12)
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.5, 0.7,
                                data.k_beta, data.graph, data.k_gamma)
-        f0 = objective(data, theta, spec, links, pen)
-        c1, *_ = _scaled_step("mean", data, theta, spec, links, pen, f0)
+        point = _held(data, theta, spec, links, pen)
+        c1, _ = _scaled_step("mean", data, point, spec, links, pen)
         mat = (pen.eta_matrix().toarray()
                + c1 * dense_hessian(hess_mean(data, theta, spec, links)))
         assert np.linalg.eigvalsh(mat).min() >= -1e-8
@@ -370,9 +376,10 @@ class TestChooseScaling:
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
                                data.k_beta, data.graph, data.k_gamma)
         f0 = objective(data, theta, spec, links, pen)
-        _, cand, f_new, *_ = _scaled_step("mean", data, theta, spec, links,
-                                          pen, f0)
-        assert f_new <= f0
+        point = _held(data, theta, spec, links, pen)
+        assert point.f == f0
+        _, new = _scaled_step("mean", data, point, spec, links, pen)
+        assert new.f <= f0
 
     @pytest.mark.parametrize("kind", ["mean", "disp"])
     def test_returns_the_candidates_normalizer_terms(self, kind):
@@ -380,35 +387,38 @@ class TestChooseScaling:
             Member.COMPOUND_POISSON_GAMMA, "log", n=200, seed=5)
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
                                data.k_beta, data.graph, data.k_gamma)
-        f0 = objective(data, theta, spec, links, pen)
-        terms = lik.lognorm_terms(data, theta, spec, links)
-        exponent = lik.exponent_terms(data, theta, spec, links)
-        _, cand, _, nll, got, got_exponent = _scaled_step(
-            kind, data, theta, spec, links, pen, f0, terms, exponent)
+        point = _held(data, theta, spec, links, pen)
+        _, new = _scaled_step(kind, data, point, spec, links, pen)
+        cand = new.theta
         np.testing.assert_array_equal(
-            got, lik.lognorm_terms(data, cand, spec, links))
+            new.terms, lik.lognorm_terms(data, cand, spec, links))
         np.testing.assert_array_equal(
-            got_exponent, lik.exponent_terms(data, cand, spec, links))
-        assert nll == lik.neg_log_lik(data, cand, spec, links)
+            new.exponent, lik.exponent_terms(data, cand, spec, links))
+        assert new.nll == lik.neg_log_lik(data, cand, spec, links)
+        assert new.p == point.p
+        assert new.f == objective(data, cand, spec, links, pen)
 
     def test_rejects_unknown_step_kind(self):
         data, links = _normal_instance()
         with pytest.raises(ConfigError):
             _scaled_step("index", data, None, FamilySpec.normal(), links,
-                         _zero_penalty(data), 0.0)
+                         _zero_penalty(data))
 
 
 class TestUpdateIndex:
     def test_fixed_p_member_unchanged(self):
         data, theta, spec, links = make_instance(Member.GAMMA, "log", seed=1)
-        assert update_index(data, theta, spec, links,
-                            np.array([1.1, 1.5]))[0] == 2.0
+        point = _held(data, theta, spec, links, _zero_penalty(data))
+        assert update_index(data, point, spec, links,
+                            np.array([1.1, 1.5])) is point
 
     def test_single_point_grid(self):
         data, theta, spec, links = make_instance(
             Member.COMPOUND_POISSON_GAMMA, "log", seed=1)
-        assert update_index(data, theta, spec, links,
-                            np.array([1.3]))[0] == 1.3
+        spec = spec.with_p(1.3)
+        point = _held(data, theta, spec, links, _zero_penalty(data))
+        assert update_index(data, point, spec, links,
+                            np.array([1.3])) is point
 
     @settings(max_examples=300)
     @given(st.data())
@@ -429,8 +439,8 @@ class TestUpdateIndex:
         values = np.concatenate([left, np.full(width, low), right])
         start = data(st.integers(0, n - 1))
         spec = FamilySpec.compound_poisson_gamma(float(grid[start]))
-        known = data(st.booleans())
-        current = (values[start], "terms", "exponent") if known else None
+        held = opt._Point(None, float(grid[start]), float(values[start]),
+                          0.0, "terms", "exponent")
         profile = dict(zip(grid.tolist(), values.tolist()))
         seen = []
 
@@ -444,34 +454,34 @@ class TestUpdateIndex:
                                   lambda *a, **k: "terms"), \
                 mock.patch.object(lik, "exponent_terms",
                                   lambda *a, **k: "exponent"):
-            got = update_index(None, None, spec, None, grid, current)
+            got = update_index(None, held, spec, None, grid)
             n_walk = len(seen)
-            want = scan_update_index(None, None, spec, None, grid,
-                                     current and current[0])
-        assert got[:2] == want
+            want = scan_update_index(None, None, spec, None, grid, held.nll)
+        assert (got.p, got.nll) == want
         walked = seen[:n_walk]
         assert len(set(walked)) == len(walked)
-        assert not known or grid[start] not in walked
+        assert grid[start] not in walked
+        assert got is held or got.p in walked
 
     def test_walk_matches_scan_on_the_likelihood(self):
         gen = FamilySpec.compound_poisson_gamma(1.5)
         data, _ = make_dataset(2000, 3, 3, "smooth", gen, 0.3, seed=44)
         links = LinkPair.of("log", "log")
         theta = data.initial_coefficients(gen, links)
+        pen = _zero_penalty(data)
         grid = np.round(np.arange(1.05, 1.951, 0.05), 10)
         for p0 in (1.05, 1.3, 1.5, 1.95):
             spec = gen.with_p(p0)
-            nll = lik.neg_log_lik(data, theta, spec, links)
-            current = (nll, lik.lognorm_terms(data, theta, spec, links),
-                       lik.exponent_terms(data, theta, spec, links))
-            p, got, terms, exponent = update_index(data, theta, spec, links,
-                                                   grid, current)
-            assert (p, got) == scan_update_index(data, theta, spec, links,
-                                                 grid, nll)
+            held = _held(data, theta, spec, links, pen)
+            got = update_index(data, held, spec, links, grid)
+            assert (got.p, got.nll) == scan_update_index(
+                data, theta, spec, links, grid, held.nll)
+            assert got.theta is theta and got.pen == held.pen
             np.testing.assert_array_equal(
-                terms, lik.lognorm_terms(data, theta, spec, links, p))
+                got.terms, lik.lognorm_terms(data, theta, spec, links, got.p))
             np.testing.assert_array_equal(
-                exponent, lik.exponent_terms(data, theta, spec, links, p))
+                got.exponent,
+                lik.exponent_terms(data, theta, spec, links, got.p))
 
     def test_series_passes_per_iteration(self, monkeypatch):
         """A criterion-6 fit sums the series once at the start, then per
@@ -611,9 +621,14 @@ class TestFit:
                                inst.k_gamma)
         res = fit(inst, spec, links, FitConfig(penalty=pen))
         assert np.all(np.diff(res.objective_trace) <= 0.0)
+        assert len(res.history) == len(res.objective_trace) == res.iters + 1
+        assert res.history[-1] is res.theta_hat
         spec_hat = spec if res.p_hat == spec.p else spec.with_p(res.p_hat)
         assert res.objective_trace[-1] == objective(
             inst, res.theta_hat, spec_hat, links, pen)
+        if member is not Member.COMPOUND_POISSON_GAMMA:
+            for f_k, theta_k in zip(res.objective_trace, res.history):
+                assert f_k == objective(inst, theta_k, spec, links, pen)
 
     @pytest.mark.parametrize("seed, p0, mode", [
         (31672, 1.0625, PenaltyMode.SPATIAL_ONLY),
@@ -694,8 +709,7 @@ class TestFit:
         lam1 = 1.7
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, lam1, 0.9,
                                data.k_beta, data.graph, data.k_gamma)
-        cfg = FitConfig(penalty=pen, p_grid=np.array([1.5]),
-                        keep_history=True)
+        cfg = FitConfig(penalty=pen, p_grid=np.array([1.5]))
         res = fit(data, gen, LinkPair.of("log", "log"), cfg)
         trace = res.objective_trace
         for k in range(len(res.history) - 1):
@@ -778,5 +792,5 @@ class TestComparators:
         res = fit(data, gen, LinkPair.of("log", "log"),
                   FitConfig(penalty=pen, p_grid=np.array([1.5])))
         assert res.converged
-        diff = res.theta_hat.as_vector() - res.theta_prev.as_vector()
+        diff = res.theta_hat.as_vector() - res.history[-2].as_vector()
         assert float(diff @ diff) <= 2.0 * opt.EPS_CONVERGE / 1.0
