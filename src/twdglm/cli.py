@@ -33,6 +33,9 @@ from .optimizer import FitConfig, default_p_grid, fit
 from .simgen import SimConfig, make_dataset
 from .tuning import GridSpec, export_surface, grid_search, weighted_deviance
 
+# The largest log-lambda whose exp is a finite double.
+_LOG_LAMBDA_MAX = float(np.log(np.finfo(float).max))
+
 _FAMILY_NAMES = {
     "normal": Member.NORMAL,
     "poisson": Member.POISSON,
@@ -243,6 +246,8 @@ def _parse_p_grid(opts: dict, spec: FamilySpec) -> np.ndarray:
         lo, hi, step = (float(v) for v in str(raw).split(":"))
     except ValueError:
         raise ConfigError("--p-grid expects lo:hi:step")
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise ConfigError("--p-grid expects finite lo, hi and step")
     if step <= 0 or hi < lo:
         raise ConfigError("--p-grid expects lo <= hi and step > 0")
     return np.round(np.arange(lo, hi + step / 2.0, step), 12)
@@ -258,6 +263,10 @@ def _parse_lambda_grid(opts: dict):
         ax2 = np.linspace(float(l2lo), float(l2hi), int(n2))
     except ValueError:
         raise ConfigError("--grid expects l1lo:l1hi:n1,l2lo:l2hi:n2")
+    # NaN fails the test too; exp of a larger bound overflows to inf
+    if not np.all(np.abs(np.concatenate([ax1, ax2])) <= _LOG_LAMBDA_MAX):
+        raise ConfigError(f"--grid expects log-lambda bounds within "
+                          f"+/-{_LOG_LAMBDA_MAX:.2f}")
     return ax1, ax2
 
 
@@ -517,11 +526,11 @@ def _cmd_simulate(opts) -> int:
     if spec.member is not Member.COMPOUND_POISSON_GAMMA:
         raise ConfigError("simulate generates compound-poisson-gamma data")
     sim = SimConfig(amplitude=float(opts["amplitude"]))
-    os.makedirs(out, exist_ok=True)
     data, oracle = make_dataset(int(opts["n"]), rows, cols,
                                 str(opts["pattern"]), spec,
                                 float(opts["zero_prop"]),
                                 int(opts["seed"]), sim=sim)
+    os.makedirs(out, exist_ok=True)
     g = data.graph
     with open(os.path.join(out, "graph.tsv"), "w", encoding="utf-8") as fh:
         fh.write("# edge list\n")
@@ -579,8 +588,7 @@ def _write_fit_outputs(out, spec, links, data, beta_names, gamma_names,
                         result.theta_hat, beta_names, gamma_names, labels)
     _write_trace(os.path.join(out, "trace.tsv"), result.objective_trace)
     spec_hat = spec.with_p(result.p_hat)
-    info = fisher_information(data, result.theta_hat, result.p_hat, spec,
-                              links)
+    info = fisher_information(data, result.theta_hat, spec_hat, links)
     try:
         rows = wald_table(result.theta_hat, info, beta_names, gamma_names)
         inference.write_wald_table(os.path.join(out, "wald.tsv"), rows)

@@ -276,8 +276,9 @@ def assemble_penalty(mode: PenaltyMode | str, lambda1: float, lambda2: float,
     """Build the penalty for a coefficient layout (k_beta, L, k_gamma)."""
     if isinstance(mode, str):
         mode = PenaltyMode.from_name(mode)
-    if lambda1 < 0 or lambda2 < 0:
-        raise ConfigError("penalty multipliers must be nonnegative")
+    if not (0 <= lambda1 < np.inf and 0 <= lambda2 < np.inf):
+        raise ConfigError("penalty multipliers must be finite and "
+                          "nonnegative")
     if k_beta < 0 or k_gamma < 0:
         raise ConfigError("design dimensions must be nonnegative")
     return PenaltyConfig(mode, float(lambda1), float(lambda2), k_beta,

@@ -29,21 +29,21 @@ def p_value_from_z(z: float) -> float:
     return 0.5 * math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def fisher_information(data: Dataset, theta_hat: Coefficients, p_hat: float,
-                       spec: FamilySpec, links: LinkPair):
+def fisher_information(data: Dataset, theta_hat: Coefficients,
+                       spec_hat: FamilySpec, links: LinkPair):
     """The observed-information blocks the Wald rows read: the Hessians
-    of the unpenalized negative log-likelihood at the fit in beta and in
+    of the unpenalized negative log-likelihood at the fit (theta_hat
+    under ``spec_hat``, whose p is the fitted index) in beta and in
     gamma (zero without a dispersion model). The spatial blocks and the
     mean-dispersion cross block (zero in this family) are not built.
     Both are additive over rows: duplicating the dataset doubles them.
     Both read the mean exponent at the fit, which is evaluated once.
     """
-    spec_hat = spec.with_p(p_hat) if spec.p != p_hat else spec
     exponent = lik.exponent_terms(data, theta_hat, spec_hat, links)
     h_bb = lik.hess_mean(data, theta_hat, spec_hat, links,
                          exponent=exponent).h_bb
     h_gg = np.zeros((data.k_gamma, data.k_gamma))
-    if data.k_gamma and spec.member is not Member.POISSON:
+    if data.k_gamma and spec_hat.member is not Member.POISSON:
         _, h_gg = lik.disp_derivatives(data, theta_hat, spec_hat, links,
                                        exponent=exponent)
     return h_bb, h_gg

@@ -215,8 +215,8 @@ def _dispersion_scale(data: Dataset, theta: Coefficients, links: LinkPair):
 # ---------------------------------------------------------------------------
 
 def _mean_exponent(data: Dataset, spec: FamilySpec, links: LinkPair,
-                   t: np.ndarray, p: float):
-    """D(t), D'(t), D''(t) per row at the mean predictor t."""
+                   t: np.ndarray):
+    """D(t), D'(t), D''(t) per row at the mean predictor t and spec.p."""
     y = data.ystar
     kind = links.mean.kind
     mem = spec.member
@@ -235,6 +235,7 @@ def _mean_exponent(data: Dataset, spec: FamilySpec, links: LinkPair,
             _require_positive(t, "identity mean link predictor")
             return special.xlogy(y, t) - t, y / t - 1.0, -y / t ** 2
     if mem is Member.COMPOUND_POISSON_GAMMA and kind is LinkKind.LOG:
+        p = spec.p
         e1 = np.exp((1.0 - p) * t)
         e2 = np.exp((2.0 - p) * t)
         return (y * e1 / (1.0 - p) - e2 / (2.0 - p),
@@ -295,10 +296,10 @@ def _lognorm_gamma(y, w, h2, l1, l2, u):
 
 
 def _lognorm_terms(data: Dataset, spec: FamilySpec, links: LinkPair,
-                   theta: Coefficients, p: float):
+                   theta: Coefficients):
     """Per-row logC and its first two derivatives in the dispersion
-    predictor at theta's gamma. Derivative outputs are None when the
-    member has no dispersion model."""
+    predictor at theta's gamma and spec.p. Derivative outputs are None
+    when the member has no dispersion model."""
     y = data.ystar
     w = data.w
     mem = spec.member
@@ -320,15 +321,16 @@ def _lognorm_terms(data: Dataset, spec: FamilySpec, links: LinkPair,
     # compound Poisson-gamma
     if spec.approx is Approx.SADDLEPOINT:
         return _lognorm_saddle_family(
-            p * np.log(np.where(y > 0, y, fam.SADDLE_EPS0)),
-            fam.saturated_cumulant_term(spec.with_p(p), y), w, h2, l1, l2, u)
+            spec.p * np.log(np.where(y > 0, y, fam.SADDLE_EPS0)),
+            fam.saturated_cumulant_term(spec, y), w, h2, l1, l2, u)
 
     pos = y > 0
     c0 = np.zeros(data.n_rows)
     c1 = np.zeros(data.n_rows)
     c2 = np.zeros(data.n_rows)
     if np.any(pos):
-        log_a, r1, r2 = fam._series_logsums(y[pos], h2[pos] / w[pos], p)
+        log_a, r1, r2 = fam._series_logsums(y[pos], h2[pos] / w[pos],
+                                              spec.p)
         l1p, l2p = l1[pos], l2[pos]
         c0[pos] = log_a
         c1[pos] = -r1 * l1p
@@ -348,10 +350,11 @@ def _check_member_data(data: Dataset, spec: FamilySpec):
 
 
 def lognorm_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                  links: LinkPair, p: float | None = None) -> np.ndarray:
-    """Per-row log-normalizer terms at theta's gamma and p: an array
-    whose rows are logC (c0) and, for a member with a dispersion model,
-    its first two derivatives in the dispersion predictor (c1, c2).
+                  links: LinkPair) -> np.ndarray:
+    """Per-row log-normalizer terms at theta's gamma and spec.p: an
+    array whose rows are logC (c0) and, for a member with a dispersion
+    model, its first two derivatives in the dispersion predictor (c1,
+    c2).
 
     They depend on (gamma, p, y, w) but not on eta, so a fit computes
     them once per accepted (gamma, p) and passes them as ``terms`` to
@@ -364,16 +367,22 @@ def lognorm_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
     about 1.5 MB. ``exponent_terms`` is the mean side's counterpart.
     """
     _check_member_data(data, spec)
-    pp = spec.p if p is None else p
+    return _lognorm_block(data, theta, spec, links)
+
+
+def _lognorm_block(data: Dataset, theta: Coefficients, spec: FamilySpec,
+                   links: LinkPair) -> np.ndarray:
+    """``lognorm_terms`` without the support check, which ``fit`` makes
+    once."""
     with np.errstate(over="ignore", invalid="ignore"):
-        c0, c1, c2 = _lognorm_terms(data, spec, links, theta, pp)
+        c0, c1, c2 = _lognorm_terms(data, spec, links, theta)
     return c0[None] if c1 is None else np.stack([c0, c1, c2])
 
 
 def exponent_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                   links: LinkPair, p: float | None = None) -> np.ndarray:
-    """Per-row mean exponent at theta's eta and p: a (3, n) block whose
-    rows are D(t), D'(t) and D''(t) at t = X beta + alpha[vertex].
+                   links: LinkPair) -> np.ndarray:
+    """Per-row mean exponent at theta's eta and spec.p: a (3, n) block
+    whose rows are D(t), D'(t) and D''(t) at t = X beta + alpha[vertex].
 
     They depend on (eta, p, y) but not on gamma, so a fit computes them
     once per mean-step candidate and per index-grid point it visits,
@@ -385,34 +394,38 @@ def exponent_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
     held, since they change with every dispersion candidate.
     """
     _check_member_data(data, spec)
-    pp = spec.p if p is None else p
+    return _exponent_block(data, theta, spec, links)
+
+
+def _exponent_block(data: Dataset, theta: Coefficients, spec: FamilySpec,
+                    links: LinkPair) -> np.ndarray:
+    """``exponent_terms`` without the support check, as above."""
     # The block is allocated before the pass's temporaries: built after
     # them (np.stack), the block a fit holds sat above their freed space
     # and raised the peak resident memory of a 72 000-row fit by 3 MB.
     out = np.empty((3, data.n_rows))
     t = data.X @ theta.beta + theta.alpha[data.vertex]
     with np.errstate(over="ignore", invalid="ignore"):
-        out[0], out[1], out[2] = _mean_exponent(data, spec, links, t, pp)
+        out[0], out[1], out[2] = _mean_exponent(data, spec, links, t)
     return out
 
 
 def neg_log_lik(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                links: LinkPair, p: float | None = None,
-                terms=None, exponent=None) -> float:
+                links: LinkPair, terms=None, exponent=None) -> float:
     """Exposure-adjusted negative log-likelihood of the whole dataset.
 
     ``terms`` and ``exponent``, when given, are ``lognorm_terms`` at
-    theta's gamma and p and ``exponent_terms`` at theta's eta and p,
-    and stand in for the normalizer and the mean exponent. Held rows
-    were checked against the member when they were built, so only
+    theta's gamma and ``exponent_terms`` at theta's eta, both at
+    spec.p, and stand in for the normalizer and the mean exponent. Held
+    rows were checked against the member when they were built, so only
     missing ones are checked and computed here.
     """
     if exponent is None:
-        exponent = exponent_terms(data, theta, spec, links, p)
+        exponent = exponent_terms(data, theta, spec, links)
     if data.n_rows == 0:
         return 0.0
     if terms is None:
-        terms = lognorm_terms(data, theta, spec, links, p)
+        terms = lognorm_terms(data, theta, spec, links)
     with np.errstate(over="ignore", invalid="ignore"):
         u = _dispersion_scale(data, theta, links)[3]
         rows = exponent[0] * u + terms[0]
@@ -423,12 +436,11 @@ def neg_log_lik(data: Dataset, theta: Coefficients, spec: FamilySpec,
 
 
 def grad_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, p: float | None = None,
-              exponent=None) -> np.ndarray:
+              links: LinkPair, exponent=None) -> np.ndarray:
     """Gradient of the negative log-likelihood in eta = (beta, alpha);
     ``exponent`` as in ``neg_log_lik``."""
     if exponent is None:
-        exponent = exponent_terms(data, theta, spec, links, p)
+        exponent = exponent_terms(data, theta, spec, links)
     coef = exponent[1] * _dispersion_scale(data, theta, links)[3]
     g_beta = -(data.X.T @ coef)
     g_alpha = -np.bincount(data.vertex, weights=coef,
@@ -437,12 +449,11 @@ def grad_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
 
 
 def hess_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, p: float | None = None,
-              exponent=None) -> MeanHessian:
+              links: LinkPair, exponent=None) -> MeanHessian:
     """Partitioned Hessian in eta; the alpha block is diagonal because
     rows touch exactly one vertex. ``exponent`` as in ``neg_log_lik``."""
     if exponent is None:
-        exponent = exponent_terms(data, theta, spec, links, p)
+        exponent = exponent_terms(data, theta, spec, links)
     q = -exponent[2] * _dispersion_scale(data, theta, links)[3]
     kb = data.k_beta
     h_bb = data.X.T @ (q[:, None] * data.X)
@@ -457,20 +468,19 @@ def hess_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
 
 
 def disp_derivatives(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                     links: LinkPair, p: float | None = None, terms=None,
-                     exponent=None):
+                     links: LinkPair, terms=None, exponent=None):
     """Gradient and Hessian of the negative log-likelihood in gamma at
     fixed eta, from one pass over the normalizer, or none when its
-    ``terms`` at theta's gamma and p are given (the Hessian is
+    ``terms`` at theta's gamma and spec.p are given (the Hessian is
     symmetric by construction); ``exponent`` as in ``neg_log_lik``."""
     if exponent is None:
-        exponent = exponent_terms(data, theta, spec, links, p)
+        exponent = exponent_terms(data, theta, spec, links)
     if spec.member is Member.POISSON:
         raise ConfigError("constant dispersion member")
     if data.k_gamma == 0:
         return np.zeros(0), np.zeros((0, 0))
     if terms is None:
-        terms = lognorm_terms(data, theta, spec, links, p)
+        terms = lognorm_terms(data, theta, spec, links)
     _, l1, l2, u = _dispersion_scale(data, theta, links)
     _, c1, c2 = terms
     d0 = exponent[0]
@@ -482,13 +492,13 @@ def disp_derivatives(data: Dataset, theta: Coefficients, spec: FamilySpec,
 
 
 def grad_disp(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, p: float | None = None) -> np.ndarray:
+              links: LinkPair) -> np.ndarray:
     """Gradient of the negative log-likelihood in gamma at fixed eta."""
-    return disp_derivatives(data, theta, spec, links, p)[0]
+    return disp_derivatives(data, theta, spec, links)[0]
 
 
 def hess_disp(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, p: float | None = None) -> np.ndarray:
+              links: LinkPair) -> np.ndarray:
     """Hessian of the negative log-likelihood in gamma (symmetric by
     construction)."""
-    return disp_derivatives(data, theta, spec, links, p)[1]
+    return disp_derivatives(data, theta, spec, links)[1]

@@ -12,22 +12,26 @@ clears the descent margin, and the index moves only when the
 likelihood does not rise, which makes the objective trace
 non-increasing by construction.
 
-The descent holds its accepted point as one ``_Point``: theta, p, the
-negative log-likelihood, the penalty at theta, and two blocks of
-per-row terms. Each block step takes that point and returns the point
-it accepts. The log-normalizer terms (``likelihood.lognorm_terms``) do
-not depend on eta: a mean candidate reuses those of the held point,
-and they are replaced only when a dispersion step or an index move is
-accepted, so under the series normalizer an iteration sums the series
-only for the dispersion candidates and the grid points the walk
-visits. The mean exponent D, D', D'' (``likelihood.exponent_terms``)
-does not depend on gamma: a dispersion candidate reuses that of the
-held point, and it is replaced only when a mean step or an index move
-is accepted, so an iteration evaluates it once per mean candidate and
-per grid point the walk visits. The rows u = w/h2(z'gamma) are
-recomputed where they are needed rather than held. The fit keeps one
-point and the previous objective value; its history is the
-coefficients alone.
+The index p lives in the ``FamilySpec`` alone: every likelihood
+function reads ``spec.p``. The descent holds its accepted point as one
+``_Point``: theta, the spec that carries its p, the negative
+log-likelihood, the penalty at theta, and two blocks of per-row terms.
+Each block step reads the spec from the point it takes and returns the
+point it accepts, and the index walk evaluates ``point.spec.with_p``
+at each grid point it visits. The fit checks the response against the
+member's support once. The log-normalizer terms
+(``likelihood.lognorm_terms``) do not depend on eta: a mean candidate
+reuses those of the held point, and they are replaced only when a
+dispersion step or an index move is accepted, so under the series
+normalizer an iteration sums the series only for the dispersion
+candidates and the grid points the walk visits. The mean exponent D,
+D', D'' (``likelihood.exponent_terms``) does not depend on gamma: a
+dispersion candidate reuses that of the held point, and it is replaced
+only when a mean step or an index move is accepted, so an iteration
+evaluates it once per mean candidate and per grid point the walk
+visits. The rows u = w/h2(z'gamma) are recomputed where they are
+needed rather than held. The fit keeps one point and the previous
+objective value; its history is the coefficients alone.
 """
 
 from __future__ import annotations
@@ -106,22 +110,21 @@ def default_p_grid(spec: FamilySpec) -> np.ndarray:
 
 
 def objective(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, penalty: PenaltyConfig,
-              p: float | None = None) -> float:
-    """Penalized negative log-likelihood F(theta, p)."""
-    return (lik.neg_log_lik(data, theta, spec, links, p=p)
+              links: LinkPair, penalty: PenaltyConfig) -> float:
+    """Penalized negative log-likelihood F(theta, p) at p = spec.p."""
+    return (lik.neg_log_lik(data, theta, spec, links)
             + penalty.value(theta.as_vector()))
 
 
 @dataclass(frozen=True, eq=False)
 class _Point:
-    """An evaluated point of the descent: theta at index p with its
-    negative log-likelihood ``nll``, the penalty value ``pen`` at theta,
-    the normalizer ``terms`` at theta's gamma and p and the mean
-    ``exponent`` at theta's eta and p."""
+    """An evaluated point of the descent: theta under ``spec``, whose p
+    is the point's index, with its negative log-likelihood ``nll``, the
+    penalty value ``pen`` at theta, the normalizer ``terms`` at theta's
+    gamma and the mean ``exponent`` at theta's eta."""
 
     theta: Coefficients
-    p: float
+    spec: FamilySpec
     nll: float
     pen: float
     terms: np.ndarray
@@ -133,20 +136,20 @@ class _Point:
         return self.nll + self.pen
 
 
-def _evaluate(data, theta, p, spec, links, pen, terms=None,
+def _evaluate(data, theta, spec, links, pen, terms=None,
               exponent=None) -> _Point:
-    """The point at theta and p whose penalty value is ``pen``, reusing
-    the normalizer ``terms`` at theta's gamma and p or the mean
-    ``exponent`` at theta's eta and p where one is given. Raises where
-    the likelihood is outside its domain or not finite, or the series
-    normalizer cannot be summed."""
+    """The point at theta under ``spec`` whose penalty value is ``pen``,
+    reusing the normalizer ``terms`` at theta's gamma or the mean
+    ``exponent`` at theta's eta where one is given; ``fit`` checked the
+    response's support. Raises where the likelihood is outside its
+    domain or not finite, or the series normalizer cannot be summed."""
     if terms is None:
-        terms = lik.lognorm_terms(data, theta, spec, links, p)
+        terms = lik._lognorm_block(data, theta, spec, links)
     if exponent is None:
-        exponent = lik.exponent_terms(data, theta, spec, links, p)
-    nll = lik.neg_log_lik(data, theta, spec, links, p, terms=terms,
+        exponent = lik._exponent_block(data, theta, spec, links)
+    nll = lik.neg_log_lik(data, theta, spec, links, terms=terms,
                           exponent=exponent)
-    return _Point(theta, p, nll, pen, terms, exponent)
+    return _Point(theta, spec, nll, pen, terms, exponent)
 
 
 def _evaluate_or_reject(*args, **kwargs) -> _Point | None:
@@ -355,22 +358,23 @@ def _try_candidate(solve, with_block, data, theta, spec, links, penalty, c,
     return with_block(star) if np.all(np.isfinite(star)) else None
 
 
-def _scaled_step(step_kind: str, data, point: _Point, spec, links, penalty):
+def _scaled_step(step_kind: str, data, point: _Point, links, penalty):
     """Find the first scaling whose step from the held ``point`` is
     solvable and decreases the objective by at least the descent margin.
 
     The gradient and the Hessian at the point are computed once and
-    shared by every scaling tried. A mean candidate keeps gamma and p,
-    so it is evaluated with the point's normalizer terms and its own
-    mean exponent; a dispersion candidate keeps eta and p, so it is
-    evaluated with the point's mean exponent and its own terms. Returns
-    (c, the accepted point). Raises ScalingError after the doubling
-    budget; reason "not-positive-definite" when no system ever
-    factored, "no-decrease" otherwise.
+    shared by every scaling tried. Every candidate keeps the point's
+    spec. A mean candidate keeps gamma, so it is evaluated with the
+    point's normalizer terms and its own mean exponent; a dispersion
+    candidate keeps eta, so it is evaluated with the point's mean
+    exponent and its own terms. Returns (c, the accepted point). Raises
+    ScalingError after the doubling budget; reason
+    "not-positive-definite" when no system ever factored, "no-decrease"
+    otherwise.
     """
     if step_kind not in ("mean", "disp"):
         raise ConfigError("step_kind must be 'mean' or 'disp'")
-    theta = point.theta
+    theta, spec = point.theta, point.spec
     if step_kind == "mean":
         solve, with_block, held = (solve_mean_step, theta.with_eta,
                                    {"terms": point.terms})
@@ -386,7 +390,7 @@ def _scaled_step(step_kind: str, data, point: _Point, spec, links, penalty):
                               penalty, c, derivs)
         if cand is not None:
             solvable_seen = True
-            new = _evaluate_or_reject(data, cand, point.p, spec, links,
+            new = _evaluate_or_reject(data, cand, spec, links,
                                       penalty.value(cand.as_vector()),
                                       **held)
             margin = _descent_margin(penalty, step_kind, theta, cand)
@@ -400,36 +404,38 @@ def _scaled_step(step_kind: str, data, point: _Point, spec, links, penalty):
         f"{MAX_DOUBLINGS} doublings", reason=reason)
 
 
-def update_index(data: Dataset, point: _Point, spec: FamilySpec,
-                 links: LinkPair, p_grid: np.ndarray) -> _Point:
+def update_index(data: Dataset, point: _Point, links: LinkPair,
+                 p_grid: np.ndarray) -> _Point:
     """Grid update of the index parameter by a walk on the likelihood.
 
-    Starts at the held ``point``, whose p lies on the grid, and moves to
-    the smaller-p neighbour while the likelihood does not rise there, or
-    else to the larger-p neighbour while it falls; each point is
-    evaluated at most once, and the held one not again. The penalty is
-    the held point's, since it does not involve p. The walk stops at a
-    local grid minimum: on a unimodal profile (ties included) that is
-    the grid minimum, with ties broken toward the smaller p, and on a
-    multimodal one it may be a local minimum only. The likelihood there
-    never exceeds the held point's, so the objective stays
-    non-increasing.
+    Starts at the held ``point``, whose spec's p lies on the grid, and moves
+    to the smaller-p neighbour while the likelihood does not rise there,
+    or else to the larger-p neighbour while it falls; each grid point is
+    evaluated at most once, under ``point.spec.with_p`` at its p, and
+    the held one not again. The penalty is the held point's, since it
+    does not involve p. The walk stops at a local grid minimum: on a
+    unimodal profile (ties included) that is the grid minimum, with ties
+    broken toward the smaller p, and on a multimodal one it may be a
+    local minimum only. The likelihood there never exceeds the held
+    point's, so the objective stays non-increasing.
 
     Returns the point reached: the held one when no neighbour is
-    better, for fixed-p members and for an empty grid.
+    better, for fixed-p members, for a single-point grid and for an
+    empty grid.
     """
     grid = np.asarray(p_grid, dtype=float).ravel()
-    if spec.member is not Member.COMPOUND_POISSON_GAMMA or grid.size == 0:
+    if (point.spec.member is not Member.COMPOUND_POISSON_GAMMA
+            or grid.size == 0):
         return point
-    i = int(np.argmin(np.abs(grid - point.p)))
+    i = int(np.argmin(np.abs(grid - point.spec.p)))
 
     def walk(step, better) -> bool:
         nonlocal i, point
         moved = False
         while 0 <= i + step < grid.size:
-            near = _evaluate_or_reject(data, point.theta,
-                                       float(grid[i + step]), spec, links,
-                                       point.pen)
+            near = _evaluate_or_reject(
+                data, point.theta, point.spec.with_p(float(grid[i + step])),
+                links, point.pen)
             if near is None or not better(near.nll, point.nll):
                 break
             i, point = i + step, near
@@ -442,8 +448,6 @@ def update_index(data: Dataset, point: _Point, spec: FamilySpec,
 
 
 def _snap_to_grid(p: float, p_grid: np.ndarray) -> float:
-    if p_grid.size == 0:
-        return p
     return float(p_grid[int(np.argmin(np.abs(p_grid - p)))])
 
 
@@ -473,10 +477,12 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
     """Run the coordinate descent to convergence of the objective.
 
     Stops when the per-iteration objective decrease falls below
-    ``EPS_CONVERGE`` or after ``MAX_ITERS`` iterations.
-    The trace of objective values is non-increasing; steps that cannot
-    improve the objective at any scaling are taken as zero steps, so a
-    fully stalled iteration terminates cleanly.
+    ``EPS_CONVERGE`` or after ``MAX_ITERS`` iterations. A compound fit
+    starts at the grid point nearest spec.p; a response outside the
+    member's support raises DomainError. The trace of objective values
+    is non-increasing; steps that cannot improve the objective at any
+    scaling are taken as zero steps, so a fully stalled iteration
+    terminates cleanly.
     """
     validate_links(spec, links)
     if data.n_rows == 0:
@@ -496,13 +502,13 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
             or theta.alpha.size != data.graph.n_vertices:
         raise ConfigError("init has wrong block sizes for this dataset")
 
-    p0 = _snap_to_grid(spec.p, p_grid) \
-        if spec.member is Member.COMPOUND_POISSON_GAMMA else spec.p
-    spec_cur = spec.with_p(p0) if p0 != spec.p else spec
+    if spec.member is Member.COMPOUND_POISSON_GAMMA:
+        spec = spec.with_p(_snap_to_grid(spec.p, p_grid))
+    lik._check_member_data(data, spec)
 
     # evaluated unguarded, so that a start the series cannot sum says so
     try:
-        point = _evaluate(data, theta, p0, spec_cur, links,
+        point = _evaluate(data, theta, spec, links,
                           config.penalty.value(theta.as_vector()))
     except (DomainError, NonFiniteError):
         point = None
@@ -513,29 +519,25 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
     converged = False
     iters = 0
     steps = ("mean", "disp") if has_disp else ("mean",)
-    walks = spec.member is Member.COMPOUND_POISSON_GAMMA and p_grid.size > 1
 
     for iters in range(1, MAX_ITERS + 1):
         f_prev = point.f
         for kind in steps:
             try:
-                _, point = _scaled_step(kind, data, point, spec_cur, links,
+                _, point = _scaled_step(kind, data, point, links,
                                         config.penalty)
             except ScalingError as err:
                 if err.reason != "no-decrease":
                     raise ScalingError(
                         f"iteration {iters}: {err}", reason=err.reason)
-        if walks:
-            point = update_index(data, point, spec_cur, links, p_grid)
-            if point.p != spec_cur.p:
-                spec_cur = spec_cur.with_p(point.p)
+        point = update_index(data, point, links, p_grid)
         trace.append(point.f)
         history.append(point.theta)
         if f_prev - point.f < EPS_CONVERGE:
             converged = True
             break
 
-    return FitResult(theta_hat=point.theta, p_hat=point.p,
+    return FitResult(theta_hat=point.theta, p_hat=point.spec.p,
                      objective_trace=np.array(trace), iters=iters,
                      converged=converged, history=history)
 

@@ -54,6 +54,8 @@ class PatternSpec:
             self.kind = PatternKind.from_name(self.kind)
         if self.rows * self.cols < 4:
             raise ConfigError("lattice needs at least 4 vertices")
+        if not np.isfinite(self.amplitude):
+            raise ConfigError("pattern amplitude must be finite")
 
 
 def _lattice_coords(rows: int, cols: int) -> np.ndarray:
@@ -215,6 +217,8 @@ def make_dataset(n: int, rows: int, cols: int, pattern: PatternKind | str,
     """
     if spec.member is not Member.COMPOUND_POISSON_GAMMA:
         raise ConfigError("synthetic responses are compound Poisson-gamma")
+    if n < 1:
+        raise ConfigError("n must be at least 1")
     if not 0.0 < target_zero_prop < 1.0:
         raise ConfigError("target_zero_prop must lie in (0, 1)")
     sim = sim or SimConfig()

@@ -184,14 +184,13 @@ def min_norm_mean_step(data, theta, spec, links, penalty, c1, derivs=None):
     return min_norm_mean_solve(hess, penalty, c1, c1 * h_eta - g)
 
 
-def dense_fisher_information(data, theta_hat, p_hat, spec, links):
+def dense_fisher_information(data, theta_hat, spec_hat, links):
     """Observed information over (beta, alpha, gamma) as one dense
     matrix, the mean-dispersion cross block zero; the oracle for the
     blocks of ``inference.fisher_information``."""
-    spec_hat = spec.with_p(p_hat) if spec.p != p_hat else spec
     mean_block = dense_hessian(hess_mean(data, theta_hat, spec_hat, links))
     kg = data.k_gamma
-    if kg and spec.member is not Member.POISSON:
+    if kg and spec_hat.member is not Member.POISSON:
         disp_block = lik.hess_disp(data, theta_hat, spec_hat, links)
     else:
         disp_block = np.zeros((kg, kg))
@@ -253,18 +252,18 @@ def cumulant_of_mu(spec, mu):
     return float(out) if m.ndim == 0 else out
 
 
-def mean_exponent_generic(data, spec, kind, t, p):
-    """Chain-rule D(t), D'(t), D''(t) through the canonical map; the
-    oracle for the closed forms in ``likelihood._mean_exponent``."""
-    spec_p = spec.with_p(p) if spec.p != p else spec
+def mean_exponent_generic(data, spec, kind, t):
+    """Chain-rule D(t), D'(t), D''(t) through the canonical map at
+    spec.p; the oracle for the closed forms in
+    ``likelihood._mean_exponent``."""
     y = data.ystar
     mu = link_eval(kind, t, 0)
-    fam.check_mean_space(spec_p, mu, what="h1(t)")
+    fam.check_mean_space(spec, mu, what="h1(t)")
     h1p = link_eval(kind, t, 1)
     h1pp = link_eval(kind, t, 2)
-    theta1 = theta_of_mu(spec_p, mu, 1)
-    theta2 = theta_of_mu(spec_p, mu, 2)
-    d0 = y * theta_of_mu(spec_p, mu, 0) - cumulant_of_mu(spec_p, mu)
+    theta1 = theta_of_mu(spec, mu, 1)
+    theta2 = theta_of_mu(spec, mu, 2)
+    d0 = y * theta_of_mu(spec, mu, 0) - cumulant_of_mu(spec, mu)
     d1 = theta1 * h1p * (y - mu)
     d2 = (theta2 * h1p ** 2 + theta1 * h1pp) * (y - mu) - h1p ** 2 * theta1
     return d0, d1, d2
@@ -301,7 +300,8 @@ def scan_update_index(data, theta_star, spec, links, p_grid, nll_cur=None):
 
     def nll_or_inf(pk):
         try:
-            return lik.neg_log_lik(data, theta_star, spec, links, p=pk)
+            return lik.neg_log_lik(data, theta_star, spec.with_p(pk),
+                                   links)
         except (DomainError, NonFiniteError, SeriesInfeasibleError):
             return np.inf
 

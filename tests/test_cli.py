@@ -362,7 +362,32 @@ class TestPipeline:
         (["predict", "--data", "{sim}/data.csv", "--graph",
           "{sim}/graph.tsv"], "E_CONFIG"),
         (["report"], "E_CONFIG"),
-    ], ids=["simulate", "fit", "tune", "predict", "report"])
+        (["simulate", "--zero-prop", "1.5"], "E_CONFIG"),
+        (["simulate", "--lattice", "0x3"], "E_CONFIG"),
+        (["simulate", "--n=-5"], "E_CONFIG"),
+        (["simulate", "--n", "0"], "E_CONFIG"),
+        (["simulate", "--amplitude", "nan"], "E_CONFIG"),
+        (["simulate", "--amplitude", "inf"], "E_CONFIG"),
+        (["fit", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--p-grid", "nan:1.5:0.05"], "E_CONFIG"),
+        (["fit", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--p-grid", "1.1:1.5:inf"], "E_CONFIG"),
+        (["fit", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--p-grid", "1.1:inf:0.05"], "E_CONFIG"),
+        (["fit", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--lambda1", "nan"], "E_CONFIG"),
+        (["fit", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--lambda1", "inf"], "E_CONFIG"),
+        (["tune", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--grid", "nan:5:2,-5:5:2"], "E_CONFIG"),
+        (["tune", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--grid=-5:800:2,-5:5:2"], "E_CONFIG"),
+    ], ids=["simulate", "fit", "tune", "predict", "report",
+            "simulate-zero-prop", "simulate-empty-lattice",
+            "simulate-negative-n", "simulate-zero-n", "simulate-nan-amplitude",
+            "simulate-inf-amplitude", "fit-nan-p-grid-lo",
+            "fit-inf-p-grid-step", "fit-inf-p-grid-hi", "fit-nan-lambda1",
+            "fit-inf-lambda1", "tune-nan-grid", "tune-overflowing-grid"])
     def test_invalid_options_create_no_outdir(self, sim_dir, tmp_path,
                                               capsys, argv, code):
         out = tmp_path / "out"

@@ -70,7 +70,7 @@ def _plain_normal_data(n=80, k=3, seed=0):
 class TestFisherInformation:
     def test_classical_linear_model_block(self):
         data, theta = _plain_normal_data()
-        info = fisher_information(data, theta, 0.0, FamilySpec.normal(),
+        info = fisher_information(data, theta, FamilySpec.normal(),
                                   LinkPair.of("identity", "log"))
         np.testing.assert_allclose(info[0], data.X.T @ data.X,
                                    rtol=1e-12)
@@ -87,18 +87,17 @@ class TestFisherInformation:
         mean = dense_hessian(hess_mean(data, res.theta_hat, spec_hat,
                                        links))
         assert np.linalg.eigvalsh(mean).min() >= -1e-8
-        info = fisher_information(data, res.theta_hat, res.p_hat, spec,
-                                  links)
+        info = fisher_information(data, res.theta_hat, spec_hat, links)
         assert np.linalg.eigvalsh(info[1]).min() >= -1e-8
 
     def test_additive_over_rows(self):
         data, theta, spec, links = make_instance(Member.NORMAL, "identity",
                                                  seed=5)
-        info = fisher_information(data, theta, spec.p, spec, links)
+        info = fisher_information(data, theta, spec, links)
         doubled = Dataset(np.tile(data.y, 2), np.tile(data.w, 2),
                           np.tile(data.vertex, 2), np.tile(data.X, (2, 1)),
                           np.tile(data.Z, (2, 1)), data.graph)
-        info2 = fisher_information(doubled, theta, spec.p, spec, links)
+        info2 = fisher_information(doubled, theta, spec, links)
         for block, block2 in zip(info, info2):
             np.testing.assert_allclose(block2, 2.0 * block, rtol=1e-9,
                                        atol=1e-9)
@@ -108,8 +107,8 @@ class TestFisherInformation:
                              ids=lambda m: m.value)
     def test_blocks_of_the_dense_information(self, member):
         data, theta, spec, links = make_instance(member, "log", seed=7)
-        info = fisher_information(data, theta, spec.p, spec, links)
-        dense = dense_fisher_information(data, theta, spec.p, spec, links)
+        info = fisher_information(data, theta, spec, links)
+        dense = dense_fisher_information(data, theta, spec, links)
         kb, m = data.k_beta, data.k_beta + data.graph.n_vertices
         np.testing.assert_array_equal(info[0], dense[:kb, :kb])
         np.testing.assert_array_equal(info[1], dense[m:, m:])
@@ -124,14 +123,14 @@ class TestFisherInformation:
         raw = lik._mean_exponent
         monkeypatch.setattr(lik, "_mean_exponent",
                             lambda *a: passes.append(1) or raw(*a))
-        fisher_information(data, theta, spec.p, spec, links)
+        fisher_information(data, theta, spec, links)
         assert len(passes) == 1
 
 
 class TestWaldTable:
     def test_z_and_pvalue_wiring(self):
         data, theta = _plain_normal_data(seed=2)
-        info = fisher_information(data, theta, 0.0, FamilySpec.normal(),
+        info = fisher_information(data, theta, FamilySpec.normal(),
                                   LinkPair.of("identity", "log"))
         rows = wald_table(theta, info, beta_names=["a", "b", "c"])
         cov = np.linalg.inv(info[0])
@@ -147,7 +146,7 @@ class TestWaldTable:
         data2 = Dataset(data.y, data.w, data.vertex, X, data.Z, data.graph)
         theta2 = Coefficients(np.concatenate([theta.beta, [0.0]]),
                               theta.alpha, theta.gamma)
-        info = fisher_information(data2, theta2, 0.0, FamilySpec.normal(),
+        info = fisher_information(data2, theta2, FamilySpec.normal(),
                                   LinkPair.of("identity", "log"))
         with pytest.raises(SingularSystemError, match="smallest pivot"):
             wald_table(theta2, info)

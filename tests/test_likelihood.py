@@ -224,9 +224,8 @@ class TestClosedFormVsGeneric:
             data, theta, spec, links = make_instance(member, mean_link,
                                                      seed=9)
             t, _ = predictors(data, theta)
-            fast = _mean_exponent(data, spec, links, t, spec.p)
-            generic = mean_exponent_generic(data, spec, links.mean.kind, t,
-                                            spec.p)
+            fast = _mean_exponent(data, spec, links, t)
+            generic = mean_exponent_generic(data, spec, links.mean.kind, t)
             for a, b in zip(fast, generic):
                 np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14,
                                            err_msg=f"{member} {mean_link}")
@@ -279,7 +278,7 @@ class TestHeldRows:
                                       dense_hessian(fresh))
         t = predictors(data, theta)[0]
         for got, want in zip(exponent, mean_exponent_generic(
-                data, spec, links.mean.kind, t, spec.p)):
+                data, spec, links.mean.kind, t)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
         assert rel_err(grad_mean(data, theta, spec, links, exponent=exponent),
                        fd_gradient(_nll_eta(data, theta, spec, links),

@@ -16,7 +16,7 @@ from twdglm import family as fam
 from twdglm import graph as graph_mod
 from twdglm import likelihood as lik
 from twdglm import optimizer as opt
-from twdglm.errors import ConfigError, SingularSystemError
+from twdglm.errors import ConfigError, DomainError, SingularSystemError
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
                           lattice_graph)
@@ -344,8 +344,8 @@ class TestSolveDispStep:
 
 
 def _held(data, theta, spec, links, pen):
-    """The fit's held point at theta and spec.p."""
-    return opt._evaluate(data, theta, spec.p, spec, links,
+    """The fit's held point at theta under spec."""
+    return opt._evaluate(data, theta, spec, links,
                          pen.value(theta.as_vector()))
 
 
@@ -356,7 +356,7 @@ class TestChooseScaling:
         pen = _zero_penalty(data)
         theta = data.initial_coefficients(spec, links)
         point = _held(data, theta, spec, links, pen)
-        c1, _ = _scaled_step("mean", data, point, spec, links, pen)
+        c1, _ = _scaled_step("mean", data, point, links, pen)
         assert c1 == 1.0
 
     def test_accepted_scale_makes_system_psd(self):
@@ -365,7 +365,7 @@ class TestChooseScaling:
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.5, 0.7,
                                data.k_beta, data.graph, data.k_gamma)
         point = _held(data, theta, spec, links, pen)
-        c1, _ = _scaled_step("mean", data, point, spec, links, pen)
+        c1, _ = _scaled_step("mean", data, point, links, pen)
         mat = (pen.eta_matrix().toarray()
                + c1 * dense_hessian(hess_mean(data, theta, spec, links)))
         assert np.linalg.eigvalsh(mat).min() >= -1e-8
@@ -378,7 +378,7 @@ class TestChooseScaling:
         f0 = objective(data, theta, spec, links, pen)
         point = _held(data, theta, spec, links, pen)
         assert point.f == f0
-        _, new = _scaled_step("mean", data, point, spec, links, pen)
+        _, new = _scaled_step("mean", data, point, links, pen)
         assert new.f <= f0
 
     @pytest.mark.parametrize("kind", ["mean", "disp"])
@@ -388,28 +388,27 @@ class TestChooseScaling:
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
                                data.k_beta, data.graph, data.k_gamma)
         point = _held(data, theta, spec, links, pen)
-        _, new = _scaled_step(kind, data, point, spec, links, pen)
+        _, new = _scaled_step(kind, data, point, links, pen)
         cand = new.theta
         np.testing.assert_array_equal(
             new.terms, lik.lognorm_terms(data, cand, spec, links))
         np.testing.assert_array_equal(
             new.exponent, lik.exponent_terms(data, cand, spec, links))
         assert new.nll == lik.neg_log_lik(data, cand, spec, links)
-        assert new.p == point.p
+        assert new.spec == point.spec
         assert new.f == objective(data, cand, spec, links, pen)
 
     def test_rejects_unknown_step_kind(self):
         data, links = _normal_instance()
         with pytest.raises(ConfigError):
-            _scaled_step("index", data, None, FamilySpec.normal(), links,
-                         _zero_penalty(data))
+            _scaled_step("index", data, None, links, _zero_penalty(data))
 
 
 class TestUpdateIndex:
     def test_fixed_p_member_unchanged(self):
         data, theta, spec, links = make_instance(Member.GAMMA, "log", seed=1)
         point = _held(data, theta, spec, links, _zero_penalty(data))
-        assert update_index(data, point, spec, links,
+        assert update_index(data, point, links,
                             np.array([1.1, 1.5])) is point
 
     def test_single_point_grid(self):
@@ -417,7 +416,7 @@ class TestUpdateIndex:
             Member.COMPOUND_POISSON_GAMMA, "log", seed=1)
         spec = spec.with_p(1.3)
         point = _held(data, theta, spec, links, _zero_penalty(data))
-        assert update_index(data, point, spec, links,
+        assert update_index(data, point, links,
                             np.array([1.3])) is point
 
     @settings(max_examples=300)
@@ -439,29 +438,28 @@ class TestUpdateIndex:
         values = np.concatenate([left, np.full(width, low), right])
         start = data(st.integers(0, n - 1))
         spec = FamilySpec.compound_poisson_gamma(float(grid[start]))
-        held = opt._Point(None, float(grid[start]), float(values[start]),
-                          0.0, "terms", "exponent")
+        held = opt._Point(None, spec, float(values[start]), 0.0, "terms",
+                          "exponent")
         profile = dict(zip(grid.tolist(), values.tolist()))
         seen = []
 
-        def nll_at(data, theta, spec, links, p=None, terms=None,
-                   exponent=None):
-            seen.append(p)
-            return profile[float(p)]
+        def nll_at(data, theta, spec, links, terms=None, exponent=None):
+            seen.append(spec.p)
+            return profile[float(spec.p)]
 
         with mock.patch.object(lik, "neg_log_lik", nll_at), \
-                mock.patch.object(lik, "lognorm_terms",
+                mock.patch.object(lik, "_lognorm_block",
                                   lambda *a, **k: "terms"), \
-                mock.patch.object(lik, "exponent_terms",
+                mock.patch.object(lik, "_exponent_block",
                                   lambda *a, **k: "exponent"):
-            got = update_index(None, held, spec, None, grid)
+            got = update_index(None, held, None, grid)
             n_walk = len(seen)
             want = scan_update_index(None, None, spec, None, grid, held.nll)
-        assert (got.p, got.nll) == want
+        assert (got.spec.p, got.nll) == want
         walked = seen[:n_walk]
         assert len(set(walked)) == len(walked)
         assert grid[start] not in walked
-        assert got is held or got.p in walked
+        assert got is held or got.spec.p in walked
 
     def test_walk_matches_scan_on_the_likelihood(self):
         gen = FamilySpec.compound_poisson_gamma(1.5)
@@ -473,15 +471,15 @@ class TestUpdateIndex:
         for p0 in (1.05, 1.3, 1.5, 1.95):
             spec = gen.with_p(p0)
             held = _held(data, theta, spec, links, pen)
-            got = update_index(data, held, spec, links, grid)
-            assert (got.p, got.nll) == scan_update_index(
+            got = update_index(data, held, links, grid)
+            assert (got.spec.p, got.nll) == scan_update_index(
                 data, theta, spec, links, grid, held.nll)
             assert got.theta is theta and got.pen == held.pen
             np.testing.assert_array_equal(
-                got.terms, lik.lognorm_terms(data, theta, spec, links, got.p))
+                got.terms, lik.lognorm_terms(data, theta, got.spec, links))
             np.testing.assert_array_equal(
                 got.exponent,
-                lik.exponent_terms(data, theta, spec, links, got.p))
+                lik.exponent_terms(data, theta, got.spec, links))
 
     def test_series_passes_per_iteration(self, monkeypatch):
         """A criterion-6 fit sums the series once at the start, then per
@@ -652,6 +650,68 @@ class TestFit:
         assert res.objective_trace[-1] == objective(
             data, res.theta_hat, FamilySpec.compound_poisson_gamma(res.p_hat),
             links, pen)
+
+    def test_starts_at_the_grid_point_nearest_p0(self):
+        """A compound fit from p = 1.52 starts at 1.5 on the default
+        grid: its first objective is F there, and p_hat is a grid
+        point."""
+        data, _ = make_dataset(400, 3, 3, "smooth",
+                               FamilySpec.compound_poisson_gamma(1.5), 0.3,
+                               seed=5)
+        spec = FamilySpec.compound_poisson_gamma(1.52)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        links = LinkPair.of("log", "log")
+        res = fit(data, spec, links, FitConfig(penalty=pen))
+        assert res.objective_trace[0] == objective(
+            data, res.history[0], spec.with_p(1.5), links, pen)
+        assert res.p_hat in opt.default_p_grid(spec)
+
+    def test_single_point_grid_pins_p(self):
+        """From p = 1.3 with the grid [1.5] the fit snaps to 1.5 and
+        never evaluates another p."""
+        data, _ = make_dataset(400, 3, 3, "smooth",
+                               FamilySpec.compound_poisson_gamma(1.5), 0.3,
+                               seed=6)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        with mock.patch.object(lik, "neg_log_lik",
+                               wraps=lik.neg_log_lik) as nll:
+            res = fit(data, FamilySpec.compound_poisson_gamma(1.3),
+                      LinkPair.of("log", "log"),
+                      FitConfig(penalty=pen, p_grid=np.array([1.5])))
+        assert res.p_hat == 1.5
+        assert {call.args[2].p for call in nll.call_args_list} == {1.5}
+
+    def test_checks_the_support_once(self, monkeypatch):
+        """The fit checks the response against the member once; its
+        candidates and the walk's grid points do not again."""
+        data, _ = make_dataset(400, 3, 3, "smooth",
+                               FamilySpec.compound_poisson_gamma(1.5), 0.3,
+                               seed=7)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        calls = []
+        raw = fam.check_support
+        monkeypatch.setattr(fam, "check_support",
+                            lambda *a, **k: calls.append(1) or raw(*a, **k))
+        res = fit(data, FamilySpec.compound_poisson_gamma(1.3),
+                  LinkPair.of("log", "log"), FitConfig(penalty=pen))
+        assert res.iters >= 2
+        assert len(calls) == 1
+
+    def test_response_outside_the_support_is_a_domain_error(self):
+        data, _ = make_dataset(400, 3, 3, "smooth",
+                               FamilySpec.compound_poisson_gamma(1.5), 0.3,
+                               seed=7)
+        y = data.y.copy()
+        y[0] = -1.0
+        bad = Dataset(y, data.w, data.vertex, data.X, data.Z, data.graph)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               bad.k_beta, bad.graph, bad.k_gamma)
+        with pytest.raises(DomainError, match="nonnegative"):
+            fit(bad, FamilySpec.compound_poisson_gamma(1.5),
+                LinkPair.of("log", "log"), FitConfig(penalty=pen))
 
     def test_warm_start_from_truth_on_noiseless_normal(self):
         rng = np.random.default_rng(8)
