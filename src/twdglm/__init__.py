@@ -19,8 +19,9 @@ from .graph import (ArealGraph, PenaltyConfig, PenaltyMode, assemble_penalty,
                     build_laplacian, lattice_graph)
 from .inference import (WaldRow, alpha_summary, fisher_information,
                         p_value_from_z, wald_table)
-from .likelihood import (Coefficients, Dataset, MeanHessian, grad_disp,
-                         grad_mean, hess_disp, hess_mean, neg_log_lik)
+from .likelihood import (Coefficients, Dataset, MeanHessian, dispersion_terms,
+                         exponent_terms, grad_disp, grad_mean, hess_disp,
+                         hess_mean, neg_log_lik)
 from .links import (LinkKind, LinkPair, LinkRole, LinkSpec, default_links,
                     link_apply, link_eval, validate_links)
 from .optimizer import (FitConfig, FitResult, default_p_grid, fit, fit_ridge,

@@ -279,6 +279,12 @@ def assemble_penalty(mode: PenaltyMode | str, lambda1: float, lambda2: float,
     if not (0 <= lambda1 < np.inf and 0 <= lambda2 < np.inf):
         raise ConfigError("penalty multipliers must be finite and "
                           "nonnegative")
+    # the largest entry of lambda1*I + lambda2*L is at the top degree
+    top = float(lambda1) + float(lambda2) * float(g.degrees().max(initial=0))
+    if top == np.inf:
+        raise ConfigError(f"penalty multipliers lambda1 = {lambda1:g} and "
+                          f"lambda2 = {lambda2:g} overflow: lambda1*I + "
+                          "lambda2*L has an entry that is not finite")
     if k_beta < 0 or k_gamma < 0:
         raise ConfigError("design dimensions must be nonnegative")
     return PenaltyConfig(mode, float(lambda1), float(lambda2), k_beta,

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import likelihood as lik
 from .errors import SingularSystemError
-from .family import FamilySpec, Member
+from .family import FamilySpec
 from .likelihood import Coefficients, Dataset
 from .links import LinkPair
 
@@ -37,15 +37,15 @@ def fisher_information(data: Dataset, theta_hat: Coefficients,
     gamma (zero without a dispersion model). The spatial blocks and the
     mean-dispersion cross block (zero in this family) are not built.
     Both are additive over rows: duplicating the dataset doubles them.
-    Both read the mean exponent at the fit, which is evaluated once.
+    Both read the two likelihood blocks at the fit, each built once; a
+    response outside the member's support raises DomainError.
     """
+    lik._check_member_data(data, spec_hat)
+    terms = lik.dispersion_terms(data, theta_hat, spec_hat, links)
     exponent = lik.exponent_terms(data, theta_hat, spec_hat, links)
-    h_bb = lik.hess_mean(data, theta_hat, spec_hat, links,
-                         exponent=exponent).h_bb
-    h_gg = np.zeros((data.k_gamma, data.k_gamma))
-    if data.k_gamma and spec_hat.member is not Member.POISSON:
-        _, h_gg = lik.disp_derivatives(data, theta_hat, spec_hat, links,
-                                       exponent=exponent)
+    h_bb = lik.hess_mean(data, terms, exponent).h_bb
+    h_gg = (lik.disp_derivatives(data, terms, exponent)[1] if data.k_gamma
+            else np.zeros((0, 0)))
     return h_bb, h_gg
 
 

@@ -16,6 +16,14 @@ Gradients and Hessians with respect to eta = (beta, alpha) at fixed
 gamma, and with respect to gamma at fixed eta, are exact analytic
 derivatives of the same assembly, in closed form per (member, mean
 link).
+
+Every row term lives in one of two blocks, each made by one builder
+that does not check the response's support: ``exponent_terms`` holds
+D, D', D'' at theta's eta, and ``dispersion_terms`` holds logC and
+u = 1/phi* = w/h2(z'gamma) with their first two derivatives in the
+dispersion predictor at theta's gamma. ``neg_log_lik``, ``grad_mean``,
+``hess_mean`` and ``disp_derivatives`` take both blocks and only sum
+their rows; no function here builds a block it was not given.
 """
 
 from __future__ import annotations
@@ -269,7 +277,7 @@ def _require_positive(t: np.ndarray, what: str):
 
 
 # ---------------------------------------------------------------------------
-# Dispersion-side log-normalizer logC(s) and derivatives
+# Dispersion-side terms: logC(s), u(s) = w/h2(s) and their derivatives
 # ---------------------------------------------------------------------------
 
 def _lognorm_saddle_family(log_vy, d_sat, w, h2, l1, l2, u):
@@ -282,12 +290,10 @@ def _lognorm_saddle_family(log_vy, d_sat, w, h2, l1, l2, u):
     return c0, c1, c2
 
 
-def _lognorm_gamma(y, w, h2, l1, l2, u):
+def _lognorm_gamma(y, w, h2, l1, l2, u, up, upp):
     log_phis = np.log(h2) - np.log(w)
     log_y = np.log(y)
     c0 = u * (log_y - log_phis) - log_y - special.gammaln(u)
-    up = -u * l1
-    upp = u * (2.0 * l1 ** 2 - l2)
     a = log_y - log_phis - special.digamma(u)
     c1 = up * a - u * l1
     c2 = (upp * a - 2.0 * up * l1 - u * (l2 - l1 ** 2)
@@ -295,20 +301,13 @@ def _lognorm_gamma(y, w, h2, l1, l2, u):
     return c0, c1, c2
 
 
-def _lognorm_terms(data: Dataset, spec: FamilySpec, links: LinkPair,
-                   theta: Coefficients):
+def _lognorm_terms(data: Dataset, spec: FamilySpec, h2, l1, l2, u, up, upp):
     """Per-row logC and its first two derivatives in the dispersion
-    predictor at theta's gamma and spec.p. Derivative outputs are None
-    when the member has no dispersion model."""
+    predictor at spec.p, for a member with a dispersion model, from the
+    rows of ``_dispersion_scale`` and the derivatives u', u'' of u."""
     y = data.ystar
     w = data.w
     mem = spec.member
-    h2, l1, l2, u = _dispersion_scale(data, theta, links)
-
-    if mem is Member.POISSON:
-        # phi* = 1/w: the scaled-count normalizer, constant in gamma
-        c0 = data.y * np.log(w) - special.gammaln(data.y + 1.0)
-        return c0, None, None
     if mem is Member.NORMAL:
         return _lognorm_saddle_family(
             np.zeros_like(y), y ** 2 / 2.0, w, h2, l1, l2, u)
@@ -316,7 +315,7 @@ def _lognorm_terms(data: Dataset, spec: FamilySpec, links: LinkPair,
         return _lognorm_saddle_family(
             3.0 * np.log(y), 0.5 / y, w, h2, l1, l2, u)
     if mem is Member.GAMMA:
-        return _lognorm_gamma(y, w, h2, l1, l2, u)
+        return _lognorm_gamma(y, w, h2, l1, l2, u, up, upp)
 
     # compound Poisson-gamma
     if spec.approx is Approx.SADDLEPOINT:
@@ -343,40 +342,52 @@ def _lognorm_terms(data: Dataset, spec: FamilySpec, links: LinkPair,
 # ---------------------------------------------------------------------------
 
 def _check_member_data(data: Dataset, spec: FamilySpec):
+    """The response lies in the member's support, and a Poisson dataset
+    has no dispersion design; every entry point that takes a raw
+    dataset checks this once, before it builds a block."""
     fam.check_support(spec, data.ystar, what="y/w")
     if spec.member is Member.POISSON and data.k_gamma:
         raise ConfigError(
             "constant dispersion member: Poisson admits no dispersion model")
 
 
-def lognorm_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                  links: LinkPair) -> np.ndarray:
-    """Per-row log-normalizer terms at theta's gamma and spec.p: an
-    array whose rows are logC (c0) and, for a member with a dispersion
-    model, its first two derivatives in the dispersion predictor (c1,
-    c2).
+def dispersion_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
+                     links: LinkPair) -> np.ndarray:
+    """Per-row dispersion-side block at theta's gamma and spec.p.
 
-    They depend on (gamma, p, y, w) but not on eta, so a fit computes
+    Row 2k holds the k-th derivative of logC and row 2k + 1 that of
+    u = w/h2(z'gamma) = 1/phi*, both in the dispersion predictor: the
+    rows are logC, u, C', u' = -u*h2'/h2, C'' and
+    u'' = u*(2*(h2'/h2)**2 - h2''/h2). A member without a dispersion
+    model (Poisson) has the first two rows only.
+
+    The rows depend on (gamma, p, y, w) but not on eta, so a fit builds
     them once per accepted (gamma, p) and passes them as ``terms`` to
-    ``neg_log_lik`` and ``disp_derivatives`` at every theta sharing
-    that gamma and p: they are replaced when a dispersion step or an
-    index move is accepted, and under the series normalizer they are
-    its pass. The rows share one block because a fit holds it across
-    iterations: three separate arrays, left between the pass's
-    temporaries, raised the peak resident memory of a 72 000-row fit by
-    about 1.5 MB. ``exponent_terms`` is the mean side's counterpart.
+    every likelihood function at a theta sharing that gamma and p: they
+    are replaced when a dispersion step or an index move is accepted,
+    and under the series normalizer they are its pass. The response's
+    support is not checked here; the caller checks it once
+    (``_check_member_data``). ``exponent_terms`` is the mean side's
+    counterpart.
     """
-    _check_member_data(data, spec)
-    return _lognorm_block(data, theta, spec, links)
-
-
-def _lognorm_block(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                   links: LinkPair) -> np.ndarray:
-    """``lognorm_terms`` without the support check, which ``fit`` makes
-    once."""
+    # The block is allocated before the pass's temporaries: built after
+    # them (np.stack), the block a fit holds sat above their freed space
+    # and raised the peak resident memory of a 72 000-row fit.
+    poisson = spec.member is Member.POISSON
+    out = np.empty((2 if poisson else 6, data.n_rows))
     with np.errstate(over="ignore", invalid="ignore"):
-        c0, c1, c2 = _lognorm_terms(data, spec, links, theta)
-    return c0[None] if c1 is None else np.stack([c0, c1, c2])
+        h2, l1, l2, out[1] = _dispersion_scale(data, theta, links)
+        if poisson:
+            # phi* = 1/w: the scaled-count normalizer, constant in gamma
+            out[0] = (data.y * np.log(data.w)
+                      - special.gammaln(data.y + 1.0))
+            return out
+        u = out[1]
+        out[3] = -u * l1
+        out[5] = u * (2.0 * l1 ** 2 - l2)
+        out[0], out[2], out[4] = _lognorm_terms(data, spec, h2, l1, l2, u,
+                                                out[3], out[5])
+    return out
 
 
 def exponent_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
@@ -384,25 +395,14 @@ def exponent_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
     """Per-row mean exponent at theta's eta and spec.p: a (3, n) block
     whose rows are D(t), D'(t) and D''(t) at t = X beta + alpha[vertex].
 
-    They depend on (eta, p, y) but not on gamma, so a fit computes them
-    once per mean-step candidate and per index-grid point it visits,
-    and passes those of its accepted (eta, p) as ``exponent`` to
-    ``neg_log_lik``, ``grad_mean``, ``hess_mean`` and
-    ``disp_derivatives``: the dispersion step's candidates and the next
-    mean derivatives reuse them. The rows u = w/h2(z'gamma) that these
-    multiply are recomputed by each of those functions rather than
-    held, since they change with every dispersion candidate.
+    They depend on (eta, p, y) but not on gamma, so a fit builds them
+    once per mean-step candidate and per index-grid point it visits, and
+    passes those of its accepted (eta, p) as ``exponent`` to every
+    likelihood function: the dispersion step's candidates and the next
+    mean derivatives reuse them. As for ``dispersion_terms``, the
+    caller checks the response's support.
     """
-    _check_member_data(data, spec)
-    return _exponent_block(data, theta, spec, links)
-
-
-def _exponent_block(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                    links: LinkPair) -> np.ndarray:
-    """``exponent_terms`` without the support check, as above."""
-    # The block is allocated before the pass's temporaries: built after
-    # them (np.stack), the block a fit holds sat above their freed space
-    # and raised the peak resident memory of a 72 000-row fit by 3 MB.
+    # allocated before the pass's temporaries, as in dispersion_terms
     out = np.empty((3, data.n_rows))
     t = data.X @ theta.beta + theta.alpha[data.vertex]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -410,51 +410,35 @@ def _exponent_block(data: Dataset, theta: Coefficients, spec: FamilySpec,
     return out
 
 
-def neg_log_lik(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                links: LinkPair, terms=None, exponent=None) -> float:
-    """Exposure-adjusted negative log-likelihood of the whole dataset.
-
-    ``terms`` and ``exponent``, when given, are ``lognorm_terms`` at
-    theta's gamma and ``exponent_terms`` at theta's eta, both at
-    spec.p, and stand in for the normalizer and the mean exponent. Held
-    rows were checked against the member when they were built, so only
-    missing ones are checked and computed here.
-    """
-    if exponent is None:
-        exponent = exponent_terms(data, theta, spec, links)
-    if data.n_rows == 0:
-        return 0.0
-    if terms is None:
-        terms = lognorm_terms(data, theta, spec, links)
+def neg_log_lik(terms: np.ndarray, exponent: np.ndarray) -> float:
+    """Exposure-adjusted negative log-likelihood of the whole dataset,
+    the row sum of D*u + logC over the ``dispersion_terms`` at theta's
+    gamma and the ``exponent_terms`` at theta's eta, both at spec.p."""
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _dispersion_scale(data, theta, links)[3]
-        rows = exponent[0] * u + terms[0]
+        rows = exponent[0] * terms[1] + terms[0]
     if not np.all(np.isfinite(rows)):
         bad = int(np.flatnonzero(~np.isfinite(rows))[0])
         raise NonFiniteError("non-finite likelihood contribution", row=bad)
     return -float(rows.sum())
 
 
-def grad_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, exponent=None) -> np.ndarray:
+def grad_mean(data: Dataset, terms: np.ndarray,
+              exponent: np.ndarray) -> np.ndarray:
     """Gradient of the negative log-likelihood in eta = (beta, alpha);
-    ``exponent`` as in ``neg_log_lik``."""
-    if exponent is None:
-        exponent = exponent_terms(data, theta, spec, links)
-    coef = exponent[1] * _dispersion_scale(data, theta, links)[3]
+    ``terms`` and ``exponent`` as in ``neg_log_lik``."""
+    coef = exponent[1] * terms[1]
     g_beta = -(data.X.T @ coef)
     g_alpha = -np.bincount(data.vertex, weights=coef,
                            minlength=data.graph.n_vertices)
     return np.concatenate([g_beta, g_alpha])
 
 
-def hess_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair, exponent=None) -> MeanHessian:
+def hess_mean(data: Dataset, terms: np.ndarray,
+              exponent: np.ndarray) -> MeanHessian:
     """Partitioned Hessian in eta; the alpha block is diagonal because
-    rows touch exactly one vertex. ``exponent`` as in ``neg_log_lik``."""
-    if exponent is None:
-        exponent = exponent_terms(data, theta, spec, links)
-    q = -exponent[2] * _dispersion_scale(data, theta, links)[3]
+    rows touch exactly one vertex. ``terms`` and ``exponent`` as in
+    ``neg_log_lik``."""
+    q = -exponent[2] * terms[1]
     kb = data.k_beta
     h_bb = data.X.T @ (q[:, None] * data.X)
     h_bb = 0.5 * (h_bb + h_bb.T)  # exact symmetry
@@ -467,38 +451,30 @@ def hess_mean(data: Dataset, theta: Coefficients, spec: FamilySpec,
     return MeanHessian(h_bb, h_ba, h_aa)
 
 
-def disp_derivatives(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                     links: LinkPair, terms=None, exponent=None):
+def disp_derivatives(data: Dataset, terms: np.ndarray, exponent: np.ndarray):
     """Gradient and Hessian of the negative log-likelihood in gamma at
-    fixed eta, from one pass over the normalizer, or none when its
-    ``terms`` at theta's gamma and spec.p are given (the Hessian is
-    symmetric by construction); ``exponent`` as in ``neg_log_lik``."""
-    if exponent is None:
-        exponent = exponent_terms(data, theta, spec, links)
-    if spec.member is Member.POISSON:
+    fixed eta (the Hessian symmetric by construction); ``terms`` and
+    ``exponent`` as in ``neg_log_lik``. Raises ConfigError for a member
+    without a dispersion model, whose terms hold no derivative rows."""
+    if len(terms) == 2:
         raise ConfigError("constant dispersion member")
     if data.k_gamma == 0:
         return np.zeros(0), np.zeros((0, 0))
-    if terms is None:
-        terms = lognorm_terms(data, theta, spec, links)
-    _, l1, l2, u = _dispersion_scale(data, theta, links)
-    _, c1, c2 = terms
+    _, _, c1, up, c2, upp = terms
     d0 = exponent[0]
-    up = -u * l1
-    upp = u * (2.0 * l1 ** 2 - l2)
     grad = -(data.Z.T @ (d0 * up + c1))
     hess = -(data.Z.T @ ((d0 * upp + c2)[:, None] * data.Z))
     return grad, 0.5 * (hess + hess.T)
 
 
-def grad_disp(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair) -> np.ndarray:
+def grad_disp(data: Dataset, terms: np.ndarray,
+              exponent: np.ndarray) -> np.ndarray:
     """Gradient of the negative log-likelihood in gamma at fixed eta."""
-    return disp_derivatives(data, theta, spec, links)[0]
+    return disp_derivatives(data, terms, exponent)[0]
 
 
-def hess_disp(data: Dataset, theta: Coefficients, spec: FamilySpec,
-              links: LinkPair) -> np.ndarray:
+def hess_disp(data: Dataset, terms: np.ndarray,
+              exponent: np.ndarray) -> np.ndarray:
     """Hessian of the negative log-likelihood in gamma (symmetric by
     construction)."""
-    return disp_derivatives(data, theta, spec, links)[1]
+    return disp_derivatives(data, terms, exponent)[1]

@@ -13,25 +13,25 @@ likelihood does not rise, which makes the objective trace
 non-increasing by construction.
 
 The index p lives in the ``FamilySpec`` alone: every likelihood
-function reads ``spec.p``. The descent holds its accepted point as one
+block reads ``spec.p``. The descent holds its accepted point as one
 ``_Point``: theta, the spec that carries its p, the negative
-log-likelihood, the penalty at theta, and two blocks of per-row terms.
-Each block step reads the spec from the point it takes and returns the
-point it accepts, and the index walk evaluates ``point.spec.with_p``
-at each grid point it visits. The fit checks the response against the
-member's support once. The log-normalizer terms
-(``likelihood.lognorm_terms``) do not depend on eta: a mean candidate
-reuses those of the held point, and they are replaced only when a
-dispersion step or an index move is accepted, so under the series
-normalizer an iteration sums the series only for the dispersion
+log-likelihood, the penalty at theta, and the two blocks of per-row
+terms that are the likelihood's only input. Each block step reads the
+spec from the point it takes and returns the point it accepts, and the
+index walk evaluates ``point.spec.with_p`` at each grid point it
+visits. The fit checks the response against the member's support once.
+The dispersion-side block (``likelihood.dispersion_terms``: logC,
+u = w/h2(z'gamma) and their derivatives) does not depend on eta: a
+mean candidate reuses that of the held point, and it is replaced only
+when a dispersion step or an index move is accepted, so under the
+series normalizer an iteration sums the series only for the dispersion
 candidates and the grid points the walk visits. The mean exponent D,
 D', D'' (``likelihood.exponent_terms``) does not depend on gamma: a
 dispersion candidate reuses that of the held point, and it is replaced
 only when a mean step or an index move is accepted, so an iteration
 evaluates it once per mean candidate and per grid point the walk
-visits. The rows u = w/h2(z'gamma) are recomputed where they are
-needed rather than held. The fit keeps one point and the previous
-objective value; its history is the coefficients alone.
+visits. The fit keeps one point and the previous objective value; its
+history is the coefficients alone.
 """
 
 from __future__ import annotations
@@ -111,16 +111,18 @@ def default_p_grid(spec: FamilySpec) -> np.ndarray:
 
 def objective(data: Dataset, theta: Coefficients, spec: FamilySpec,
               links: LinkPair, penalty: PenaltyConfig) -> float:
-    """Penalized negative log-likelihood F(theta, p) at p = spec.p."""
-    return (lik.neg_log_lik(data, theta, spec, links)
-            + penalty.value(theta.as_vector()))
+    """Penalized negative log-likelihood F(theta, p) at p = spec.p; a
+    response outside the member's support raises DomainError."""
+    lik._check_member_data(data, spec)
+    return _evaluate(data, theta, spec, links,
+                     penalty.value(theta.as_vector())).f
 
 
 @dataclass(frozen=True, eq=False)
 class _Point:
     """An evaluated point of the descent: theta under ``spec``, whose p
     is the point's index, with its negative log-likelihood ``nll``, the
-    penalty value ``pen`` at theta, the normalizer ``terms`` at theta's
+    penalty value ``pen`` at theta, the dispersion ``terms`` at theta's
     gamma and the mean ``exponent`` at theta's eta."""
 
     theta: Coefficients
@@ -139,17 +141,16 @@ class _Point:
 def _evaluate(data, theta, spec, links, pen, terms=None,
               exponent=None) -> _Point:
     """The point at theta under ``spec`` whose penalty value is ``pen``,
-    reusing the normalizer ``terms`` at theta's gamma or the mean
+    reusing the dispersion ``terms`` at theta's gamma or the mean
     ``exponent`` at theta's eta where one is given; ``fit`` checked the
     response's support. Raises where the likelihood is outside its
     domain or not finite, or the series normalizer cannot be summed."""
     if terms is None:
-        terms = lik._lognorm_block(data, theta, spec, links)
+        terms = lik.dispersion_terms(data, theta, spec, links)
     if exponent is None:
-        exponent = lik._exponent_block(data, theta, spec, links)
-    nll = lik.neg_log_lik(data, theta, spec, links, terms=terms,
-                          exponent=exponent)
-    return _Point(theta, spec, nll, pen, terms, exponent)
+        exponent = lik.exponent_terms(data, theta, spec, links)
+    return _Point(theta, spec, lik.neg_log_lik(terms, exponent), pen, terms,
+                  exponent)
 
 
 def _evaluate_or_reject(*args, **kwargs) -> _Point | None:
@@ -175,36 +176,28 @@ def _chol_solve(mat: np.ndarray, rhs: np.ndarray):
     return linalg.cho_solve((c, low), rhs, check_finite=False)
 
 
-def _block_derivatives(step_kind: str, data: Dataset, theta: Coefficients,
-                       spec: FamilySpec, links: LinkPair, terms=None,
-                       exponent=None):
-    """What a block step needs of the likelihood at theta, none of which
-    depends on the scaling constant: (grad, H, H @ eta) for the mean,
-    (grad, H) for the dispersion, from the mean ``exponent`` and the
-    normalizer ``terms`` at theta when given."""
-    if exponent is None:
-        exponent = lik.exponent_terms(data, theta, spec, links)
+def _block_derivatives(step_kind: str, data: Dataset, point: _Point):
+    """What a block step needs of the likelihood at the held ``point``,
+    none of which depends on the scaling constant: (grad, H, H @ eta)
+    for the mean, (grad, H) for the dispersion, from the point's two
+    blocks."""
     if step_kind == "mean":
-        hess = lik.hess_mean(data, theta, spec, links, exponent=exponent)
-        return (lik.grad_mean(data, theta, spec, links, exponent=exponent),
-                hess, hess.matvec(theta.eta))
-    return lik.disp_derivatives(data, theta, spec, links, terms=terms,
-                                exponent=exponent)
+        hess = lik.hess_mean(data, point.terms, point.exponent)
+        return (lik.grad_mean(data, point.terms, point.exponent), hess,
+                hess.matvec(point.theta.eta))
+    return lik.disp_derivatives(data, point.terms, point.exponent)
 
 
-def solve_mean_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                    links: LinkPair, penalty: PenaltyConfig,
-                    c1: float, derivs=None) -> np.ndarray:
+def solve_mean_step(penalty: PenaltyConfig, c1: float,
+                    derivs) -> np.ndarray:
     """Solve [l1*I0 + l2*W0 + c1*H] eta* = c1*H eta - grad for eta*.
 
-    ``derivs`` are the mean-step derivatives at theta from
-    ``_block_derivatives``, computed here when not given. With l1 = 0
-    the system is singular when X spans a constant or a graph component
-    has no rows, and eta* is its minimum-norm solution. A system that is
-    not positive (with l1 = 0, semi-)definite raises SingularSystemError.
+    ``derivs`` are the mean-step derivatives (grad, H, H @ eta) at the
+    current eta, as ``_block_derivatives`` makes them. With l1 = 0 the
+    system is singular when X spans a constant or a graph component has
+    no rows, and eta* is its minimum-norm solution. A system that is not
+    positive (with l1 = 0, semi-)definite raises SingularSystemError.
     """
-    if derivs is None:
-        derivs = _block_derivatives("mean", data, theta, spec, links)
     g, hess, h_eta = derivs
     rhs = c1 * h_eta - g
     out = _sparse_schur_solve(hess, penalty, c1, rhs)
@@ -277,12 +270,11 @@ def _min_norm_close(schur, r_beta, v, x_cols, tol):
     return eta - basis @ (basis.T @ eta)
 
 
-def solve_disp_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
-                    links: LinkPair, penalty: PenaltyConfig,
-                    c2: float, derivs=None) -> np.ndarray:
-    """Damped Newton step in gamma (ridge-regularized under the full
-    ridge configuration). ``derivs`` are the gradient and Hessian in
-    gamma at theta, computed here when not given.
+def solve_disp_step(gamma: np.ndarray, penalty: PenaltyConfig, c2: float,
+                    derivs) -> np.ndarray:
+    """Damped Newton step from ``gamma`` (ridge-regularized under the
+    full ridge configuration). ``derivs`` are the gradient and Hessian
+    in gamma there, as ``_block_derivatives`` makes them.
 
     The negative log-likelihood need not be convex in gamma. Where the
     step's system is not positive definite, the Hessian in it is
@@ -292,15 +284,13 @@ def solve_disp_step(data: Dataset, theta: Coefficients, spec: FamilySpec,
     objective. Raises SingularSystemError only when that fails too (a
     zero or non-finite Hessian).
     """
-    if derivs is None:
-        derivs = _block_derivatives("disp", data, theta, spec, links)
     g, h = derivs
     if g.size == 0:
-        return theta.gamma.copy()
+        return gamma.copy()
     lam = penalty.gamma_ridge()
-    out = _disp_solve(h, g, theta.gamma, lam, c2)
+    out = _disp_solve(h, g, gamma, lam, c2)
     if out is None and np.all(np.isfinite(h)):
-        out = _disp_solve(_abs_eigen(h), g, theta.gamma, lam, c2)
+        out = _disp_solve(_abs_eigen(h), g, gamma, lam, c2)
     if out is None:
         raise SingularSystemError(
             "dispersion-step system not positive definite")
@@ -347,12 +337,11 @@ def _descent_margin(penalty: PenaltyConfig, step_kind: str, theta_old,
     return 0.5 * lam * float(d @ d)
 
 
-def _try_candidate(solve, with_block, data, theta, spec, links, penalty, c,
-                   derivs):
-    """theta with the block ``solve`` at scaling c put in by
+def _try_candidate(solve, with_block, c):
+    """theta with the block ``solve(c)`` at scaling c put in by
     ``with_block``; None where its system is singular or not finite."""
     try:
-        star = solve(data, theta, spec, links, penalty, c, derivs)
+        star = solve(c)
     except SingularSystemError:
         return None
     return with_block(star) if np.all(np.isfinite(star)) else None
@@ -365,7 +354,7 @@ def _scaled_step(step_kind: str, data, point: _Point, links, penalty):
     The gradient and the Hessian at the point are computed once and
     shared by every scaling tried. Every candidate keeps the point's
     spec. A mean candidate keeps gamma, so it is evaluated with the
-    point's normalizer terms and its own mean exponent; a dispersion
+    point's dispersion terms and its own mean exponent; a dispersion
     candidate keeps eta, so it is evaluated with the point's mean
     exponent and its own terms. Returns (c, the accepted point). Raises
     ScalingError after the doubling budget; reason
@@ -375,19 +364,19 @@ def _scaled_step(step_kind: str, data, point: _Point, links, penalty):
     if step_kind not in ("mean", "disp"):
         raise ConfigError("step_kind must be 'mean' or 'disp'")
     theta, spec = point.theta, point.spec
+    derivs = _block_derivatives(step_kind, data, point)
     if step_kind == "mean":
-        solve, with_block, held = (solve_mean_step, theta.with_eta,
-                                   {"terms": point.terms})
+        def solve(c):
+            return solve_mean_step(penalty, c, derivs)
+        with_block, held = theta.with_eta, {"terms": point.terms}
     else:
-        solve, with_block, held = (solve_disp_step, theta.with_gamma,
-                                   {"exponent": point.exponent})
-    derivs = _block_derivatives(step_kind, data, theta, spec, links,
-                                point.terms, point.exponent)
+        def solve(c):
+            return solve_disp_step(theta.gamma, penalty, c, derivs)
+        with_block, held = theta.with_gamma, {"exponent": point.exponent}
     c = 1.0
     solvable_seen = False
     for _ in range(MAX_DOUBLINGS + 1):
-        cand = _try_candidate(solve, with_block, data, theta, spec, links,
-                              penalty, c, derivs)
+        cand = _try_candidate(solve, with_block, c)
         if cand is not None:
             solvable_seen = True
             new = _evaluate_or_reject(data, cand, spec, links,

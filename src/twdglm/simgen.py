@@ -222,9 +222,12 @@ def make_dataset(n: int, rows: int, cols: int, pattern: PatternKind | str,
     if not 0.0 < target_zero_prop < 1.0:
         raise ConfigError("target_zero_prop must lie in (0, 1)")
     sim = sim or SimConfig()
-    rng = np.random.default_rng(seed)
     g = lattice_graph(rows, cols)
     n_v = g.n_vertices
+    if n < n_v:
+        raise ConfigError(f"n = {n} rows cannot cover the {n_v} vertices "
+                          f"of a {rows}x{cols} lattice")
+    rng = np.random.default_rng(seed)
 
     pattern_spec = PatternSpec(pattern if isinstance(pattern, PatternKind)
                                else PatternKind.from_name(pattern),

@@ -100,6 +100,26 @@ def make_instance(member: Member, mean_link, disp_link="log", n=50,
     return data, theta, spec, links
 
 
+def blocks(data, theta, spec, links):
+    """The two likelihood blocks at theta under spec: (dispersion terms,
+    mean exponent), the arguments every likelihood function takes after
+    the dataset."""
+    return (lik.dispersion_terms(data, theta, spec, links),
+            lik.exponent_terms(data, theta, spec, links))
+
+
+def nll_at(data, theta, spec, links):
+    """The negative log-likelihood at theta under spec."""
+    return lik.neg_log_lik(*blocks(data, theta, spec, links))
+
+
+def step_derivs(step_kind, data, theta, spec, links):
+    """``optimizer._block_derivatives`` at theta under spec: what a
+    ``step_kind`` block step solves with."""
+    return opt._block_derivatives(
+        step_kind, data, opt._evaluate(data, theta, spec, links, 0.0))
+
+
 def predictors(data, theta):
     """Per-row mean predictor t = X beta + alpha[vertex] and dispersion
     predictor s = Z gamma."""
@@ -154,9 +174,9 @@ def dense_mean_matrix(hess, pen, c1) -> np.ndarray:
 def dense_mean_step(data, theta, spec, links, pen, c1):
     """Reference eta* of one mean step by dense Cholesky; None when the
     system is not positive definite."""
-    hess = hess_mean(data, theta, spec, links)
-    rhs = c1 * dense_hessian(hess) @ theta.eta \
-        - grad_mean(data, theta, spec, links)
+    held = blocks(data, theta, spec, links)
+    hess = hess_mean(data, *held)
+    rhs = c1 * dense_hessian(hess) @ theta.eta - grad_mean(data, *held)
     try:
         factor = linalg.cho_factor(dense_mean_matrix(hess, pen, c1))
     except linalg.LinAlgError:
@@ -174,12 +194,10 @@ def min_norm_mean_solve(hess, pen, c1, rhs, rcond=None) -> np.ndarray:
     return sol
 
 
-def min_norm_mean_step(data, theta, spec, links, penalty, c1, derivs=None):
+def min_norm_mean_step(penalty, c1, derivs):
     """``optimizer.solve_mean_step`` with the dense ``min_norm_mean_solve``
     in place of the partitioned solve; a fit with it patched in is the
     oracle for lambda1 = 0 fits."""
-    if derivs is None:
-        derivs = opt._block_derivatives("mean", data, theta, spec, links)
     g, hess, h_eta = derivs
     return min_norm_mean_solve(hess, penalty, c1, c1 * h_eta - g)
 
@@ -188,10 +206,11 @@ def dense_fisher_information(data, theta_hat, spec_hat, links):
     """Observed information over (beta, alpha, gamma) as one dense
     matrix, the mean-dispersion cross block zero; the oracle for the
     blocks of ``inference.fisher_information``."""
-    mean_block = dense_hessian(hess_mean(data, theta_hat, spec_hat, links))
+    held = blocks(data, theta_hat, spec_hat, links)
+    mean_block = dense_hessian(hess_mean(data, *held))
     kg = data.k_gamma
     if kg and spec_hat.member is not Member.POISSON:
-        disp_block = lik.hess_disp(data, theta_hat, spec_hat, links)
+        disp_block = lik.hess_disp(data, *held)
     else:
         disp_block = np.zeros((kg, kg))
     m = mean_block.shape[0]
@@ -300,8 +319,7 @@ def scan_update_index(data, theta_star, spec, links, p_grid, nll_cur=None):
 
     def nll_or_inf(pk):
         try:
-            return lik.neg_log_lik(data, theta_star, spec.with_p(pk),
-                                   links)
+            return nll_at(data, theta_star, spec.with_p(pk), links)
         except (DomainError, NonFiniteError, SeriesInfeasibleError):
             return np.inf
 

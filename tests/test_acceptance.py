@@ -14,14 +14,14 @@ import time
 import numpy as np
 from scipy import integrate, stats
 
-from conftest import (MEAN_LINKS_BY_MEMBER, dense_hessian, dense_mean_step,
-                      fd_gradient, fd_jacobian, make_instance, rel_err)
+from conftest import (MEAN_LINKS_BY_MEMBER, blocks, dense_hessian,
+                      dense_mean_step, fd_gradient, fd_jacobian,
+                      make_instance, nll_at, rel_err, step_derivs)
 from twdglm.family import (Approx, FamilySpec, Member, log_density,
                            log_normalizer_series)
 from twdglm.graph import PenaltyMode, assemble_penalty
 from twdglm.inference import p_value_from_z
-from twdglm.likelihood import (grad_disp, grad_mean, hess_disp, hess_mean,
-                               neg_log_lik)
+from twdglm.likelihood import grad_disp, grad_mean, hess_disp, hess_mean
 from twdglm.links import LinkPair
 from twdglm.optimizer import (EPS_CONVERGE, FitConfig, fit, fit_unpenalized,
                               solve_mean_step)
@@ -53,17 +53,18 @@ class TestAcceptance:
                         member, mean_link, n=50, rows=1, cols=5, seed=seed)
 
                     def nll_eta(eta):
-                        return neg_log_lik(data, theta.with_eta(eta), spec,
-                                           links)
+                        return nll_at(data, theta.with_eta(eta), spec, links)
 
-                    g = grad_mean(data, theta, spec, links)
+                    held = blocks(data, theta, spec, links)
+                    g = grad_mean(data, *held)
                     worst_g = max(worst_g,
                                   rel_err(g, fd_gradient(nll_eta,
                                                          theta.eta)))
-                    h = dense_hessian(hess_mean(data, theta, spec, links))
+                    h = dense_hessian(hess_mean(data, *held))
                     fd_h = fd_jacobian(
-                        lambda e: grad_mean(data, theta.with_eta(e), spec,
-                                            links), theta.eta)
+                        lambda e: grad_mean(data, *blocks(
+                            data, theta.with_eta(e), spec, links)),
+                        theta.eta)
                     worst_h = max(worst_h, rel_err(h, fd_h, floor=1e-6))
         for member in DISP_MEMBERS:
             mean_link = MEAN_LINKS_BY_MEMBER[member][0]
@@ -74,17 +75,19 @@ class TestAcceptance:
                         rows=1, cols=5, seed=seed)
 
                     def nll_gamma(ga):
-                        return neg_log_lik(data, theta.with_gamma(ga), spec,
-                                           links)
+                        return nll_at(data, theta.with_gamma(ga), spec,
+                                      links)
 
-                    g = grad_disp(data, theta, spec, links)
+                    held = blocks(data, theta, spec, links)
+                    g = grad_disp(data, *held)
                     worst_g = max(worst_g,
                                   rel_err(g, fd_gradient(nll_gamma,
                                                          theta.gamma)))
-                    h = hess_disp(data, theta, spec, links)
+                    h = hess_disp(data, *held)
                     fd_h = fd_jacobian(
-                        lambda ga: grad_disp(data, theta.with_gamma(ga),
-                                             spec, links), theta.gamma)
+                        lambda ga: grad_disp(data, *blocks(
+                            data, theta.with_gamma(ga), spec, links)),
+                        theta.gamma)
                     worst_h = max(worst_h, rel_err(h, fd_h, floor=1e-6))
         elapsed_ok = time.time() - started < 60.0
         _report("criterion 1 (derivative oracles)",
@@ -279,8 +282,8 @@ class TestAcceptance:
                                        data.graph, data.k_gamma)
                 dense = dense_mean_step(data, theta, spec, links, pen,
                                         c1=1.5)
-                block = solve_mean_step(data, theta, spec, links, pen,
-                                        c1=1.5)
+                block = solve_mean_step(pen, 1.5, step_derivs(
+                    "mean", data, theta, spec, links))
                 worst[mode] = max(worst[mode],
                                   float(np.max(np.abs(dense - block))))
         ok = all(w < 1e-8 for w in worst.values())

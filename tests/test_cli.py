@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import re
+import tempfile
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -366,6 +369,7 @@ class TestPipeline:
         (["simulate", "--lattice", "0x3"], "E_CONFIG"),
         (["simulate", "--n=-5"], "E_CONFIG"),
         (["simulate", "--n", "0"], "E_CONFIG"),
+        (["simulate", "--n", "5", "--lattice", "3x3"], "E_CONFIG"),
         (["simulate", "--amplitude", "nan"], "E_CONFIG"),
         (["simulate", "--amplitude", "inf"], "E_CONFIG"),
         (["fit", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
@@ -378,22 +382,36 @@ class TestPipeline:
           "--family", "cpg", "--lambda1", "nan"], "E_CONFIG"),
         (["fit", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
           "--family", "cpg", "--lambda1", "inf"], "E_CONFIG"),
+        (["fit", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--lambda1", "1e308", "--lambda2", "1e308"], "E_CONFIG"),
         (["tune", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
           "--family", "cpg", "--grid", "nan:5:2,-5:5:2"], "E_CONFIG"),
         (["tune", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
           "--family", "cpg", "--grid=-5:800:2,-5:5:2"], "E_CONFIG"),
+        (["tune", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--grid=-5:5:2,-5:709:2"], "E_CONFIG"),
+        (["tune", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--grid=-5:5:0,-5:5:2"], "E_CONFIG"),
     ], ids=["simulate", "fit", "tune", "predict", "report",
             "simulate-zero-prop", "simulate-empty-lattice",
-            "simulate-negative-n", "simulate-zero-n", "simulate-nan-amplitude",
+            "simulate-negative-n", "simulate-zero-n",
+            "simulate-fewer-rows-than-vertices", "simulate-nan-amplitude",
             "simulate-inf-amplitude", "fit-nan-p-grid-lo",
             "fit-inf-p-grid-step", "fit-inf-p-grid-hi", "fit-nan-lambda1",
-            "fit-inf-lambda1", "tune-nan-grid", "tune-overflowing-grid"])
+            "fit-inf-lambda1", "fit-overflowing-penalty", "tune-nan-grid",
+            "tune-overflowing-grid", "tune-overflowing-penalty",
+            "tune-empty-grid-axis"])
     def test_invalid_options_create_no_outdir(self, sim_dir, tmp_path,
                                               capsys, argv, code):
+        """Each ends in one error line, with no warning on the way (an
+        overflow, say) and no output directory."""
         out = tmp_path / "out"
         argv = [a.format(sim=sim_dir) for a in argv] + ["--out", str(out)]
-        assert run_command(argv) != 0
-        assert capsys.readouterr().err.startswith(f"error[{code}]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(argv) != 0
+        err = capsys.readouterr().err
+        assert ERROR_LINE.fullmatch(err) and err.startswith(f"error[{code}]")
         assert not out.exists()
 
     def test_missing_data_file_is_io_error(self, sim_dir, tmp_path, capsys):
@@ -748,3 +766,126 @@ class TestLoaderEquivalence:
         assert _outcome(load_dataset, path, graph, expand) == want
         code, err = _fit_stderr(path, graph_dir, expand, graph_dir / "out")
         assert code == 2 and err == f"error[E_SCHEMA]: {want[1]}\n"
+
+
+# ---------------------------------------------------------------------------
+# Property tests over whole commands
+# ---------------------------------------------------------------------------
+
+@st.composite
+def fit_options(draw):
+    """Flags of a valid ``fit`` on the small instance: the family, the
+    index and its grid, the normalizer, the penalty and its multipliers,
+    each left unset or drawn."""
+    argv = []
+
+    def maybe(flag, values):
+        value = draw(st.sampled_from([None, *values]))
+        if value is not None:
+            argv.extend([flag, value])
+
+    family = draw(st.sampled_from([None, "cpg", "normal"]))
+    if family is not None:
+        argv.extend(["--family", family])
+    if family != "normal":
+        maybe("--p", ["1.3", "1.5", "1.7"])
+        maybe("--approx", ["series", "saddlepoint"])
+        maybe("--p-grid", ["1.3:1.7:0.1", "1.2:1.8:0.2"])
+    maybe("--penalty", ["spatial", "spatial+ridge"])
+    maybe("--lambda1", ["0", "0.5", "2"])
+    maybe("--lambda2", ["0", "1", "3"])
+    maybe("--seed", ["0", "7"])
+    if draw(st.booleans()):
+        argv.append("--expand")
+    return argv
+
+
+class TestConfigRoundTrip:
+    """A fit's echoed configuration, fed back through ``--config``,
+    reproduces the fit: its coefficients byte for byte, and an echo that
+    differs only in ``out``."""
+
+    @settings(max_examples=10)
+    @given(flags=fit_options())
+    def test_echo_reproduces_the_fit(self, small_sim_dir, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first"), Path(tmp, "second")
+            run_ok(["fit", "--data", str(small_sim_dir / "data.csv"),
+                    "--graph", str(small_sim_dir / "graph.tsv"), *flags,
+                    "--out", str(first)])
+            run_ok(["fit", "--config", str(first / "effective_config.json"),
+                    "--out", str(second)])
+            assert (first / "coefficients.tsv").read_bytes() == \
+                (second / "coefficients.tsv").read_bytes()
+            echo1, echo2 = (json.loads((d / "effective_config.json")
+                                       .read_text(encoding="utf-8"))
+                            for d in (first, second))
+            assert echo2.pop("out") == str(second)
+            assert echo1.pop("out") == str(first)
+            assert echo1 == echo2
+
+
+GRAPH_FAULTS = ("self-loop", "three-fields", "not-utf8", "foreign-labels")
+
+
+@st.composite
+def bad_graph_files(draw, lattice_lines):
+    """(fault, bytes) of an edge list with one fault among comment
+    lines, blank lines and labels that no row uses. The fault is a
+    self-loop, a line of three or more fields, a byte that is not UTF-8,
+    or labels that are all foreign to the data."""
+    label = st.text("abcxyz019_", min_size=1, max_size=4)
+    lines = list(lattice_lines)
+    noise = st.one_of(
+        st.just(""), st.just("   "),
+        st.builds("# {}".format, st.text(st.characters(
+            blacklist_categories=("Cs", "Cc")), max_size=12)),
+        st.builds("unused_{}".format, label),
+        st.builds("unused_{}\tunused_{}x".format, label, label))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    fault = draw(st.sampled_from(GRAPH_FAULTS))
+    if fault == "foreign-labels":
+        lines = ["" if not ln or ln.startswith("#") else "\t".join(
+            "q" + part for part in ln.split("\t")) for ln in lines]
+    else:
+        used = [part for ln in lattice_lines for part in ln.split("\t")]
+        name = draw(st.sampled_from(used) | label)
+        bad = {"self-loop": f"{name}\t{name}",
+               "three-fields": "\t".join([name] + draw(st.lists(
+                   label, min_size=2, max_size=4))),
+               "not-utf8": None}[fault]
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    body = "\n".join(ln or "" for ln in lines).encode("utf-8")
+    if fault == "not-utf8":
+        at = draw(st.integers(0, len(body)))
+        junk = draw(st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3("]))
+        body = body[:at] + junk + body[at:]
+    return fault, body + b"\n"
+
+
+class TestEdgeListFuzz:
+    """Every bad edge list ends ``fit --graph`` in one error line, with a
+    nonzero exit, no traceback and no output directory."""
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_bad_graph_is_one_error_line(self, small_sim_dir, data):
+        lattice_lines = [ln for ln in (small_sim_dir / "graph.tsv")
+                         .read_text(encoding="utf-8").splitlines()
+                         if ln and not ln.startswith("#")]
+        fault, body = data.draw(bad_graph_files(lattice_lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, out = Path(tmp, "graph.tsv"), Path(tmp, "out")
+            graph.write_bytes(body)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = run_command(["fit", "--data",
+                                    str(small_sim_dir / "data.csv"),
+                                    "--graph", str(graph), "--out",
+                                    str(out)])
+            err = stderr.getvalue()
+            assert code != 0, fault
+            assert ERROR_LINE.fullmatch(err), (fault, err)
+            assert "Traceback" not in err
+            assert not out.exists()

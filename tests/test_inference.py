@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import dense_fisher_information, dense_hessian, make_instance
+from conftest import (blocks, dense_fisher_information, dense_hessian,
+                      make_instance)
 from twdglm import likelihood as lik
 from twdglm.errors import SingularSystemError
 from twdglm.family import FamilySpec, Member
@@ -84,8 +85,8 @@ class TestFisherInformation:
                                data.k_beta, data.graph, data.k_gamma)
         res = fit(data, spec, links, FitConfig(penalty=pen))
         spec_hat = spec.with_p(res.p_hat)
-        mean = dense_hessian(hess_mean(data, res.theta_hat, spec_hat,
-                                       links))
+        mean = dense_hessian(hess_mean(data, *blocks(data, res.theta_hat,
+                                                     spec_hat, links)))
         assert np.linalg.eigvalsh(mean).min() >= -1e-8
         info = fisher_information(data, res.theta_hat, spec_hat, links)
         assert np.linalg.eigvalsh(info[1]).min() >= -1e-8

@@ -7,29 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (MEAN_LINKS_BY_MEMBER, dense_hessian, fd_gradient,
-                      fd_jacobian, make_instance, mean_exponent_generic,
-                      predictors, rel_err)
+from conftest import (MEAN_LINKS_BY_MEMBER, blocks, dense_hessian,
+                      fd_gradient, fd_jacobian, make_instance,
+                      mean_exponent_generic, nll_at, predictors, rel_err)
 from twdglm.errors import ConfigError
 from twdglm.family import Approx, FamilySpec, Member, log_density
 from twdglm.graph import lattice_graph
 from twdglm.likelihood import (Coefficients, Dataset, disp_derivatives,
-                               exponent_terms, grad_disp, grad_mean,
-                               hess_disp, hess_mean, lognorm_terms,
-                               neg_log_lik)
+                               dispersion_terms, exponent_terms, grad_disp,
+                               grad_mean, hess_disp, hess_mean)
 from twdglm.likelihood import _mean_exponent
-from twdglm.links import LinkPair
+from twdglm.links import LinkPair, link_eval
 
 DISP_MEMBERS = [Member.NORMAL, Member.GAMMA, Member.INVERSE_GAUSSIAN,
                 Member.COMPOUND_POISSON_GAMMA]
 
 
 def _nll_eta(data, theta, spec, links):
-    return lambda eta: neg_log_lik(data, theta.with_eta(eta), spec, links)
+    return lambda eta: nll_at(data, theta.with_eta(eta), spec, links)
 
 
 def _nll_gamma(data, theta, spec, links):
-    return lambda ga: neg_log_lik(data, theta.with_gamma(ga), spec, links)
+    return lambda ga: nll_at(data, theta.with_gamma(ga), spec, links)
 
 
 class TestValues:
@@ -38,16 +37,16 @@ class TestValues:
         data = Dataset(np.zeros(0), np.zeros(0), np.zeros(0, dtype=int),
                        np.zeros((0, 2)), np.zeros((0, 1)), g)
         theta = Coefficients(np.zeros(2), np.zeros(4), np.zeros(1))
-        assert neg_log_lik(data, theta, FamilySpec.normal(),
-                           LinkPair.of("identity", "log")) == 0.0
+        assert nll_at(data, theta, FamilySpec.normal(),
+                      LinkPair.of("identity", "log")) == 0.0
 
     def test_single_standard_normal_row(self):
         g = lattice_graph(1, 4)
         data = Dataset([0.0], [1.0], [0], np.ones((1, 1)), np.ones((1, 1)),
                        g)
         theta = Coefficients([0.0], np.zeros(4), [0.0])
-        got = neg_log_lik(data, theta, FamilySpec.normal(),
-                          LinkPair.of("identity", "log"))
+        got = nll_at(data, theta, FamilySpec.normal(),
+                     LinkPair.of("identity", "log"))
         assert got == pytest.approx(0.5 * math.log(2.0 * math.pi))
 
     def test_single_cpg_zero_row(self):
@@ -55,8 +54,8 @@ class TestValues:
         data = Dataset([0.0], [1.0], [0], np.ones((1, 1)), np.ones((1, 1)),
                        g)
         theta = Coefficients([0.0], np.zeros(4), [0.0])
-        got = neg_log_lik(data, theta, FamilySpec.compound_poisson_gamma(1.5),
-                          LinkPair.of("log", "log"))
+        got = nll_at(data, theta, FamilySpec.compound_poisson_gamma(1.5),
+                     LinkPair.of("log", "log"))
         assert got == pytest.approx(2.0)
 
     def test_matches_rowwise_log_density(self):
@@ -69,7 +68,7 @@ class TestValues:
         t, s = predictors(data_w, theta)
         manual = -np.sum(log_density(spec, data_w.ystar, np.exp(t),
                                      np.exp(s) / w))
-        assert neg_log_lik(data_w, theta, spec, links) == \
+        assert nll_at(data_w, theta, spec, links) == \
             pytest.approx(manual, rel=1e-12)
 
     def test_reports_offending_row(self):
@@ -79,7 +78,7 @@ class TestValues:
                        np.array([[1.0], [3000.0]]), np.ones((2, 1)), g)
         theta = Coefficients([2.0], np.zeros(2), [0.0])
         with pytest.raises(NonFiniteError) as err:
-            neg_log_lik(data, theta, FamilySpec.compound_poisson_gamma(
+            nll_at(data, theta, FamilySpec.compound_poisson_gamma(
                 1.5, approx=Approx.SADDLEPOINT), LinkPair.of("log", "log"))
         assert err.value.row == 1
 
@@ -90,7 +89,7 @@ class TestGradMean:
                                                  seed=1)
         data = Dataset(data.y, data.w, np.zeros(data.n_rows, dtype=int),
                        data.X, data.Z, data.graph)
-        g = grad_mean(data, theta, spec, links)
+        g = grad_mean(data, *blocks(data, theta, spec, links))
         np.testing.assert_array_equal(g[data.k_beta + 1:], 0.0)
 
     def test_single_normal_row(self):
@@ -98,8 +97,8 @@ class TestGradMean:
         data = Dataset([1.0], [1.0], [0], np.ones((1, 1)), np.ones((1, 1)),
                        g)
         theta = Coefficients([0.0], np.zeros(2), [0.0])
-        grad = grad_mean(data, theta, FamilySpec.normal(),
-                         LinkPair.of("identity", "log"))
+        grad = grad_mean(data, *blocks(data, theta, FamilySpec.normal(),
+                                       LinkPair.of("identity", "log")))
         assert grad[0] == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("member", list(Member),
@@ -109,7 +108,7 @@ class TestGradMean:
             for seed in (0, 1):
                 data, theta, spec, links = make_instance(member, mean_link,
                                                          seed=seed)
-                g = grad_mean(data, theta, spec, links)
+                g = grad_mean(data, *blocks(data, theta, spec, links))
                 fd = fd_gradient(_nll_eta(data, theta, spec, links),
                                  theta.eta)
                 assert rel_err(g, fd) < 1e-5, (member, mean_link, seed)
@@ -119,7 +118,7 @@ class TestHessMean:
     def test_alpha_block_is_diagonal(self):
         data, theta, spec, links = make_instance(
             Member.COMPOUND_POISSON_GAMMA, "log", seed=3)
-        h = hess_mean(data, theta, spec, links)
+        h = hess_mean(data, *blocks(data, theta, spec, links))
         dense = dense_hessian(h)
         kb = data.k_beta
         alpha_block = dense[kb:, kb:]
@@ -129,7 +128,8 @@ class TestHessMean:
     def test_normal_identity_gram_matrix(self):
         data, theta, spec, links = make_instance(Member.NORMAL, "identity",
                                                  k_gamma=0, seed=5)
-        h = dense_hessian(hess_mean(data, theta, spec, links))
+        h = dense_hessian(hess_mean(data, *blocks(data, theta, spec,
+                                                  links)))
         design = np.zeros((data.n_rows, data.k_beta + 5))
         design[:, :data.k_beta] = data.X
         design[np.arange(data.n_rows), data.k_beta + data.vertex] = 1.0
@@ -140,10 +140,12 @@ class TestHessMean:
     def test_matches_finite_differences_of_gradient(self, member):
         mean_link = MEAN_LINKS_BY_MEMBER[member][0]
         data, theta, spec, links = make_instance(member, mean_link, seed=2)
-        h = dense_hessian(hess_mean(data, theta, spec, links))
+        h = dense_hessian(hess_mean(data, *blocks(data, theta, spec,
+                                                  links)))
 
         def grad_at(eta):
-            return grad_mean(data, theta.with_eta(eta), spec, links)
+            return grad_mean(data, *blocks(data, theta.with_eta(eta),
+                                           spec, links))
 
         fd = fd_jacobian(grad_at, theta.eta)
         assert rel_err(h, fd, floor=1e-6) < 1e-4
@@ -154,7 +156,7 @@ class TestDispDerivatives:
         data, theta, spec, links = make_instance(Member.POISSON, "log",
                                                  seed=0)
         with pytest.raises(ConfigError, match="constant dispersion"):
-            grad_disp(data, theta, spec, links)
+            grad_disp(data, *blocks(data, theta, spec, links))
 
     @pytest.mark.parametrize("member", DISP_MEMBERS,
                              ids=lambda m: m.value)
@@ -164,7 +166,7 @@ class TestDispDerivatives:
         for seed in (0, 1):
             data, theta, spec, links = make_instance(
                 member, mean_link, disp_link=disp_link, seed=seed)
-            g = grad_disp(data, theta, spec, links)
+            g = grad_disp(data, *blocks(data, theta, spec, links))
             fd = fd_gradient(_nll_gamma(data, theta, spec, links),
                              theta.gamma)
             assert rel_err(g, fd) < 1e-5, (member, disp_link, seed)
@@ -174,11 +176,12 @@ class TestDispDerivatives:
     def test_hessian_matches_finite_differences(self, member):
         mean_link = MEAN_LINKS_BY_MEMBER[member][0]
         data, theta, spec, links = make_instance(member, mean_link, seed=1)
-        h = hess_disp(data, theta, spec, links)
+        h = hess_disp(data, *blocks(data, theta, spec, links))
         np.testing.assert_array_equal(h, h.T)
 
         def grad_at(ga):
-            return grad_disp(data, theta.with_gamma(ga), spec, links)
+            return grad_disp(data, *blocks(data, theta.with_gamma(ga),
+                                           spec, links))
 
         fd = fd_jacobian(grad_at, theta.gamma)
         assert rel_err(h, fd, floor=1e-6) < 1e-4
@@ -186,10 +189,11 @@ class TestDispDerivatives:
     def test_scalar_dispersion_second_derivative(self):
         data, theta, spec, links = make_instance(Member.NORMAL, "identity",
                                                  k_gamma=1, seed=8)
-        h = hess_disp(data, theta, spec, links)
+        h = hess_disp(data, *blocks(data, theta, spec, links))
         assert h.shape == (1, 1)
         fd = fd_jacobian(
-            lambda ga: grad_disp(data, theta.with_gamma(ga), spec, links),
+            lambda ga: grad_disp(data, *blocks(data, theta.with_gamma(ga),
+                                               spec, links)),
             theta.gamma)
         assert rel_err(h, fd, floor=1e-6) < 1e-4
 
@@ -210,8 +214,8 @@ class TestDispDerivatives:
         theta = theta.with_gamma(gamma_eval)
         spec_saddle = FamilySpec.compound_poisson_gamma(
             1.5, approx=Approx.SADDLEPOINT)
-        g_series = grad_disp(data, theta, spec, links)
-        g_saddle = grad_disp(data, theta, spec_saddle, links)
+        g_series = grad_disp(data, *blocks(data, theta, spec, links))
+        g_saddle = grad_disp(data, *blocks(data, theta, spec_saddle, links))
         assert np.max(np.abs(g_series - g_saddle)
                       / (1e-8 + np.abs(g_series))) < 0.05
 
@@ -255,47 +259,55 @@ def held_row_instances(draw):
 
 
 class TestHeldRows:
-    """The likelihood and its derivatives given held normalizer terms and
-    mean exponent equal those computed afresh, and both agree with the
-    oracles."""
+    """The two blocks a fit holds: each depends only on its own side of
+    theta, so a block built at one theta serves every theta that shares
+    that side; the rows of u equal w/h2 and its derivatives through the
+    dispersion link; and the likelihood and its derivatives summed over
+    the blocks agree with the oracles."""
 
     @settings(max_examples=200)
     @given(held_row_instances())
     def test_held_rows_match_fresh_and_oracles(self, instance):
         data, theta, spec, links = instance
-        terms = lognorm_terms(data, theta, spec, links)
-        exponent = exponent_terms(data, theta, spec, links)
-
-        assert neg_log_lik(data, theta, spec, links, terms=terms,
-                           exponent=exponent) == \
-            neg_log_lik(data, theta, spec, links)
+        terms, exponent = blocks(data, theta, spec, links)
+        other = Coefficients(theta.beta + 0.01, theta.alpha - 0.01,
+                             theta.gamma * 1.01)
         np.testing.assert_array_equal(
-            grad_mean(data, theta, spec, links, exponent=exponent),
-            grad_mean(data, theta, spec, links))
-        held, fresh = (hess_mean(data, theta, spec, links, exponent=exponent),
-                       hess_mean(data, theta, spec, links))
-        np.testing.assert_array_equal(dense_hessian(held),
-                                      dense_hessian(fresh))
+            terms, dispersion_terms(data, theta.with_eta(other.eta), spec,
+                                    links))
+        np.testing.assert_array_equal(
+            exponent, exponent_terms(data, theta.with_gamma(other.gamma),
+                                     spec, links))
+
+        s = predictors(data, theta)[1]
+        kind = links.disp.kind
+        h2, d1, d2 = (link_eval(kind, s, k) for k in range(3))
+        u_rows = (data.w / h2, -data.w * d1 / h2 ** 2,
+                  data.w * (2.0 * d1 ** 2 / h2 ** 3 - d2 / h2 ** 2))
+        for got, want in zip(terms[1::2], u_rows):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert len(terms) == (2 if spec.member is Member.POISSON else 6)
+
         t = predictors(data, theta)[0]
         for got, want in zip(exponent, mean_exponent_generic(
                 data, spec, links.mean.kind, t)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
-        assert rel_err(grad_mean(data, theta, spec, links, exponent=exponent),
+        assert rel_err(grad_mean(data, terms, exponent),
                        fd_gradient(_nll_eta(data, theta, spec, links),
                                    theta.eta)) < 1e-5
-        assert rel_err(dense_hessian(held), fd_jacobian(
-            lambda eta: grad_mean(data, theta.with_eta(eta), spec, links),
-            theta.eta), floor=1e-6) < 1e-4
+        assert rel_err(dense_hessian(hess_mean(data, terms, exponent)),
+                       fd_jacobian(lambda eta: grad_mean(data, *blocks(
+                           data, theta.with_eta(eta), spec, links)),
+                           theta.eta), floor=1e-6) < 1e-4
 
         if spec.member is Member.POISSON:
             return
-        g, h = disp_derivatives(data, theta, spec, links, terms=terms,
-                                exponent=exponent)
-        g_fresh, h_fresh = disp_derivatives(data, theta, spec, links)
-        np.testing.assert_array_equal(g, g_fresh)
-        np.testing.assert_array_equal(h, h_fresh)
+        g, h = disp_derivatives(data, terms, exponent)
+        np.testing.assert_array_equal(g, grad_disp(data, terms, exponent))
+        np.testing.assert_array_equal(h, hess_disp(data, terms, exponent))
         assert rel_err(g, fd_gradient(_nll_gamma(data, theta, spec, links),
                                       theta.gamma)) < 1e-5
         assert rel_err(h, fd_jacobian(
-            lambda ga: grad_disp(data, theta.with_gamma(ga), spec, links),
+            lambda ga: grad_disp(data, *blocks(data, theta.with_gamma(ga),
+                                               spec, links)),
             theta.gamma), floor=1e-6) < 1e-4

@@ -8,10 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (MEAN_LINKS_BY_MEMBER, dense_hessian,
+from conftest import (MEAN_LINKS_BY_MEMBER, blocks, dense_hessian,
                       dense_mean_matrix, dense_mean_step, make_instance,
-                      min_norm_mean_solve, min_norm_mean_step,
-                      scan_update_index)
+                      min_norm_mean_solve, min_norm_mean_step, nll_at,
+                      scan_update_index, step_derivs)
 from twdglm import family as fam
 from twdglm import graph as graph_mod
 from twdglm import likelihood as lik
@@ -20,6 +20,7 @@ from twdglm.errors import ConfigError, DomainError, SingularSystemError
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
                           lattice_graph)
+from twdglm.inference import fisher_information
 from twdglm.likelihood import (Coefficients, Dataset, MeanHessian,
                                grad_disp, hess_disp, hess_mean)
 from twdglm.links import LinkPair
@@ -60,8 +61,8 @@ class TestSolveMeanStep:
         res = fit(data, spec, links, cfg)
         pen_tiny = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1e-10, 0.0,
                                     data.k_beta, data.graph, data.k_gamma)
-        eta_star = solve_mean_step(data, res.theta_hat, spec, links,
-                                   pen_tiny, c1=1.0)
+        eta_star = solve_mean_step(pen_tiny, 1.0, step_derivs(
+            "mean", data, res.theta_hat, spec, links))
         np.testing.assert_allclose(eta_star, res.theta_hat.eta, atol=1e-7)
 
     def test_single_step_is_least_squares(self):
@@ -69,8 +70,8 @@ class TestSolveMeanStep:
         spec = FamilySpec.normal()
         theta = Coefficients(np.zeros(data.k_beta),
                              np.zeros(6), np.zeros(1))
-        eta_star = solve_mean_step(data, theta, spec, links,
-                                   _zero_penalty(data), c1=1.0)
+        eta_star = solve_mean_step(_zero_penalty(data), 1.0, step_derivs(
+            "mean", data, theta, spec, links))
         design = np.zeros((data.n_rows, data.k_beta + 6))
         design[:, :data.k_beta] = data.X
         design[np.arange(data.n_rows), data.k_beta + data.vertex] = 1.0
@@ -86,7 +87,8 @@ class TestSolveMeanStep:
         pen = assemble_penalty(mode, 0.8, 1.3, data.k_beta, data.graph,
                                data.k_gamma)
         dense = dense_mean_step(data, theta, spec, links, pen, c1=2.0)
-        block = solve_mean_step(data, theta, spec, links, pen, c1=2.0)
+        block = solve_mean_step(pen, 2.0, step_derivs("mean", data, theta,
+                                                      spec, links))
         assert np.max(np.abs(dense - block)) < 1e-8
 
     def test_not_positive_definite_raises(self):
@@ -96,7 +98,8 @@ class TestSolveMeanStep:
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1e-3, 0.0,
                                data.k_beta, data.graph, data.k_gamma)
         with pytest.raises(SingularSystemError, match="not positive"):
-            solve_mean_step(data, theta, spec, links, pen, c1=-1.0)
+            solve_mean_step(pen, -1.0, step_derivs("mean", data, theta,
+                                                   spec, links))
 
     @pytest.mark.parametrize("lambda2", [0.0, 1.0])
     def test_zero_lambda1_rowless_rhs_must_be_zero(self, lambda2):
@@ -297,8 +300,9 @@ class TestSolveDispStep:
         data, links = _normal_instance()
         spec = FamilySpec.normal()
         res = fit(data, spec, links, FitConfig(penalty=_zero_penalty(data)))
-        gamma_star = solve_disp_step(data, res.theta_hat, spec, links,
-                                     _zero_penalty(data), c2=1.0)
+        gamma_star = solve_disp_step(
+            res.theta_hat.gamma, _zero_penalty(data), 1.0,
+            step_derivs("disp", data, res.theta_hat, spec, links))
         np.testing.assert_allclose(gamma_star, res.theta_hat.gamma,
                                    atol=1e-6)
 
@@ -308,10 +312,11 @@ class TestSolveDispStep:
         theta = Coefficients(np.zeros(data.k_beta), np.zeros(6),
                              np.array([0.4]))
         c2 = 3.0
-        got = solve_disp_step(data, theta, spec, links,
-                              _zero_penalty(data), c2=c2)
-        g = grad_disp(data, theta, spec, links)[0]
-        h = hess_disp(data, theta, spec, links)[0, 0]
+        held = blocks(data, theta, spec, links)
+        got = solve_disp_step(theta.gamma, _zero_penalty(data), c2,
+                              step_derivs("disp", data, theta, spec, links))
+        g = grad_disp(data, *held)[0]
+        h = hess_disp(data, *held)[0, 0]
         assert got[0] == pytest.approx(theta.gamma[0] - g / (c2 * h))
 
     @pytest.mark.parametrize("mode", list(PenaltyMode))
@@ -323,7 +328,7 @@ class TestSolveDispStep:
         g = np.array([1.0, -2.0])
         h = np.array([[1.0, 2.0], [2.0, 1.0]])      # eigenvalues 3, -1
         h_abs = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 3, 1
-        got = solve_disp_step(data, theta, spec, links, pen, 4.0, (g, h))
+        got = solve_disp_step(theta.gamma, pen, 4.0, (g, h))
         lam = pen.gamma_ridge()
         if lam > 0:
             want = np.linalg.solve(lam * np.eye(2) + 4.0 * h_abs,
@@ -339,7 +344,8 @@ class TestSolveDispStep:
                              np.array([0.8]))
         pen = assemble_penalty(PenaltyMode.SPATIAL_PLUS_RIDGE, 1e12, 0.0,
                                data.k_beta, data.graph, data.k_gamma)
-        got = solve_disp_step(data, theta, spec, links, pen, c2=1.0)
+        got = solve_disp_step(theta.gamma, pen, 1.0,
+                              step_derivs("disp", data, theta, spec, links))
         assert abs(got[0]) < 1e-6
 
 
@@ -367,7 +373,8 @@ class TestChooseScaling:
         point = _held(data, theta, spec, links, pen)
         c1, _ = _scaled_step("mean", data, point, links, pen)
         mat = (pen.eta_matrix().toarray()
-               + c1 * dense_hessian(hess_mean(data, theta, spec, links)))
+               + c1 * dense_hessian(hess_mean(data, *blocks(
+                   data, theta, spec, links))))
         assert np.linalg.eigvalsh(mat).min() >= -1e-8
 
     def test_accepted_step_never_increases_objective(self):
@@ -391,10 +398,10 @@ class TestChooseScaling:
         _, new = _scaled_step(kind, data, point, links, pen)
         cand = new.theta
         np.testing.assert_array_equal(
-            new.terms, lik.lognorm_terms(data, cand, spec, links))
+            new.terms, lik.dispersion_terms(data, cand, spec, links))
         np.testing.assert_array_equal(
             new.exponent, lik.exponent_terms(data, cand, spec, links))
-        assert new.nll == lik.neg_log_lik(data, cand, spec, links)
+        assert new.nll == nll_at(data, cand, spec, links)
         assert new.spec == point.spec
         assert new.f == objective(data, cand, spec, links, pen)
 
@@ -443,15 +450,16 @@ class TestUpdateIndex:
         profile = dict(zip(grid.tolist(), values.tolist()))
         seen = []
 
-        def nll_at(data, theta, spec, links, terms=None, exponent=None):
-            seen.append(spec.p)
-            return profile[float(spec.p)]
+        def profile_at(terms, exponent):
+            # the mocked dispersion terms are the grid point's p
+            seen.append(terms)
+            return profile[terms]
 
-        with mock.patch.object(lik, "neg_log_lik", nll_at), \
-                mock.patch.object(lik, "_lognorm_block",
-                                  lambda *a, **k: "terms"), \
-                mock.patch.object(lik, "_exponent_block",
-                                  lambda *a, **k: "exponent"):
+        with mock.patch.object(lik, "neg_log_lik", profile_at), \
+                mock.patch.object(lik, "dispersion_terms",
+                                  lambda data, theta, spec, links: spec.p), \
+                mock.patch.object(lik, "exponent_terms",
+                                  lambda *a: "exponent"):
             got = update_index(None, held, None, grid)
             n_walk = len(seen)
             want = scan_update_index(None, None, spec, None, grid, held.nll)
@@ -476,7 +484,8 @@ class TestUpdateIndex:
                 data, theta, spec, links, grid, held.nll)
             assert got.theta is theta and got.pen == held.pen
             np.testing.assert_array_equal(
-                got.terms, lik.lognorm_terms(data, theta, got.spec, links))
+                got.terms,
+                lik.dispersion_terms(data, theta, got.spec, links))
             np.testing.assert_array_equal(
                 got.exponent,
                 lik.exponent_terms(data, theta, got.spec, links))
@@ -521,6 +530,35 @@ class TestUpdateIndex:
                       FitConfig(penalty=pen, p_grid=np.array([1.5])))
         assert res.iters >= 3
         assert len(passes) <= candidates.call_count + 1
+
+    @pytest.mark.parametrize("approx, p_grid", [
+        (Approx.SERIES, np.round(np.arange(1.05, 1.951, 0.05), 10)),
+        (Approx.SADDLEPOINT, np.array([1.5]))], ids=["walk", "fixed-p"])
+    def test_dispersion_scale_once_per_block(self, monkeypatch, approx,
+                                             p_grid):
+        """The rows u = w/h2(z'gamma) are computed once per dispersion-side
+        block, where the block is built, and the derivatives and the
+        likelihood read them from it. At fixed p a block is built at the
+        start and per dispersion-step candidate only."""
+        gen = FamilySpec.compound_poisson_gamma(1.5)
+        data, _ = make_dataset(2000, 4, 4, "smooth", gen, 0.2, seed=202)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        scales, built = [], []
+        raw_scale, raw_terms = lik._dispersion_scale, lik.dispersion_terms
+        monkeypatch.setattr(lik, "_dispersion_scale",
+                            lambda *a: scales.append(1) or raw_scale(*a))
+        monkeypatch.setattr(lik, "dispersion_terms",
+                            lambda *a: built.append(1) or raw_terms(*a))
+        with mock.patch.object(opt, "solve_disp_step",
+                               wraps=opt.solve_disp_step) as candidates:
+            res = fit(data, FamilySpec.compound_poisson_gamma(
+                1.5, approx=approx), LinkPair.of("log", "log"),
+                FitConfig(penalty=pen, p_grid=p_grid))
+        assert res.iters >= 3
+        assert len(scales) == len(built)
+        if approx is Approx.SADDLEPOINT:
+            assert len(built) <= candidates.call_count + 1
 
     def test_recovers_generating_index_roughly(self):
         links = LinkPair.of("log", "log")
@@ -675,13 +713,17 @@ class TestFit:
                                seed=6)
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
                                data.k_beta, data.graph, data.k_gamma)
-        with mock.patch.object(lik, "neg_log_lik",
-                               wraps=lik.neg_log_lik) as nll:
+        with mock.patch.object(lik, "dispersion_terms",
+                               wraps=lik.dispersion_terms) as terms, \
+                mock.patch.object(lik, "exponent_terms",
+                                  wraps=lik.exponent_terms) as exponent:
             res = fit(data, FamilySpec.compound_poisson_gamma(1.3),
                       LinkPair.of("log", "log"),
                       FitConfig(penalty=pen, p_grid=np.array([1.5])))
         assert res.p_hat == 1.5
-        assert {call.args[2].p for call in nll.call_args_list} == {1.5}
+        assert terms.call_count >= 1 and exponent.call_count >= 1
+        calls = terms.call_args_list + exponent.call_args_list
+        assert {call.args[2].p for call in calls} == {1.5}
 
     def test_checks_the_support_once(self, monkeypatch):
         """The fit checks the response against the member once; its
@@ -712,6 +754,32 @@ class TestFit:
         with pytest.raises(DomainError, match="nonnegative"):
             fit(bad, FamilySpec.compound_poisson_gamma(1.5),
                 LinkPair.of("log", "log"), FitConfig(penalty=pen))
+
+    @pytest.mark.parametrize("entry", ["fit", "objective",
+                                       "fisher_information"])
+    def test_entry_points_check_the_data(self, entry):
+        """Each entry point that takes a raw dataset checks it against
+        the member before it builds a likelihood block: a response
+        outside the support is a DomainError, and a Poisson dataset with
+        a dispersion design a ConfigError."""
+        data, theta, spec, links = make_instance(Member.GAMMA, "log", seed=2)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        calls = {
+            "fit": lambda d, s: fit(d, s, links, FitConfig(penalty=pen)),
+            "objective": lambda d, s: objective(d, theta, s, links, pen),
+            "fisher_information": lambda d, s: fisher_information(
+                d, theta, s, links),
+        }
+        y = data.y.copy()
+        y[3] = -1.0
+        bad = Dataset(y, data.w, data.vertex, data.X, data.Z, data.graph)
+        with pytest.raises(DomainError, match="y/w"):
+            calls[entry](bad, spec)
+        counts = Dataset(np.round(data.y), data.w, data.vertex, data.X,
+                         data.Z, data.graph)
+        with pytest.raises(ConfigError, match="constant dispersion"):
+            calls[entry](counts, FamilySpec.poisson())
 
     def test_warm_start_from_truth_on_noiseless_normal(self):
         rng = np.random.default_rng(8)
