@@ -320,7 +320,105 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
     Cells are checked column by column: of several bad cells the first
     in the order of README "Dataset CSV" is reported (row widths, y,
     exposure, vertex, x_ then z_ columns in header order, support).
+
+    The file is first parsed in one pass by numpy's C reader, whose
+    result is kept only when every check passes. The column-wise parser
+    of Python's ``csv`` module and ``float()`` reads every other input,
+    so it is the one source of the parsing contract and of every error
+    message. It also reads each input on which the two parsers could
+    disagree:
+    - a file that is not UTF-8, or whose header holds a quote;
+    - a blank line, which ``csv`` reads as a zero-width row and
+      ``loadtxt`` skips;
+    - a ``\\r`` that does not end a line, which ``loadtxt`` rejects;
+    - a line longer than the ``csv`` field size limit, which
+      ``loadtxt`` lacks, or a quoted line end, which lets a field
+      outgrow its line;
+    - a row of the wrong width;
+    - a number ``float()`` reads and ``loadtxt`` does not, such as
+      ``1_000`` or one written in non-ASCII digits;
+    - a categorical ``x_`` or ``z_`` column.
     """
+    loaded = _load_fast(path, spec, graph)
+    if loaded is None:
+        loaded = _load_columnwise(path, spec, graph, expand)
+    return loaded
+
+
+def _load_fast(path, spec, graph):
+    """``load_dataset`` by one pass of ``np.loadtxt``, or None for an
+    input the column-wise path must read."""
+    lines = _line_layout(path)
+    if lines is None:
+        return None
+    first, n_rows = lines
+    header = [h.strip() for h in first.split(",")]
+    try:
+        col = _header_columns(path, spec, header)
+    except TwdglmError:
+        return None
+    dtype = [(f"c{j}", float if name in ("y", "exposure")
+              or name.startswith(("x_", "z_")) else object)
+             for j, name in enumerate(header)]
+    try:
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                           quotechar='"', skiprows=1, encoding="utf-8",
+                           ndmin=1)
+    except ValueError:
+        return None
+    # a quoted line end joins two lines into one row
+    if table.size != n_rows:
+        return None
+
+    def cells(name):
+        return table[f"c{col[name]}"]
+
+    try:
+        return _assemble(path, spec, graph, col, floats=cells, cells=cells,
+                         expand=False)
+    except TwdglmError:
+        return None
+
+
+_LF, _CR = ord("\n"), ord("\r")
+
+
+def _line_layout(path):
+    """(header line, number of data lines) of a file whose lines
+    ``csv`` and ``np.loadtxt`` split alike: a UTF-8 header without
+    quotes, at least one data line, no blank line, every ``\\r``
+    before a ``\\n``, and no line longer than the ``csv`` field size
+    limit. None for any other file."""
+    try:
+        with open(path, "rb") as fh:
+            content = fh.read()
+    except OSError:
+        return None
+    raw = np.frombuffer(content, np.uint8)
+    ends = np.flatnonzero(raw == _LF)
+    if ends.size == 0 or raw.size == ends[0] + 1:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    widths = ends - starts
+    blank = (widths == 0) | ((widths == 1) & (raw[starts] == _CR))
+    if (blank.any()
+            or np.count_nonzero(raw == _CR)
+            != np.count_nonzero(raw[ends - 1] == _CR)
+            or max(widths.max(), raw.size - ends[-1] - 1)
+            > csv.field_size_limit()):
+        return None
+    try:
+        first = content[:ends[0]].decode("utf-8").rstrip("\r")
+    except UnicodeDecodeError:
+        return None
+    if '"' in first:
+        return None
+    return first, ends.size - (raw[-1] == _LF)
+
+
+def _load_columnwise(path, spec, graph, expand):
+    """``load_dataset`` by Python's ``csv`` module and ``float()``, one
+    column at a time."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -333,21 +431,7 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
         except csv.Error as exc:
             raise SchemaError(f"{path}: line {reader.line_num}: {exc}")
     header = [h.strip() for h in header]
-    col = {}
-    for j, name in enumerate(header):
-        if name in col:
-            raise SchemaError(f"{path}: duplicate column {name!r}")
-        col[name] = j
-    for required in ("y", "vertex"):
-        if required not in col:
-            raise SchemaError(f"{path}: missing required column "
-                              f"{required!r}")
-    x_cols = [h for h in header if h.startswith("x_")]
-    z_cols = [h for h in header if h.startswith("z_")]
-    if spec.member is Member.POISSON and z_cols:
-        raise ConfigError(
-            "constant dispersion member: Poisson admits no dispersion "
-            "covariates")
+    col = _header_columns(path, spec, header)
     n = len(rows)
     if n == 0:
         raise SchemaError(f"{path}: no data rows")
@@ -358,25 +442,60 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
         raise SchemaError(f"{path}: row {i + 1}: expected {len(header)} "
                           f"fields, got {widths[i]}")
 
-    def column(name):
+    def cells(name):
         return map(operator.itemgetter(col[name]), rows)
+
+    def floats(name):
+        try:
+            return np.fromiter(map(float, cells(name)), float, n)
+        except ValueError:
+            return None
+
+    return _assemble(path, spec, graph, col, floats, cells, expand)
+
+
+def _header_columns(path, spec, header):
+    """{name: position} of the stripped header names, after checking
+    that none repeats, the required columns are present and a Poisson
+    model has no dispersion columns."""
+    col = {}
+    for j, name in enumerate(header):
+        if name in col:
+            raise SchemaError(f"{path}: duplicate column {name!r}")
+        col[name] = j
+    for required in ("y", "vertex"):
+        if required not in col:
+            raise SchemaError(f"{path}: missing required column "
+                              f"{required!r}")
+    if spec.member is Member.POISSON and any(h.startswith("z_")
+                                             for h in header):
+        raise ConfigError(
+            "constant dispersion member: Poisson admits no dispersion "
+            "covariates")
+    return col
+
+
+def _assemble(path, spec, graph, col, floats, cells, expand):
+    """(Dataset, beta_names, gamma_names) from a parsed file, with the
+    cell checks after the row widths in the order of README "Dataset
+    CSV". ``floats(name)`` is a column as floats, or None if a cell is
+    not a number; ``cells(name)`` is the column as read."""
 
     def check_column(name, ok, what):
         """Reject the first cell of a parsed column where ok is False."""
         if not ok.all():
             i = int(np.argmin(ok))
             raise SchemaError(f"{path}: row {i + 1}, column {name!r}: "
-                              f"{what} value {rows[i][col[name]]!r}")
+                              f"{what} value {list(cells(name))[i]!r}")
 
-    def floats(name, design=False):
+    def numbers(name, design=False):
         """The column as finite floats; None for a categorical design
         column when expanding."""
-        try:
-            vals = np.fromiter(map(float, column(name)), float, n)
-        except ValueError:
+        vals = floats(name)
+        if vals is None:
             if design and expand:
                 return None
-            for i, cell in enumerate(column(name), start=1):
+            for i, cell in enumerate(cells(name), start=1):
                 try:
                     float(cell)
                 except ValueError:
@@ -388,13 +507,14 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
         check_column(name, np.isfinite(vals), "non-finite")
         return vals
 
-    y = floats("y")
+    y = numbers("y")
+    n = y.size
     w = np.ones(n)
     if "exposure" in col:
-        w = floats("exposure")
+        w = numbers("exposure")
         check_column("exposure", w > 0, "non-positive")
     label_to_idx = graph.label_index()
-    labels = list(map(str.strip, column("vertex")))
+    labels = list(map(str.strip, cells("vertex")))
     try:
         vertex = np.fromiter(map(label_to_idx.__getitem__, labels), int, n)
     except KeyError as exc:     # raised at the first unknown label
@@ -402,13 +522,15 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
         raise SchemaError(f"{path}: row {labels.index(label) + 1}: unknown "
                           f"vertex label {label!r}")
 
-    def build_design(colnames):
+    def build_design(prefix):
         mats, names = [], []
-        for name in colnames:
-            vals = floats(name, design=True)
+        for name in col:
+            if not name.startswith(prefix):
+                continue
+            vals = numbers(name, design=True)
             if vals is None:
                 dummies, dnames = _expand_categorical(name,
-                                                      list(column(name)))
+                                                      list(cells(name)))
                 mats.extend(dummies)
                 names.extend(dnames)
             else:
@@ -416,8 +538,8 @@ def load_dataset(path: str, spec: FamilySpec, graph: ArealGraph,
                 names.append(name)
         return mats, names
 
-    x_mats, beta_names = build_design(x_cols)
-    z_mats, gamma_names = build_design(z_cols)
+    x_mats, beta_names = build_design("x_")
+    z_mats, gamma_names = build_design("z_")
     x_mats.insert(0, np.ones(n))
     beta_names.insert(0, "(intercept)")
     if spec.member is not Member.POISSON:
@@ -669,10 +791,23 @@ def _cmd_predict(opts) -> int:
     links = _links_from_options(opts, spec)
     graph = ArealGraph.from_edge_list_file(_require(opts, "graph",
                                                     "--graph"))
-    data, _, _ = load_dataset(_require(opts, "data", "--data"), spec, graph,
-                              expand=bool(opts["expand"]))
-    if data.k_beta != theta.beta.size or data.k_gamma != theta.gamma.size:
-        raise ConfigError("coefficient blocks do not match the data design")
+    data, data_beta, data_gamma = load_dataset(
+        _require(opts, "data", "--data"), spec, graph,
+        expand=bool(opts["expand"]))
+    alpha = np.empty(graph.n_vertices)
+    alpha[_positions(coef_path, "alpha", labels, graph.labels,
+                     "graph")] = theta.alpha
+    # the design columns are put in the order of the coefficients, in
+    # row-major copies like the loader's, so that each product sums its
+    # terms as it did for the data the fit read
+    data = Dataset(
+        data.y, data.w, data.vertex,
+        np.take(data.X, _positions(coef_path, "beta", beta_names,
+                                   data_beta, "data design"), axis=1),
+        np.take(data.Z, _positions(coef_path, "gamma", gamma_names,
+                                   data_gamma, "data design"), axis=1),
+        graph)
+    theta = Coefficients(theta.beta, alpha, theta.gamma)
     os.makedirs(out, exist_ok=True)
     t = data.X @ theta.beta + theta.alpha[data.vertex]
     mu = link_eval(links.mean, t, 0)
@@ -698,6 +833,27 @@ def _cmd_predict(opts) -> int:
     print(f"predict: scored {data.n_rows} rows, weighted deviance "
           f"{dev:.6g}, out={out}")
     return 0
+
+
+def _positions(path, block, names, model_names, model) -> list:
+    """The position in ``model_names`` of each coefficient name of one
+    block, read from ``path``; ConfigError when a name is missing on
+    either side or repeats."""
+    where = {name: i for i, name in enumerate(model_names)}
+    seen = set()
+    for name in names:
+        if name not in where:
+            raise ConfigError(f"{path}: {block} coefficient {name!r} is "
+                              f"not in the {model}")
+        if name in seen:
+            raise ConfigError(f"{path}: {block} coefficient {name!r} "
+                              "appears twice")
+        seen.add(name)
+    for name in model_names:
+        if name not in seen:
+            raise ConfigError(f"{path}: no {block} coefficient for "
+                              f"{name!r} of the {model}")
+    return [where[name] for name in names]
 
 
 def _cmd_report(opts) -> int:

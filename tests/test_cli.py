@@ -22,6 +22,7 @@ from twdglm.errors import DomainError, SchemaError
 from twdglm.family import FamilySpec
 from twdglm.graph import ArealGraph
 from twdglm.inference import wald_table, write_wald_table
+from twdglm.links import default_links, link_eval
 
 
 def run_ok(argv, capsys=None):
@@ -121,6 +122,29 @@ class TestLoadDataset:
         # last sorted level ("red") dropped
         assert bn == ["(intercept)", "x_color[blue]", "x_color[green]"]
         np.testing.assert_array_equal(data.X[:, 1], [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("body", [
+        "1,a,{long}\n", "{zeros}1,a,x\n", '1,"{lines}a",x\n',
+    ], ids=["text", "number", "quoted-line-ends"])
+    def test_field_over_the_csv_limit(self, tmp_path, body):
+        """numpy's C reader has no field size limit, so ``csv``'s error
+        for an over-long field stands."""
+        limit = csv.field_size_limit()
+        graph = tmp_path / "g.tsv"
+        graph.write_text("a\tb\n", encoding="utf-8")
+        csvf = tmp_path / "d.csv"
+        csvf.write_text("y,vertex,note\n" + body.format(
+            long="n" * (limit + 1), zeros="0" * limit,
+            lines=" \n" * (limit // 2 + 1)), encoding="utf-8")
+        with open(csvf, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            with pytest.raises(csv.Error) as want:
+                list(reader)
+        with pytest.raises(SchemaError) as got:
+            load_dataset(csvf, FamilySpec.compound_poisson_gamma(1.5),
+                         ArealGraph.from_edge_list_file(graph))
+        assert str(got.value) == (f"{csvf}: line {reader.line_num}: "
+                                  f"{want.value}")
 
     def test_duplicate_column_rejected(self, small_sim_dir, tmp_path,
                                        capsys):
@@ -487,6 +511,120 @@ class TestPredictFitDir:
         assert got == want != at_fit
 
 
+class TestPredictMatchesNames:
+    """``predict`` takes beta and gamma by name and alpha by vertex
+    label, not by position."""
+
+    @pytest.fixture(scope="class")
+    def fit_dir(self, sim_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fit_names")
+        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
+                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
+                "--approx", "saddlepoint", "--out", str(out)])
+        return out
+
+    @staticmethod
+    def _predict(fit_dir, data, graph, out):
+        """predict's exit code and, when it ran, its two output files."""
+        code = run_command(["predict", "--data", str(data), "--graph",
+                            str(graph), "--fit-dir", str(fit_dir), "--out",
+                            str(out)])
+        if code:
+            return code, None
+        return code, ((out / "predictions.tsv").read_bytes(),
+                      (out / "predict_summary.tsv").read_bytes())
+
+    @staticmethod
+    def _rewrite_csv(src, dst, edit):
+        with open(src, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        with open(dst, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    def test_predictions_are_the_model_at_the_coefficients(
+            self, sim_dir, fit_dir, tmp_path):
+        """mu_hat is h(X beta + alpha[vertex]) over the loaded design,
+        to the last bit."""
+        _, (predictions, _) = self._predict(
+            fit_dir, sim_dir / "data.csv", sim_dir / "graph.tsv",
+            tmp_path / "a")
+        spec = FamilySpec.compound_poisson_gamma(1.5)
+        data, _, _ = load_dataset(
+            sim_dir / "data.csv", spec,
+            ArealGraph.from_edge_list_file(sim_dir / "graph.tsv"))
+        theta = read_coefficients(fit_dir / "coefficients.tsv")[0]
+        mu = link_eval(default_links(spec).mean,
+                       data.X @ theta.beta + theta.alpha[data.vertex], 0)
+        got = [line.split("\t")[2]
+               for line in predictions.decode().splitlines()[1:]]
+        assert got == [f"{m:.17g}" for m in mu.tolist()]
+
+    def test_reordered_graph(self, sim_dir, fit_dir, tmp_path):
+        lines = (sim_dir / "graph.tsv").read_text().splitlines(True)
+        reversed_graph = tmp_path / "reversed.tsv"
+        reversed_graph.write_text("".join(reversed(lines)))
+        assert (ArealGraph.from_edge_list_file(reversed_graph).labels
+                != ArealGraph.from_edge_list_file(
+                    sim_dir / "graph.tsv").labels)
+        want = self._predict(fit_dir, sim_dir / "data.csv",
+                             sim_dir / "graph.tsv", tmp_path / "a")
+        got = self._predict(fit_dir, sim_dir / "data.csv", reversed_graph,
+                            tmp_path / "b")
+        assert got == want and want[0] == 0
+
+    def test_permuted_columns(self, sim_dir, fit_dir, tmp_path):
+        def swap(rows):
+            header = rows[0]
+            for a, b in (("x_1", "x_2"), ("z_1", "z_4")):
+                i, j = header.index(a), header.index(b)
+                for row in rows:
+                    row[i], row[j] = row[j], row[i]
+        permuted = tmp_path / "permuted.csv"
+        self._rewrite_csv(sim_dir / "data.csv", permuted, swap)
+        want = self._predict(fit_dir, sim_dir / "data.csv",
+                             sim_dir / "graph.tsv", tmp_path / "a")
+        got = self._predict(fit_dir, permuted, sim_dir / "graph.tsv",
+                            tmp_path / "b")
+        assert got == want and want[0] == 0
+
+    @pytest.mark.parametrize("case", [
+        "unknown-label", "dropped-vertex", "missing-column", "extra-column",
+    ])
+    def test_unmatched_name_is_config_error(self, sim_dir, fit_dir,
+                                            tmp_path, capsys, case):
+        data, graph = tmp_path / "data.csv", tmp_path / "graph.tsv"
+        lines = (sim_dir / "graph.tsv").read_text()
+        graph.write_text(lines + "zz\n" if case == "unknown-label"
+                         else lines)
+
+        def edit(rows):
+            vertex = rows[0].index("vertex")
+            if case == "unknown-label":
+                rows[5][vertex] = "zz"
+            elif case == "dropped-vertex":
+                rows[:] = [row for row in rows if row[vertex] != "r1c1"]
+            elif case == "missing-column":
+                j = rows[0].index("x_3")
+                for row in rows:
+                    del row[j]
+            else:
+                for row in rows:
+                    row.append("0.5" if row is not rows[0] else "x_5")
+        self._rewrite_csv(sim_dir / "data.csv", data, edit)
+        if case == "dropped-vertex":
+            # the fit's vertex r1c1 is left out of the graph and the data
+            graph.write_text("".join(line for line in lines.splitlines(True)
+                                     if "r1c1" not in line))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self._predict(fit_dir, data, graph, out) == (2, None)
+        err = capsys.readouterr().err
+        assert ERROR_LINE.fullmatch(err) and err.startswith(
+            f"error[E_CONFIG]: {fit_dir / 'coefficients.tsv'}: ")
+        assert not out.exists()
+
+
 class TestUnreadableFiles:
     """A file that is not UTF-8 text, or a configuration that is not a
     JSON object, ends in one error line naming the file (and the line,
@@ -563,18 +701,38 @@ class TestUnreadableFiles:
 
 
 # ---------------------------------------------------------------------------
-# Column-wise loader against the row-wise oracle
+# The loader against the row-wise oracle
 # ---------------------------------------------------------------------------
 
-LABELS = ("a", "b,c", "d e", "r1c1")
+LABELS = ("a", "b,c", "d e", "r1c1", 'q"t')
 NUMBER_FORMATS = (repr, "{:.3g}".format, " {!r} ".format, "{:e}".format)
+
+
+def _underscored(value):
+    """A number with an underscore between two fraction digits."""
+    text = f"{value:.6f}"
+    cut = text.index(".") + 3
+    return text[:cut] + "_" + text[cut:]
+
+
+# numbers that Python's float() reads and numpy's C reader does not
+# (underscores, non-ASCII digits), and NBSP padding, which both strip
+ODD_NUMBER_FORMATS = (
+    _underscored,
+    lambda value: repr(value).translate(str.maketrans(
+        "0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667"
+                      "\u0668\u0669")),
+    "\xa0{!r}\xa0".format,
+)
 BAD_VALUES = {
     "non-numeric": ("abc", "", "1.2.3"),
     "non-finite": ("nan", "inf", "-Infinity"),
     "non-positive": ("0", "-2.5"),
-    "unknown label": ("zz", "b", " c "),
+    "unknown label": ("zz", "b", " c ", "a\nb", 'q""t'),
     "negative": ("-1",),
 }
+# kinds that give a row the wrong width; a blank line is a row of none
+WIDTH_KINDS = ("extra field", "missing field", "blank line")
 # within one column: non-numeric cells first, then non-finite, then
 # non-positive
 KIND_ORDER = ("non-numeric", "non-finite", "non-positive")
@@ -586,7 +744,7 @@ def label_graph(tmp_path_factory):
     """A graph whose labels need quoting in a CSV or hold a space."""
     out = tmp_path_factory.mktemp("labels")
     path = out / "graph.tsv"
-    path.write_text("a\tb,c\nb,c\td e\nr1c1\n", encoding="utf-8")
+    path.write_text("a\tb,c\nb,c\td e\nr1c1\nq\"t\n", encoding="utf-8")
     graph = ArealGraph.from_edge_list_file(path)
     assert graph.labels == LABELS
     return out, graph
@@ -594,7 +752,9 @@ def label_graph(tmp_path_factory):
 
 @st.composite
 def clean_csv(draw):
-    """(header, body, expand, column kinds) of a valid dataset CSV."""
+    """(header, body, expand, column kinds, line end) of a dataset CSV
+    that is valid but for its string design columns when not
+    expanding."""
     n = draw(st.integers(1, 8))
     expand = draw(st.booleans())
     kinds = {"y": "y", "vertex": "vertex"}
@@ -603,14 +763,17 @@ def clean_csv(draw):
     for prefix, k in (("x_", draw(st.integers(0, 3))),
                       ("z_", draw(st.integers(0, 2)))):
         for j in range(k):
-            cat = expand and draw(st.booleans())
+            cat = draw(st.booleans()) if expand \
+                else draw(st.integers(0, 5)) == 0
             kinds[f"{prefix}{j}"] = "cat" if cat else "num"
     if draw(st.booleans()):
         kinds["note"] = "text"
     cols = draw(st.permutations(list(kinds)))
+    formats = draw(st.sampled_from((NUMBER_FORMATS,
+                                    NUMBER_FORMATS + ODD_NUMBER_FORMATS)))
 
     def number(lo, hi):
-        fmt = draw(st.sampled_from(NUMBER_FORMATS))
+        fmt = draw(st.sampled_from(formats))
         return fmt(draw(st.floats(lo, hi)))
 
     def cell(kind):
@@ -625,18 +788,20 @@ def clean_csv(draw):
             return pad + draw(st.sampled_from(LABELS)) + pad
         if kind == "cat":
             return draw(st.sampled_from(("red", "blue", "green", " red")))
-        return draw(st.text(alphabet="ab ,\"'", max_size=5))
+        return draw(st.text(alphabet="ab ,\"'\n", max_size=5))
 
     body = [[cell(kinds[c]) for c in cols] for _ in range(n)]
     header = [draw(st.sampled_from(("", " "))) + c for c in cols]
-    return header, body, expand, {c: kinds[c] for c in cols}
+    eol = draw(st.sampled_from(("\r\n", "\n")))
+    return header, body, expand, {c: kinds[c] for c in cols}, eol
 
 
 @st.composite
 def bad_cells(draw, kinds, n, expand, multi):
     """Injections (kind, column, row, value); only SchemaError kinds when
-    several are drawn."""
-    targets = [("ragged", None)]
+    several are drawn. A blank line goes before the row, or after the
+    last one."""
+    targets = [(kind, None) for kind in WIDTH_KINDS]
     for name, kind in kinds.items():
         if kind == "y":
             targets += [("non-numeric", name), ("non-finite", name)]
@@ -653,25 +818,33 @@ def bad_cells(draw, kinds, n, expand, multi):
                 targets.append(("non-numeric", name))
     picks = draw(st.lists(st.sampled_from(targets), min_size=2 if multi
                           else 1, max_size=3 if multi else 1))
-    return [(kind, name, draw(st.integers(0, n - 1)),
-             None if kind == "ragged"
+    return [(kind, name, draw(st.integers(0, n if kind == "blank line"
+                                          else n - 1)),
+             None if kind in WIDTH_KINDS
              else draw(st.sampled_from(BAD_VALUES[kind])))
             for kind, name in picks]
 
 
-def _write(path, header, body, injections=()):
+def _write(path, header, body, injections=(), eol="\r\n", bom=False):
     cols = [h.strip() for h in header]
     body = [list(row) for row in body]
-    # cells first, so that a shortened row still has the cell
-    for kind, name, row, value in sorted(injections,
-                                         key=lambda inj: inj[0] == "ragged"):
-        if kind == "ragged":
-            width = len(cols) - 1 if row % 2 else len(cols) + 1
-            body[row] = (body[row] + ["1"])[:width]
-        else:
+    resized = {}
+    for kind, name, row, value in injections:
+        if kind in ("extra field", "missing field"):
+            resized[row] = kind
+        elif kind != "blank line":
             body[row][cols.index(name)] = value
+    # after the cells, so that a shortened row still had the cell
+    for row, kind in resized.items():
+        body[row] = body[row] + ["1"] if kind == "extra field" \
+            else body[row][:-1]
+    # one blank line per row drawn, inserted from the last
+    for row in sorted({inj[2] for inj in injections
+                       if inj[0] == "blank line"}, reverse=True):
+        body.insert(row, [])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([header] + body)
+        fh.write("\ufeff" if bom else "")
+        csv.writer(fh, lineterminator=eol).writerows([header] + body)
 
 
 def _outcome(loader, path, graph, expand):
@@ -697,7 +870,8 @@ def _first_reported(injections, header):
     """The injection the column-wise loader reports: row widths first,
     then y, exposure, vertex, the x_ then the z_ columns in header
     order; within a column the kinds in KIND_ORDER, then the row. A
-    later injection into the same cell replaces an earlier one."""
+    later injection into the same cell, or a later change of the same
+    row's width, replaces an earlier one."""
     cols = [h.strip() for h in header]
     design = ([c for c in cols if c.startswith("x_")]
               + [c for c in cols if c.startswith("z_")])
@@ -706,12 +880,17 @@ def _first_reported(injections, header):
     cells = {}
     for inj in injections:
         kind, name, row, _ = inj
-        cells[("ragged", row) if kind == "ragged" else (name, row)] = inj
+        if kind == "blank line":
+            cells[(kind, row)] = inj
+        else:
+            cells[("width", row) if kind in WIDTH_KINDS
+                  else (name, row)] = inj
 
     def key(inj):
         kind, name, row, _ = inj
-        if kind == "ragged":
-            return (0, 0, row)
+        if kind in WIDTH_KINDS:
+            # a blank line before a row comes before it
+            return (0, row, kind != "blank line")
         return (rank[name], KIND_ORDER.index(kind) if kind in KIND_ORDER
                 else 0, row)
     return min(cells.values(), key=key)
@@ -729,18 +908,29 @@ def _fit_stderr(path, graph_dir, expand, out):
 
 
 class TestLoaderEquivalence:
-    """``load_dataset`` reads column by column; ``rowwise_load_dataset``
-    is the row-at-a-time loader it replaced."""
+    """``load_dataset`` parses with numpy's C reader, or column by column
+    for the inputs that reader declines; ``rowwise_load_dataset`` is the
+    row-at-a-time loader they replaced."""
+
+    def test_simulated_csv_takes_the_c_reader(self, sim_dir):
+        graph = ArealGraph.from_edge_list_file(sim_dir / "graph.tsv")
+        spec = FamilySpec.compound_poisson_gamma(1.5)
+        path = sim_dir / "data.csv"
+        with mock.patch.object(cli, "_load_columnwise",
+                               side_effect=AssertionError("declined")):
+            got = _outcome(load_dataset, path, graph, False)
+        _assert_same(got, _outcome(rowwise_load_dataset, path, graph, False))
 
     @settings(max_examples=300)
     @given(case=clean_csv(), data=st.data())
     def test_matches_rowwise_oracle(self, label_graph, case, data):
         graph_dir, graph = label_graph
-        header, body, expand, kinds = case
+        header, body, expand, kinds, eol = case
         injections = data.draw(st.one_of(
             st.just([]), bad_cells(kinds, len(body), expand, multi=False)))
         path = graph_dir / "one.csv"
-        _write(path, header, body, injections)
+        _write(path, header, body, injections, eol, bom=data.draw(
+            st.booleans()))
         want = _outcome(rowwise_load_dataset, path, graph, expand)
         _assert_same(_outcome(load_dataset, path, graph, expand), want)
         if isinstance(want[0], type):
@@ -753,16 +943,17 @@ class TestLoaderEquivalence:
     def test_several_bad_cells_report_the_first(self, label_graph, case,
                                                 data):
         graph_dir, graph = label_graph
-        header, body, expand, kinds = case
+        header, body, expand, kinds, eol = case
         injections = data.draw(bad_cells(kinds, len(body), expand,
                                          multi=True))
         path = graph_dir / "several.csv"
         # the oracle's error for the first bad cell alone ...
-        _write(path, header, body, [_first_reported(injections, header)])
+        _write(path, header, body, [_first_reported(injections, header)],
+               eol)
         want = _outcome(rowwise_load_dataset, path, graph, expand)
         assert want[0] is SchemaError
-        # ... is the column-wise loader's error for all of them
-        _write(path, header, body, injections)
+        # ... is the loader's error for all of them
+        _write(path, header, body, injections, eol)
         assert _outcome(load_dataset, path, graph, expand) == want
         code, err = _fit_stderr(path, graph_dir, expand, graph_dir / "out")
         assert code == 2 and err == f"error[E_SCHEMA]: {want[1]}\n"

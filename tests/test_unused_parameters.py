@@ -1,12 +1,9 @@
-"""Every parameter of a private module-level function of the package is
-read, and every default it declares is used by some call in the
-package. Tests do not count as a caller: a default that only the suite
-relies on is a code path that only the suite runs.
-
-In the likelihood and optimizer modules every module-level function,
-public ones included, must read each of its parameters: a derivative
-function that takes a spec, links or theta it never reads would invite
-a caller to expect them to matter.
+"""Every parameter of a module-level function of the package, public
+ones included, is read: a function that takes a spec, links or theta it
+never reads would invite a caller to expect them to matter. Every
+default a private module-level function declares is used by some call
+in the package. Tests do not count as a caller: a default that only the
+suite relies on is a code path that only the suite runs.
 """
 
 import ast
@@ -18,8 +15,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twdglm"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TREES = {path: ast.parse(path.read_text(encoding="utf-8"))
          for path in MODULES}
-# modules whose public functions are held to the unread-parameter check
-ALL_FUNCTIONS_READ = {"likelihood.py", "optimizer.py"}
 
 
 def _private_functions(tree):
@@ -29,12 +24,8 @@ def _private_functions(tree):
             yield node
 
 
-def _read_checked_functions(path):
-    """The module-level functions whose parameters must all be read."""
-    if path.name not in ALL_FUNCTIONS_READ:
-        yield from _private_functions(TREES[path])
-        return
-    for node in TREES[path].body:
+def _module_functions(tree):
+    for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node
 
@@ -111,7 +102,7 @@ def _defaults_only_tests_use(fn):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_private_parameters_are_read(path):
     found = [f"line {fn.lineno}: {fn.name}({name})"
-             for fn in _read_checked_functions(path)
+             for fn in _module_functions(TREES[path])
              for name in _unread(fn)]
     assert not found, (f"{path.name}: functions with parameters their "
                        f"bodies never read: {found}")
