@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import operator
 import os
@@ -105,7 +106,10 @@ def _add_common(p: argparse.ArgumentParser):
                    help="JSON file of option values; flags override it")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves
+    it unchanged, so every command shares it."""
     parser = argparse.ArgumentParser(
         prog="twdglm",
         description="Spatially penalized Tweedie double GLMs")

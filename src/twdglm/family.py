@@ -156,6 +156,12 @@ def check_support(spec: FamilySpec, y, what: str = "y") -> None:
                               "compound-poisson-gamma")
 
 
+def check_dispersion(phi, what: str = "phi") -> None:
+    """Raise DomainError unless every phi is finite and positive."""
+    if not np.all(np.isfinite(phi) & (phi > 0)):
+        raise DomainError(f"{what} must be finite and positive")
+
+
 def variance_function(spec: FamilySpec, mu):
     """Power variance function V(mu) = mu**p (identically 1 for Normal)."""
     m, scalar = _as_array(mu)
@@ -246,14 +252,22 @@ def _series_logsums(y, phi, p):
     A term below an earlier one lies past the mode, so by concavity
     every term beyond either end is smaller still and falling.
     ``SERIES_SIDE_CAP`` bounds the terms on either side, and a mode
-    above ``SERIES_KMAX_CAP`` raises SeriesInfeasibleError.
+    above ``SERIES_KMAX_CAP`` raises SeriesInfeasibleError. A y that is
+    not positive, or a phi that is not finite and positive, raises
+    DomainError.
+
+    A block is laid out as (term, row): its maximum and its three
+    moment sums are vector operations across the rows still walking.
+    ``_pairwise_sum`` adds a block's terms in the order in which
+    ``ndarray.sum`` adds ``_SERIES_BLOCK`` contiguous values, so the
+    results are bit for bit those of per-row sums over (row, term)
+    blocks.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     phi = np.broadcast_to(np.asarray(phi, dtype=float), y.shape)
-    if np.any(y <= 0):
+    if not np.all(y > 0):
         raise DomainError("series normalizer requires y > 0")
-    if np.any(phi <= 0):
-        raise DomainError("series normalizer requires phi > 0")
+    check_dispersion(phi)
     xi = (2.0 - p) / (p - 1.0)
     log_t = (xi * np.log(y) - xi * math.log(p - 1.0) - math.log(2.0 - p)
              - (1.0 + xi) * np.log(phi))
@@ -264,23 +278,21 @@ def _series_logsums(y, phi, p):
             f"{SERIES_KMAX_CAP:.3e}; "
             "use the saddlepoint approximation instead")
 
-    n = y.size
     k0 = np.maximum(np.floor(kmax), 1.0).astype(np.int64)
-    big_m = np.full(n, -np.inf)
-    s0 = np.zeros(n)
-    s1 = np.zeros(n)
-    s2 = np.zeros(n)
     log_rtol = math.log(SERIES_RTOL)
-    steps = np.arange(_SERIES_BLOCK)
+    steps = np.arange(_SERIES_BLOCK)[:, None]
     # lgam[k - base] = gammaln(k+1) + gammaln(xi*k) over the k the walk
     # has reached, +inf at k = 0 so that k < 1 adds no term. A block
     # outside it extends it by at least the walk's reach from the starts.
     base = int(k0.min())
     lgam = np.empty(0)
 
-    def add_block(rows, k, reach):
-        """Fold the terms at k (rows x block) into the rows' sums and
-        return their logs."""
+    def block(rows, k, reach, old_m=None):
+        """The terms at k (term x row) of the rows: the rows' running
+        maximum after them, their moment sums (s0, s1, s2) relative to
+        it, and whether each row's last term is at least ``SERIES_RTOL``
+        times it. old_m is the maximum before the block, None for the
+        first."""
         nonlocal base, lgam
         lo, hi = max(int(k.min()), 0), int(k.max())
         grow = max(4 * _SERIES_BLOCK, reach)
@@ -291,40 +303,60 @@ def _series_logsums(y, phi, p):
             start = max(lo - grow, 0)
             lgam = np.concatenate([_lgam_range(start, base, xi), lgam])
             base = start
-        log_terms = log_t[rows, None] * k - lgam[np.maximum(k, 0) - base]
-        old_m = big_m[rows]
-        new_m = np.maximum(old_m, log_terms.max(axis=1))
-        rescale = np.exp(old_m - new_m)
-        wts = np.exp(log_terms - new_m[:, None])
-        wk = wts * k
-        s0[rows] = s0[rows] * rescale + wts.sum(axis=1)
-        s1[rows] = s1[rows] * rescale + wk.sum(axis=1)
-        s2[rows] = s2[rows] * rescale + (wk * k).sum(axis=1)
-        big_m[rows] = new_m
-        return log_terms
+        kf = k.astype(float)
+        wts = log_t[rows] * kf
+        wts -= lgam[np.maximum(k, 0) - base]
+        new_m = wts.max(axis=0)
+        if old_m is not None:
+            np.maximum(old_m, new_m, out=new_m)
+        wts -= new_m
+        above = wts[-1] >= log_rtol
+        np.exp(wts, out=wts)
+        wk = wts * kf
+        s0b, s1b = _pairwise_sum(wts), _pairwise_sum(wk)
+        wk *= kf
+        return new_m, (s0b, s1b, _pairwise_sum(wk)), above
 
-    # right side: k0, k0+1, ...
-    rows = np.arange(n)
-    offset = 0
+    def fold(rows, k, reach):
+        """Add the block at k to the rows' sums, rescaled to their new
+        maximum; returns whether each row's last term is still above
+        the threshold."""
+        old_m = big_m[rows]
+        new_m, sums, above = block(rows, k, reach, old_m)
+        rescale = np.exp(old_m - new_m)
+        for s, sb in zip((s0, s1, s2), sums):
+            s[rows] = s[rows] * rescale + sb
+        big_m[rows] = new_m
+        return above
+
+    # right side: k0, k0+1, ...; the first block starts every row's sums
+    big_m, (s0, s1, s2), above = block(slice(None), k0 + steps, 0)
+    rows = np.flatnonzero(above)
+    offset = _SERIES_BLOCK
     while rows.size and offset < SERIES_SIDE_CAP:
-        log_terms = add_block(rows, k0[rows, None] + (offset + steps), offset)
-        rows = rows[log_terms[:, -1] - big_m[rows] >= log_rtol]
+        rows = rows[fold(rows, k0[rows] + (offset + steps), offset)]
         offset += _SERIES_BLOCK
     # left side: k0-1, k0-2, ..., 1
     rows = np.flatnonzero(k0 > 1)
     offset = 1
     while rows.size and offset <= SERIES_SIDE_CAP:
-        k = k0[rows, None] - (offset + steps)
-        log_terms = add_block(rows, k, offset)
-        done = ((log_terms[:, -1] - big_m[rows] < log_rtol)
-                | (k[:, -1] <= 1))
-        rows = rows[~done]
+        k = k0[rows] - (offset + steps)
+        rows = rows[fold(rows, k, offset) & (k[-1] > 1)]
         offset += _SERIES_BLOCK
     log_a = -np.log(y) + big_m + np.log(s0)
     scale = 1.0 + xi
     r1 = scale * s1 / s0
     r2 = scale ** 2 * s2 / s0
     return log_a, r1, r2
+
+
+def _pairwise_sum(t):
+    """Sum over the first axis of a (_SERIES_BLOCK, rows) block as the
+    tree ((t0+t1) + (t2+t3)) + ((t4+t5) + (t6+t7)): the order in which
+    ``ndarray.sum`` adds eight contiguous values."""
+    while len(t) > 1:
+        t = t[0::2] + t[1::2]
+    return t[0]
 
 
 def _lgam_range(start, stop, xi):
@@ -352,8 +384,7 @@ def log_normalizer_saddlepoint(y, phi, spec: FamilySpec):
     """
     ya, scalar = _as_array(y)
     ph = np.broadcast_to(np.asarray(phi, dtype=float), ya.shape)
-    if np.any(ph <= 0):
-        raise DomainError("phi must be positive")
+    check_dispersion(ph)
     if np.any(ya < 0):
         raise DomainError("y must be nonnegative")
     v_arg = np.where(ya > 0, ya, SADDLE_EPS0)
@@ -375,8 +406,8 @@ def log_density(spec: FamilySpec, y, mu, phi=1.0):
     check_mean_space(spec, ma)
     ya, ma = np.broadcast_arrays(ya, ma)
     pha = np.broadcast_to(np.asarray(phi, dtype=float), ya.shape)
-    if spec.member is not Member.POISSON and np.any(pha <= 0):
-        raise DomainError("phi must be positive")
+    if spec.member is not Member.POISSON:
+        check_dispersion(pha)
     mem = spec.member
     p = spec.p
 

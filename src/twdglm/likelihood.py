@@ -207,8 +207,7 @@ def _dispersion_scale(data: Dataset, theta: Coefficients, links: LinkPair):
     kind = links.disp.kind
     s = data.Z @ theta.gamma if data.k_gamma else np.zeros(data.n_rows)
     h2 = link_eval(kind, s, 0)
-    if np.any(h2 <= 0):
-        raise DomainError("dispersion must be positive at every row")
+    fam.check_dispersion(h2, "dispersion at every row")
     if kind is LinkKind.LOG:
         one = np.ones_like(h2)
         l1, l2 = one, one

@@ -4,7 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -1080,3 +1083,57 @@ class TestEdgeListFuzz:
             assert ERROR_LINE.fullmatch(err), (fault, err)
             assert "Traceback" not in err
             assert not out.exists()
+
+
+class TestParserReuse:
+    """Commands share one parser; a command that fails to parse, one
+    that runs and ``--help`` each give, one after another in a process,
+    what they give in a fresh process."""
+
+    @staticmethod
+    def _fresh(argv, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, COLUMNS="80",
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "twdglm.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_sequence_matches_fresh_processes(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        sim = ["simulate", "--n", "200", "--lattice", "3x3", "--seed", "3",
+               "--p", "1.5", "--out"]
+        commands = [["fit", "--bogus-flag", "1"],
+                    sim + [str(tmp_path / "here")],
+                    ["--help"]]
+        here = []
+        for argv in commands:
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            here.append((code, captured.out, captured.err))
+        assert cli._build_parser() is cli._build_parser()
+        here_dir, fresh_dir = tmp_path / "here", tmp_path / "fresh"
+        fresh = [self._fresh(commands[0], tmp_path),
+                 self._fresh(sim + [str(fresh_dir)], tmp_path),
+                 self._fresh(commands[2], tmp_path)]
+        assert [h[0] for h in here] == [2, 0, 0]
+        assert here[0] == fresh[0]
+        assert here[2] == fresh[2]
+        # the run's own --out is the one difference in its output
+        assert here[1][0] == fresh[1][0]
+        assert here[1][1].replace(str(here_dir), "OUT") == \
+            fresh[1][1].replace(str(fresh_dir), "OUT")
+        assert here[1][2] == fresh[1][2]
+        names = sorted(f.name for f in here_dir.iterdir())
+        assert names == sorted(f.name for f in fresh_dir.iterdir())
+        for name in names:
+            a = (here_dir / name).read_bytes()
+            b = (fresh_dir / name).read_bytes()
+            if name == "effective_config.json":
+                a, b = json.loads(a), json.loads(b)
+                assert (a.pop("out"), b.pop("out")) == (str(here_dir),
+                                                        str(fresh_dir))
+            assert a == b, name

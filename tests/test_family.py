@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from conftest import full_series_logsums, series_log_terms, series_mode
+from conftest import (full_series_logsums, series_log_terms, series_mode,
+                      windowed_series_logsums)
 from twdglm.errors import ConfigError, DomainError, SeriesInfeasibleError
-from twdglm.family import (SADDLE_EPS0, SERIES_KMAX_CAP, Approx, FamilySpec,
-                           Member, _series_logsums, log_density,
+from twdglm.family import (_SERIES_BLOCK, SADDLE_EPS0, SERIES_KMAX_CAP,
+                           Approx, FamilySpec, Member, _pairwise_sum,
+                           _series_logsums, log_density,
                            log_normalizer_saddlepoint, log_normalizer_series,
                            unit_deviance, variance_function)
 
@@ -152,8 +154,9 @@ class TestSeriesNormalizer:
             log_normalizer_series(10.0, 1e-9, 1.5)
 
     def test_requires_positive_y(self):
-        with pytest.raises(DomainError):
-            log_normalizer_series(0.0, 1.0, 1.5)
+        for y in (0.0, np.nan):
+            with pytest.raises(DomainError):
+                log_normalizer_series(y, 1.0, 1.5)
 
 
 # index near either end of (1, 2) or anywhere between
@@ -175,6 +178,13 @@ def series_rows(draw):
     return y, phi, p
 
 
+def rows_with_modes(p, y, modes):
+    """(y, phi, p) with phi chosen so that row i's term mode is
+    modes[i]."""
+    y = np.asarray(y, dtype=float)
+    return y, y ** (2.0 - p) / ((2.0 - p) * np.asarray(modes)), p
+
+
 class TestSeriesWindowProperties:
     @settings(max_examples=200)
     @given(series_rows())
@@ -188,6 +198,23 @@ class TestSeriesWindowProperties:
             err = np.abs(a - b) / np.maximum(np.abs(b), floor)
             assert err.max() <= 1e-10, name
 
+    @settings(max_examples=300)
+    @given(series_rows())
+    @example(rows_with_modes(1.05, [0.5, 2.0, 30.0], [0.3, 4000.0, 1500.0]))
+    @example(rows_with_modes(1.95, [0.01, 1.0, 500.0], [0.5, 2000.0, 9000.0]))
+    @example(rows_with_modes(1.5, [1.0], [3000.0]))
+    @example(rows_with_modes(1.3, [0.2], [0.01]))
+    def test_matches_row_by_row_kernel_exactly(self, rows):
+        """The (term, row) kernel adds the same terms in the same order
+        as the (row, term) one. The examples pin p near either end,
+        modes below 1 (the walk starts at k = 1), modes in the thousands
+        (the left walk takes 8 to 85 blocks) and a single row."""
+        y, phi, p = rows
+        got = _series_logsums(y, phi, p)
+        want = windowed_series_logsums(y, phi, p)
+        for name, a, b in zip(("log_a", "r1", "r2"), got, want):
+            assert np.array_equal(a, b), name
+
     @settings(max_examples=20)
     @given(INDICES, st.floats(-3, 3), st.floats(1.001, 100.0))
     def test_mode_above_cap_raises(self, p, log_y, excess):
@@ -195,6 +222,49 @@ class TestSeriesWindowProperties:
         phi = y ** (2.0 - p) / ((2.0 - p) * SERIES_KMAX_CAP * excess)
         with pytest.raises(SeriesInfeasibleError):
             _series_logsums(np.array([1.0, y]), np.array([1.0, phi]), p)
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("rows", [1, 7, 3494])
+    def test_matches_ndarray_row_sums(self, rows):
+        """The kernel's block sum is bit for bit ``sum(axis=1)`` over
+        (row, term) blocks; a numpy whose pairwise order differs, or
+        another ``_SERIES_BLOCK``, fails here instead of moving fits."""
+        rng = np.random.default_rng(rows)
+        x = np.exp(rng.normal(0.0, 5.0, (rows, _SERIES_BLOCK)))
+        got = _pairwise_sum(np.ascontiguousarray(x.T))
+        assert np.array_equal(got, x.sum(axis=1))
+
+
+class TestNonFiniteDispersion:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_series_kernel_rejects(self, bad):
+        with pytest.raises(DomainError):
+            _series_logsums(np.array([1.0, 2.0]), np.array([bad, 1.0]), 1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("approx", list(Approx))
+    def test_cpg_log_density_rejects(self, approx, bad):
+        spec = FamilySpec.compound_poisson_gamma(1.5, approx=approx)
+        with pytest.raises(DomainError):
+            log_density(spec, 1.0, 1.0, bad)
+        with pytest.raises(DomainError):
+            log_density(spec, np.array([0.0, 2.0]), 1.0, np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_saddlepoint_normalizer_rejects(self, bad):
+        spec = FamilySpec.compound_poisson_gamma(1.5,
+                                                 approx=Approx.SADDLEPOINT)
+        with pytest.raises(DomainError):
+            log_normalizer_saddlepoint(1.0, bad, spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("spec", [FamilySpec.normal(), FamilySpec.gamma(),
+                                      FamilySpec.inverse_gaussian()],
+                             ids=lambda s: s.member.value)
+    def test_other_members_reject(self, spec, bad):
+        with pytest.raises(DomainError):
+            log_density(spec, 1.0, 1.0, bad)
 
 
 class TestSaddlepointNormalizer:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (MEAN_LINKS_BY_MEMBER, blocks, dense_hessian,
                       fd_gradient, fd_jacobian, make_instance,
                       mean_exponent_generic, nll_at, predictors, rel_err)
-from twdglm.errors import ConfigError
+from twdglm.errors import ConfigError, DomainError
 from twdglm.family import Approx, FamilySpec, Member, log_density
 from twdglm.graph import lattice_graph
 from twdglm.likelihood import (Coefficients, Dataset, disp_derivatives,
@@ -70,6 +70,19 @@ class TestValues:
                                      np.exp(s) / w))
         assert nll_at(data_w, theta, spec, links) == \
             pytest.approx(manual, rel=1e-12)
+
+    @pytest.mark.parametrize("disp_link", ["log", "identity"])
+    @pytest.mark.parametrize("approx", list(Approx))
+    def test_infinite_dispersion_is_domain_error(self, approx, disp_link):
+        """z'gamma = 1e300 * 1e10 overflows, and so does h2."""
+        g = lattice_graph(1, 2)
+        data = Dataset([1.0, 0.0], [1.0, 1.0], [0, 1], np.ones((2, 1)),
+                       np.full((2, 1), 1e300), g)
+        theta = Coefficients([0.0], np.zeros(2), [1e10])
+        spec = FamilySpec.compound_poisson_gamma(1.5, approx=approx)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError):
+                nll_at(data, theta, spec, LinkPair.of("log", disp_link))
 
     def test_reports_offending_row(self):
         from twdglm.errors import NonFiniteError

@@ -356,6 +356,20 @@ def _held(data, theta, spec, links, pen):
 
 
 class TestChooseScaling:
+    @pytest.mark.parametrize("approx", list(Approx))
+    def test_infinite_dispersion_candidate_is_rejected(self, approx):
+        """A candidate whose dispersion overflows (z'gamma = 1e300 * 1e10)
+        is rejected like any point outside the domain, not raised."""
+        g = lattice_graph(1, 2)
+        data = Dataset([1.0, 0.0], [1.0, 1.0], [0, 1], np.ones((2, 1)),
+                       np.full((2, 1), 1e300), g)
+        cand = Coefficients([0.0], np.zeros(2), [1e10])
+        spec = FamilySpec.compound_poisson_gamma(1.5, approx=approx)
+        with np.errstate(over="ignore"):
+            got = opt._evaluate_or_reject(data, cand, spec,
+                                          LinkPair.of("log", "log"), 0.0)
+        assert got is None
+
     def test_convex_quadratic_accepts_unit_scale(self):
         data, links = _normal_instance()
         spec = FamilySpec.normal()
