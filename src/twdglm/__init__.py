@@ -14,7 +14,7 @@ from .errors import (CalibrationError, ConfigError, DomainError,
                      SeriesInfeasibleError, SingularSystemError, TwdglmError)
 from .family import (Approx, FamilySpec, Member, log_density,
                      log_normalizer_saddlepoint, log_normalizer_series,
-                     unit_deviance, variance_function)
+                     unit_deviance)
 from .graph import (ArealGraph, PenaltyConfig, PenaltyMode, assemble_penalty,
                     build_laplacian, lattice_graph)
 from .inference import (WaldRow, alpha_summary, fisher_information,

@@ -18,6 +18,7 @@ import operator
 import os
 import shutil
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,34 +44,54 @@ _FAMILY_NAMES = {
     "inverse-gaussian": Member.INVERSE_GAUSSIAN,
 }
 
-_DEFAULTS = {
-    "family": "cpg",
-    "p": None,
-    "p_grid": None,
-    "mean_link": None,
-    "disp_link": "log",
-    "penalty": "spatial",
-    "lambda1": 1.0,
-    "lambda2": 1.0,
-    "grid": "-5:5:20,-5:5:20",
-    "graph": None,
-    "data": None,
-    "train_frac": 0.6,
-    "seed": 0,
-    "out": None,
-    "approx": "series",
-    "expand": False,
-    # simulate extras
-    "pattern": "block",
-    "lattice": "5x5",
-    "n": 10000,
-    "zero_prop": 0.15,
-    "amplitude": 1.0,
-    # predict/report extras
-    "fit_dir": None,
-    "oracle": None,
-    "coefficients": None,
+_ALL = ("simulate", "fit", "tune", "predict", "report")
+_MODEL = ("fit", "tune", "predict")
+_FIT = ("fit", "tune")
+
+
+class _Option(NamedTuple):
+    default: object
+    kind: type | tuple      # float, int, str, bool or the allowed values
+    commands: tuple         # the subcommands that read the option
+    help: str | None = None
+
+
+# every option of the command line; the parser, the checks of a config
+# file and the echo all come from this table
+_OPTIONS = {
+    "family": _Option("cpg", str, _MODEL),
+    "p": _Option(None, float, ("simulate",) + _MODEL),
+    "p_grid": _Option(None, str, _FIT,
+                      "lo:hi:step profile grid for the index parameter"),
+    "mean_link": _Option(None, str, _MODEL),
+    "disp_link": _Option("log", str, _MODEL),
+    "penalty": _Option("spatial", ("spatial", "spatial+ridge"), _FIT),
+    "lambda1": _Option(1.0, float, _FIT),
+    "lambda2": _Option(1.0, float, _FIT),
+    "grid": _Option("-5:5:20,-5:5:20", str, ("tune",),
+                    "l1lo:l1hi:n1,l2lo:l2hi:n2 in log-lambda units"),
+    "graph": _Option(None, str, _MODEL),
+    "data": _Option(None, str, _MODEL),
+    "train_frac": _Option(0.6, float, ("tune",)),
+    "seed": _Option(0, int, ("simulate", "tune")),
+    "out": _Option(None, str, _ALL),
+    "approx": _Option("series", ("series", "saddlepoint"), _FIT),
+    "expand": _Option(False, bool, _MODEL,
+                      "expand categorical covariate columns to dummies, "
+                      "dropping the last level"),
+    "pattern": _Option("block", ("block", "smooth", "hotspot", "structured"),
+                       ("simulate",)),
+    "lattice": _Option("5x5", str, ("simulate",), "ROWSxCOLS, e.g. 5x5"),
+    "n": _Option(10000, int, ("simulate",)),
+    "zero_prop": _Option(0.15, float, ("simulate",)),
+    "amplitude": _Option(1.0, float, ("simulate",)),
+    "fit_dir": _Option(None, str, ("predict", "report")),
+    "oracle": _Option(None, str, ("report",)),
+    "coefficients": _Option(None, str, ("predict",)),
 }
+
+_JSON_TYPES = {float: "a number", int: "an integer", str: "a string",
+               bool: "true or false"}
 
 
 def _error(code: str, message: str) -> int:
@@ -78,107 +99,87 @@ def _error(code: str, message: str) -> int:
     return 1 if code not in ("E_CONFIG", "E_SCHEMA") else 2
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--family", type=str, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--p-grid", dest="p_grid", type=str, default=None,
-                   help="lo:hi:step profile grid for the index parameter")
-    p.add_argument("--mean-link", dest="mean_link", type=str, default=None)
-    p.add_argument("--disp-link", dest="disp_link", type=str, default=None)
-    p.add_argument("--penalty", type=str, default=None,
-                   choices=[None, "spatial", "spatial+ridge"])
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--grid", type=str, default=None,
-                   help="l1lo:l1hi:n1,l2lo:l2hi:n2 in log-lambda units")
-    p.add_argument("--graph", type=str, default=None)
-    p.add_argument("--data", type=str, default=None)
-    p.add_argument("--train-frac", dest="train_frac", type=float,
-                   default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--approx", type=str, default=None,
-                   choices=[None, "series", "saddlepoint"])
-    p.add_argument("--expand", action="store_true", default=None,
-                   help="expand categorical covariate columns to dummies, "
-                        "dropping the last level")
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file of option values; flags override it")
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ConfigError, so that a bad
+    command line ends in one ``error[E_CONFIG]`` line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves
-    it unchanged, so every command shares it."""
-    parser = argparse.ArgumentParser(
-        prog="twdglm",
-        description="Spatially penalized Tweedie double GLMs")
+    it unchanged, so every command shares it. Each subcommand takes the
+    options of ``_OPTIONS`` that it reads, and ``--config``."""
+    parser = _Parser(prog="twdglm",
+                     description="Spatially penalized Tweedie double GLMs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="generate a synthetic instance")
-    _add_common(sim)
-    sim.add_argument("--pattern", type=str, default=None,
-                     choices=[None, "block", "smooth", "hotspot",
-                              "structured"])
-    sim.add_argument("--lattice", type=str, default=None,
-                     help="ROWSxCOLS, e.g. 5x5")
-    sim.add_argument("--n", type=int, default=None)
-    sim.add_argument("--zero-prop", dest="zero_prop", type=float,
-                     default=None)
-    sim.add_argument("--amplitude", type=float, default=None)
-
-    for name, helptext in (("fit", "fit one model"),
-                           ("tune", "grid-search the penalty multipliers")):
-        cmd = sub.add_parser(name, help=helptext)
-        _add_common(cmd)
-
-    pred = sub.add_parser("predict", help="score new rows with a fit")
-    _add_common(pred)
-    pred.add_argument("--fit-dir", dest="fit_dir", type=str, default=None)
-    pred.add_argument("--coefficients", type=str, default=None)
-
-    rep = sub.add_parser("report", help="emit plot-ready delimited text")
-    _add_common(rep)
-    rep.add_argument("--fit-dir", dest="fit_dir", type=str, default=None)
-    rep.add_argument("--oracle", type=str, default=None)
+    for command, run in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=run.__doc__)
+        for key, opt in _OPTIONS.items():
+            if command in opt.commands:
+                kind = ({"action": "store_true"} if opt.kind is bool
+                        else {"choices": opt.kind}
+                        if isinstance(opt.kind, tuple) else {"type": opt.kind})
+                cmd.add_argument("--" + key.replace("_", "-"), default=None,
+                                 help=opt.help, **kind)
+        cmd.add_argument("--config",
+                         help="JSON file of option values; flags override it")
     return parser
 
 
 def _effective_options(args: argparse.Namespace) -> dict:
-    """Defaults, overridden for ``predict`` by the fit directory's model
-    options and then its fitted p, then by the config file, then by
-    flags. A null in the config file leaves the option unset."""
+    """The options of ``args.command``: defaults, overridden for
+    ``predict`` by the fit directory's model options and then its
+    fitted p, then by the config file, then by flags. A null in the
+    config file leaves the option unset; a key that only other commands
+    read is ignored."""
+    opts = {key: opt.default for key, opt in _OPTIONS.items()
+            if args.command in opt.commands}
     given = {}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        for key, val in _read_config(cfg_path).items():
+    if args.config:
+        for key, val in _read_config(args.config).items():
             # "threads" and "max_block" are echoed by earlier versions
-            if key in ("command", "threads"):
+            if key == "max_block" and val is not None:
+                raise ConfigError(
+                    "config key 'max_block' is no longer supported: the "
+                    "approximate Laplacian was removed and every fit "
+                    "solves the exact penalized system")
+            if key in ("command", "threads", "max_block"):
                 continue
-            if key == "max_block":
-                if val is not None:
-                    raise ConfigError(
-                        "config key 'max_block' is no longer supported: "
-                        "the approximate Laplacian was removed and every "
-                        "fit solves the exact penalized system")
-                continue
-            if key not in _DEFAULTS:
+            if key not in _OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
             if val is not None:
-                given[key] = val
-    for key in _DEFAULTS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            given[key] = flag_val
-    opts = dict(_DEFAULTS)
+                _check_value(args.config, key, val)
+                if args.command in _OPTIONS[key].commands:
+                    given[key] = val
+    given.update((key, getattr(args, key)) for key in opts
+                 if getattr(args, key) is not None)
     if args.command == "predict" and given.get("fit_dir"):
         opts.update(_fit_dir_options(given["fit_dir"]))
     opts.update(given)
     return opts
 
 
+def _check_value(path, key, val) -> None:
+    """Raise ConfigError, naming the file and the key, unless ``val``
+    has the JSON type of option ``key`` or is one of its allowed
+    values."""
+    kind = _OPTIONS[key].kind
+    if isinstance(kind, tuple):
+        ok, want = val in kind, "one of " + ", ".join(map(json.dumps, kind))
+    else:
+        # bool is a subclass of int, and an integer is a number
+        ok = type(val) in ((int, float) if kind is float else (kind,))
+        want = _JSON_TYPES[kind]
+    if not ok:
+        raise ConfigError(f"{path}: config key {key!r} expects {want}, "
+                          f"got {json.dumps(val)}")
+
+
 # the options of a fit that ``predict --fit-dir`` takes from it
-_FIT_DIR_KEYS = ("family", "p", "mean_link", "disp_link", "approx", "graph")
+_FIT_DIR_KEYS = ("family", "p", "mean_link", "disp_link", "graph")
 
 
 def _fit_dir_options(fit_dir) -> dict:
@@ -188,8 +189,10 @@ def _fit_dir_options(fit_dir) -> dict:
     cfg_path = os.path.join(fit_dir, "effective_config.json")
     if os.path.exists(cfg_path):
         fit_cfg = _read_config(cfg_path)
-        opts.update((key, fit_cfg[key]) for key in _FIT_DIR_KEYS
-                    if fit_cfg.get(key) is not None)
+        for key in _FIT_DIR_KEYS:
+            if fit_cfg.get(key) is not None:
+                _check_value(cfg_path, key, fit_cfg[key])
+                opts[key] = fit_cfg[key]
     summary = os.path.join(fit_dir, "summary.tsv")
     if os.path.exists(summary):
         for lineno, line in enumerate(read_lines(summary), start=1):
@@ -219,12 +222,15 @@ def _read_config(path) -> dict:
 
 
 def _family_from_options(opts: dict) -> FamilySpec:
-    name = str(opts["family"]).lower()
+    """The family of the options, with the series normalizer unless the
+    command reads ``approx``."""
+    name = opts["family"].lower()
     if name not in _FAMILY_NAMES:
         raise ConfigError(f"unknown family {name!r}")
     member = _FAMILY_NAMES[name]
     p = opts["p"] if opts["p"] is not None else _FIXED_P.get(member, 1.5)
-    return FamilySpec(member, float(p), approx=Approx(opts["approx"]))
+    return FamilySpec(member, float(p),
+                      approx=Approx(opts.get("approx", Approx.SERIES)))
 
 
 def _links_from_options(opts: dict, spec: FamilySpec) -> LinkPair:
@@ -244,7 +250,7 @@ def _parse_p_grid(opts: dict, spec: FamilySpec) -> np.ndarray:
             return np.array([float(opts["p"])])
         return default_p_grid(spec)
     try:
-        lo, hi, step = (float(v) for v in str(raw).split(":"))
+        lo, hi, step = (float(v) for v in raw.split(":"))
     except ValueError:
         raise ConfigError("--p-grid expects lo:hi:step")
     if not np.all(np.isfinite([lo, hi, step])):
@@ -255,9 +261,8 @@ def _parse_p_grid(opts: dict, spec: FamilySpec) -> np.ndarray:
 
 
 def _parse_lambda_grid(opts: dict):
-    raw = str(opts["grid"])
     try:
-        part1, part2 = raw.split(",")
+        part1, part2 = opts["grid"].split(",")
         l1lo, l1hi, n1 = part1.split(":")
         l2lo, l2hi, n2 = part2.split(":")
         ax1 = np.linspace(float(l1lo), float(l1hi), int(n1))
@@ -268,9 +273,8 @@ def _parse_lambda_grid(opts: dict):
 
 
 def _parse_lattice(opts: dict):
-    raw = str(opts["lattice"]).lower()
     try:
-        rows, cols = (int(v) for v in raw.split("x"))
+        rows, cols = (int(v) for v in opts["lattice"].lower().split("x"))
     except ValueError:
         raise ConfigError("--lattice expects ROWSxCOLS, e.g. 5x5")
     return rows, cols
@@ -283,8 +287,7 @@ def _require(opts: dict, key: str, flag: str):
 
 
 def _echo_config(out: str, command: str, opts: dict) -> None:
-    payload = {"command": command}
-    payload.update({k: opts[k] for k in sorted(opts)})
+    payload = {"command": command, **opts}
     with open(os.path.join(out, "effective_config.json"), "w",
               encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -639,16 +642,15 @@ def _write_summary(path, items):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(opts) -> int:
+    """generate a synthetic instance"""
     out = _require(opts, "out", "--out")
     rows, cols = _parse_lattice(opts)
-    spec = _family_from_options(opts)
-    if spec.member is not Member.COMPOUND_POISSON_GAMMA:
-        raise ConfigError("simulate generates compound-poisson-gamma data")
+    spec = FamilySpec.compound_poisson_gamma(
+        1.5 if opts["p"] is None else float(opts["p"]))
     sim = SimConfig(amplitude=float(opts["amplitude"]))
-    data, oracle = make_dataset(int(opts["n"]), rows, cols,
-                                str(opts["pattern"]), spec,
-                                float(opts["zero_prop"]),
-                                int(opts["seed"]), sim=sim)
+    data, oracle = make_dataset(opts["n"], rows, cols, opts["pattern"], spec,
+                                float(opts["zero_prop"]), opts["seed"],
+                                sim=sim)
     os.makedirs(out, exist_ok=True)
     g = data.graph
     with open(os.path.join(out, "graph.tsv"), "w", encoding="utf-8") as fh:
@@ -683,17 +685,15 @@ def _cmd_simulate(opts) -> int:
 def _prepare_model(opts):
     spec = _family_from_options(opts)
     links = _links_from_options(opts, spec)
-    graph_path = _require(opts, "graph", "--graph")
-    graph = ArealGraph.from_edge_list_file(graph_path)
-    data_path = _require(opts, "data", "--data")
+    graph = ArealGraph.from_edge_list_file(_require(opts, "graph", "--graph"))
     data, beta_names, gamma_names = load_dataset(
-        data_path, spec, graph, expand=bool(opts["expand"]))
+        _require(opts, "data", "--data"), spec, graph, expand=opts["expand"])
     return spec, links, graph, data, beta_names, gamma_names
 
 
 def _fit_config(opts, data) -> FitConfig:
     spec = _family_from_options(opts)
-    penalty = assemble_penalty(PenaltyMode.from_name(str(opts["penalty"])),
+    penalty = assemble_penalty(PenaltyMode.from_name(opts["penalty"]),
                                float(opts["lambda1"]),
                                float(opts["lambda2"]),
                                data.k_beta, data.graph, data.k_gamma)
@@ -734,6 +734,7 @@ def _write_fit_outputs(out, spec, links, data, beta_names, gamma_names,
 
 
 def _cmd_fit(opts) -> int:
+    """fit one model"""
     out = _require(opts, "out", "--out")
     spec, links, graph, data, beta_names, gamma_names = _prepare_model(opts)
     cfg = _fit_config(opts, data)
@@ -750,11 +751,12 @@ def _cmd_fit(opts) -> int:
 
 
 def _cmd_tune(opts) -> int:
+    """grid-search the penalty multipliers"""
     out = _require(opts, "out", "--out")
     spec, links, graph, data, beta_names, gamma_names = _prepare_model(opts)
     cfg = _fit_config(opts, data)
     ax1, ax2 = _parse_lambda_grid(opts)
-    grid = GridSpec(ax1, ax2, float(opts["train_frac"]), int(opts["seed"]))
+    grid = GridSpec(ax1, ax2, float(opts["train_frac"]), opts["seed"])
     # the largest cell has the largest penalty entries; an exp that
     # overflows gives inf, which assemble_penalty rejects like NaN
     with np.errstate(over="ignore"):
@@ -785,19 +787,14 @@ def _cmd_tune(opts) -> int:
 
 
 def _cmd_predict(opts) -> int:
+    """score new rows with a fit"""
     out = _require(opts, "out", "--out")
     coef_path = opts.get("coefficients")
     if coef_path is None:
         fit_dir = _require(opts, "fit_dir", "--fit-dir or --coefficients")
         coef_path = os.path.join(fit_dir, "coefficients.tsv")
     theta, beta_names, gamma_names, labels = read_coefficients(coef_path)
-    spec = _family_from_options(opts)
-    links = _links_from_options(opts, spec)
-    graph = ArealGraph.from_edge_list_file(_require(opts, "graph",
-                                                    "--graph"))
-    data, data_beta, data_gamma = load_dataset(
-        _require(opts, "data", "--data"), spec, graph,
-        expand=bool(opts["expand"]))
+    spec, links, graph, data, data_beta, data_gamma = _prepare_model(opts)
     alpha = np.empty(graph.n_vertices)
     alpha[_positions(coef_path, "alpha", labels, graph.labels,
                      "graph")] = theta.alpha
@@ -861,6 +858,7 @@ def _positions(path, block, names, model_names, model) -> list:
 
 
 def _cmd_report(opts) -> int:
+    """emit plot-ready delimited text"""
     out = _require(opts, "out", "--out")
     fit_dir = _require(opts, "fit_dir", "--fit-dir")
     theta, beta_names, gamma_names, labels = read_coefficients(
@@ -905,11 +903,12 @@ def run_command(argv) -> int:
     Each command checks its options and reads its inputs before it
     creates ``--out``, so a command that fails there leaves none.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # --help
         return int(exc.code or 0)
+    except ConfigError as exc:
+        return _error("E_CONFIG", str(exc))
     try:
         opts = _effective_options(args)
         return _COMMANDS[args.command](opts)

@@ -162,19 +162,6 @@ def check_dispersion(phi, what: str = "phi") -> None:
         raise DomainError(f"{what} must be finite and positive")
 
 
-def variance_function(spec: FamilySpec, mu):
-    """Power variance function V(mu) = mu**p (identically 1 for Normal)."""
-    m, scalar = _as_array(mu)
-    check_mean_space(spec, m)
-    if spec.member is Member.NORMAL:
-        out = np.ones_like(m)
-    elif spec.member is Member.POISSON:
-        out = m.copy()
-    else:
-        out = m ** spec.p
-    return float(out) if scalar else out
-
-
 def unit_deviance(spec: FamilySpec, y, mu):
     """Unit deviance d(y, mu) = -2 * int_y^mu (y-u)/V(u) du.
 

@@ -95,13 +95,6 @@ class ArealGraph:
         """The edges as an (m, 2) integer array."""
         return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
 
-    def adjacency(self) -> sparse.csr_matrix:
-        n = self.n_vertices
-        a, b = self.edge_array.T
-        return sparse.csr_matrix(
-            (np.ones(2 * a.size), (np.concatenate([a, b]),
-                                   np.concatenate([b, a]))), shape=(n, n))
-
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edge_array.ravel(),
                            minlength=self.n_vertices).astype(float)

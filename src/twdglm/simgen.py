@@ -221,6 +221,8 @@ def make_dataset(n: int, rows: int, cols: int, pattern: PatternKind | str,
         raise ConfigError("n must be at least 1")
     if not 0.0 < target_zero_prop < 1.0:
         raise ConfigError("target_zero_prop must lie in (0, 1)")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     sim = sim or SimConfig()
     g = lattice_graph(rows, cols)
     n_v = g.n_vertices

@@ -41,6 +41,8 @@ class GridSpec:
                 raise ConfigError("grid axes must be strictly ascending")
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError("train_frac must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 @dataclass

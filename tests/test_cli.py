@@ -1,5 +1,6 @@
 """Batch front end: round trips, schema errors, reproducibility."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -301,8 +302,11 @@ class TestPipeline:
                 "--approx", "saddlepoint", "--out", str(out1)])
         cfg = json.loads((out1 / "effective_config.json").read_text())
         assert "threads" not in cfg and "max_block" not in cfg
-        # configs echoed before the keys were retired still load
+        # configs echoed before the keys were retired still load, and
+        # hold the keys of every command
         cfg.update({"threads": 1, "max_block": None})
+        for key, opt in cli._OPTIONS.items():
+            cfg.setdefault(key, opt.default)
         old = tmp_path / "old.json"
         old.write_text(json.dumps(cfg), encoding="utf-8")
         run_ok(["fit", "--config", str(old), "--out", str(tmp_path / "o")])
@@ -419,6 +423,9 @@ class TestPipeline:
           "--family", "cpg", "--grid=-5:5:2,-5:709:2"], "E_CONFIG"),
         (["tune", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
           "--family", "cpg", "--grid=-5:5:0,-5:5:2"], "E_CONFIG"),
+        (["simulate", "--seed", "-1"], "E_CONFIG"),
+        (["tune", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--grid=-1:1:2,-1:1:2", "--seed", "-1"], "E_CONFIG"),
     ], ids=["simulate", "fit", "tune", "predict", "report",
             "simulate-zero-prop", "simulate-empty-lattice",
             "simulate-negative-n", "simulate-zero-n",
@@ -427,7 +434,8 @@ class TestPipeline:
             "fit-inf-p-grid-step", "fit-inf-p-grid-hi", "fit-nan-lambda1",
             "fit-inf-lambda1", "fit-overflowing-penalty", "tune-nan-grid",
             "tune-overflowing-grid", "tune-overflowing-penalty",
-            "tune-empty-grid-axis"])
+            "tune-empty-grid-axis", "simulate-negative-seed",
+            "tune-negative-seed"])
     def test_invalid_options_create_no_outdir(self, sim_dir, tmp_path,
                                               capsys, argv, code):
         """Each ends in one error line, with no warning on the way (an
@@ -478,15 +486,14 @@ class TestPredictFitDir:
         """Flags that give predict the fit's coefficients and every model
         option, so that it reads nothing else of the fit directory."""
         return ["--coefficients", str(fit_dir / "coefficients.tsv"),
-                "--graph", str(sim_dir / "graph.tsv"), "--approx",
-                "saddlepoint", "--p", p, "--disp-link", disp_link]
+                "--graph", str(sim_dir / "graph.tsv"), "--p", p,
+                "--disp-link", disp_link]
 
     def test_fit_dir_fills_unset_options(self, sim_dir, fit_dir, tmp_path):
         echoed, *got = self._predict(sim_dir, tmp_path / "a", "--fit-dir",
                                      str(fit_dir))
-        assert (echoed["disp_link"], echoed["approx"], echoed["p"],
-                echoed["graph"]) == ("identity", "saddlepoint", 1.5,
-                                     str(sim_dir / "graph.tsv"))
+        assert (echoed["disp_link"], echoed["p"], echoed["graph"]) == (
+            "identity", 1.5, str(sim_dir / "graph.tsv"))
         _, *want = self._predict(sim_dir, tmp_path / "b",
                                  *self._explicit(sim_dir, fit_dir))
         assert got == want
@@ -988,7 +995,6 @@ def fit_options(draw):
     maybe("--penalty", ["spatial", "spatial+ridge"])
     maybe("--lambda1", ["0", "0.5", "2"])
     maybe("--lambda2", ["0", "1", "3"])
-    maybe("--seed", ["0", "7"])
     if draw(st.booleans()):
         argv.append("--expand")
     return argv
@@ -1137,3 +1143,151 @@ class TestParserReuse:
                 assert (a.pop("out"), b.pop("out")) == (str(here_dir),
                                                         str(fresh_dir))
             assert a == b, name
+
+
+# ---------------------------------------------------------------------------
+# The option table
+# ---------------------------------------------------------------------------
+
+def _subcommand_options():
+    """{subcommand: its option actions other than --help} of the
+    parser."""
+    sub, = (a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+def _readme_flag_table():
+    """{subcommand: flags} of the per-subcommand flag table in README
+    "Command line"."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("| Flag |"))
+    commands = [c.strip() for c in lines[start].strip("|").split("|")][2:]
+    table = {command: set() for command in commands}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        flag, _, *marks = (c.strip() for c in line.strip("|").split("|"))
+        for command, mark in zip(commands, marks):
+            if mark:
+                table[command].add(flag.strip("`"))
+    return table
+
+
+class _ReadRecorder(dict):
+    """Options that record which keys a command reads."""
+
+    def __init__(self, opts):
+        super().__init__(opts)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestOptionTable:
+    """Each subcommand takes only the options it reads, a bad option
+    ends in one ``error[E_CONFIG]`` line, and the echo holds the
+    command's options."""
+
+    def test_subcommands_take_the_readme_flags(self):
+        flags = {command: {a.option_strings[0] for a in actions}
+                 for command, actions in _subcommand_options().items()}
+        assert flags == _readme_flag_table()
+        assert {c: len(f) for c, f in flags.items()} == {
+            "simulate": 9, "fit": 14, "tune": 17, "predict": 11, "report": 4}
+
+    def test_every_declared_option_is_read(self, sim_dir, tmp_path,
+                                           monkeypatch):
+        reads = {}
+        effective, echo = cli._effective_options, cli._echo_config
+
+        def echo_after_reads(out, command, opts):
+            reads[command] = set(opts.read)
+            echo(out, command, opts)
+
+        monkeypatch.setattr(cli, "_effective_options",
+                            lambda args: _ReadRecorder(effective(args)))
+        monkeypatch.setattr(cli, "_echo_config", echo_after_reads)
+        model = ["--data", str(sim_dir / "data.csv"), "--graph",
+                 str(sim_dir / "graph.tsv")]
+        fit_out = tmp_path / "fit"
+        commands = {
+            "simulate": ["--n", "200", "--lattice", "3x3"],
+            "fit": [*model, "--approx", "saddlepoint"],
+            "tune": [*model, "--approx", "saddlepoint",
+                     "--grid=-1:1:2,-1:1:2"],
+            "predict": [*model, "--fit-dir", str(fit_out)],
+            "report": ["--fit-dir", str(fit_out), "--oracle",
+                       str(sim_dir / "oracle.tsv")],
+        }
+        for command, argv in commands.items():
+            out = fit_out if command == "fit" else tmp_path / command
+            run_ok([command, *argv, "--out", str(out)])
+            echoed = json.loads((out / "effective_config.json").read_text())
+            declared = {a.dest for a in _subcommand_options()[command]}
+            declared.discard("config")
+            assert declared <= reads[command], command
+            assert set(echoed) == declared | {"command"}, command
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--bogus-flag", "1"],
+        ["fit", "--seed", "1"],
+        ["predict", "--approx", "series"],
+        ["report", "--lambda1", "5"],
+        ["fit", "--lambda1", "abc"],
+        ["fit", "--penalty", "ridge"],
+        ["simulate", "--n", "1.5"],
+        [],
+    ], ids=["unknown-flag", "flag-of-fit-and-tune", "dropped-predict-flag",
+            "dropped-report-flag", "bad-number", "bad-choice", "bad-integer",
+            "missing-subcommand"])
+    def test_bad_flag_is_one_config_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ERROR_LINE.fullmatch(err) and err.startswith(
+            "error[E_CONFIG]: twdglm"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda1", "abc"), ("lambda1", [1]), ("p", "x"),
+        ("approx", "bogus"), ("disp_link", 5), ("expand", "no"),
+        ("seed", 1.5), ("n", True),
+    ])
+    def test_bad_config_value_is_one_config_line(self, sim_dir, tmp_path,
+                                                 capsys, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_command(["fit", "--config", str(cfg), "--data",
+                            str(sim_dir / "data.csv"), "--graph",
+                            str(sim_dir / "graph.tsv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and ERROR_LINE.fullmatch(err), err
+        assert err.startswith(f"error[E_CONFIG]: {cfg}: config key {key!r} "
+                              "expects ")
+        assert not out.exists()
+
+    def test_bad_fit_dir_value_is_one_config_line(self, sim_dir, tmp_path,
+                                                  capsys):
+        fit_dir = tmp_path / "fit"
+        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
+                str(sim_dir / "graph.tsv"), "--approx", "saddlepoint",
+                "--out", str(fit_dir)])
+        cfg = fit_dir / "effective_config.json"
+        cfg.write_text(json.dumps({"family": 5}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_command(["predict", "--fit-dir", str(fit_dir), "--data",
+                            str(sim_dir / "data.csv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err == (f"error[E_CONFIG]: {cfg}: config key "
+                                     "'family' expects a string, got 5\n")
+        assert not out.exists()

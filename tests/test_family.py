@@ -15,7 +15,7 @@ from twdglm.family import (_SERIES_BLOCK, SADDLE_EPS0, SERIES_KMAX_CAP,
                            Approx, FamilySpec, Member, _pairwise_sum,
                            _series_logsums, log_density,
                            log_normalizer_saddlepoint, log_normalizer_series,
-                           unit_deviance, variance_function)
+                           unit_deviance)
 
 # Extended-precision full summation (mpmath, 60 digits, 10,000 terms) of
 # the Bessel-series normalizer; frozen reference values for log a(y, phi, p).
@@ -66,25 +66,6 @@ class TestFamilySpec:
         assert spec.xi == pytest.approx(1.0)
         with pytest.raises(ConfigError):
             _ = FamilySpec.gamma().xi
-
-
-class TestVarianceFunction:
-    def test_gamma_squares_the_mean(self):
-        assert variance_function(FamilySpec.gamma(), 3.0) == pytest.approx(9.0)
-
-    def test_normal_is_constant_even_for_negative_mean(self):
-        assert variance_function(FamilySpec.normal(), -7.0) == 1.0
-
-    def test_cpg_power(self):
-        # independent exp/log arithmetic for 4**1.5
-        expected = math.exp(1.5 * math.log(4.0))
-        got = variance_function(FamilySpec.compound_poisson_gamma(1.5), 4.0)
-        assert got == pytest.approx(expected, rel=1e-15)
-        assert got == pytest.approx(8.0)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            variance_function(FamilySpec.gamma(), -1.0)
 
 
 class TestUnitDeviance:

@@ -46,7 +46,7 @@ class TestLaplacian:
         eigs = np.linalg.eigvalsh(lap)
         assert eigs.min() >= -1e-10
         n_zero = int(np.sum(np.abs(eigs) < 1e-8))
-        n_components, _ = csgraph.connected_components(g.adjacency(),
+        n_components, _ = csgraph.connected_components(build_laplacian(g),
                                                        directed=False)
         assert n_zero == n_components
 
