@@ -143,13 +143,14 @@ def _effective_options(args: argparse.Namespace) -> dict:
             # "threads" and "max_block" are echoed by earlier versions
             if key == "max_block" and val is not None:
                 raise ConfigError(
-                    "config key 'max_block' is no longer supported: the "
-                    "approximate Laplacian was removed and every fit "
-                    "solves the exact penalized system")
+                    f"{args.config}: config key 'max_block' is no longer "
+                    "supported: the approximate Laplacian was removed and "
+                    "every fit solves the exact penalized system")
             if key in ("command", "threads", "max_block"):
                 continue
             if key not in _OPTIONS:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(
+                    f"{args.config}: unknown config key {key!r}")
             if val is not None:
                 _check_value(args.config, key, val)
                 if args.command in _OPTIONS[key].commands:

@@ -221,7 +221,9 @@ class SpatialBand:
     """A symmetric matrix in reverse Cuthill-McKee order, as the lower
     band of LAPACK's banded storage: ``ab[d, k]`` holds entry
     (k + d, k) of the permuted matrix, whose row k is vertex
-    ``order[k]``; ``inverse`` maps a vertex to its permuted row."""
+    ``order[k]``; ``inverse`` maps a vertex to its permuted row. ``ab``
+    is column-major, the layout LAPACK reads, so that a solve hands its
+    one copy of the band to LAPACK to factor in place."""
 
     order: np.ndarray
     inverse: np.ndarray
@@ -233,10 +235,10 @@ class SpatialBand:
         of x in vertex order. LAPACK stops at the first pivot that is
         not positive, so None comes back exactly when M + diag(diag) is
         not positive definite."""
-        ab = self.ab.copy()
+        ab = self.ab.copy(order="F")
         ab[0] += diag[self.order]
         try:
-            factor = linalg.cholesky_banded(ab, lower=True,
+            factor = linalg.cholesky_banded(ab, lower=True, overwrite_ab=True,
                                             check_finite=False)
         except linalg.LinAlgError:
             return None
@@ -248,8 +250,8 @@ class SpatialBand:
 
 def lower_band(mat: sparse.csr_matrix) -> SpatialBand:
     """Reorder a symmetric sparse matrix by reverse Cuthill-McKee and
-    store its lower band, as wide as the farthest nonzero entry from
-    the diagonal."""
+    store its lower band, column-major, as wide as the farthest nonzero
+    entry from the diagonal."""
     n = mat.shape[0]
     order = csgraph.reverse_cuthill_mckee(mat, symmetric_mode=True)
     inverse = np.empty(n, dtype=np.intp)
@@ -259,7 +261,7 @@ def lower_band(mat: sparse.csr_matrix) -> SpatialBand:
     keep = (row >= col) & (coo.data != 0)
     row, col = row[keep], col[keep]
     depth = row - col
-    ab = np.zeros((int(depth.max(initial=0)) + 1, n))
+    ab = np.zeros((int(depth.max(initial=0)) + 1, n), order="F")
     ab[depth, col] = coo.data[keep]
     return SpatialBand(order, inverse, ab)
 

@@ -28,7 +28,7 @@ their rows; no function here builds a block it was not given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -85,6 +85,12 @@ class Dataset:
     design matrices (intercept columns, if wanted, must be present as
     columns). ``Z`` may have zero columns, fixing the dispersion at
     h2(0).
+
+    The arrays the likelihood's row kernels read on every iteration are
+    built on first use and kept, as ``rank_X`` is: the C-contiguous
+    (k, n) transposes ``Xt`` and ``Zt``, the row ``log_w`` and, for one
+    family spec at a time, its ``saddle_rows``. A dataset is not changed
+    after it is built; ``subset`` makes a new one that builds its own.
     """
 
     y: np.ndarray
@@ -93,6 +99,7 @@ class Dataset:
     X: np.ndarray
     Z: np.ndarray
     graph: ArealGraph
+    _saddle: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float).ravel()
@@ -150,6 +157,34 @@ class Dataset:
         """Column rank of Z, as ``rank_X``."""
         return int(np.linalg.matrix_rank(self.Z))
 
+    @cached_property
+    def Xt(self) -> np.ndarray:
+        """X as a C-contiguous (k_beta, n) array, the row layout that the
+        weighted Gram product and the per-vertex sums of ``hess_mean``
+        read. Matrix-vector products stay on ``X``: a product on the
+        transposed layout rounds differently."""
+        return np.ascontiguousarray(self.X.T)
+
+    @cached_property
+    def Zt(self) -> np.ndarray:
+        """Z as a C-contiguous (k_gamma, n) array, as ``Xt``."""
+        return np.ascontiguousarray(self.Z.T)
+
+    @cached_property
+    def log_w(self) -> np.ndarray:
+        """log w per row."""
+        return np.log(self.w)
+
+    def saddle_rows(self, spec: FamilySpec):
+        """The rows (LOG_2PI + log Vy, Dsat) of ``_lognorm_saddle_family``
+        for a Normal, inverse Gaussian or saddlepoint compound
+        Poisson-gamma ``spec``; they depend on y/w and spec.p only. The
+        rows of the last spec asked for are kept, so that a walk over
+        an index grid holds one pair, not one per grid point."""
+        if self._saddle is None or self._saddle[0] != spec:
+            self._saddle = (spec, *_saddle_rows(spec, self.ystar))
+        return self._saddle[1:]
+
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
         return Dataset(self.y[idx], self.w[idx], self.vertex[idx],
@@ -202,18 +237,18 @@ def _dispersion_scale(data: Dataset, theta: Coefficients, links: LinkPair):
     """Per-row link values for the dispersion side at theta's gamma.
 
     Returns (h2, L1, L2, u) with L1 = h2'/h2, L2 = h2''/h2 and
-    u = w/h2 = 1/phi*.
+    u = w/h2 = 1/phi*. A ratio that is constant over the rows is the
+    scalar (1.0 and 1.0 for the log link, 0.0 for the identity link's
+    L2): its products are those of a row of that constant.
     """
     kind = links.disp.kind
     s = data.Z @ theta.gamma if data.k_gamma else np.zeros(data.n_rows)
     h2 = link_eval(kind, s, 0)
     fam.check_dispersion(h2, "dispersion at every row")
     if kind is LinkKind.LOG:
-        one = np.ones_like(h2)
-        l1, l2 = one, one
+        l1, l2 = 1.0, 1.0
     else:  # identity
-        l1 = 1.0 / h2
-        l2 = np.zeros_like(h2)
+        l1, l2 = 1.0 / h2, 0.0
     return h2, l1, l2, data.w / h2
 
 
@@ -279,18 +314,31 @@ def _require_positive(t: np.ndarray, what: str):
 # Dispersion-side terms: logC(s), u(s) = w/h2(s) and their derivatives
 # ---------------------------------------------------------------------------
 
-def _lognorm_saddle_family(log_vy, d_sat, w, h2, l1, l2, u):
+def _saddle_rows(spec: FamilySpec, y):
+    """(LOG_2PI + log Vy, Dsat) per row of a saddlepoint-shaped
+    normalizer at spec.p, for the rows' y/w; the first is the scalar
+    LOG_2PI for the Normal member, whose Vy is 1."""
+    if spec.member is Member.NORMAL:
+        return LOG_2PI, y ** 2 / 2.0
+    if spec.member is Member.INVERSE_GAUSSIAN:
+        return LOG_2PI + 3.0 * np.log(y), 0.5 / y
+    return (LOG_2PI + spec.p * np.log(np.where(y > 0, y, fam.SADDLE_EPS0)),
+            fam.saturated_cumulant_term(spec, y))
+
+
+def _lognorm_saddle_family(lead, d_sat, log_w, h2, l1, l2, u):
     """logC = -0.5*log(2*pi*Vy*phi*) - Dsat * u for saddlepoint-shaped
-    normalizers (exact for Normal and inverse Gaussian)."""
+    normalizers (exact for Normal and inverse Gaussian), from the rows
+    ``lead`` = LOG_2PI + log Vy, Dsat and log w."""
     du = d_sat * u
-    c0 = -0.5 * (LOG_2PI + log_vy + np.log(h2) - np.log(w)) - du
+    c0 = -0.5 * (lead + np.log(h2) - log_w) - du
     c1 = -0.5 * l1 + du * l1
     c2 = -0.5 * (l2 - l1 ** 2) - du * (2.0 * l1 ** 2 - l2)
     return c0, c1, c2
 
 
-def _lognorm_gamma(y, w, h2, l1, l2, u, up, upp):
-    log_phis = np.log(h2) - np.log(w)
+def _lognorm_gamma(y, log_w, h2, l1, l2, u, up, upp):
+    log_phis = np.log(h2) - log_w
     log_y = np.log(y)
     c0 = u * (log_y - log_phis) - log_y - special.gammaln(u)
     a = log_y - log_phis - special.digamma(u)
@@ -305,23 +353,15 @@ def _lognorm_terms(data: Dataset, spec: FamilySpec, h2, l1, l2, u, up, upp):
     predictor at spec.p, for a member with a dispersion model, from the
     rows of ``_dispersion_scale`` and the derivatives u', u'' of u."""
     y = data.ystar
+    if spec.member is Member.GAMMA:
+        return _lognorm_gamma(y, data.log_w, h2, l1, l2, u, up, upp)
+    if (spec.member is not Member.COMPOUND_POISSON_GAMMA
+            or spec.approx is Approx.SADDLEPOINT):
+        return _lognorm_saddle_family(*data.saddle_rows(spec), data.log_w,
+                                      h2, l1, l2, u)
+
+    # compound Poisson-gamma, series normalizer
     w = data.w
-    mem = spec.member
-    if mem is Member.NORMAL:
-        return _lognorm_saddle_family(
-            np.zeros_like(y), y ** 2 / 2.0, w, h2, l1, l2, u)
-    if mem is Member.INVERSE_GAUSSIAN:
-        return _lognorm_saddle_family(
-            3.0 * np.log(y), 0.5 / y, w, h2, l1, l2, u)
-    if mem is Member.GAMMA:
-        return _lognorm_gamma(y, w, h2, l1, l2, u, up, upp)
-
-    # compound Poisson-gamma
-    if spec.approx is Approx.SADDLEPOINT:
-        return _lognorm_saddle_family(
-            spec.p * np.log(np.where(y > 0, y, fam.SADDLE_EPS0)),
-            fam.saturated_cumulant_term(spec, y), w, h2, l1, l2, u)
-
     pos = y > 0
     c0 = np.zeros(data.n_rows)
     c1 = np.zeros(data.n_rows)
@@ -329,7 +369,7 @@ def _lognorm_terms(data: Dataset, spec: FamilySpec, h2, l1, l2, u, up, upp):
     if np.any(pos):
         log_a, r1, r2 = fam._series_logsums(y[pos], h2[pos] / w[pos],
                                               spec.p)
-        l1p, l2p = l1[pos], l2[pos]
+        l1p, l2p = (np.broadcast_to(r, y.shape)[pos] for r in (l1, l2))
         c0[pos] = log_a
         c1[pos] = -r1 * l1p
         c2[pos] = (r2 - r1 ** 2 + r1) * l1p ** 2 - r1 * l2p
@@ -378,8 +418,7 @@ def dispersion_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
         h2, l1, l2, out[1] = _dispersion_scale(data, theta, links)
         if poisson:
             # phi* = 1/w: the scaled-count normalizer, constant in gamma
-            out[0] = (data.y * np.log(data.w)
-                      - special.gammaln(data.y + 1.0))
+            out[0] = data.y * data.log_w - special.gammaln(data.y + 1.0)
             return out
         u = out[1]
         out[3] = -u * l1
@@ -436,14 +475,20 @@ def hess_mean(data: Dataset, terms: np.ndarray,
               exponent: np.ndarray) -> MeanHessian:
     """Partitioned Hessian in eta; the alpha block is diagonal because
     rows touch exactly one vertex. ``terms`` and ``exponent`` as in
-    ``neg_log_lik``."""
+    ``neg_log_lik``.
+
+    The weighted rows q * Xt are formed once on ``data.Xt``: each
+    column's per-vertex sum reads one of them contiguously, and the
+    Gram product X' (q * X) reads them as its right operand, which keeps
+    its products and their order. (q * Xt) @ X would swap the operands'
+    roles, and rounds differently for some k_beta."""
     q = -exponent[2] * terms[1]
-    kb = data.k_beta
-    h_bb = data.X.T @ (q[:, None] * data.X)
+    qxt = data.Xt * q
+    h_bb = data.X.T @ qxt.T
     h_bb = 0.5 * (h_bb + h_bb.T)  # exact symmetry
-    h_ba = np.empty((kb, data.graph.n_vertices))
-    for j in range(kb):
-        h_ba[j] = np.bincount(data.vertex, weights=q * data.X[:, j],
+    h_ba = np.empty((data.k_beta, data.graph.n_vertices))
+    for j, row in enumerate(qxt):
+        h_ba[j] = np.bincount(data.vertex, weights=row,
                               minlength=data.graph.n_vertices)
     h_aa = np.bincount(data.vertex, weights=q,
                        minlength=data.graph.n_vertices)
@@ -453,8 +498,10 @@ def hess_mean(data: Dataset, terms: np.ndarray,
 def disp_derivatives(data: Dataset, terms: np.ndarray, exponent: np.ndarray):
     """Gradient and Hessian of the negative log-likelihood in gamma at
     fixed eta (the Hessian symmetric by construction); ``terms`` and
-    ``exponent`` as in ``neg_log_lik``. Raises ConfigError for a member
-    without a dispersion model, whose terms hold no derivative rows."""
+    ``exponent`` as in ``neg_log_lik``. The Hessian's weighted rows are
+    formed on ``data.Zt``, as ``hess_mean`` forms its own on ``data.Xt``.
+    Raises ConfigError for a member without a dispersion model, whose
+    terms hold no derivative rows."""
     if len(terms) == 2:
         raise ConfigError("constant dispersion member")
     if data.k_gamma == 0:
@@ -462,7 +509,7 @@ def disp_derivatives(data: Dataset, terms: np.ndarray, exponent: np.ndarray):
     _, _, c1, up, c2, upp = terms
     d0 = exponent[0]
     grad = -(data.Z.T @ (d0 * up + c1))
-    hess = -(data.Z.T @ ((d0 * upp + c2)[:, None] * data.Z))
+    hess = -(data.Z.T @ (data.Zt * (d0 * upp + c2)).T)
     return grad, 0.5 * (hess + hess.T)
 
 

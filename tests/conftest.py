@@ -456,6 +456,141 @@ def windowed_series_logsums(y, phi, p):
     return log_a, r1, r2
 
 
+# The likelihood kernels as they were before the dataset held the
+# transposes of X and Z and the saddlepoint rows: exact oracles for the
+# kernels that read the held arrays, which add the same terms in the
+# same order.
+
+def rowmajor_hess_mean(data, terms, exponent) -> lik.MeanHessian:
+    """``likelihood.hess_mean`` with the Gram product X' (q * X) and a
+    strided column q * X[:, j] per per-vertex sum."""
+    q = -exponent[2] * terms[1]
+    kb = data.k_beta
+    h_bb = data.X.T @ (q[:, None] * data.X)
+    h_bb = 0.5 * (h_bb + h_bb.T)  # exact symmetry
+    h_ba = np.empty((kb, data.graph.n_vertices))
+    for j in range(kb):
+        h_ba[j] = np.bincount(data.vertex, weights=q * data.X[:, j],
+                              minlength=data.graph.n_vertices)
+    h_aa = np.bincount(data.vertex, weights=q,
+                       minlength=data.graph.n_vertices)
+    return lik.MeanHessian(h_bb, h_ba, h_aa)
+
+
+def rowmajor_disp_derivatives(data, terms, exponent):
+    """``likelihood.disp_derivatives`` with the Hessian as Z' (r * Z)."""
+    if len(terms) == 2:
+        raise ConfigError("constant dispersion member")
+    if data.k_gamma == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    _, _, c1, up, c2, upp = terms
+    d0 = exponent[0]
+    grad = -(data.Z.T @ (d0 * up + c1))
+    hess = -(data.Z.T @ ((d0 * upp + c2)[:, None] * data.Z))
+    return grad, 0.5 * (hess + hess.T)
+
+
+def _unheld_dispersion_scale(data, theta, links):
+    kind = links.disp.kind
+    s = data.Z @ theta.gamma if data.k_gamma else np.zeros(data.n_rows)
+    h2 = link_eval(kind, s, 0)
+    fam.check_dispersion(h2, "dispersion at every row")
+    if kind is LinkKind.LOG:
+        one = np.ones_like(h2)
+        l1, l2 = one, one
+    else:  # identity
+        l1 = 1.0 / h2
+        l2 = np.zeros_like(h2)
+    return h2, l1, l2, data.w / h2
+
+
+def _unheld_lognorm_saddle_family(log_vy, d_sat, w, h2, l1, l2, u):
+    du = d_sat * u
+    c0 = -0.5 * (fam.LOG_2PI + log_vy + np.log(h2) - np.log(w)) - du
+    c1 = -0.5 * l1 + du * l1
+    c2 = -0.5 * (l2 - l1 ** 2) - du * (2.0 * l1 ** 2 - l2)
+    return c0, c1, c2
+
+
+def _unheld_lognorm_gamma(y, w, h2, l1, l2, u, up, upp):
+    log_phis = np.log(h2) - np.log(w)
+    log_y = np.log(y)
+    c0 = u * (log_y - log_phis) - log_y - special.gammaln(u)
+    a = log_y - log_phis - special.digamma(u)
+    c1 = up * a - u * l1
+    c2 = (upp * a - 2.0 * up * l1 - u * (l2 - l1 ** 2)
+          - special.polygamma(1, u) * up ** 2)
+    return c0, c1, c2
+
+
+def _unheld_lognorm_terms(data, spec, h2, l1, l2, u, up, upp):
+    y = data.ystar
+    w = data.w
+    mem = spec.member
+    if mem is Member.NORMAL:
+        return _unheld_lognorm_saddle_family(
+            np.zeros_like(y), y ** 2 / 2.0, w, h2, l1, l2, u)
+    if mem is Member.INVERSE_GAUSSIAN:
+        return _unheld_lognorm_saddle_family(
+            3.0 * np.log(y), 0.5 / y, w, h2, l1, l2, u)
+    if mem is Member.GAMMA:
+        return _unheld_lognorm_gamma(y, w, h2, l1, l2, u, up, upp)
+
+    # compound Poisson-gamma
+    if spec.approx is Approx.SADDLEPOINT:
+        return _unheld_lognorm_saddle_family(
+            spec.p * np.log(np.where(y > 0, y, fam.SADDLE_EPS0)),
+            fam.saturated_cumulant_term(spec, y), w, h2, l1, l2, u)
+
+    pos = y > 0
+    c0 = np.zeros(data.n_rows)
+    c1 = np.zeros(data.n_rows)
+    c2 = np.zeros(data.n_rows)
+    if np.any(pos):
+        log_a, r1, r2 = fam._series_logsums(y[pos], h2[pos] / w[pos],
+                                              spec.p)
+        l1p, l2p = l1[pos], l2[pos]
+        c0[pos] = log_a
+        c1[pos] = -r1 * l1p
+        c2[pos] = (r2 - r1 ** 2 + r1) * l1p ** 2 - r1 * l2p
+    return c0, c1, c2
+
+
+def unheld_dispersion_terms(data, theta, spec, links) -> np.ndarray:
+    """``likelihood.dispersion_terms`` rebuilding every row that depends
+    only on (y, w, p) on each call, with h2'/h2 and h2''/h2 as rows of
+    ones under the log dispersion link."""
+    poisson = spec.member is Member.POISSON
+    out = np.empty((2 if poisson else 6, data.n_rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h2, l1, l2, out[1] = _unheld_dispersion_scale(data, theta, links)
+        if poisson:
+            out[0] = (data.y * np.log(data.w)
+                      - special.gammaln(data.y + 1.0))
+            return out
+        u = out[1]
+        out[3] = -u * l1
+        out[5] = u * (2.0 * l1 ** 2 - l2)
+        out[0], out[2], out[4] = _unheld_lognorm_terms(
+            data, spec, h2, l1, l2, u, out[3], out[5])
+    return out
+
+
+def c_order_band_solve(band, diag, cols):
+    """``graph.SpatialBand.solve`` on a C-ordered copy of the band, which
+    LAPACK's wrapper copies again into column-major order."""
+    ab = band.ab.copy()
+    ab[0] += diag[band.order]
+    try:
+        factor = linalg.cholesky_banded(ab, lower=True, check_finite=False)
+    except linalg.LinAlgError:
+        return None
+    if np.isnan(factor[0]).any():
+        return None
+    return linalg.cho_solve_banded((factor, True), cols[band.order],
+                                   check_finite=False)[band.inverse]
+
+
 def fd_gradient(f, x0, h=1e-6):
     x0 = np.asarray(x0, dtype=float)
     out = np.zeros_like(x0)

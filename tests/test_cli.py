@@ -1276,6 +1276,23 @@ class TestOptionTable:
                               "expects ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg_json, message", [
+        ({"lamda1": 2}, "unknown config key 'lamda1'"),
+        ({"max_block": 25}, "config key 'max_block' is no longer supported"),
+    ], ids=["misspelt-key", "retired-key"])
+    def test_bad_config_key_names_the_file(self, sim_dir, tmp_path, capsys,
+                                           cfg_json, message):
+        cfg = tmp_path / "u.json"
+        cfg.write_text(json.dumps(cfg_json), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_command(["fit", "--config", str(cfg), "--data",
+                            str(sim_dir / "data.csv"), "--graph",
+                            str(sim_dir / "graph.tsv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and ERROR_LINE.fullmatch(err), err
+        assert err.startswith(f"error[E_CONFIG]: {cfg}: {message}"), err
+        assert not out.exists()
+
     def test_bad_fit_dir_value_is_one_config_line(self, sim_dir, tmp_path,
                                                   capsys):
         fit_dir = tmp_path / "fit"

@@ -5,7 +5,8 @@ import pytest
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from conftest import identity_block, laplacian_block, penalty_mask
+from conftest import (c_order_band_solve, identity_block, laplacian_block,
+                      penalty_mask)
 from twdglm.errors import ConfigError, SchemaError
 from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
                           build_laplacian, lattice_graph)
@@ -143,6 +144,31 @@ class TestLowerBand:
             band_to_dense(pen.alpha_band.ab),
             pen.alpha_penalty_matrix().toarray()[np.ix_(
                 pen.alpha_band.order, pen.alpha_band.order)])
+
+    @pytest.mark.parametrize("rows,cols,lambda1,lambda2", [
+        (1, 7, 0.7, 1.3), (5, 8, 0.7, 1.3), (12, 12, 0.0, 1.3),
+        (60, 60, 1.0, 1.0), (4, 5, 0.5, 0.0)])
+    def test_solve_matches_c_order_solve_exactly(self, rows, cols, lambda1,
+                                                 lambda2):
+        """The column-major band factored in place hands LAPACK the same
+        numbers as a C-ordered copy that its wrapper copies again, so
+        the solutions are equal bit for bit, and so is each refusal.
+        With lambda2 = 0 the band is one row, both C- and F-ordered."""
+        g = shuffled_lattice(rows, cols, seed=rows * 100 + cols)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, lambda1, lambda2, 2,
+                               g, 1)
+        band = pen.alpha_band
+        assert band.ab.flags.f_contiguous
+        laid_out = band.ab.copy()
+        rng = np.random.default_rng(rows + cols)
+        n = g.n_vertices
+        diag, rhs = rng.uniform(0.1, 2, n), rng.normal(size=(n, 4))
+        assert np.array_equal(band.solve(diag, rhs),
+                              c_order_band_solve(band, diag, rhs))
+        diag[n // 2] = -1e3
+        assert band.solve(diag, rhs) is None
+        assert c_order_band_solve(band, diag, rhs) is None
+        np.testing.assert_array_equal(band.ab, laid_out)
 
 
 class TestEdgeListFile:

@@ -1,23 +1,32 @@
 """Likelihood values and the four partitioned derivative objects."""
 
+import gc
 import math
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (MEAN_LINKS_BY_MEMBER, blocks, dense_hessian,
-                      fd_gradient, fd_jacobian, make_instance,
-                      mean_exponent_generic, nll_at, predictors, rel_err)
+from conftest import (MEAN_LINKS_BY_MEMBER, blocks, c_order_band_solve,
+                      dense_hessian, fd_gradient, fd_jacobian, make_instance,
+                      mean_exponent_generic, nll_at, predictors, rel_err,
+                      rowmajor_disp_derivatives, rowmajor_hess_mean,
+                      unheld_dispersion_terms)
+from twdglm import graph as graph_mod
+from twdglm import likelihood as lik
 from twdglm.errors import ConfigError, DomainError
 from twdglm.family import Approx, FamilySpec, Member, log_density
-from twdglm.graph import lattice_graph
+from twdglm.graph import assemble_penalty, lattice_graph
 from twdglm.likelihood import (Coefficients, Dataset, disp_derivatives,
                                dispersion_terms, exponent_terms, grad_disp,
                                grad_mean, hess_disp, hess_mean)
 from twdglm.likelihood import _mean_exponent
 from twdglm.links import LinkPair, link_eval
+from twdglm.optimizer import FitConfig, fit
+from twdglm.simgen import make_dataset
 
 DISP_MEMBERS = [Member.NORMAL, Member.GAMMA, Member.INVERSE_GAUSSIAN,
                 Member.COMPOUND_POISSON_GAMMA]
@@ -249,21 +258,22 @@ class TestClosedFormVsGeneric:
 
 
 @st.composite
-def held_row_instances(draw):
+def held_row_instances(draw, shapes=st.just((50, 3, 2))):
     """A random member (the compound one under either normalizer), mean
     and dispersion links, exposures and a 2x4 lattice whose vertices
-    past the first ``used`` have no rows. Poisson keeps the log
-    dispersion link: its fixed dispersion is h2(0), which the identity
-    link puts at 0."""
+    past the first ``used`` have no rows; (rows, k_beta, k_gamma) are
+    drawn from ``shapes``. Poisson keeps the log dispersion link: its
+    fixed dispersion is h2(0), which the identity link puts at 0."""
     member = draw(st.sampled_from(list(Member)))
     approx = draw(st.sampled_from(list(Approx)))
     mean_link = draw(st.sampled_from(MEAN_LINKS_BY_MEMBER[member]))
     disp_link = "log" if member is Member.POISSON else draw(
         st.sampled_from(["log", "identity"]))
     seed = draw(st.integers(0, 2 ** 16))
+    n, k_beta, k_gamma = draw(shapes)
     data, theta, spec, links = make_instance(
-        member, mean_link, disp_link=disp_link, rows=2, cols=4, seed=seed,
-        approx=approx)
+        member, mean_link, disp_link=disp_link, n=n, rows=2, cols=4,
+        k_beta=k_beta, k_gamma=k_gamma, seed=seed, approx=approx)
     used = draw(st.integers(1, data.graph.n_vertices))
     w = np.random.default_rng([seed, 1]).uniform(0.5, 2.0, data.n_rows)
     data = Dataset(data.ystar * w, w, data.vertex % used, data.X, data.Z,
@@ -324,3 +334,108 @@ class TestHeldRows:
             lambda ga: grad_disp(data, *blocks(data, theta.with_gamma(ga),
                                                spec, links)),
             theta.gamma), floor=1e-6) < 1e-4
+
+
+class TestHeldLayouts:
+    """The kernels that read the dataset's held arrays (the transposes
+    Xt and Zt, log w and the saddlepoint rows) add the same terms in the
+    same order as the kernels that rebuilt them on every call."""
+
+    @settings(max_examples=200)
+    @given(held_row_instances(st.tuples(st.sampled_from([1, 7, 50, 3000]),
+                                        st.integers(1, 6),
+                                        st.integers(1, 6))))
+    def test_kernels_match_unheld_oracles_exactly(self, instance):
+        data, theta, spec, links = instance
+        other = theta.with_gamma(theta.gamma * 0.9)
+        # the second call reads the rows the first one held
+        for at in (theta, other):
+            terms, exponent = blocks(data, at, spec, links)
+            assert np.array_equal(
+                terms, unheld_dispersion_terms(data, at, spec, links))
+            got, want = (hess_mean(data, terms, exponent),
+                         rowmajor_hess_mean(data, terms, exponent))
+            for name in ("h_bb", "h_ba", "h_aa_diag"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), name
+            if spec.member is not Member.POISSON:
+                for a, b in zip(disp_derivatives(data, terms, exponent),
+                                rowmajor_disp_derivatives(data, terms,
+                                                          exponent)):
+                    assert np.array_equal(a, b)
+
+    def test_rows_of_one_spec_at_a_time(self):
+        data, theta, _, links = make_instance(
+            Member.COMPOUND_POISSON_GAMMA, "log", approx=Approx.SADDLEPOINT)
+        at13, at15 = (FamilySpec.compound_poisson_gamma(
+            p, approx=Approx.SADDLEPOINT) for p in (1.3, 1.5))
+        dispersion_terms(data, theta, at13, links)
+        gone = [weakref.ref(row) for row in data.saddle_rows(at13)]
+        dispersion_terms(data, theta, at15, links)
+        gc.collect()
+        assert all(ref() is None for ref in gone)
+        held = data.saddle_rows(at15)
+        for a, b in zip(held, lik._saddle_rows(at15, data.ystar)):
+            assert np.array_equal(a, b)
+        assert all(a is b for a, b in zip(held, data.saddle_rows(at15)))
+
+    def test_subset_builds_its_own(self):
+        data, theta, spec, links = make_instance(
+            Member.COMPOUND_POISSON_GAMMA, "log", approx=Approx.SADDLEPOINT)
+        w = np.random.default_rng(5).uniform(0.5, 2.0, data.n_rows)
+        data = Dataset(data.y * w, w, data.vertex, data.X, data.Z,
+                       data.graph)
+        blocks(data, theta, spec, links)
+        parent = (data.Xt, data.Zt, data.log_w, *data.saddle_rows(spec))
+        for idx in (np.arange(data.n_rows), np.arange(0, data.n_rows, 3)):
+            sub = data.subset(idx)
+            terms, exponent = blocks(sub, theta, spec, links)
+            held = (sub.Xt, sub.Zt, sub.log_w, *sub.saddle_rows(spec))
+            want = (data.X[idx].T, data.Z[idx].T, np.log(w[idx]),
+                    *lik._saddle_rows(spec, sub.ystar))
+            for mine, theirs, fresh in zip(held, parent, want):
+                assert not np.shares_memory(mine, theirs)
+                assert np.array_equal(mine, fresh)
+            assert np.array_equal(
+                terms, unheld_dispersion_terms(sub, theta, spec, links))
+            assert np.array_equal(
+                hess_mean(sub, terms, exponent).h_bb,
+                rowmajor_hess_mean(sub, terms, exponent).h_bb)
+
+    def test_index_walk_fit_matches_unheld_fit_exactly(self):
+        """A saddlepoint fit over a 19-point index grid, which rebuilds
+        the held rows at each p it visits, equals bit for bit the fit
+        whose kernels rebuild every row on each call and solve on a
+        C-ordered band. Each fit runs on its own copy of the dataset,
+        so the second holds nothing the first built."""
+        gen = FamilySpec.compound_poisson_gamma(1.5)
+        data, _ = make_dataset(3000, 5, 5, "smooth", gen, 0.15, seed=3)
+        # three mean and two dispersion columns: Gram products of those
+        # widths round differently with the operands' roles swapped
+        data = Dataset(data.y, data.w, data.vertex, data.X[:, :3],
+                       data.Z[:, :2], data.graph)
+        spec = FamilySpec.compound_poisson_gamma(1.5,
+                                                 approx=Approx.SADDLEPOINT)
+        links = LinkPair.of("log", "log")
+        config = FitConfig(
+            penalty=assemble_penalty("spatial", 1.0, 1.0, data.k_beta,
+                                     data.graph, data.k_gamma),
+            p_grid=np.round(np.linspace(1.05, 1.95, 19), 10))
+
+        def run():
+            return fit(data.subset(np.arange(data.n_rows)), spec, links,
+                       config)
+
+        held = run()
+        with mock.patch.object(lik, "dispersion_terms",
+                               unheld_dispersion_terms), \
+                mock.patch.object(lik, "hess_mean", rowmajor_hess_mean), \
+                mock.patch.object(lik, "disp_derivatives",
+                                  rowmajor_disp_derivatives), \
+                mock.patch.object(graph_mod.SpatialBand, "solve",
+                                  c_order_band_solve):
+            unheld = run()
+        assert held.p_hat == unheld.p_hat and held.iters == unheld.iters
+        assert np.array_equal(held.objective_trace, unheld.objective_trace)
+        assert np.array_equal(held.theta_hat.as_vector(),
+                              unheld.theta_hat.as_vector())
