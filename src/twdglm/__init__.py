@@ -22,8 +22,8 @@ from .inference import (WaldRow, alpha_summary, fisher_information,
 from .likelihood import (Coefficients, Dataset, MeanHessian, dispersion_terms,
                          exponent_terms, grad_disp, grad_mean, hess_disp,
                          hess_mean, neg_log_lik)
-from .links import (LinkKind, LinkPair, LinkRole, LinkSpec, default_links,
-                    link_apply, link_eval, validate_links)
+from .links import (LinkKind, LinkPair, default_links, link_apply, link_eval,
+                    validate_links)
 from .optimizer import (FitConfig, FitResult, default_p_grid, fit, fit_ridge,
                         fit_unpenalized, objective, solve_disp_step,
                         solve_mean_step)

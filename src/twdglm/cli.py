@@ -66,8 +66,8 @@ _OPTIONS = {
     "mean_link": _Option(None, str, _MODEL),
     "disp_link": _Option("log", str, _MODEL),
     "penalty": _Option("spatial", ("spatial", "spatial+ridge"), _FIT),
-    "lambda1": _Option(1.0, float, _FIT),
-    "lambda2": _Option(1.0, float, _FIT),
+    "lambda1": _Option(1.0, float, ("fit",)),
+    "lambda2": _Option(1.0, float, ("fit",)),
     "grid": _Option("-5:5:20,-5:5:20", str, ("tune",),
                     "l1lo:l1hi:n1,l2lo:l2hi:n2 in log-lambda units"),
     "graph": _Option(None, str, _MODEL),
@@ -236,9 +236,8 @@ def _family_from_options(opts: dict) -> FamilySpec:
 
 def _links_from_options(opts: dict, spec: FamilySpec) -> LinkPair:
     mean = opts["mean_link"]
-    if mean is None:
-        mean = default_links(spec).mean.kind.value
-    links = LinkPair.of(mean, opts["disp_link"])
+    links = LinkPair.of(default_links(spec).mean if mean is None else mean,
+                        opts["disp_link"])
     validate_links(spec, links)
     return links
 
@@ -692,12 +691,10 @@ def _prepare_model(opts):
     return spec, links, graph, data, beta_names, gamma_names
 
 
-def _fit_config(opts, data) -> FitConfig:
-    spec = _family_from_options(opts)
+def _fit_config(opts, spec, data, lambda1, lambda2) -> FitConfig:
     penalty = assemble_penalty(PenaltyMode.from_name(opts["penalty"]),
-                               float(opts["lambda1"]),
-                               float(opts["lambda2"]),
-                               data.k_beta, data.graph, data.k_gamma)
+                               lambda1, lambda2, data.k_beta, data.graph,
+                               data.k_gamma)
     return FitConfig(penalty=penalty, p_grid=_parse_p_grid(opts, spec))
 
 
@@ -738,7 +735,8 @@ def _cmd_fit(opts) -> int:
     """fit one model"""
     out = _require(opts, "out", "--out")
     spec, links, graph, data, beta_names, gamma_names = _prepare_model(opts)
-    cfg = _fit_config(opts, data)
+    cfg = _fit_config(opts, spec, data, float(opts["lambda1"]),
+                      float(opts["lambda2"]))
     os.makedirs(out, exist_ok=True)
     result = fit(data, spec, links, cfg)
     _write_fit_outputs(
@@ -755,15 +753,14 @@ def _cmd_tune(opts) -> int:
     """grid-search the penalty multipliers"""
     out = _require(opts, "out", "--out")
     spec, links, graph, data, beta_names, gamma_names = _prepare_model(opts)
-    cfg = _fit_config(opts, data)
     ax1, ax2 = _parse_lambda_grid(opts)
     grid = GridSpec(ax1, ax2, float(opts["train_frac"]), opts["seed"])
-    # the largest cell has the largest penalty entries; an exp that
-    # overflows gives inf, which assemble_penalty rejects like NaN
+    # grid_search replaces the penalty in every cell, so the template
+    # is that of the largest cell: its entries are the largest, and an
+    # exp that overflows gives inf, which assemble_penalty rejects
     with np.errstate(over="ignore"):
         top1, top2 = np.exp(ax1.max()), np.exp(ax2.max())
-    assemble_penalty(cfg.penalty.mode, float(top1), float(top2),
-                     data.k_beta, data.graph, data.k_gamma)
+    cfg = _fit_config(opts, spec, data, float(top1), float(top2))
     os.makedirs(out, exist_ok=True)
     result = grid_search(data, spec, links, cfg, grid)
     export_surface(os.path.join(out, "surface.tsv"), result.surface)
@@ -812,9 +809,9 @@ def _cmd_predict(opts) -> int:
     theta = Coefficients(theta.beta, alpha, theta.gamma)
     os.makedirs(out, exist_ok=True)
     t = data.X @ theta.beta + theta.alpha[data.vertex]
-    mu = link_eval(links.mean, t, 0)
+    mu = link_eval(links.mean, t)
     s = data.Z @ theta.gamma if data.k_gamma else np.zeros(data.n_rows)
-    phi = link_eval(links.disp, s, 0)
+    phi = link_eval(links.disp, s)
     with open(os.path.join(out, "predictions.tsv"), "w",
               encoding="utf-8") as fh:
         fh.write("row\tvertex\tmu_hat\tphi_hat\texpected_per_exposure\t"

@@ -92,35 +92,12 @@ class FamilySpec:
                 raise ConfigError(
                     f"compound-poisson-gamma requires 1 < p < 2, got {self.p}")
 
-    @property
-    def xi(self) -> float:
-        """Gamma-summand shape (2 - p) / (p - 1) of the compound member."""
-        if self.member is not Member.COMPOUND_POISSON_GAMMA:
-            raise ConfigError("xi is defined only for compound-poisson-gamma")
-        return (2.0 - self.p) / (self.p - 1.0)
-
     def with_p(self, p: float) -> "FamilySpec":
         return replace(self, p=p)
 
     @classmethod
-    def normal(cls, **kw) -> "FamilySpec":
-        return cls(Member.NORMAL, 0.0, **kw)
-
-    @classmethod
-    def poisson(cls, **kw) -> "FamilySpec":
-        return cls(Member.POISSON, 1.0, **kw)
-
-    @classmethod
     def compound_poisson_gamma(cls, p: float, **kw) -> "FamilySpec":
         return cls(Member.COMPOUND_POISSON_GAMMA, p, **kw)
-
-    @classmethod
-    def gamma(cls, **kw) -> "FamilySpec":
-        return cls(Member.GAMMA, 2.0, **kw)
-
-    @classmethod
-    def inverse_gaussian(cls, **kw) -> "FamilySpec":
-        return cls(Member.INVERSE_GAUSSIAN, 3.0, **kw)
 
 
 def _as_array(x):

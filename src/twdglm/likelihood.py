@@ -204,12 +204,12 @@ class Dataset:
         gamma = np.zeros(self.k_gamma)
         try:
             if self.k_beta:
-                beta[0] = link_apply(links.mean.kind, ybar)
+                beta[0] = link_apply(links.mean, ybar)
             if self.k_gamma:
                 resid2 = float(np.mean((self.ystar - ybar) ** 2))
                 vfun = max(abs(ybar), 1e-8) ** spec.p
                 phi0 = min(max(resid2 / vfun, 1e-4), 1e6)
-                gamma[0] = link_apply(links.disp.kind, phi0)
+                gamma[0] = link_apply(links.disp, phi0)
         except DomainError:
             beta = np.zeros(self.k_beta)
             gamma = np.zeros(self.k_gamma)
@@ -241,11 +241,10 @@ def _dispersion_scale(data: Dataset, theta: Coefficients, links: LinkPair):
     scalar (1.0 and 1.0 for the log link, 0.0 for the identity link's
     L2): its products are those of a row of that constant.
     """
-    kind = links.disp.kind
     s = data.Z @ theta.gamma if data.k_gamma else np.zeros(data.n_rows)
-    h2 = link_eval(kind, s, 0)
+    h2 = link_eval(links.disp, s)
     fam.check_dispersion(h2, "dispersion at every row")
-    if kind is LinkKind.LOG:
+    if links.disp is LinkKind.LOG:
         l1, l2 = 1.0, 1.0
     else:  # identity
         l1, l2 = 1.0 / h2, 0.0
@@ -260,7 +259,7 @@ def _mean_exponent(data: Dataset, spec: FamilySpec, links: LinkPair,
                    t: np.ndarray):
     """D(t), D'(t), D''(t) per row at the mean predictor t and spec.p."""
     y = data.ystar
-    kind = links.mean.kind
+    kind = links.mean
     mem = spec.member
     if mem is Member.NORMAL and kind is LinkKind.IDENTITY:
         return y * t - t ** 2 / 2.0, y - t, -np.ones_like(t)
@@ -319,11 +318,12 @@ def _saddle_rows(spec: FamilySpec, y):
     normalizer at spec.p, for the rows' y/w; the first is the scalar
     LOG_2PI for the Normal member, whose Vy is 1."""
     if spec.member is Member.NORMAL:
-        return LOG_2PI, y ** 2 / 2.0
-    if spec.member is Member.INVERSE_GAUSSIAN:
-        return LOG_2PI + 3.0 * np.log(y), 0.5 / y
-    return (LOG_2PI + spec.p * np.log(np.where(y > 0, y, fam.SADDLE_EPS0)),
-            fam.saturated_cumulant_term(spec, y))
+        lead = LOG_2PI
+    elif spec.member is Member.INVERSE_GAUSSIAN:
+        lead = LOG_2PI + 3.0 * np.log(y)
+    else:
+        lead = LOG_2PI + spec.p * np.log(np.where(y > 0, y, fam.SADDLE_EPS0))
+    return lead, fam.saturated_cumulant_term(spec, y)
 
 
 def _lognorm_saddle_family(lead, d_sat, log_w, h2, l1, l2, u):

@@ -1,7 +1,8 @@
 """Link functions for the mean and dispersion models.
 
 A link g maps the parameter to the linear-predictor scale; fitting works
-with the inverse map h = g^{-1} and its first two derivatives.
+with the inverse map h = g^{-1}, whose derivatives the likelihood's
+closed forms fold in.
 """
 
 from __future__ import annotations
@@ -31,30 +32,18 @@ class LinkKind(enum.Enum):
                           f"{[k.value for k in cls]}")
 
 
-class LinkRole(enum.Enum):
-    MEAN = "mean"
-    DISPERSION = "dispersion"
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    kind: LinkKind
-    role: LinkRole = LinkRole.MEAN
-
-    def __post_init__(self):
-        if self.role is LinkRole.DISPERSION and self.kind not in (
-                LinkKind.LOG, LinkKind.IDENTITY):
-            raise ConfigError(
-                "dispersion link must be log or identity, got "
-                f"{self.kind.value}")
-
-
 @dataclass(frozen=True)
 class LinkPair:
-    """Mean and dispersion links used by one model."""
+    """Mean and dispersion links used by one model. The dispersion link
+    must be log or identity."""
 
-    mean: LinkSpec
-    disp: LinkSpec
+    mean: LinkKind
+    disp: LinkKind
+
+    def __post_init__(self):
+        if self.disp not in (LinkKind.LOG, LinkKind.IDENTITY):
+            raise ConfigError("dispersion link must be log or identity, "
+                              f"got {self.disp.value}")
 
     @classmethod
     def of(cls, mean: LinkKind | str, disp: LinkKind | str = LinkKind.LOG
@@ -63,8 +52,7 @@ class LinkPair:
             mean = LinkKind.from_name(mean)
         if isinstance(disp, str):
             disp = LinkKind.from_name(disp)
-        return cls(LinkSpec(mean, LinkRole.MEAN),
-                   LinkSpec(disp, LinkRole.DISPERSION))
+        return cls(mean, disp)
 
 
 # Mean links for which closed-form likelihood derivatives exist.
@@ -86,19 +74,17 @@ def default_links(spec: FamilySpec) -> LinkPair:
         Member.GAMMA: LinkKind.LOG,
         Member.INVERSE_GAUSSIAN: LinkKind.INVERSE_SQUARED,
     }[spec.member]
-    return LinkPair.of(mean, LinkKind.LOG)
+    return LinkPair(mean, LinkKind.LOG)
 
 
 def validate_links(spec: FamilySpec, links: LinkPair) -> None:
     """Reject (member, link) combinations outside the supported table."""
-    if links.mean.kind not in PERMITTED_MEAN_LINKS[spec.member]:
+    if links.mean not in PERMITTED_MEAN_LINKS[spec.member]:
         allowed = [k.value for k in PERMITTED_MEAN_LINKS[spec.member]]
         raise ConfigError(
-            f"mean link {links.mean.kind.value!r} not permitted for "
+            f"mean link {links.mean.value!r} not permitted for "
             f"{spec.member.value}; allowed: {allowed}")
-    if links.disp.kind not in (LinkKind.LOG, LinkKind.IDENTITY):
-        raise ConfigError("dispersion link must be log or identity")
-    if spec.member is Member.POISSON and links.disp.kind is LinkKind.IDENTITY:
+    if spec.member is Member.POISSON and links.disp is LinkKind.IDENTITY:
         # Poisson has no dispersion coefficients: its dispersion is h2(0),
         # which the identity link puts at 0.
         raise ConfigError(
@@ -113,31 +99,25 @@ def _check_domain(kind: LinkKind, t: np.ndarray) -> None:
         raise DomainError(f"{kind.value} link inverse requires t > 0")
 
 
-def link_eval(link: LinkSpec | LinkKind, t, order: int = 0):
-    """Inverse map h(t) of the link, or its first/second derivative."""
-    kind = link.kind if isinstance(link, LinkSpec) else link
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+def link_eval(kind: LinkKind, t):
+    """Inverse map h(t) of the link."""
     ta, scalar = np.asarray(t, dtype=float), np.ndim(t) == 0
     _check_domain(kind, ta)
     if kind is LinkKind.LOG:
-        out = np.exp(ta)  # derivative of every order
+        out = np.exp(ta)
     elif kind is LinkKind.IDENTITY:
-        out = (ta, np.ones_like(ta), np.zeros_like(ta))[order]
+        out = ta
     elif kind is LinkKind.SQRT:
-        out = (ta ** 2, 2.0 * ta, np.full_like(ta, 2.0))[order]
+        out = ta ** 2
     elif kind is LinkKind.INVERSE:
-        out = (1.0 / ta, -ta ** -2.0, 2.0 * ta ** -3.0)[order]
-    elif kind is LinkKind.INVERSE_SQUARED:
-        out = (ta ** -0.5, -0.5 * ta ** -1.5, 0.75 * ta ** -2.5)[order]
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled link {kind}")
+        out = 1.0 / ta
+    else:
+        out = ta ** -0.5
     return float(out) if scalar else out
 
 
-def link_apply(link: LinkSpec | LinkKind, value):
+def link_apply(kind: LinkKind, value):
     """Forward map g(value) onto the predictor scale."""
-    kind = link.kind if isinstance(link, LinkSpec) else link
     v, scalar = np.asarray(value, dtype=float), np.ndim(value) == 0
     if kind is LinkKind.LOG:
         if np.any(v <= 0):

@@ -449,11 +449,10 @@ def _check_identifiable(data: Dataset, penalty: PenaltyConfig,
     """
     blocks = []
     if penalty.lambda1 > 0 and penalty.mode is PenaltyMode.SPATIAL_ONLY:
-        blocks.append(("mean", "X", "beta"))
+        blocks.append(("mean", "X", data.X, data.rank_X, "beta"))
     if has_disp and penalty.gamma_ridge() == 0:
-        blocks.append(("dispersion", "Z", "gamma"))
-    for what, name, coef in blocks:
-        mat, rank = getattr(data, name), getattr(data, "rank_" + name)
+        blocks.append(("dispersion", "Z", data.Z, data.rank_Z, "gamma"))
+    for what, name, mat, rank, coef in blocks:
         if rank < mat.shape[1]:
             raise SingularSystemError(
                 f"unpenalized {what} design {name} is {mat.shape[0]} x "

@@ -11,7 +11,7 @@ from .errors import ConfigError, TwdglmError
 from .family import FamilySpec
 from .graph import assemble_penalty
 from .likelihood import Coefficients, Dataset
-from .links import LinkPair, LinkSpec, link_eval
+from .links import LinkKind, LinkPair, link_eval
 from .optimizer import FitConfig, FitResult, fit
 
 
@@ -74,7 +74,7 @@ def split_train_holdout(data: Dataset, train_frac: float, seed: int):
 
 
 def weighted_deviance(data: Dataset, eta_hat: np.ndarray, spec: FamilySpec,
-                      mean_link: LinkSpec) -> float:
+                      mean_link: LinkKind) -> float:
     """Exposure-weighted total deviance sum_ij w * d(y/w, mu_hat).
 
     Reduces to the plain unit-deviance sum when every exposure is 1.
@@ -82,14 +82,14 @@ def weighted_deviance(data: Dataset, eta_hat: np.ndarray, spec: FamilySpec,
     eta_hat = np.asarray(eta_hat, dtype=float)
     kb = data.k_beta
     t = data.X @ eta_hat[:kb] + eta_hat[kb:][data.vertex]
-    mu = link_eval(mean_link, t, 0)
+    mu = link_eval(mean_link, t)
     d = fam.unit_deviance(spec, data.ystar, mu)
     return float(np.sum(data.w * d))
 
 
 def deviance_ratio(data: Dataset, eta_hat: np.ndarray,
                    eta_oracle: np.ndarray, spec: FamilySpec,
-                   mean_link: LinkSpec) -> float:
+                   mean_link: LinkKind) -> float:
     """Hold-out deviance of a fit relative to the generating
     coefficients; values near 1 are desirable."""
     denom = weighted_deviance(data, eta_oracle, spec, mean_link)

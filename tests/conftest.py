@@ -31,12 +31,29 @@ def spec_for(member: Member, p_cpg: float = 1.5,
              approx: Approx = Approx.SERIES) -> FamilySpec:
     if member is Member.COMPOUND_POISSON_GAMMA:
         return FamilySpec.compound_poisson_gamma(p_cpg, approx=approx)
-    return {
-        Member.NORMAL: FamilySpec.normal,
-        Member.POISSON: FamilySpec.poisson,
-        Member.GAMMA: FamilySpec.gamma,
-        Member.INVERSE_GAUSSIAN: FamilySpec.inverse_gaussian,
-    }[member]()
+    return FamilySpec(member, fam._FIXED_P[member])
+
+
+# h'(t) and h''(t) of each link's inverse map h
+LINK_DERIVATIVES = {
+    LinkKind.LOG: (np.exp, np.exp),
+    LinkKind.IDENTITY: (np.ones_like, np.zeros_like),
+    LinkKind.SQRT: (lambda t: 2.0 * t, lambda t: np.full_like(t, 2.0)),
+    LinkKind.INVERSE: (lambda t: -t ** -2.0, lambda t: 2.0 * t ** -3.0),
+    LinkKind.INVERSE_SQUARED: (lambda t: -0.5 * t ** -1.5,
+                               lambda t: 0.75 * t ** -2.5),
+}
+
+
+def link_inverse(kind, t, order=0):
+    """h(t) by ``link_eval``, its domain checks included, or h's
+    derivative of that order; the oracle for the chain rule that the
+    likelihood's closed forms fold in."""
+    h = link_eval(kind, t)
+    if order == 0:
+        return h
+    out = LINK_DERIVATIVES[kind][order - 1](np.asarray(t, dtype=float))
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def sample_response(member: Member, rng: np.random.Generator, n: int,
@@ -277,10 +294,10 @@ def mean_exponent_generic(data, spec, kind, t):
     spec.p; the oracle for the closed forms in
     ``likelihood._mean_exponent``."""
     y = data.ystar
-    mu = link_eval(kind, t, 0)
+    mu = link_inverse(kind, t)
     fam.check_mean_space(spec, mu, what="h1(t)")
-    h1p = link_eval(kind, t, 1)
-    h1pp = link_eval(kind, t, 2)
+    h1p = link_inverse(kind, t, 1)
+    h1pp = link_inverse(kind, t, 2)
     theta1 = theta_of_mu(spec, mu, 1)
     theta2 = theta_of_mu(spec, mu, 2)
     d0 = y * theta_of_mu(spec, mu, 0) - cumulant_of_mu(spec, mu)
@@ -294,16 +311,16 @@ def natural_from_predictor(spec, kind, t, order=0):
     and its first two t-derivatives by the chain rule; the composition
     that the closed forms in ``likelihood._mean_exponent`` fold in."""
     scalar = np.ndim(t) == 0
-    mu = link_eval(kind, t, 0)
+    mu = link_inverse(kind, t)
     fam.check_mean_space(spec, mu, what="h(t)")
     if order == 0:
         out = theta_of_mu(spec, mu, 0)
     elif order == 1:
-        out = theta_of_mu(spec, mu, 1) * link_eval(kind, t, 1)
+        out = theta_of_mu(spec, mu, 1) * link_inverse(kind, t, 1)
     elif order == 2:
-        h1 = link_eval(kind, t, 1)
+        h1 = link_inverse(kind, t, 1)
         out = (theta_of_mu(spec, mu, 2) * np.asarray(h1) ** 2
-               + theta_of_mu(spec, mu, 1) * link_eval(kind, t, 2))
+               + theta_of_mu(spec, mu, 1) * link_inverse(kind, t, 2))
     else:
         raise ValueError("order must be 0, 1 or 2")
     return float(out) if scalar else np.asarray(out)
@@ -491,11 +508,10 @@ def rowmajor_disp_derivatives(data, terms, exponent):
 
 
 def _unheld_dispersion_scale(data, theta, links):
-    kind = links.disp.kind
     s = data.Z @ theta.gamma if data.k_gamma else np.zeros(data.n_rows)
-    h2 = link_eval(kind, s, 0)
+    h2 = link_eval(links.disp, s)
     fam.check_dispersion(h2, "dispersion at every row")
-    if kind is LinkKind.LOG:
+    if links.disp is LinkKind.LOG:
         one = np.ones_like(h2)
         l1, l2 = one, one
     else:  # identity

@@ -50,6 +50,22 @@ def small_sim_dir(tmp_path_factory):
     return out
 
 
+def cpg_argv(command, sim, *flags):
+    """``command`` on the data and graph in ``sim`` with the compound
+    Poisson-gamma family at p = 1.5, then ``flags``."""
+    return [command, "--data", str(sim / "data.csv"), "--graph",
+            str(sim / "graph.tsv"), "--family", "cpg", "--p", "1.5", *flags]
+
+
+@pytest.fixture(scope="module")
+def fit_dir(sim_dir, tmp_path_factory):
+    """A saddlepoint fit of the instance in ``sim_dir``."""
+    out = tmp_path_factory.mktemp("fit")
+    run_ok(cpg_argv("fit", sim_dir, "--approx", "saddlepoint", "--out",
+                    str(out)))
+    return out
+
+
 class TestSimulate:
     def test_outputs_exist(self, sim_dir):
         for name in ("data.csv", "graph.tsv", "oracle.tsv",
@@ -172,10 +188,8 @@ class TestLoadDataset:
 class TestPipeline:
     def test_fit_then_report(self, sim_dir, tmp_path):
         fit_out = tmp_path / "fit"
-        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
-                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
-                "--approx", "saddlepoint", "--lambda1", "1", "--lambda2",
-                "1", "--out", str(fit_out)])
+        run_ok(cpg_argv("fit", sim_dir, "--approx", "saddlepoint", "--lambda1",
+                        "1", "--lambda2", "1", "--out", str(fit_out)))
         for name in ("coefficients.tsv", "wald.tsv", "trace.tsv",
                      "summary.tsv", "effective_config.json"):
             assert (fit_out / name).exists()
@@ -190,9 +204,7 @@ class TestPipeline:
         out = tmp_path / "fit"
         with mock.patch.object(cli, "fisher_information",
                                wraps=cli.fisher_information) as info:
-            run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
-                    str(sim_dir / "graph.tsv"), "--family", "cpg", "--p",
-                    "1.5", "--out", str(out)])
+            run_ok(cpg_argv("fit", sim_dir, "--out", str(out)))
         theta = info.call_args.args[1]
         dense = dense_fisher_information(*info.call_args.args)
         kb, m = theta.beta.size, theta.beta.size + theta.alpha.size
@@ -204,14 +216,10 @@ class TestPipeline:
         assert (out / "wald.tsv").read_bytes() == \
             (tmp_path / "want.tsv").read_bytes()
 
-    def test_alpha_summary_in_fit_summary(self, sim_dir, tmp_path):
-        fit_out = tmp_path / "fit2"
-        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
-                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
-                "--approx", "saddlepoint", "--out", str(fit_out)])
+    def test_alpha_summary_in_fit_summary(self, fit_dir):
         summary = dict(
             line.split("\t") for line in
-            (fit_out / "summary.tsv").read_text().strip().split("\n")[1:])
+            (fit_dir / "summary.tsv").read_text().strip().split("\n")[1:])
         for key in ("alpha_mean", "alpha_median", "alpha_sd", "alpha_range"):
             assert key in summary
 
@@ -249,10 +257,9 @@ class TestPipeline:
 
     def test_tune_then_predict_consistency(self, sim_dir, tmp_path):
         tune_out = tmp_path / "tune"
-        run_ok(["tune", "--data", str(sim_dir / "data.csv"), "--graph",
-                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
-                "--approx", "saddlepoint", "--grid=-2:2:3,-2:2:3",
-                "--seed", "11", "--out", str(tune_out)])
+        run_ok(cpg_argv("tune", sim_dir, "--approx", "saddlepoint",
+                        "--grid=-2:2:3,-2:2:3", "--seed", "11", "--out",
+                        str(tune_out)))
         assert (tune_out / "surface.tsv").exists()
         surface = (tune_out / "surface.tsv").read_text().strip().split("\n")
         assert len(surface) == 10
@@ -282,10 +289,8 @@ class TestPipeline:
 
     def test_byte_identical_reruns_and_config_echo(self, sim_dir, tmp_path):
         out1, out2, out3 = (tmp_path / n for n in ("r1", "r2", "r3"))
-        argv = ["fit", "--data", str(sim_dir / "data.csv"), "--graph",
-                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p",
-                "1.5", "--approx", "saddlepoint", "--lambda1", "0.5",
-                "--lambda2", "2"]
+        argv = cpg_argv("fit", sim_dir, "--approx", "saddlepoint", "--lambda1",
+                        "0.5", "--lambda2", "2")
         run_ok(argv + ["--out", str(out1)])
         run_ok(argv + ["--out", str(out2)])
         c1 = (out1 / "coefficients.tsv").read_bytes()
@@ -295,12 +300,8 @@ class TestPipeline:
                 "--out", str(out3)])
         assert c1 == (out3 / "coefficients.tsv").read_bytes()
 
-    def test_old_config_with_retired_keys(self, sim_dir, tmp_path, capsys):
-        out1 = tmp_path / "new"
-        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
-                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
-                "--approx", "saddlepoint", "--out", str(out1)])
-        cfg = json.loads((out1 / "effective_config.json").read_text())
+    def test_old_config_with_retired_keys(self, fit_dir, tmp_path, capsys):
+        cfg = json.loads((fit_dir / "effective_config.json").read_text())
         assert "threads" not in cfg and "max_block" not in cfg
         # configs echoed before the keys were retired still load, and
         # hold the keys of every command
@@ -310,7 +311,7 @@ class TestPipeline:
         old = tmp_path / "old.json"
         old.write_text(json.dumps(cfg), encoding="utf-8")
         run_ok(["fit", "--config", str(old), "--out", str(tmp_path / "o")])
-        assert (out1 / "coefficients.tsv").read_bytes() == \
+        assert (fit_dir / "coefficients.tsv").read_bytes() == \
             (tmp_path / "o" / "coefficients.tsv").read_bytes()
         cfg["max_block"] = 25
         old.write_text(json.dumps(cfg), encoding="utf-8")
@@ -325,10 +326,8 @@ class TestPipeline:
         # the intercept plus the vertex indicators make the mean system
         # singular without the ridge term
         out = tmp_path / "fit"
-        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
-                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
-                "--approx", "saddlepoint", "--lambda1", "0", "--lambda2",
-                lambda2, "--out", str(out)])
+        run_ok(cpg_argv("fit", sim_dir, "--approx", "saddlepoint", "--lambda1",
+                        "0", "--lambda2", lambda2, "--out", str(out)))
         trace = np.loadtxt(out / "trace.tsv", skiprows=1)[:, 1]
         assert np.all(np.diff(trace) <= 1e-10)
 
@@ -466,10 +465,8 @@ class TestPredictFitDir:
     @pytest.fixture(scope="class")
     def fit_dir(self, sim_dir, tmp_path_factory):
         out = tmp_path_factory.mktemp("fit_identity")
-        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
-                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
-                "--approx", "saddlepoint", "--disp-link", "identity",
-                "--out", str(out)])
+        run_ok(cpg_argv("fit", sim_dir, "--approx", "saddlepoint",
+                        "--disp-link", "identity", "--out", str(out)))
         return out
 
     @staticmethod
@@ -525,14 +522,6 @@ class TestPredictMatchesNames:
     """``predict`` takes beta and gamma by name and alpha by vertex
     label, not by position."""
 
-    @pytest.fixture(scope="class")
-    def fit_dir(self, sim_dir, tmp_path_factory):
-        out = tmp_path_factory.mktemp("fit_names")
-        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
-                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
-                "--approx", "saddlepoint", "--out", str(out)])
-        return out
-
     @staticmethod
     def _predict(fit_dir, data, graph, out):
         """predict's exit code and, when it ran, its two output files."""
@@ -565,7 +554,7 @@ class TestPredictMatchesNames:
             ArealGraph.from_edge_list_file(sim_dir / "graph.tsv"))
         theta = read_coefficients(fit_dir / "coefficients.tsv")[0]
         mu = link_eval(default_links(spec).mean,
-                       data.X @ theta.beta + theta.alpha[data.vertex], 0)
+                       data.X @ theta.beta + theta.alpha[data.vertex])
         got = [line.split("\t")[2]
                for line in predictions.decode().splitlines()[1:]]
         assert got == [f"{m:.17g}" for m in mu.tolist()]
@@ -639,14 +628,6 @@ class TestUnreadableFiles:
     """A file that is not UTF-8 text, or a configuration that is not a
     JSON object, ends in one error line naming the file (and the line,
     where it is known), not in a traceback."""
-
-    @pytest.fixture(scope="class")
-    def fit_dir(self, sim_dir, tmp_path_factory):
-        out = tmp_path_factory.mktemp("fit")
-        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
-                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
-                "--approx", "saddlepoint", "--out", str(out)])
-        return out
 
     @staticmethod
     def _one_error_line(argv, capsys):
@@ -1202,7 +1183,7 @@ class TestOptionTable:
                  for command, actions in _subcommand_options().items()}
         assert flags == _readme_flag_table()
         assert {c: len(f) for c, f in flags.items()} == {
-            "simulate": 9, "fit": 14, "tune": 17, "predict": 11, "report": 4}
+            "simulate": 9, "fit": 14, "tune": 15, "predict": 11, "report": 4}
 
     def test_every_declared_option_is_read(self, sim_dir, tmp_path,
                                            monkeypatch):
@@ -1296,9 +1277,8 @@ class TestOptionTable:
     def test_bad_fit_dir_value_is_one_config_line(self, sim_dir, tmp_path,
                                                   capsys):
         fit_dir = tmp_path / "fit"
-        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
-                str(sim_dir / "graph.tsv"), "--approx", "saddlepoint",
-                "--out", str(fit_dir)])
+        run_ok(cpg_argv("fit", sim_dir, "--approx", "saddlepoint", "--out",
+                        str(fit_dir)))
         cfg = fit_dir / "effective_config.json"
         cfg.write_text(json.dumps({"family": 5}), encoding="utf-8")
         out = tmp_path / "out"

@@ -5,18 +5,12 @@ could contradict. A function that needs another p takes
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twdglm"
-MODULES = sorted(PACKAGE.glob("*.py"))
+from static_scan import MODULES, SCANS, parameters
+
 INDEX_NAMES = {"p", "p_hat"}
-
-
-def _parameters(fn):
-    args = fn.args
-    return args.posonlyargs + args.args + args.kwonlyargs
 
 
 def _is_spec(arg):
@@ -28,19 +22,11 @@ def _is_spec(arg):
     return annotated or arg.arg.startswith("spec")
 
 
-def _index_beside_spec(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            params = _parameters(node)
-            if any(_is_spec(a) for a in params):
-                for arg in params:
-                    if arg.arg in INDEX_NAMES:
-                        yield f"line {node.lineno}: {node.name}({arg.arg})"
-
-
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_index_parameter_beside_a_spec(path):
-    found = list(_index_beside_spec(
-        ast.parse(path.read_text(encoding="utf-8"))))
+    found = [f"line {fn.lineno}: {fn.name}({arg.arg})"
+             for fn in SCANS[path].functions
+             if any(_is_spec(a) for a in parameters(fn))
+             for arg in parameters(fn) if arg.arg in INDEX_NAMES]
     assert not found, (f"{path.name}: functions that take an index beside "
                        f"a FamilySpec: {found}")

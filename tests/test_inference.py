@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import (blocks, dense_fisher_information, dense_hessian,
-                      make_instance)
+                      make_instance, spec_for)
 from twdglm import likelihood as lik
 from twdglm.errors import SingularSystemError
-from twdglm.family import FamilySpec, Member
+from twdglm.family import Member
 from twdglm.graph import lattice_graph
 from twdglm.inference import (alpha_summary, fisher_information,
                               p_value_from_z, wald_table)
@@ -71,7 +71,7 @@ def _plain_normal_data(n=80, k=3, seed=0):
 class TestFisherInformation:
     def test_classical_linear_model_block(self):
         data, theta = _plain_normal_data()
-        info = fisher_information(data, theta, FamilySpec.normal(),
+        info = fisher_information(data, theta, spec_for(Member.NORMAL),
                                   LinkPair.of("identity", "log"))
         np.testing.assert_allclose(info[0], data.X.T @ data.X,
                                    rtol=1e-12)
@@ -131,7 +131,7 @@ class TestFisherInformation:
 class TestWaldTable:
     def test_z_and_pvalue_wiring(self):
         data, theta = _plain_normal_data(seed=2)
-        info = fisher_information(data, theta, FamilySpec.normal(),
+        info = fisher_information(data, theta, spec_for(Member.NORMAL),
                                   LinkPair.of("identity", "log"))
         rows = wald_table(theta, info, beta_names=["a", "b", "c"])
         cov = np.linalg.inv(info[0])
@@ -147,7 +147,7 @@ class TestWaldTable:
         data2 = Dataset(data.y, data.w, data.vertex, X, data.Z, data.graph)
         theta2 = Coefficients(np.concatenate([theta.beta, [0.0]]),
                               theta.alpha, theta.gamma)
-        info = fisher_information(data2, theta2, FamilySpec.normal(),
+        info = fisher_information(data2, theta2, spec_for(Member.NORMAL),
                                   LinkPair.of("identity", "log"))
         with pytest.raises(SingularSystemError, match="smallest pivot"):
             wald_table(theta2, info)

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (MEAN_LINKS_BY_MEMBER, blocks, c_order_band_solve,
-                      dense_hessian, fd_gradient, fd_jacobian, make_instance,
-                      mean_exponent_generic, nll_at, predictors, rel_err,
-                      rowmajor_disp_derivatives, rowmajor_hess_mean,
-                      unheld_dispersion_terms)
+                      dense_hessian, fd_gradient, fd_jacobian, link_inverse,
+                      make_instance, mean_exponent_generic, nll_at,
+                      predictors, rel_err, rowmajor_disp_derivatives,
+                      rowmajor_hess_mean, spec_for, unheld_dispersion_terms)
 from twdglm import graph as graph_mod
 from twdglm import likelihood as lik
 from twdglm.errors import ConfigError, DomainError
@@ -24,7 +24,7 @@ from twdglm.likelihood import (Coefficients, Dataset, disp_derivatives,
                                dispersion_terms, exponent_terms, grad_disp,
                                grad_mean, hess_disp, hess_mean)
 from twdglm.likelihood import _mean_exponent
-from twdglm.links import LinkPair, link_eval
+from twdglm.links import LinkPair
 from twdglm.optimizer import FitConfig, fit
 from twdglm.simgen import make_dataset
 
@@ -46,7 +46,7 @@ class TestValues:
         data = Dataset(np.zeros(0), np.zeros(0), np.zeros(0, dtype=int),
                        np.zeros((0, 2)), np.zeros((0, 1)), g)
         theta = Coefficients(np.zeros(2), np.zeros(4), np.zeros(1))
-        assert nll_at(data, theta, FamilySpec.normal(),
+        assert nll_at(data, theta, spec_for(Member.NORMAL),
                       LinkPair.of("identity", "log")) == 0.0
 
     def test_single_standard_normal_row(self):
@@ -54,7 +54,7 @@ class TestValues:
         data = Dataset([0.0], [1.0], [0], np.ones((1, 1)), np.ones((1, 1)),
                        g)
         theta = Coefficients([0.0], np.zeros(4), [0.0])
-        got = nll_at(data, theta, FamilySpec.normal(),
+        got = nll_at(data, theta, spec_for(Member.NORMAL),
                      LinkPair.of("identity", "log"))
         assert got == pytest.approx(0.5 * math.log(2.0 * math.pi))
 
@@ -119,7 +119,7 @@ class TestGradMean:
         data = Dataset([1.0], [1.0], [0], np.ones((1, 1)), np.ones((1, 1)),
                        g)
         theta = Coefficients([0.0], np.zeros(2), [0.0])
-        grad = grad_mean(data, *blocks(data, theta, FamilySpec.normal(),
+        grad = grad_mean(data, *blocks(data, theta, spec_for(Member.NORMAL),
                                        LinkPair.of("identity", "log")))
         assert grad[0] == pytest.approx(-1.0)
 
@@ -251,7 +251,7 @@ class TestClosedFormVsGeneric:
                                                      seed=9)
             t, _ = predictors(data, theta)
             fast = _mean_exponent(data, spec, links, t)
-            generic = mean_exponent_generic(data, spec, links.mean.kind, t)
+            generic = mean_exponent_generic(data, spec, links.mean, t)
             for a, b in zip(fast, generic):
                 np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14,
                                            err_msg=f"{member} {mean_link}")
@@ -303,8 +303,7 @@ class TestHeldRows:
                                      spec, links))
 
         s = predictors(data, theta)[1]
-        kind = links.disp.kind
-        h2, d1, d2 = (link_eval(kind, s, k) for k in range(3))
+        h2, d1, d2 = (link_inverse(links.disp, s, k) for k in range(3))
         u_rows = (data.w / h2, -data.w * d1 / h2 ** 2,
                   data.w * (2.0 * d1 ** 2 / h2 ** 3 - d2 / h2 ** 2))
         for got, want in zip(terms[1::2], u_rows):
@@ -313,7 +312,7 @@ class TestHeldRows:
 
         t = predictors(data, theta)[0]
         for got, want in zip(exponent, mean_exponent_generic(
-                data, spec, links.mean.kind, t)):
+                data, spec, links.mean, t)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
         assert rel_err(grad_mean(data, terms, exponent),
                        fd_gradient(_nll_eta(data, theta, spec, links),

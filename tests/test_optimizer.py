@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import (MEAN_LINKS_BY_MEMBER, blocks, dense_hessian,
                       dense_mean_matrix, dense_mean_step, make_instance,
                       min_norm_mean_solve, min_norm_mean_step, nll_at,
-                      scan_update_index, step_derivs)
+                      scan_update_index, spec_for, step_derivs)
 from twdglm import family as fam
 from twdglm import graph as graph_mod
 from twdglm import likelihood as lik
@@ -55,7 +55,7 @@ def _normal_instance(n=300, seed=3, with_intercept=False):
 class TestSolveMeanStep:
     def test_stationary_point_is_fixed(self):
         data, links = _normal_instance()
-        spec = FamilySpec.normal()
+        spec = spec_for(Member.NORMAL)
         pen = _zero_penalty(data)
         cfg = FitConfig(penalty=pen)
         res = fit(data, spec, links, cfg)
@@ -67,7 +67,7 @@ class TestSolveMeanStep:
 
     def test_single_step_is_least_squares(self):
         data, links = _normal_instance()
-        spec = FamilySpec.normal()
+        spec = spec_for(Member.NORMAL)
         theta = Coefficients(np.zeros(data.k_beta),
                              np.zeros(6), np.zeros(1))
         eta_star = solve_mean_step(_zero_penalty(data), 1.0, step_derivs(
@@ -298,7 +298,7 @@ class TestBandLayout:
 class TestSolveDispStep:
     def test_stationary_gamma_is_fixed(self):
         data, links = _normal_instance()
-        spec = FamilySpec.normal()
+        spec = spec_for(Member.NORMAL)
         res = fit(data, spec, links, FitConfig(penalty=_zero_penalty(data)))
         gamma_star = solve_disp_step(
             res.theta_hat.gamma, _zero_penalty(data), 1.0,
@@ -308,7 +308,7 @@ class TestSolveDispStep:
 
     def test_scalar_newton_formula(self):
         data, links = _normal_instance(seed=9)
-        spec = FamilySpec.normal()
+        spec = spec_for(Member.NORMAL)
         theta = Coefficients(np.zeros(data.k_beta), np.zeros(6),
                              np.array([0.4]))
         c2 = 3.0
@@ -339,7 +339,7 @@ class TestSolveDispStep:
 
     def test_huge_ridge_shrinks_gamma_to_zero(self):
         data, links = _normal_instance(seed=4)
-        spec = FamilySpec.normal()
+        spec = spec_for(Member.NORMAL)
         theta = Coefficients(np.zeros(data.k_beta), np.zeros(6),
                              np.array([0.8]))
         pen = assemble_penalty(PenaltyMode.SPATIAL_PLUS_RIDGE, 1e12, 0.0,
@@ -372,7 +372,7 @@ class TestChooseScaling:
 
     def test_convex_quadratic_accepts_unit_scale(self):
         data, links = _normal_instance()
-        spec = FamilySpec.normal()
+        spec = spec_for(Member.NORMAL)
         pen = _zero_penalty(data)
         theta = data.initial_coefficients(spec, links)
         point = _held(data, theta, spec, links, pen)
@@ -593,7 +593,7 @@ class TestUpdateIndex:
 class TestFit:
     def test_matches_least_squares_and_moment_dispersion(self):
         data, links = _normal_instance(seed=21)
-        spec = FamilySpec.normal()
+        spec = spec_for(Member.NORMAL)
         res = fit(data, spec, links, FitConfig(penalty=_zero_penalty(data)))
         design = np.zeros((data.n_rows, data.k_beta + 6))
         design[:, :data.k_beta] = data.X
@@ -793,7 +793,7 @@ class TestFit:
         counts = Dataset(np.round(data.y), data.w, data.vertex, data.X,
                          data.Z, data.graph)
         with pytest.raises(ConfigError, match="constant dispersion"):
-            calls[entry](counts, FamilySpec.poisson())
+            calls[entry](counts, spec_for(Member.POISSON))
 
     def test_warm_start_from_truth_on_noiseless_normal(self):
         rng = np.random.default_rng(8)
@@ -806,7 +806,8 @@ class TestFit:
         y = X @ beta0 + alpha0[vertex]          # no noise
         data = Dataset(y, np.ones(n), vertex, X, np.zeros((n, 0)), g)
         init = Coefficients(beta0, alpha0, np.zeros(0))
-        res = fit(data, FamilySpec.normal(), LinkPair.of("identity", "log"),
+        res = fit(data, spec_for(Member.NORMAL),
+                  LinkPair.of("identity", "log"),
                   FitConfig(penalty=_zero_penalty(data)), init=init)
         assert res.converged and res.iters <= 2
 
@@ -863,7 +864,7 @@ class TestFit:
 class TestComparators:
     def test_ridge_at_zero_equals_unpenalized(self):
         data, links = _normal_instance(seed=14, with_intercept=False)
-        spec = FamilySpec.normal()
+        spec = spec_for(Member.NORMAL)
         cfg = FitConfig(penalty=_zero_penalty(data))
         a = fit_ridge(data, spec, links, cfg, lambda1=0.0)
         b = fit_unpenalized(data, spec, links, cfg)
@@ -873,7 +874,7 @@ class TestComparators:
 
     def test_huge_ridge_kills_alpha(self):
         data, links = _normal_instance(seed=15, with_intercept=True)
-        spec = FamilySpec.normal()
+        spec = spec_for(Member.NORMAL)
         cfg = FitConfig(penalty=_zero_penalty(data))
         res = fit_ridge(data, spec, links, cfg, lambda1=1e8)
         assert np.max(np.abs(res.theta_hat.alpha)) < 1e-4
@@ -882,7 +883,7 @@ class TestComparators:
         # intercept column + full vertex indicators: singular system,
         # minimum-norm fallback must still converge
         data, links = _normal_instance(seed=16, with_intercept=True)
-        spec = FamilySpec.normal()
+        spec = spec_for(Member.NORMAL)
         res = fit_unpenalized(data, spec, links,
                               FitConfig(penalty=_zero_penalty(data)))
         assert res.converged

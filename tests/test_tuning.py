@@ -5,9 +5,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import spec_for
 from twdglm import tuning
 from twdglm.errors import ConfigError
-from twdglm.family import Approx, FamilySpec, unit_deviance
+from twdglm.family import Approx, FamilySpec, Member, unit_deviance
 from twdglm.graph import PenaltyMode, assemble_penalty, lattice_graph
 from twdglm.likelihood import Dataset
 from twdglm.links import LinkPair
@@ -152,7 +153,7 @@ class TestGridSearch:
         alpha0 = rng.normal(0, 0.5, 6)
         y = X @ [0.8, -0.4] + alpha0[vertex] + rng.normal(0, 0.6, n)
         data = Dataset(y, np.ones(n), vertex, X, np.ones((n, 1)), g)
-        spec = FamilySpec.normal()
+        spec = spec_for(Member.NORMAL)
         links = LinkPair.of("identity", "log")
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
                                data.k_beta, data.graph, data.k_gamma)

@@ -7,69 +7,20 @@ suite relies on is a code path that only the suite runs.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twdglm"
-MODULES = sorted(PACKAGE.glob("*.py"))
-TREES = {path: ast.parse(path.read_text(encoding="utf-8"))
-         for path in MODULES}
-
-
-def _private_functions(tree):
-    for node in tree.body:
-        if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-                and not node.name.startswith("__")):
-            yield node
-
-
-def _module_functions(tree):
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            yield node
+from static_scan import MODULES, PACKAGE_SCANS, SCANS, parameters
 
 
 def _unread(fn):
     args = fn.args
-    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    names = [a.arg for a in parameters(fn)]
     names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
     read = {node.id for stmt in fn.body for node in ast.walk(stmt)
             if isinstance(node, ast.Name)
             and isinstance(node.ctx, ast.Load)}
     return [name for name in names if name not in read]
-
-
-def _defaults(fn):
-    """{name: positional index or None} of the defaulted parameters."""
-    args = fn.args
-    positional = args.posonlyargs + args.args
-    first = len(positional) - len(args.defaults)
-    out = {a.arg: i for i, a in enumerate(positional) if i >= first}
-    out.update((a.arg, None) for a, d in zip(args.kwonlyargs,
-                                             args.kw_defaults)
-               if d is not None)
-    return out
-
-
-def _uses(name):
-    """(reads of ``name`` as a bare name or an attribute, the calls
-    among them) over the whole package."""
-    reads, calls = 0, []
-    for tree in TREES.values():
-        for node in ast.walk(tree):
-            if ((isinstance(node, ast.Name) and node.id == name
-                 and isinstance(node.ctx, ast.Load))
-                    or (isinstance(node, ast.Attribute)
-                        and node.attr == name)):
-                reads += 1
-            if isinstance(node, ast.Call) and (
-                    (isinstance(node.func, ast.Name)
-                     and node.func.id == name)
-                    or (isinstance(node.func, ast.Attribute)
-                        and node.func.attr == name)):
-                calls.append(node)
-    return reads, calls
 
 
 def _passes(call, name, index):
@@ -89,11 +40,18 @@ def _defaults_only_tests_use(fn):
     function also read without being called (stored, or handed to
     another function) may be called where the scan cannot see, and is
     skipped."""
-    defaults = _defaults(fn)
-    if not defaults:
-        return []
-    reads, calls = _uses(fn.name)
-    if not calls or reads != len(calls):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    # name -> positional index, or None for a keyword-only parameter
+    defaults = {a.arg: i for i, a in enumerate(positional) if i >= first}
+    defaults.update((a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                  args.kw_defaults)
+                    if d is not None)
+    # reads of the name, as a bare name or an attribute, and its calls
+    reads = sum(s.loads[fn.name] + s.attrs[fn.name] for s in PACKAGE_SCANS)
+    calls = [call for s in PACKAGE_SCANS for call in s.calls[fn.name]]
+    if not defaults or not calls or reads != len(calls):
         return []
     return [name for name, index in defaults.items()
             if all(_passes(call, name, index) for call in calls)]
@@ -102,7 +60,7 @@ def _defaults_only_tests_use(fn):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_private_parameters_are_read(path):
     found = [f"line {fn.lineno}: {fn.name}({name})"
-             for fn in _module_functions(TREES[path])
+             for fn in SCANS[path].module_defs(ast.FunctionDef)
              for name in _unread(fn)]
     assert not found, (f"{path.name}: functions with parameters their "
                        f"bodies never read: {found}")
@@ -111,8 +69,8 @@ def test_private_parameters_are_read(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_private_defaults_are_used(path):
     found = [f"line {fn.lineno}: {fn.name}({name}=)"
-             for fn in _private_functions(TREES[path])
+             for fn in SCANS[path].module_defs(ast.FunctionDef)
+             if fn.name.startswith("_") and not fn.name.startswith("__")
              for name in _defaults_only_tests_use(fn)]
     assert not found, (f"{path.name}: private functions whose defaults no "
                        f"call in the package uses: {found}")
-

@@ -1,52 +1,58 @@
 """Every private module-level function and class of the package is used
 somewhere in the package. Tests do not count as a use: code that only
 the suite calls belongs in ``tests/``.
+
+Every public module-level function and class, and every public method
+and property, is read in the package outside ``__init__.py``, whose
+re-exports are not a use; a method that overrides a base class's is
+read by the base. Exempt are the paper's API, which the package offers
+without calling it, and each name the benchmark's tracer wraps, whose
+loss would stop a traced run at start-up.
 """
 
 import ast
-from collections import Counter
-from pathlib import Path
+import importlib
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twdglm"
-MODULES = sorted(PACKAGE.glob("*.py"))
+from static_scan import MODULES, SCANS, package_references, references
+from test_bench_spans import _load_spans
+
+PAPER_API = ("log_density", "sse", "deviance_ratio", "fit_ridge",
+             "fit_unpenalized", "objective")
+EXEMPT = set(PAPER_API) | {attr for _, attr, _, _ in _load_spans()._targets()}
 
 
-def _references(tree) -> Counter:
-    """How often each name is read, as a bare name, as an attribute or
-    in a ``from ... import``."""
-    refs = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            refs[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            refs[node.attr] += 1
-        elif isinstance(node, ast.ImportFrom):
-            refs.update(alias.name for alias in node.names)
-    return refs
+def _unused(defs, refs):
+    # a definition's references to itself (recursion) are not a use
+    return [f"line {node.lineno}: {node.name}" for node in defs
+            if refs[node.name] - references(node)[node.name] == 0]
 
 
-def _private_defs(tree):
-    for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and node.name.startswith("_")
-                and not node.name.startswith("__")):
-            yield node
-
-
-TREES = {path: ast.parse(path.read_text(encoding="utf-8"))
-         for path in MODULES}
-ALL_REFERENCES = sum((_references(tree) for tree in TREES.values()),
-                     Counter())
+def _methods(path, cls):
+    bases = getattr(importlib.import_module(f"twdglm.{path.stem}"),
+                    cls.name).__mro__[1:]
+    return [node for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not any(hasattr(base, node.name) for base in bases)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_private_definitions(path):
-    # a definition's references to itself (recursion) are not a use
-    unused = [f"line {node.lineno}: {node.name}"
-              for node in _private_defs(TREES[path])
-              if ALL_REFERENCES[node.name]
-              - _references(node)[node.name] == 0]
+    unused = _unused([node for node in SCANS[path].module_defs()
+                      if node.name.startswith("_")
+                      and not node.name.startswith("__")],
+                     package_references())
     assert not unused, (f"{path.name} defines private names nothing in "
                         f"the package uses: {unused}")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_public_definitions(path):
+    defs = SCANS[path].module_defs()
+    defs += [node for cls in defs if isinstance(cls, ast.ClassDef)
+             for node in _methods(path, cls)]
+    unused = _unused([node for node in defs if node.name[0] != "_"
+                      and node.name not in EXEMPT],
+                     package_references(exclude=("__init__.py",)))
+    assert not unused, (f"{path.name} defines public names nothing in the "
+                        f"package reads: {unused}")
