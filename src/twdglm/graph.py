@@ -95,6 +95,22 @@ class ArealGraph:
         """The edges as an (m, 2) integer array."""
         return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
 
+    @cached_property
+    def laplacian(self) -> sparse.csr_matrix:
+        """``build_laplacian`` of this graph, built on first use and kept."""
+        return build_laplacian(self)
+
+    @cached_property
+    def laplacian_band(self) -> "SpatialBand":
+        """The Laplacian laid out by ``lower_band`` in the reverse
+        Cuthill-McKee order of its pattern with the whole diagonal, which
+        is the pattern of lambda1*I + lambda2*Laplacian for every
+        positive lambda1 and lambda2; built on first use and kept."""
+        n = self.n_vertices
+        unit = lower_band(sparse.csr_matrix(sparse.eye(n) + self.laplacian))
+        unit.ab[0] -= 1.0
+        return unit
+
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edge_array.ravel(),
                            minlength=self.n_vertices).astype(float)
@@ -151,16 +167,25 @@ class PenaltyConfig:
     ``SPATIAL_ONLY`` masks everything but the spatial block, with I0 the
     spatial identity and W0 the Laplacian block. ``SPATIAL_PLUS_RIDGE``
     penalizes the full coefficient vector with an identity I0 while W0
-    keeps its single Laplacian block.
+    keeps its single Laplacian block. The Laplacian and its band layout
+    belong to the ``graph``, which builds each once and shares it with
+    every penalty on it.
     """
 
     mode: PenaltyMode
     lambda1: float
     lambda2: float
     k_beta: int
-    n_vertices: int
     k_gamma: int
-    laplacian: sparse.csr_matrix
+    graph: ArealGraph
+
+    @property
+    def n_vertices(self) -> int:
+        return self.graph.n_vertices
+
+    @property
+    def laplacian(self) -> sparse.csr_matrix:
+        return self.graph.laplacian
 
     @property
     def dim(self) -> int:
@@ -181,6 +206,17 @@ class PenaltyConfig:
         else:
             quad += self.lambda1 * float(v @ v)
         return 0.5 * quad
+
+    def gradient(self, theta_vec: np.ndarray) -> np.ndarray:
+        """Gradient of ``value`` at a packed (beta, alpha, gamma) vector."""
+        v = np.asarray(theta_vec, dtype=float)
+        kb, nv = self.k_beta, self.n_vertices
+        alpha = v[kb:kb + nv]
+        out = (self.lambda1 * v if self.mode is PenaltyMode.SPATIAL_PLUS_RIDGE
+               else np.zeros_like(v))
+        out[kb:kb + nv] = (self.lambda1 * alpha
+                           + self.lambda2 * (self.laplacian @ alpha))
+        return out
 
     def eta_matrix(self) -> sparse.csr_matrix:
         """lambda1*I0 + lambda2*W0 restricted to the (beta, alpha) block."""
@@ -205,7 +241,17 @@ class PenaltyConfig:
     @cached_property
     def alpha_band(self) -> "SpatialBand":
         """``alpha_penalty_matrix`` laid out for the banded mean-step
-        solve; built on first use and kept for this penalty's life."""
+        solve; built on first use and kept for this penalty's life. With
+        both multipliers positive it is the graph's ``laplacian_band``
+        scaled, the same numbers in the same order as a layout of its
+        own, so the cells of a grid search share one ordering; with a
+        zero multiplier the pattern differs and the band is laid out
+        here."""
+        if self.lambda1 > 0 and self.lambda2 > 0:
+            unit = self.graph.laplacian_band
+            ab = self.lambda2 * unit.ab
+            ab[0] += self.lambda1
+            return SpatialBand(unit.order, unit.inverse, ab)
         return lower_band(self.alpha_penalty_matrix())
 
     @cached_property
@@ -283,4 +329,4 @@ def assemble_penalty(mode: PenaltyMode | str, lambda1: float, lambda2: float,
     if k_beta < 0 or k_gamma < 0:
         raise ConfigError("design dimensions must be nonnegative")
     return PenaltyConfig(mode, float(lambda1), float(lambda2), k_beta,
-                         g.n_vertices, k_gamma, build_laplacian(g))
+                         k_gamma, g)

@@ -35,7 +35,10 @@ def fisher_information(data: Dataset, theta_hat: Coefficients,
     of the unpenalized negative log-likelihood at the fit (theta_hat
     under ``spec_hat``, whose p is the fitted index) in beta and in
     gamma (zero without a dispersion model). The spatial blocks and the
-    mean-dispersion cross block (zero in this family) are not built.
+    mean-dispersion cross block are not built: the cross block is zero
+    in expectation (Smyth 1989), so the Wald rows treat the two sides
+    as orthogonal, but its observed value at a point is not zero (the
+    fit's joint step uses it, ``likelihood.hess_cross``).
     Both are additive over rows: duplicating the dataset doubles them.
     Both read the two likelihood blocks at the fit, each built once; a
     response outside the member's support raises DomainError.

@@ -13,17 +13,18 @@ stored response y is a total over exposure w, and y/w enters the
 density with dispersion phi/w.
 
 Gradients and Hessians with respect to eta = (beta, alpha) at fixed
-gamma, and with respect to gamma at fixed eta, are exact analytic
-derivatives of the same assembly, in closed form per (member, mean
-link).
+gamma, and with respect to gamma at fixed eta, and the mixed second
+derivatives in (gamma, eta), are exact analytic derivatives of the same
+assembly, in closed form per (member, mean link).
 
 Every row term lives in one of two blocks, each made by one builder
 that does not check the response's support: ``exponent_terms`` holds
 D, D', D'' at theta's eta, and ``dispersion_terms`` holds logC and
 u = 1/phi* = w/h2(z'gamma) with their first two derivatives in the
 dispersion predictor at theta's gamma. ``neg_log_lik``, ``grad_mean``,
-``hess_mean`` and ``disp_derivatives`` take both blocks and only sum
-their rows; no function here builds a block it was not given.
+``hess_mean``, ``disp_derivatives`` and ``hess_cross`` take both
+blocks and only sum their rows; no function here builds a block it was
+not given.
 """
 
 from __future__ import annotations
@@ -403,9 +404,9 @@ def dispersion_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
     The rows depend on (gamma, p, y, w) but not on eta, so a fit builds
     them once per accepted (gamma, p) and passes them as ``terms`` to
     every likelihood function at a theta sharing that gamma and p: they
-    are replaced when a dispersion step or an index move is accepted,
-    and under the series normalizer they are its pass. The response's
-    support is not checked here; the caller checks it once
+    are replaced when a dispersion or joint step or an index move is
+    accepted, and under the series normalizer they are its pass. The
+    response's support is not checked here; the caller checks it once
     (``_check_member_data``). ``exponent_terms`` is the mean side's
     counterpart.
     """
@@ -434,11 +435,11 @@ def exponent_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
     whose rows are D(t), D'(t) and D''(t) at t = X beta + alpha[vertex].
 
     They depend on (eta, p, y) but not on gamma, so a fit builds them
-    once per mean-step candidate and per index-grid point it visits, and
-    passes those of its accepted (eta, p) as ``exponent`` to every
-    likelihood function: the dispersion step's candidates and the next
-    mean derivatives reuse them. As for ``dispersion_terms``, the
-    caller checks the response's support.
+    once per mean-step or joint-step candidate and per index-grid point
+    it visits, and passes those of its accepted (eta, p) as
+    ``exponent`` to every likelihood function: the dispersion step's
+    candidates and the next mean derivatives reuse them. As for
+    ``dispersion_terms``, the caller checks the response's support.
     """
     # allocated before the pass's temporaries, as in dispersion_terms
     out = np.empty((3, data.n_rows))
@@ -511,6 +512,23 @@ def disp_derivatives(data: Dataset, terms: np.ndarray, exponent: np.ndarray):
     grad = -(data.Z.T @ (d0 * up + c1))
     hess = -(data.Z.T @ (data.Zt * (d0 * upp + c2)).T)
     return grad, 0.5 * (hess + hess.T)
+
+
+def hess_cross(data: Dataset, terms: np.ndarray, exponent: np.ndarray):
+    """The observed mean-dispersion cross block of the Hessian of the
+    negative log-likelihood: (h_gb, h_ga), the second derivatives in
+    (gamma, beta) and (gamma, alpha), of shapes (k_gamma, k_beta) and
+    (k_gamma, n_vertices), with row weight -D'(t) u'(s); ``terms`` (of
+    a member with a dispersion model) and ``exponent`` as in
+    ``neg_log_lik``. It is zero in expectation, but its observed value
+    is not zero away from the optimum. The weighted rows are formed on
+    ``data.Zt``, as ``disp_derivatives`` forms its own."""
+    zwt = data.Zt * (-exponent[1] * terms[3])
+    h_ga = np.empty((data.k_gamma, data.graph.n_vertices))
+    for j, row in enumerate(zwt):
+        h_ga[j] = np.bincount(data.vertex, weights=row,
+                              minlength=data.graph.n_vertices)
+    return zwt @ data.X, h_ga
 
 
 def grad_disp(data: Dataset, terms: np.ndarray,

@@ -1,16 +1,27 @@
-"""Three-block coordinate descent over (eta, gamma, p).
+"""Three-block coordinate descent over (eta, gamma, p), with a joint
+Newton step in (eta, gamma).
 
-Each outer iteration majorizes the objective in eta with a scaled
-Hessian c1 * H, solves the penalized linear system for eta*, refreshes
-the mean exponent at eta*, takes the analogous damped Newton step in
-gamma, and finally updates the index parameter by a walk on its grid
+The first iteration sweeps the blocks: it majorizes the objective in
+eta with a scaled Hessian c1 * H, solves the penalized linear system
+for eta*, refreshes the mean exponent at eta*, and takes the analogous
+damped Newton step in gamma. Mean and dispersion are orthogonal only
+in expected information (Smyth 1989): the observed cross block, with
+row weight -D'(t) u'(s), is not zero away from the optimum, so the
+sweep converges only linearly. From the second iteration on, a member
+with a dispersion model first tries one Newton step on the whole
+(beta, alpha, gamma) system, cross block included, at scaling 1 only;
+it solves through the mean step's partitioned solver with gamma beside
+beta in the dense block. When that step is rejected, or its system is
+not positive definite, the iteration takes the sweep instead. Every
+iteration ends by updating the index parameter by a walk on its grid
 from the current p to a local minimum of the likelihood in p (the grid
 minimum when the profile is unimodal; on a multimodal profile it may
 be a local one). Scaling constants are found by doubling until the
 step's system matrix is positive definite and the objective decrease
-clears the descent margin, and the index moves only when the
-likelihood does not rise, which makes the objective trace
-non-increasing by construction.
+clears the descent margin (for the joint step, the sum of the mean and
+dispersion margins), and the index moves only when the likelihood does
+not rise, which makes the objective trace non-increasing by
+construction.
 
 The index p lives in the ``FamilySpec`` alone: every likelihood
 block reads ``spec.p``. The descent holds its accepted point as one
@@ -23,15 +34,15 @@ visits. The fit checks the response against the member's support once.
 The dispersion-side block (``likelihood.dispersion_terms``: logC,
 u = w/h2(z'gamma) and their derivatives) does not depend on eta: a
 mean candidate reuses that of the held point, and it is replaced only
-when a dispersion step or an index move is accepted, so under the
-series normalizer an iteration sums the series only for the dispersion
-candidates and the grid points the walk visits. The mean exponent D,
-D', D'' (``likelihood.exponent_terms``) does not depend on gamma: a
-dispersion candidate reuses that of the held point, and it is replaced
-only when a mean step or an index move is accepted, so an iteration
-evaluates it once per mean candidate and per grid point the walk
-visits. The fit keeps one point and the previous objective value; its
-history is the coefficients alone.
+when a dispersion or joint step or an index move is accepted, so under
+the series normalizer an iteration sums the series only for the
+dispersion and joint candidates and the grid points the walk visits.
+The mean exponent D, D', D'' (``likelihood.exponent_terms``) does not
+depend on gamma: a dispersion candidate reuses that of the held point,
+and it is replaced only when a mean or joint step or an index move is
+accepted, so an iteration evaluates it once per mean or joint candidate
+and per grid point the walk visits. The fit keeps one point and the
+previous objective value; its history is the coefficients alone.
 """
 
 from __future__ import annotations
@@ -145,10 +156,13 @@ def _evaluate(data, theta, spec, links, pen, terms=None,
     ``exponent`` at theta's eta where one is given; ``fit`` checked the
     response's support. Raises where the likelihood is outside its
     domain or not finite, or the series normalizer cannot be summed."""
-    if terms is None:
-        terms = lik.dispersion_terms(data, theta, spec, links)
+    # The smaller block first: a joint candidate builds both, and built
+    # in the other order they made a 72 000-row fit fault in twice the
+    # memory pages, because the allocator handed freed pages back.
     if exponent is None:
         exponent = lik.exponent_terms(data, theta, spec, links)
+    if terms is None:
+        terms = lik.dispersion_terms(data, theta, spec, links)
     return _Point(theta, spec, lik.neg_log_lik(terms, exponent), pen, terms,
                   exponent)
 
@@ -179,13 +193,20 @@ def _chol_solve(mat: np.ndarray, rhs: np.ndarray):
 def _block_derivatives(step_kind: str, data: Dataset, point: _Point):
     """What a block step needs of the likelihood at the held ``point``,
     none of which depends on the scaling constant: (grad, H, H @ eta)
-    for the mean, (grad, H) for the dispersion, from the point's two
-    blocks."""
+    for the mean, (grad, H) for the dispersion, and for the joint step
+    (grad over (beta, alpha, gamma), the mean H, (H in gamma, h_gb,
+    h_ga)), the last two the cross block of ``lik.hess_cross``; all from
+    the point's two blocks."""
+    terms, exponent = point.terms, point.exponent
+    if step_kind == "disp":
+        return lik.disp_derivatives(data, terms, exponent)
+    hess = lik.hess_mean(data, terms, exponent)
+    grad = lik.grad_mean(data, terms, exponent)
     if step_kind == "mean":
-        hess = lik.hess_mean(data, point.terms, point.exponent)
-        return (lik.grad_mean(data, point.terms, point.exponent), hess,
-                hess.matvec(point.theta.eta))
-    return lik.disp_derivatives(data, point.terms, point.exponent)
+        return grad, hess, hess.matvec(point.theta.eta)
+    g_gamma, h_gg = lik.disp_derivatives(data, terms, exponent)
+    return (np.concatenate([grad, g_gamma]), hess,
+            (h_gg, *lik.hess_cross(data, terms, exponent)))
 
 
 def solve_mean_step(penalty: PenaltyConfig, c1: float,
@@ -206,52 +227,92 @@ def solve_mean_step(penalty: PenaltyConfig, c1: float,
     return out
 
 
+def solve_joint_step(theta: Coefficients, penalty: PenaltyConfig, c: float,
+                     derivs) -> np.ndarray:
+    """Solve [P + c*H] delta = -(g + P theta) for the packed theta + delta.
+
+    The system is the whole (beta, alpha, gamma) one: H is the observed
+    Hessian of the negative log-likelihood, its mean-dispersion cross
+    block included, g its gradient and P the penalty's matrix; with
+    c = 1 this is a Newton step on the objective. ``derivs`` are as
+    ``_block_derivatives`` makes them for the joint step. The joint
+    Hessian can be indefinite away from the optimum; such a system is
+    not repaired but raises SingularSystemError, as one that is not
+    positive (with l1 = 0, semi-)definite does.
+    """
+    g, hess, gamma_block = derivs
+    vec = theta.as_vector()
+    delta = _sparse_schur_solve(hess, penalty, c, -(g + penalty.gradient(vec)),
+                                gamma_block)
+    if delta is None:
+        raise SingularSystemError("joint-step system not positive definite")
+    return vec + delta
+
+
 def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
-                        rhs: np.ndarray):
+                        rhs: np.ndarray, gamma_block=None):
     """Partitioned solve through the sparse spatial block.
 
     S22 = l1*I + l2*Laplacian + c1*diag(H_aa) is a sparse GMRF precision,
     factored by the penalty's ``alpha_band`` (banded
     Cholesky in reverse Cuthill-McKee order). The same factor solves for
-    rhs_a and the k_beta columns of A21, and the dense k_beta x k_beta
-    Schur complement A11 - A12 S22^{-1} A21 then closes the beta part,
-    by Cholesky when l1 > 0 and by ``_min_norm_close`` when l1 = 0.
-    Returns None when the system is not positive definite, or with
-    l1 = 0 not positive semidefinite.
+    rhs_a and the columns of A21, and the dense Schur complement
+    A11 - A12 S22^{-1} A21 then closes the dense part, by Cholesky when
+    l1 > 0 and by ``_min_norm_close`` when l1 = 0. The dense part is
+    beta for the mean step. With ``gamma_block`` = (H_gg, H_gb, H_ga),
+    the Hessian's gamma block and its cross blocks with beta and alpha,
+    the system is the joint one over (beta, alpha, gamma), ``rhs`` and
+    the solution are packed in that order, and the dense part is (beta,
+    gamma), with the gamma ridge on its diagonal. Returns None when the
+    system is not positive definite, or with l1 = 0 not positive
+    semidefinite.
 
     With l1 = 0 a component of ``penalty.alpha_components`` that no row
     reaches has no Hessian entry and is decoupled from the rest. A fit's
     right-hand side is 0 there, and a unit diagonal makes the band
     return its minimum-norm alpha, 0; else there is no solution (None).
     """
-    kb = penalty.k_beta
-    a12 = c1 * hess.h_ba
+    kb, nv = penalty.k_beta, penalty.n_vertices
+    a11 = c1 * hess.h_bb
+    if penalty.mode is PenaltyMode.SPATIAL_PLUS_RIDGE:
+        a11 = a11 + penalty.lambda1 * np.eye(kb)
+    cross, rhs_d = hess.h_ba, rhs[:kb]        # the dense part against alpha
+    if gamma_block is not None:
+        h_gg, h_gb, h_ga = gamma_block
+        dense = np.empty((kb + h_gg.shape[0],) * 2)
+        dense[:kb, :kb], dense[kb:, kb:] = a11, c1 * h_gg
+        dense[kb:, :kb] = c1 * h_gb
+        dense[:kb, kb:] = dense[kb:, :kb].T
+        dense[kb:, kb:] += penalty.gamma_ridge() * np.eye(h_gg.shape[0])
+        a11, cross = dense, np.vstack([cross, h_ga])
+        rhs_d = np.concatenate([rhs_d, rhs[kb + nv:]])
+    a12 = c1 * cross
     diag = c1 * hess.h_aa_diag
     singular = penalty.lambda1 == 0
     if singular:
         labels = penalty.alpha_components
-        touched = (hess.h_aa_diag != 0) | np.any(hess.h_ba != 0, axis=0)
+        touched = (hess.h_aa_diag != 0) | np.any(cross != 0, axis=0)
         loose = np.bincount(labels, weights=touched)[labels] == 0
-        if np.any(rhs[kb:][loose] != 0):
+        if np.any(rhs[kb:kb + nv][loose] != 0):
             return None
     sol = penalty.alpha_band.solve(diag + loose if singular else diag,
-                                   np.column_stack([rhs[kb:], a12.T]))
+                                   np.column_stack([rhs[kb:kb + nv], a12.T]))
     if sol is None:
         return None
     v, x_cols = sol[:, 0], sol[:, 1:]         # S22^{-1} rhs_a, S22^{-1} A21
-    if kb == 0:
+    if a11.size == 0:
         return v
-    a11 = c1 * hess.h_bb
-    if penalty.mode is PenaltyMode.SPATIAL_PLUS_RIDGE:
-        a11 = a11 + penalty.lambda1 * np.eye(kb)
-    schur, r_beta = a11 - a12 @ x_cols, rhs[:kb] - a12 @ v
+    schur, r_dense = a11 - a12 @ x_cols, rhs_d - a12 @ v
     if singular:
         tol = SCHUR_NULL_TOL * max(np.abs(a11).max(), np.abs(diag).max())
-        return _min_norm_close(schur, r_beta, v, x_cols, tol)
-    beta_star = _chol_solve(schur, r_beta)
-    if beta_star is None:
-        return None
-    return np.concatenate([beta_star, v - x_cols @ beta_star])
+        out = _min_norm_close(schur, r_dense, v, x_cols, tol)
+    else:
+        star = _chol_solve(schur, r_dense)
+        out = (None if star is None
+               else np.concatenate([star, v - x_cols @ star]))
+    if out is None or gamma_block is None:
+        return out
+    return np.concatenate([out[:kb], out[-nv:], out[kb:-nv]])
 
 
 def _min_norm_close(schur, r_beta, v, x_cols, tol):
@@ -325,6 +386,9 @@ def _descent_margin(penalty: PenaltyConfig, step_kind: str, theta_old,
     lam = penalty.lambda1
     if lam == 0:
         return 0.0
+    if step_kind == "joint":
+        return sum(_descent_margin(penalty, kind, theta_old, theta_new)
+                   for kind in ("mean", "disp"))
     if penalty.mode is PenaltyMode.SPATIAL_ONLY:
         if step_kind == "mean":
             d = theta_new.alpha - theta_old.alpha
@@ -356,26 +420,38 @@ def _scaled_step(step_kind: str, data, point: _Point, links, penalty):
     spec. A mean candidate keeps gamma, so it is evaluated with the
     point's dispersion terms and its own mean exponent; a dispersion
     candidate keeps eta, so it is evaluated with the point's mean
-    exponent and its own terms. Returns (c, the accepted point). Raises
-    ScalingError after the doubling budget; reason
-    "not-positive-definite" when no system ever factored, "no-decrease"
-    otherwise.
+    exponent and its own terms. The joint step ("joint") moves every
+    coefficient, so its candidate builds both blocks; it tries c = 1
+    only, the Newton step, and its margin is the sum of the mean and
+    dispersion margins. Returns (c, the accepted point). Raises
+    ScalingError after the doubling budget (for the joint step, after
+    its one try); reason "not-positive-definite" when no system ever
+    factored, "no-decrease" otherwise.
     """
-    if step_kind not in ("mean", "disp"):
-        raise ConfigError("step_kind must be 'mean' or 'disp'")
+    if step_kind not in ("mean", "disp", "joint"):
+        raise ConfigError("step_kind must be 'mean', 'disp' or 'joint'")
     theta, spec = point.theta, point.spec
     derivs = _block_derivatives(step_kind, data, point)
     if step_kind == "mean":
         def solve(c):
             return solve_mean_step(penalty, c, derivs)
         with_block, held = theta.with_eta, {"terms": point.terms}
-    else:
+    elif step_kind == "disp":
         def solve(c):
             return solve_disp_step(theta.gamma, penalty, c, derivs)
         with_block, held = theta.with_gamma, {"exponent": point.exponent}
+    else:
+        def solve(c):
+            return solve_joint_step(theta, penalty, c, derivs)
+
+        def with_block(vec):
+            kb, nv = theta.beta.size, theta.alpha.size
+            return Coefficients(vec[:kb], vec[kb:kb + nv], vec[kb + nv:])
+        held = {}
+    doublings = 0 if step_kind == "joint" else MAX_DOUBLINGS
     c = 1.0
     solvable_seen = False
-    for _ in range(MAX_DOUBLINGS + 1):
+    for _ in range(doublings + 1):
         cand = _try_candidate(solve, with_block, c)
         if cand is not None:
             solvable_seen = True
@@ -390,7 +466,7 @@ def _scaled_step(step_kind: str, data, point: _Point, links, penalty):
     reason = "no-decrease" if solvable_seen else "not-positive-definite"
     raise ScalingError(
         f"no majorization constant found for the {step_kind} step after "
-        f"{MAX_DOUBLINGS} doublings", reason=reason)
+        f"{doublings} doublings", reason=reason)
 
 
 def update_index(data: Dataset, point: _Point, links: LinkPair,
@@ -464,6 +540,10 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
         init: Coefficients | None = None) -> FitResult:
     """Run the coordinate descent to convergence of the objective.
 
+    Each iteration from the second on first tries the joint step
+    (members with a dispersion model only) and sweeps the mean and
+    dispersion blocks when it is rejected; the index walk follows.
+
     Stops when the per-iteration objective decrease falls below
     ``EPS_CONVERGE`` or after ``MAX_ITERS`` iterations. A compound fit
     starts at the grid point nearest spec.p; a response outside the
@@ -510,7 +590,15 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
 
     for iters in range(1, MAX_ITERS + 1):
         f_prev = point.f
-        for kind in steps:
+        kinds = steps
+        if has_disp and iters > 1:
+            try:
+                _, point = _scaled_step("joint", data, point, links,
+                                        config.penalty)
+                kinds = ()
+            except ScalingError:
+                pass        # rejected or indefinite: the sweep instead
+        for kind in kinds:
             try:
                 _, point = _scaled_step(kind, data, point, links,
                                         config.penalty)

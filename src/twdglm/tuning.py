@@ -47,11 +47,17 @@ class GridSpec:
 
 @dataclass
 class SurfaceCell:
+    """One grid cell: its hold-out deviance, whether its fit converged
+    and in how many iterations (0 where the fit raised), and for a
+    failed cell the class name of the error (empty where it fitted)."""
+
     log_lambda1: float
     log_lambda2: float
     deviance: float
     converged: bool
     failed: bool = False
+    iters: int = 0
+    error: str = ""
 
 
 @dataclass
@@ -125,16 +131,19 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
                                    data.graph, data.k_gamma)
         cfg = replace(config_template, penalty=penalty)
         spec_cell = spec if carry_p is None else spec.with_p(carry_p)
+        res = None
         try:
             res = fit(train, spec_cell, links, cfg, init=carry)
             dev = weighted_deviance(hold, res.theta_hat.eta,
                                     spec.with_p(res.p_hat), links.mean)
-        except TwdglmError:
-            surface.append(SurfaceCell(float(ll1), float(ll2),
-                                       float("nan"), False, failed=True))
+        except TwdglmError as err:
+            surface.append(SurfaceCell(
+                float(ll1), float(ll2), float("nan"), False, failed=True,
+                iters=res.iters if res is not None else 0,
+                error=type(err).__name__))
             continue
         surface.append(SurfaceCell(float(ll1), float(ll2), dev,
-                                   res.converged))
+                                   res.converged, iters=res.iters))
         carry, carry_p = res.theta_hat, res.p_hat
         if np.isfinite(dev) and (best is None or dev < best[0]):
             best = (dev, float(ll1), float(ll2), res)
@@ -150,7 +159,9 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
 def export_surface(path, surface) -> None:
     """Write the deviance surface as tab-delimited text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("log_lambda1\tlog_lambda2\tholdout_deviance\tconverged\n")
+        fh.write("log_lambda1\tlog_lambda2\tholdout_deviance\tconverged"
+                 "\titers\terror\n")
         for cell in surface:
             fh.write(f"{cell.log_lambda1:.17g}\t{cell.log_lambda2:.17g}\t"
-                     f"{cell.deviance:.17g}\t{int(cell.converged)}\n")
+                     f"{cell.deviance:.17g}\t{int(cell.converged)}\t"
+                     f"{cell.iters}\t{cell.error}\n")

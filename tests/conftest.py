@@ -202,6 +202,46 @@ def dense_mean_step(data, theta, spec, links, pen, c1):
     return linalg.cho_solve(factor, rhs)
 
 
+def dense_joint_hessian(hess, gamma_block) -> np.ndarray:
+    """A ``MeanHessian`` and the (H_gg, H_gb, H_ga) of a joint step as one
+    dense (beta, alpha, gamma) matrix."""
+    h_gg, h_gb, h_ga = gamma_block
+    m = hess.h_aa_diag.size + hess.h_bb.shape[0]
+    out = np.zeros((m + h_gg.shape[0],) * 2)
+    out[:m, :m] = dense_hessian(hess)
+    out[m:, :m] = np.hstack([h_gb, h_ga])
+    out[:m, m:] = out[m:, :m].T
+    out[m:, m:] = h_gg
+    return out
+
+
+def dense_joint_matrix(hess, gamma_block, pen, c) -> np.ndarray:
+    """Dense joint-step matrix c*H + l1*I0 + l2*W0 over (beta, alpha,
+    gamma)."""
+    return c * dense_joint_hessian(hess, gamma_block) \
+        + pen.lambda1 * identity_block(pen) + pen.lambda2 * laplacian_block(pen)
+
+
+def dense_joint_step(data, theta, spec, links, pen, c):
+    """Reference theta* of one joint step, packed as (beta, alpha,
+    gamma), by dense Cholesky of [l1*I0 + l2*W0 + c*H] theta* =
+    c*H theta - grad over the whole system, with H's cross block taken
+    from ``hess_cross``; None when the system is not positive definite.
+    ``dense_mean_step`` is its mean block alone."""
+    held = blocks(data, theta, spec, links)
+    g_gamma, h_gg = lik.disp_derivatives(data, *held)
+    hess = hess_mean(data, *held)
+    gamma_block = (h_gg, *lik.hess_cross(data, *held))
+    rhs = c * dense_joint_hessian(hess, gamma_block) @ theta.as_vector() \
+        - np.concatenate([grad_mean(data, *held), g_gamma])
+    try:
+        factor = linalg.cho_factor(dense_joint_matrix(hess, gamma_block, pen,
+                                                      c))
+    except linalg.LinAlgError:
+        return None
+    return linalg.cho_solve(factor, rhs)
+
+
 def min_norm_mean_solve(hess, pen, c1, rhs, rcond=None) -> np.ndarray:
     """Minimum-norm least-squares solution of the dense mean-step system,
     singular values up to ``rcond`` times the largest taken as zero
@@ -222,8 +262,9 @@ def min_norm_mean_step(penalty, c1, derivs):
 
 def dense_fisher_information(data, theta_hat, spec_hat, links):
     """Observed information over (beta, alpha, gamma) as one dense
-    matrix, the mean-dispersion cross block zero; the oracle for the
-    blocks of ``inference.fisher_information``."""
+    matrix, with the mean-dispersion cross block left at zero, its
+    expectation, as the Wald rows take it; the oracle for the blocks of
+    ``inference.fisher_information``."""
     held = blocks(data, theta_hat, spec_hat, links)
     mean_block = dense_hessian(hess_mean(data, *held))
     kg = data.k_gamma
@@ -291,25 +332,25 @@ def cumulant_of_mu(spec, mu):
 
 def mean_exponent_generic(data, spec, kind, t):
     """Chain-rule D(t), D'(t), D''(t) through the canonical map at
-    spec.p; the oracle for the closed forms in
-    ``likelihood._mean_exponent``."""
+    spec.p, from the natural parameter theta(t) = theta(h(t)) of
+    ``natural_from_predictor``: D = y theta(t) - kappa, D' = theta'(t)
+    (y - mu) and D'' = theta''(t) (y - mu) - h'(t) theta'(t); the oracle
+    for the closed forms in ``likelihood._mean_exponent``."""
     y = data.ystar
     mu = link_inverse(kind, t)
-    fam.check_mean_space(spec, mu, what="h1(t)")
-    h1p = link_inverse(kind, t, 1)
-    h1pp = link_inverse(kind, t, 2)
-    theta1 = theta_of_mu(spec, mu, 1)
-    theta2 = theta_of_mu(spec, mu, 2)
-    d0 = y * theta_of_mu(spec, mu, 0) - cumulant_of_mu(spec, mu)
-    d1 = theta1 * h1p * (y - mu)
-    d2 = (theta2 * h1p ** 2 + theta1 * h1pp) * (y - mu) - h1p ** 2 * theta1
+    nat1 = natural_from_predictor(spec, kind, t, 1)
+    d0 = y * natural_from_predictor(spec, kind, t) - cumulant_of_mu(spec, mu)
+    d1 = nat1 * (y - mu)
+    d2 = (natural_from_predictor(spec, kind, t, 2) * (y - mu)
+          - link_inverse(kind, t, 1) * nat1)
     return d0, d1, d2
 
 
 def natural_from_predictor(spec, kind, t, order=0):
     """Canonical parameter theta(h(t)) of the mean predictor (order 0)
     and its first two t-derivatives by the chain rule; the composition
-    that the closed forms in ``likelihood._mean_exponent`` fold in."""
+    that the closed forms in ``likelihood._mean_exponent`` fold in, and
+    from which ``mean_exponent_generic`` builds its oracle."""
     scalar = np.ndim(t) == 0
     mu = link_inverse(kind, t)
     fam.check_mean_space(spec, mu, what="h(t)")

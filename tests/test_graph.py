@@ -9,7 +9,7 @@ from conftest import (c_order_band_solve, identity_block, laplacian_block,
                       penalty_mask)
 from twdglm.errors import ConfigError, SchemaError
 from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
-                          build_laplacian, lattice_graph)
+                          build_laplacian, lattice_graph, lower_band)
 
 
 def path_graph(n):
@@ -125,6 +125,25 @@ class TestLowerBand:
         perm = np.ix_(band.order, band.order)
         np.testing.assert_array_equal(
             band_to_dense(band.ab), pen.alpha_penalty_matrix().toarray()[perm])
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(0.7, 1.3), (2.0, 1e-3),
+                                                 (1e-3, 5.0)])
+    def test_graph_layout_equals_own_layout(self, lambda1, lambda2):
+        """With both multipliers positive, the penalty's band is the
+        graph's Laplacian band scaled: bit for bit the band and order it
+        would lay out itself, on a shuffled lattice and on a star with
+        isolated vertices."""
+        for g in (shuffled_lattice(6, 7, seed=4),
+                  ArealGraph.from_edges(9, [(4, i) for i in (0, 2, 6, 7, 8)])):
+            pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, lambda1, lambda2,
+                                   1, g, 1)
+            own = lower_band(pen.alpha_penalty_matrix())
+            assert pen.alpha_band.ab.flags.f_contiguous
+            np.testing.assert_array_equal(pen.alpha_band.order, own.order)
+            np.testing.assert_array_equal(pen.alpha_band.ab, own.ab)
+            other = assemble_penalty(PenaltyMode.SPATIAL_PLUS_RIDGE, 1.0, 1.0,
+                                     1, g, 1)
+            assert other.alpha_band.order is pen.alpha_band.order
 
     def test_solve_in_vertex_order(self):
         g = shuffled_lattice(4, 5, seed=2)
@@ -261,6 +280,19 @@ class TestPenaltyAssembly:
                 v = rng.normal(0, 1, pen.dim)
                 expected = 0.5 * (a_mask @ v) @ big @ (a_mask @ v)
                 assert pen.value(v) == pytest.approx(expected)
+
+    def test_gradient_matches_matrix_form(self):
+        """The gradient is (l1*I0 + l2*W0) theta, on a graph with an
+        isolated vertex."""
+        g = ArealGraph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+        rng = np.random.default_rng(2)
+        for mode in PenaltyMode:
+            pen = assemble_penalty(mode, 0.4, 1.7, 3, g, 2)
+            big = 0.4 * identity_block(pen) + 1.7 * laplacian_block(pen)
+            for _ in range(20):
+                v = rng.normal(0, 1, pen.dim)
+                np.testing.assert_allclose(pen.gradient(v), big @ v,
+                                           rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("k_beta", [0, 3])
     def test_eta_matrix_matches_blocks(self, k_beta):

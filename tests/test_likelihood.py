@@ -242,6 +242,44 @@ class TestDispDerivatives:
                       / (1e-8 + np.abs(g_series))) < 0.05
 
 
+# every member/mean-link pair with a dispersion model, the compound
+# member under both normalizers
+CROSS_CASES = [(m, link, a) for m in DISP_MEMBERS
+               for link in MEAN_LINKS_BY_MEMBER[m]
+               for a in (list(Approx) if m is Member.COMPOUND_POISSON_GAMMA
+                         else [Approx.SERIES])]
+
+
+class TestHessCross:
+    @pytest.mark.parametrize(
+        "member, mean_link, approx", CROSS_CASES,
+        ids=lambda v: v.value if hasattr(v, "value") else v)
+    @pytest.mark.parametrize("disp_link", ["log", "identity"])
+    def test_matches_finite_differences_of_mean_gradient(
+            self, member, mean_link, approx, disp_link):
+        """h_gb and h_ga are the gamma-derivatives of grad_mean's beta
+        and alpha parts; the lattice has a vertex without rows, whose
+        column is zero."""
+        data, theta, spec, links = make_instance(
+            member, mean_link, disp_link=disp_link, n=40, cols=6, seed=4,
+            approx=approx)
+        data = Dataset(data.y, data.w, data.vertex % 5, data.X, data.Z,
+                       data.graph)
+        h_gb, h_ga = lik.hess_cross(data, *blocks(data, theta, spec, links))
+        assert h_gb.shape == (data.k_gamma, data.k_beta)
+        assert h_ga.shape == (data.k_gamma, data.graph.n_vertices)
+        assert np.all(h_ga[:, 5] == 0.0)
+
+        def grad_at(ga):
+            return grad_mean(data, *blocks(data, theta.with_gamma(ga),
+                                           spec, links))
+
+        fd = fd_jacobian(grad_at, theta.gamma)
+        kb = data.k_beta
+        assert rel_err(h_gb, fd[:kb].T, floor=1e-6) < 1e-4
+        assert rel_err(h_ga, fd[kb:].T, floor=1e-6) < 1e-4
+
+
 class TestClosedFormVsGeneric:
     @pytest.mark.parametrize("member", list(Member),
                              ids=lambda m: m.value)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (MEAN_LINKS_BY_MEMBER, blocks, dense_hessian,
+                      dense_joint_matrix, dense_joint_step,
                       dense_mean_matrix, dense_mean_step, make_instance,
                       min_norm_mean_solve, min_norm_mean_step, nll_at,
                       scan_update_index, spec_for, step_derivs)
@@ -254,9 +255,215 @@ class TestSparseSolveProperties:
             1e-8 * max(1.0, float(np.abs(want).max()))
 
 
+@st.composite
+def joint_systems(draw):
+    """A joint-step system over (beta, alpha, gamma) on a graph drawn as
+    in ``mean_systems``: the mean part is built from row weights as
+    there, and one to three dispersion columns Z are coupled to it and
+    to themselves by two more row weights, as in a fit's Hessian.
+    Negative weights make it indefinite. With lambda1 = 0 the right-hand
+    side is the system applied to a vector that is 0 at every vertex no
+    row reaches, so it is consistent and 0 there, as in a fit."""
+    graph = draw(spatial_graphs())
+    nv = graph.n_vertices
+    kb, kg = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(0, 60))
+    vertex = draw(arrays(np.int64, n, elements=st.integers(0, nv - 1)))
+    lambda1 = draw(st.one_of(st.floats(0.01, 3), st.just(0.0)))
+    values, weights = st.floats(-2, 2), st.floats(-3, 3)
+    if lambda1 == 0:
+        # on a grid of quarters, as in mean_systems
+        values = st.integers(-8, 8).map(lambda k: k / 4)
+        weights = draw(st.sampled_from([st.integers(1, 12),
+                                        st.integers(-12, 12).filter(bool)])
+                       ).map(lambda k: k / 4)
+    x = draw(arrays(np.float64, (n, kb), elements=values))
+    z = draw(arrays(np.float64, (n, kg), elements=values))
+    q, r = (draw(arrays(np.float64, n, elements=weights)) for _ in "qr")
+    w = draw(arrays(np.float64, n, elements=values))
+    indicators = np.zeros((n, nv))
+    indicators[np.arange(n), vertex] = 1.0
+    hess = MeanHessian(x.T @ (q[:, None] * x),
+                       x.T @ (q[:, None] * indicators),
+                       np.bincount(vertex, weights=q, minlength=nv))
+    # a positive diagonal keeps the gamma block from being singular, as
+    # a fit's rank check on Z does
+    d = draw(arrays(np.float64, kg,
+                    elements=st.integers(1, 12).map(lambda k: k / 4)))
+    gamma_block = (z.T @ (r[:, None] * z) + np.diag(d),
+                   z.T @ (w[:, None] * x), z.T @ (w[:, None] * indicators))
+    if lambda1 == 0:
+        touched = ((hess.h_aa_diag != 0) | np.any(hess.h_ba != 0, axis=0)
+                   | np.any(gamma_block[2] != 0, axis=0))
+        assume(np.all(touched[vertex]))
+    small = st.floats(1e-3 if lambda1 == 0 else 0, 0.01)
+    lambda2 = draw(st.one_of(st.floats(0.01, 3), small, st.just(0.0)))
+    pen = assemble_penalty(draw(st.sampled_from(list(PenaltyMode))),
+                           lambda1, lambda2, kb, graph, kg)
+    c = draw(st.floats(0.5, 4))
+    u = draw(arrays(np.float64, kb + nv + kg, elements=st.floats(-2, 2)))
+    if lambda1 == 0:
+        u[kb:kb + nv][np.bincount(vertex, minlength=nv) == 0] = 0.0
+        rhs = dense_joint_matrix(hess, gamma_block, pen, c) @ u
+    else:
+        rhs = u
+    return hess, gamma_block, pen, c, rhs
+
+
+class TestJointSolveProperties:
+    """The joint solve against the dense oracle over the whole system,
+    with the eigenvalue rules and tolerance of the mean-step test."""
+
+    MARGIN = TestSparseSolveProperties.MARGIN
+    NULL = TestSparseSolveProperties.NULL
+
+    @settings(max_examples=300)
+    @given(joint_systems())
+    def test_matches_dense_oracle_or_rejects(self, system):
+        hess, gamma_block, pen, c, rhs = system
+        mat = dense_joint_matrix(hess, gamma_block, pen, c)
+        eigs = np.linalg.eigvalsh(mat)
+        scale = float(np.abs(eigs).max())
+        if pen.lambda1 > 0:
+            scale = max(1.0, scale)
+        near_zero = np.abs(eigs) <= self.MARGIN * scale
+        got = _sparse_schur_solve(hess, pen, c, rhs, gamma_block)
+        if eigs.min() < -self.MARGIN * scale:
+            assert got is None
+            return
+        if pen.lambda1 > 0 and not near_zero.any():
+            want = np.linalg.solve(mat, rhs)
+        elif pen.lambda1 == 0 and np.all(
+                np.abs(eigs[near_zero]) <= self.NULL * scale):
+            want, *_ = np.linalg.lstsq(mat, rhs, rcond=self.NULL)
+        else:
+            return
+        assert got is not None
+        assert np.max(np.abs(got - want)) <= \
+            1e-8 * max(1.0, float(np.abs(want).max()))
+
+
+    def test_zero_lambda1_vertex_coupled_only_through_gamma(self):
+        """Vertex 1's rows cancel in its mean Hessian entry but not in
+        its cross entry with gamma: it is not a rowless vertex, and the
+        system, with a zero diagonal entry in a nonzero row, is
+        indefinite."""
+        graph = ArealGraph.from_edges(2, [])
+        hess = MeanHessian(np.zeros((0, 0)), np.zeros((0, 2)),
+                           np.array([1.0, 0.0]))
+        gamma_block = (np.array([[2.0]]), np.zeros((1, 0)),
+                       np.array([[0.5, 1.0]]))
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.0, 0.0, 0, graph,
+                               1)
+        assert np.linalg.eigvalsh(
+            dense_joint_matrix(hess, gamma_block, pen, 1.0)).min() < 0
+        assert _sparse_schur_solve(hess, pen, 1.0, np.array([1.0, 0.0, 1.0]),
+                                   gamma_block) is None
+
+
+class TestSolveJointStep:
+    @pytest.mark.parametrize("mode", list(PenaltyMode))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_solve_matches_dense(self, mode, seed):
+        data, theta, spec, links = make_instance(
+            Member.COMPOUND_POISSON_GAMMA, "log", n=120, rows=2, cols=5,
+            k_beta=3, seed=seed)
+        pen = assemble_penalty(mode, 0.8, 1.3, data.k_beta, data.graph,
+                               data.k_gamma)
+        dense = dense_joint_step(data, theta, spec, links, pen, c=2.0)
+        block = opt.solve_joint_step(theta, pen, 2.0, step_derivs(
+            "joint", data, theta, spec, links))
+        assert dense is not None
+        assert np.max(np.abs(dense - block)) < 1e-8
+
+    def test_not_positive_definite_raises(self):
+        data, theta, spec, links = make_instance(
+            Member.COMPOUND_POISSON_GAMMA, "log", n=120, rows=2, cols=5,
+            seed=0)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1e-3, 0.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        with pytest.raises(SingularSystemError, match="not positive"):
+            opt.solve_joint_step(theta, pen, -1.0, step_derivs(
+                "joint", data, theta, spec, links))
+
+    @pytest.mark.parametrize("mode", list(PenaltyMode))
+    def test_margin_is_the_sum_of_the_block_margins(self, mode):
+        data, theta, spec, links = make_instance(
+            Member.GAMMA, "log", n=60, seed=3)
+        pen = assemble_penalty(mode, 0.7, 1.0, data.k_beta, data.graph,
+                               data.k_gamma)
+        moved = Coefficients(theta.beta + 0.1, theta.alpha - 0.2,
+                             theta.gamma + 0.3)
+        want = sum(opt._descent_margin(pen, kind, theta, moved)
+                   for kind in ("mean", "disp"))
+        assert want > 0
+        assert opt._descent_margin(pen, "joint", theta, moved) == want
+
+
+class TestJointStepInFit:
+    @staticmethod
+    def _kinds(monkeypatch):
+        kinds, raw = [], opt._scaled_step
+
+        def spy(kind, *args):
+            kinds.append(kind)
+            return raw(kind, *args)
+
+        monkeypatch.setattr(opt, "_scaled_step", spy)
+        return kinds
+
+    def _instance(self):
+        gen = FamilySpec.compound_poisson_gamma(1.5)
+        data, _ = make_dataset(1500, 3, 4, "smooth", gen, 0.2, seed=61)
+        spec = FamilySpec.compound_poisson_gamma(1.5,
+                                                 approx=Approx.SADDLEPOINT)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        return data, spec, LinkPair.of("log", "log"), FitConfig(
+            penalty=pen, p_grid=np.array([1.5]))
+
+    def test_tried_from_the_second_iteration(self, monkeypatch):
+        """The first iteration sweeps; each later one tries the joint
+        step first, and sweeps only when it is rejected."""
+        kinds = self._kinds(monkeypatch)
+        res = fit(*self._instance())
+        assert res.converged and res.iters >= 3
+        assert kinds[:3] == ["mean", "disp", "joint"]
+        assert kinds.count("joint") == res.iters - 1
+        swept = kinds.count("mean")
+        assert kinds.count("disp") == swept >= 1
+
+    def test_rejected_joint_step_falls_back_to_the_sweep(self,
+                                                         monkeypatch):
+        def indefinite(*_):
+            raise SingularSystemError("joint-step system not positive "
+                                      "definite")
+
+        data, spec, links, cfg = self._instance()
+        want = fit(data, spec, links, cfg)
+        monkeypatch.setattr(opt, "solve_joint_step", indefinite)
+        kinds = self._kinds(monkeypatch)
+        res = fit(data, spec, links, cfg)
+        assert res.converged and res.iters > want.iters
+        assert kinds.count("mean") == kinds.count("disp") == res.iters
+        assert kinds.count("joint") == res.iters - 1
+        np.testing.assert_allclose(res.objective_trace[-1],
+                                   want.objective_trace[-1], rtol=1e-10)
+
+    def test_never_tried_without_a_dispersion_model(self, monkeypatch):
+        data, theta, spec, links = make_instance(Member.POISSON, "log",
+                                                 n=200, seed=7)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        kinds = self._kinds(monkeypatch)
+        res = fit(data, spec, links, FitConfig(penalty=pen))
+        assert res.iters >= 2 and set(kinds) == {"mean"}
+
+
 class TestBandLayout:
-    """The spatial band is laid out once per penalty and reused by every
-    mean-step solve made with it."""
+    """The spatial band is laid out once per graph and reused by every
+    mean-step solve made with a penalty on it, whatever its positive
+    multipliers."""
 
     @staticmethod
     def _count(call):
@@ -292,7 +499,7 @@ class TestBandLayout:
             lambda: grid_search(data, spec, links, cfg, grid))
         assert not any(cell.failed for cell in res.surface)
         assert solves > 2 * len(res.surface)
-        assert layouts == len(res.surface)
+        assert layouts == 1
 
 
 class TestSolveDispStep:
@@ -402,7 +609,7 @@ class TestChooseScaling:
         _, new = _scaled_step("mean", data, point, links, pen)
         assert new.f <= f0
 
-    @pytest.mark.parametrize("kind", ["mean", "disp"])
+    @pytest.mark.parametrize("kind", ["mean", "disp", "joint"])
     def test_returns_the_candidates_normalizer_terms(self, kind):
         data, theta, spec, links = make_instance(
             Member.COMPOUND_POISSON_GAMMA, "log", n=200, seed=5)
@@ -506,8 +713,8 @@ class TestUpdateIndex:
 
     def test_series_passes_per_iteration(self, monkeypatch):
         """A criterion-6 fit sums the series once at the start, then per
-        iteration once for the dispersion candidate and twice for the
-        walk's neighbours."""
+        iteration once for the dispersion or joint candidate and twice
+        for the walk's neighbours."""
         gen = FamilySpec.compound_poisson_gamma(1.5)
         data, _ = make_dataset(5000, 5, 5, "smooth", gen, 0.3, seed=200)
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
@@ -525,9 +732,9 @@ class TestUpdateIndex:
 
     def test_mean_exponent_passes_per_candidate(self, monkeypatch):
         """A fixed-p saddlepoint fit evaluates the mean exponent once at
-        the start and once per mean-step candidate: the mean and
-        dispersion derivatives and the dispersion candidates reuse that
-        of the accepted eta."""
+        the start and once per mean-step or joint-step candidate: the
+        mean and dispersion derivatives and the dispersion candidates
+        reuse that of the accepted eta."""
         gen = FamilySpec.compound_poisson_gamma(1.5)
         data, _ = make_dataset(2000, 4, 4, "smooth", gen, 0.2, seed=201)
         spec = FamilySpec.compound_poisson_gamma(1.5,
@@ -539,11 +746,13 @@ class TestUpdateIndex:
         monkeypatch.setattr(lik, "_mean_exponent",
                             lambda *a: passes.append(1) or raw(*a))
         with mock.patch.object(opt, "solve_mean_step",
-                               wraps=opt.solve_mean_step) as candidates:
+                               wraps=opt.solve_mean_step) as candidates, \
+                mock.patch.object(opt, "solve_joint_step",
+                                  wraps=opt.solve_joint_step) as joint:
             res = fit(data, spec, LinkPair.of("log", "log"),
                       FitConfig(penalty=pen, p_grid=np.array([1.5])))
         assert res.iters >= 3
-        assert len(passes) <= candidates.call_count + 1
+        assert len(passes) <= candidates.call_count + joint.call_count + 1
 
     @pytest.mark.parametrize("approx, p_grid", [
         (Approx.SERIES, np.round(np.arange(1.05, 1.951, 0.05), 10)),
@@ -553,7 +762,7 @@ class TestUpdateIndex:
         """The rows u = w/h2(z'gamma) are computed once per dispersion-side
         block, where the block is built, and the derivatives and the
         likelihood read them from it. At fixed p a block is built at the
-        start and per dispersion-step candidate only."""
+        start and per dispersion-step or joint-step candidate only."""
         gen = FamilySpec.compound_poisson_gamma(1.5)
         data, _ = make_dataset(2000, 4, 4, "smooth", gen, 0.2, seed=202)
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
@@ -565,14 +774,16 @@ class TestUpdateIndex:
         monkeypatch.setattr(lik, "dispersion_terms",
                             lambda *a: built.append(1) or raw_terms(*a))
         with mock.patch.object(opt, "solve_disp_step",
-                               wraps=opt.solve_disp_step) as candidates:
+                               wraps=opt.solve_disp_step) as candidates, \
+                mock.patch.object(opt, "solve_joint_step",
+                                  wraps=opt.solve_joint_step) as joint:
             res = fit(data, FamilySpec.compound_poisson_gamma(
                 1.5, approx=approx), LinkPair.of("log", "log"),
                 FitConfig(penalty=pen, p_grid=p_grid))
         assert res.iters >= 3
         assert len(scales) == len(built)
         if approx is Approx.SADDLEPOINT:
-            assert len(built) <= candidates.call_count + 1
+            assert len(built) <= candidates.call_count + joint.call_count + 1
 
     def test_recovers_generating_index_roughly(self):
         links = LinkPair.of("log", "log")

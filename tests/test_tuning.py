@@ -7,7 +7,7 @@ import pytest
 
 from conftest import spec_for
 from twdglm import tuning
-from twdglm.errors import ConfigError
+from twdglm.errors import ConfigError, ScalingError
 from twdglm.family import Approx, FamilySpec, Member, unit_deviance
 from twdglm.graph import PenaltyMode, assemble_penalty, lattice_graph
 from twdglm.likelihood import Dataset
@@ -194,6 +194,37 @@ class TestSurfaceExport:
         path = tmp_path / "surface.tsv"
         export_surface(path, res.surface)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == \
-            "log_lambda1\tlog_lambda2\tholdout_deviance\tconverged"
+        assert lines[0] == ("log_lambda1\tlog_lambda2\tholdout_deviance"
+                            "\tconverged\titers\terror")
         assert len(lines) == 3
+
+    def test_failed_cell_records_its_error(self, tmp_path, monkeypatch):
+        """A cell whose fit raises is kept on the surface with the
+        error's class name and no iterations; the cells that fit carry
+        their iteration counts and an empty error."""
+        data, oracle, spec, links, cfg = _cpg_instance(n=400, seed=11)
+        grid = GridSpec(np.array([-1.0, 0.0]), np.array([0.0, 1.0]), 0.6,
+                        seed=11)
+        calls, raw = [], tuning.fit
+
+        def second_cell_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ScalingError("no majorization constant found",
+                                   reason="no-decrease")
+            return raw(*args, **kwargs)
+
+        monkeypatch.setattr(tuning, "fit", second_cell_fails)
+        res = grid_search(data, spec, links, cfg, grid)
+        bad = res.surface[1]
+        assert [c.failed for c in res.surface] == [False, True, False, False]
+        assert bad.error == "ScalingError" and bad.iters == 0
+        assert np.isnan(bad.deviance) and not bad.converged
+        fitted = [c for c in res.surface if not c.failed]
+        assert all(c.error == "" and c.iters >= 1 for c in fitted)
+        path = tmp_path / "surface.tsv"
+        export_surface(path, res.surface)
+        rows = [line.split("\t") for line in path.read_text().splitlines()]
+        assert rows[0][-2:] == ["iters", "error"]
+        assert [r[-2:] for r in rows[1:]] == \
+            [[str(c.iters), c.error] for c in res.surface]
