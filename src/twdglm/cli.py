@@ -203,6 +203,9 @@ def _fit_dir_options(fit_dir) -> dict:
                 except ValueError:
                     raise SchemaError(f"{summary}: line {lineno}: bad "
                                       "p_hat value") from None
+                if not np.isfinite(opts["p"]):
+                    raise SchemaError(f"{summary}: line {lineno}: "
+                                      "non-finite p_hat value")
     return opts
 
 
@@ -606,6 +609,8 @@ def read_coefficients(path):
             val = float(value)
         except ValueError:
             raise SchemaError(f"{path}: line {lineno}: bad value")
+        if not np.isfinite(val):
+            raise SchemaError(f"{path}: line {lineno}: non-finite value")
         if block == "beta":
             beta.append(val)
             beta_names.append(name)
@@ -923,6 +928,8 @@ def run_command(argv) -> int:
         return _error("E_RUNTIME", str(exc))
     except OSError as exc:
         return _error("E_IO", str(exc))
+    except MemoryError as exc:
+        return _error("E_RUNTIME", f"out of memory: {exc}")
 
 
 def main() -> None:

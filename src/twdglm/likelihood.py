@@ -65,13 +65,6 @@ class Coefficients:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.beta, self.alpha, self.gamma])
 
-    def with_eta(self, eta: np.ndarray) -> "Coefficients":
-        kb = self.beta.size
-        return Coefficients(eta[:kb], eta[kb:], self.gamma.copy())
-
-    def with_gamma(self, gamma: np.ndarray) -> "Coefficients":
-        return Coefficients(self.beta.copy(), self.alpha.copy(), gamma)
-
     def copy(self) -> "Coefficients":
         return Coefficients(self.beta.copy(), self.alpha.copy(),
                             self.gamma.copy())
@@ -225,13 +218,6 @@ class MeanHessian:
     h_bb: np.ndarray
     h_ba: np.ndarray
     h_aa_diag: np.ndarray
-
-    def matvec(self, eta: np.ndarray) -> np.ndarray:
-        kb = self.h_bb.shape[0]
-        beta, alpha = eta[:kb], eta[kb:]
-        top = self.h_bb @ beta + self.h_ba @ alpha
-        bottom = self.h_ba.T @ beta + self.h_aa_diag * alpha
-        return np.concatenate([top, bottom])
 
 
 def _dispersion_scale(data: Dataset, theta: Coefficients, links: LinkPair):

@@ -1,27 +1,29 @@
 """Three-block coordinate descent over (eta, gamma, p), with a joint
 Newton step in (eta, gamma).
 
-The first iteration sweeps the blocks: it majorizes the objective in
-eta with a scaled Hessian c1 * H, solves the penalized linear system
-for eta*, refreshes the mean exponent at eta*, and takes the analogous
-damped Newton step in gamma. Mean and dispersion are orthogonal only
-in expected information (Smyth 1989): the observed cross block, with
-row weight -D'(t) u'(s), is not zero away from the optimum, so the
-sweep converges only linearly. From the second iteration on, a member
-with a dispersion model first tries one Newton step on the whole
-(beta, alpha, gamma) system, cross block included, at scaling 1 only;
-it solves through the mean step's partitioned solver with gamma beside
-beta in the dense block. When that step is rejected, or its system is
-not positive definite, the iteration takes the sweep instead. Every
-iteration ends by updating the index parameter by a walk on its grid
-from the current p to a local minimum of the likelihood in p (the grid
-minimum when the profile is unimodal; on a multimodal profile it may
-be a local one). Scaling constants are found by doubling until the
+Every block step solves [P_b + c*H_b] delta = -(g_b + P_b theta_b) on
+its block b of the packed (beta, alpha, gamma), with P the penalty's
+matrix, g and H the gradient and Hessian of the negative log-likelihood
+and c the scaling constant; its candidate is theta with theta_b + delta
+in block b, and with l1 = 0, where the system can be singular, the
+minimum-norm such point. The first iteration sweeps the blocks: the
+mean step (b = eta = (beta, alpha)), then the dispersion step
+(b = gamma). Mean and dispersion are orthogonal only in expected
+information (Smyth 1989): the observed cross block, with row weight
+-D'(t) u'(s), is not zero away from the optimum, so the sweep converges
+only linearly. From the second iteration on, a member with a dispersion
+model first tries the joint step (b = all of theta, cross block
+included) at scaling 1 only, through the mean step's solver with gamma
+beside beta in its dense block. When that step is rejected, or its
+system is not positive definite, the iteration takes the sweep instead.
+Every iteration ends by updating the index parameter by a walk on its
+grid from the current p to a local minimum of the likelihood in p (the
+grid minimum when the profile is unimodal; on a multimodal profile it
+may be a local one). Scaling constants are found by doubling until the
 step's system matrix is positive definite and the objective decrease
-clears the descent margin (for the joint step, the sum of the mean and
-dispersion margins), and the index moves only when the likelihood does
-not rise, which makes the objective trace non-increasing by
-construction.
+clears the descent margin, and the index moves only when the
+likelihood does not rise, which makes the objective trace
+non-increasing by construction.
 
 The index p lives in the ``FamilySpec`` alone: every likelihood
 block reads ``spec.p``. The descent holds its accepted point as one
@@ -192,180 +194,155 @@ def _chol_solve(mat: np.ndarray, rhs: np.ndarray):
 
 def _block_derivatives(step_kind: str, data: Dataset, point: _Point):
     """What a block step needs of the likelihood at the held ``point``,
-    none of which depends on the scaling constant: (grad, H, H @ eta)
-    for the mean, (grad, H) for the dispersion, and for the joint step
-    (grad over (beta, alpha, gamma), the mean H, (H in gamma, h_gb,
-    h_ga)), the last two the cross block of ``lik.hess_cross``; all from
-    the point's two blocks."""
+    none of which depends on the scaling constant: (grad, H) in gamma
+    for "disp", (grad, H, None) in eta for "mean", and for "joint" (grad
+    over all of theta, H in eta, (H in gamma, h_gb, h_ga)), the last two
+    the cross block of ``lik.hess_cross``."""
     terms, exponent = point.terms, point.exponent
     if step_kind == "disp":
         return lik.disp_derivatives(data, terms, exponent)
     hess = lik.hess_mean(data, terms, exponent)
     grad = lik.grad_mean(data, terms, exponent)
     if step_kind == "mean":
-        return grad, hess, hess.matvec(point.theta.eta)
+        return grad, hess, None
     g_gamma, h_gg = lik.disp_derivatives(data, terms, exponent)
     return (np.concatenate([grad, g_gamma]), hess,
             (h_gg, *lik.hess_cross(data, terms, exponent)))
 
 
-def solve_mean_step(penalty: PenaltyConfig, c1: float,
+def solve_mean_step(theta: Coefficients, penalty: PenaltyConfig, c: float,
                     derivs) -> np.ndarray:
-    """Solve [l1*I0 + l2*W0 + c1*H] eta* = c1*H eta - grad for eta*.
+    """Solve [P_b + c*H_b] delta = -(g_b + P_b theta_b); return theta_b +
+    delta.
 
-    ``derivs`` are the mean-step derivatives (grad, H, H @ eta) at the
-    current eta, as ``_block_derivatives`` makes them. With l1 = 0 the
-    system is singular when X spans a constant or a graph component has
-    no rows, and eta* is its minimum-norm solution. A system that is not
-    positive (with l1 = 0, semi-)definite raises SingularSystemError.
+    ``derivs`` = (g, H, gamma block) are as ``_block_derivatives`` makes
+    them. Without a gamma block b is eta = (beta, alpha), the mean
+    step; with one b is all of theta, H_b includes the mean-dispersion
+    cross block, and at c = 1 this is the joint Newton step. With l1 = 0
+    the system is singular when X spans a constant or a graph component
+    has no rows, and theta_b + delta is its minimum-norm solution. A
+    system that is not positive (with l1 = 0, semi-)definite, such as an
+    indefinite joint one, raises SingularSystemError.
     """
-    g, hess, h_eta = derivs
-    rhs = c1 * h_eta - g
-    out = _sparse_schur_solve(hess, penalty, c1, rhs)
+    g, hess, gamma_block = derivs
+    vec = theta.as_vector()
+    out = _sparse_schur_solve(hess, penalty, c,
+                              -(g + penalty.gradient(vec)[:g.size]),
+                              vec[:g.size], gamma_block)
     if out is None:
         raise SingularSystemError("mean-step system not positive definite")
     return out
 
 
-def solve_joint_step(theta: Coefficients, penalty: PenaltyConfig, c: float,
-                     derivs) -> np.ndarray:
-    """Solve [P + c*H] delta = -(g + P theta) for the packed theta + delta.
+def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c: float,
+                        rhs: np.ndarray, base: np.ndarray, gamma_block):
+    """base + delta for [P + c*H] delta = rhs, by a partitioned solve
+    through the sparse spatial block.
 
-    The system is the whole (beta, alpha, gamma) one: H is the observed
-    Hessian of the negative log-likelihood, its mean-dispersion cross
-    block included, g its gradient and P the penalty's matrix; with
-    c = 1 this is a Newton step on the objective. ``derivs`` are as
-    ``_block_derivatives`` makes them for the joint step. The joint
-    Hessian can be indefinite away from the optimum; such a system is
-    not repaired but raises SingularSystemError, as one that is not
-    positive (with l1 = 0, semi-)definite does.
-    """
-    g, hess, gamma_block = derivs
-    vec = theta.as_vector()
-    delta = _sparse_schur_solve(hess, penalty, c, -(g + penalty.gradient(vec)),
-                                gamma_block)
-    if delta is None:
-        raise SingularSystemError("joint-step system not positive definite")
-    return vec + delta
-
-
-def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c1: float,
-                        rhs: np.ndarray, gamma_block=None):
-    """Partitioned solve through the sparse spatial block.
-
-    S22 = l1*I + l2*Laplacian + c1*diag(H_aa) is a sparse GMRF precision,
+    S22 = l1*I + l2*Laplacian + c*diag(H_aa) is a sparse GMRF precision,
     factored by the penalty's ``alpha_band`` (banded
     Cholesky in reverse Cuthill-McKee order). The same factor solves for
     rhs_a and the columns of A21, and the dense Schur complement
     A11 - A12 S22^{-1} A21 then closes the dense part, by Cholesky when
     l1 > 0 and by ``_min_norm_close`` when l1 = 0. The dense part is
     beta for the mean step. With ``gamma_block`` = (H_gg, H_gb, H_ga),
-    the Hessian's gamma block and its cross blocks with beta and alpha,
-    the system is the joint one over (beta, alpha, gamma), ``rhs`` and
-    the solution are packed in that order, and the dense part is (beta,
-    gamma), with the gamma ridge on its diagonal. Returns None when the
-    system is not positive definite, or with l1 = 0 not positive
-    semidefinite.
+    the system is the joint one, ``rhs``, ``base`` and the result are
+    packed (beta, alpha, gamma), and the dense part is (beta, gamma),
+    with the gamma ridge on its diagonal. Returns None when the system
+    is not positive definite, or with l1 = 0 not positive semidefinite.
 
     With l1 = 0 a component of ``penalty.alpha_components`` that no row
-    reaches has no Hessian entry and is decoupled from the rest. A fit's
-    right-hand side is 0 there, and a unit diagonal makes the band
-    return its minimum-norm alpha, 0; else there is no solution (None).
+    reaches has no Hessian entry and is decoupled from the rest; a unit
+    diagonal makes the band solvable there, and the result there is 0,
+    the minimum-norm point where the gradient is 0.
     """
     kb, nv = penalty.k_beta, penalty.n_vertices
-    a11 = c1 * hess.h_bb
+    a11 = c * hess.h_bb
     if penalty.mode is PenaltyMode.SPATIAL_PLUS_RIDGE:
         a11 = a11 + penalty.lambda1 * np.eye(kb)
-    cross, rhs_d = hess.h_ba, rhs[:kb]        # the dense part against alpha
+    cross = hess.h_ba                         # the dense part against alpha
     if gamma_block is not None:
         h_gg, h_gb, h_ga = gamma_block
         dense = np.empty((kb + h_gg.shape[0],) * 2)
-        dense[:kb, :kb], dense[kb:, kb:] = a11, c1 * h_gg
-        dense[kb:, :kb] = c1 * h_gb
+        dense[:kb, :kb], dense[kb:, kb:] = a11, c * h_gg
+        dense[kb:, :kb] = c * h_gb
         dense[:kb, kb:] = dense[kb:, :kb].T
         dense[kb:, kb:] += penalty.gamma_ridge() * np.eye(h_gg.shape[0])
         a11, cross = dense, np.vstack([cross, h_ga])
-        rhs_d = np.concatenate([rhs_d, rhs[kb + nv:]])
-    a12 = c1 * cross
-    diag = c1 * hess.h_aa_diag
+    nd = a11.shape[0]
+    # rhs and base in the solve's order: the dense part, then alpha
+    rhs_d = np.concatenate([rhs[:kb], rhs[kb + nv:]])
+    base = np.concatenate([base[:kb], base[kb + nv:], base[kb:kb + nv]])
+    a12 = c * cross
+    diag = c * hess.h_aa_diag
     singular = penalty.lambda1 == 0
     if singular:
         labels = penalty.alpha_components
         touched = (hess.h_aa_diag != 0) | np.any(cross != 0, axis=0)
         loose = np.bincount(labels, weights=touched)[labels] == 0
-        if np.any(rhs[kb:kb + nv][loose] != 0):
-            return None
     sol = penalty.alpha_band.solve(diag + loose if singular else diag,
                                    np.column_stack([rhs[kb:kb + nv], a12.T]))
     if sol is None:
         return None
     v, x_cols = sol[:, 0], sol[:, 1:]         # S22^{-1} rhs_a, S22^{-1} A21
-    if a11.size == 0:
-        return v
-    schur, r_dense = a11 - a12 @ x_cols, rhs_d - a12 @ v
-    if singular:
+    if nd == 0:
+        out = base + v
+    elif singular:
         tol = SCHUR_NULL_TOL * max(np.abs(a11).max(), np.abs(diag).max())
-        out = _min_norm_close(schur, r_dense, v, x_cols, tol)
+        out = _min_norm_close(a11 - a12 @ x_cols, rhs_d - a12 @ v, v, x_cols,
+                              tol, base)
     else:
-        star = _chol_solve(schur, r_dense)
+        star = _chol_solve(a11 - a12 @ x_cols, rhs_d - a12 @ v)
         out = (None if star is None
-               else np.concatenate([star, v - x_cols @ star]))
-    if out is None or gamma_block is None:
-        return out
-    return np.concatenate([out[:kb], out[-nv:], out[kb:-nv]])
+               else base + np.concatenate([star, v - x_cols @ star]))
+    if out is None:
+        return None
+    if singular:
+        out[nd:][loose] = 0.0
+    return np.concatenate([out[:kb], out[nd:], out[kb:nd]])
 
 
-def _min_norm_close(schur, r_beta, v, x_cols, tol):
-    """Minimum-norm eta of a consistent l1 = 0 system from its Schur
-    complement, r_beta = rhs_b - A12 v, v = S22^{-1} rhs_a and x_cols =
-    S22^{-1} A21: beta by the pseudo-inverse over eigenvalues above tol
-    (None if one is below -tol), null directions [B; -x_cols B] out."""
+def _min_norm_close(schur, r_dense, v, x_cols, tol, base):
+    """Minimum-norm base + delta of a consistent l1 = 0 system from its
+    Schur complement, r_dense = rhs_d - A12 v, v = S22^{-1} rhs_a and
+    x_cols = S22^{-1} A21: delta's dense part by the pseudo-inverse over
+    eigenvalues above tol (None if one is below -tol), then the null
+    directions [B; -x_cols B] out of base + delta, not out of delta."""
     vals, vecs = np.linalg.eigh(schur)
     if vals.min() < -tol:
         return None
     live = vals > tol
-    beta = vecs[:, live] @ ((vecs[:, live].T @ r_beta) / vals[live])
-    eta = np.concatenate([beta, v - x_cols @ beta])
+    star = vecs[:, live] @ ((vecs[:, live].T @ r_dense) / vals[live])
+    out = base + np.concatenate([star, v - x_cols @ star])
     null = vecs[:, ~live]
     basis, _ = np.linalg.qr(np.vstack([null, -x_cols @ null]))
-    return eta - basis @ (basis.T @ eta)
+    return out - basis @ (basis.T @ out)
 
 
-def solve_disp_step(gamma: np.ndarray, penalty: PenaltyConfig, c2: float,
+def solve_disp_step(theta: Coefficients, penalty: PenaltyConfig, c: float,
                     derivs) -> np.ndarray:
-    """Damped Newton step from ``gamma`` (ridge-regularized under the
-    full ridge configuration). ``derivs`` are the gradient and Hessian
-    in gamma there, as ``_block_derivatives`` makes them.
+    """Solve [l*I + c*H] delta = -(g + l*gamma), with l the gamma ridge;
+    return gamma + delta. ``derivs`` are the gradient and Hessian in
+    gamma at theta, as ``_block_derivatives`` makes them.
 
     The negative log-likelihood need not be convex in gamma. Where the
-    step's system is not positive definite, the Hessian in it is
-    replaced by its absolute-eigenvalue modification (each eigenvalue by
-    its magnitude, floored at sqrt(eps) of the largest), so the step
-    still points downhill and a large enough c2 makes it decrease the
-    objective. Raises SingularSystemError only when that fails too (a
-    zero or non-finite Hessian).
+    step's system is not positive definite, H in it is replaced by its
+    absolute-eigenvalue modification (each eigenvalue by its magnitude,
+    floored at sqrt(eps) of the largest), so the step still points
+    downhill and a large enough c makes it decrease the objective.
+    Raises SingularSystemError only when that fails too (a zero or
+    non-finite Hessian).
     """
     g, h = derivs
-    if g.size == 0:
-        return gamma.copy()
     lam = penalty.gamma_ridge()
-    out = _disp_solve(h, g, gamma, lam, c2)
-    if out is None and np.all(np.isfinite(h)):
-        out = _disp_solve(_abs_eigen(h), g, gamma, lam, c2)
-    if out is None:
+    ridge, rhs = lam * np.eye(g.size), g + lam * theta.gamma
+    step = _chol_solve(ridge + c * h, rhs)
+    if step is None and np.all(np.isfinite(h)):
+        step = _chol_solve(ridge + c * _abs_eigen(h), rhs)
+    if step is None:
         raise SingularSystemError(
             "dispersion-step system not positive definite")
-    return out
-
-
-def _disp_solve(h, g, gamma, lam, c2):
-    """gamma* of the dispersion step with Hessian h; None when its system
-    is not positive definite."""
-    if lam > 0:
-        return _chol_solve(lam * np.eye(g.size) + c2 * h,
-                           c2 * (h @ gamma) - g)
-    step = _chol_solve(h, g)
-    return None if step is None else gamma - step / c2
+    return theta.gamma - step
 
 
 def _abs_eigen(h):
@@ -380,85 +357,72 @@ def _abs_eigen(h):
 # Majorization constants
 # ---------------------------------------------------------------------------
 
-def _descent_margin(penalty: PenaltyConfig, step_kind: str, theta_old,
-                    theta_new) -> float:
-    """Quantitative decrease the accepted step must achieve."""
-    lam = penalty.lambda1
-    if lam == 0:
-        return 0.0
-    if step_kind == "joint":
-        return sum(_descent_margin(penalty, kind, theta_old, theta_new)
-                   for kind in ("mean", "disp"))
+def _descent_margin(penalty: PenaltyConfig, theta_old, theta_new) -> float:
+    """Quantitative decrease the accepted step must achieve: l1/2 times
+    the squared step over the coefficients the ridge term penalizes."""
     if penalty.mode is PenaltyMode.SPATIAL_ONLY:
-        if step_kind == "mean":
-            d = theta_new.alpha - theta_old.alpha
-            return 0.5 * lam * float(d @ d)
-        return 0.0
-    if step_kind == "mean":
-        d = theta_new.eta - theta_old.eta
+        d = theta_new.alpha - theta_old.alpha
     else:
-        d = theta_new.gamma - theta_old.gamma
-    return 0.5 * lam * float(d @ d)
+        d = theta_new.as_vector() - theta_old.as_vector()
+    return 0.5 * penalty.lambda1 * float(d @ d)
 
 
-def _try_candidate(solve, with_block, c):
-    """theta with the block ``solve(c)`` at scaling c put in by
-    ``with_block``; None where its system is singular or not finite."""
+def _try_candidate(solve, theta, penalty, c, derivs, block):
+    """theta with ``solve``'s result at scaling c in its ``block`` slice;
+    None where the system is singular or the result not finite."""
     try:
-        star = solve(c)
+        star = solve(theta, penalty, c, derivs)
     except SingularSystemError:
         return None
-    return with_block(star) if np.all(np.isfinite(star)) else None
+    if not np.all(np.isfinite(star)):
+        return None
+    vec = theta.as_vector()
+    vec[block] = star
+    kb = theta.beta.size
+    return Coefficients(*np.split(vec, [kb, kb + theta.alpha.size]))
 
 
 def _scaled_step(step_kind: str, data, point: _Point, links, penalty):
     """Find the first scaling whose step from the held ``point`` is
     solvable and decreases the objective by at least the descent margin.
 
-    The gradient and the Hessian at the point are computed once and
-    shared by every scaling tried. Every candidate keeps the point's
-    spec. A mean candidate keeps gamma, so it is evaluated with the
-    point's dispersion terms and its own mean exponent; a dispersion
-    candidate keeps eta, so it is evaluated with the point's mean
-    exponent and its own terms. The joint step ("joint") moves every
-    coefficient, so its candidate builds both blocks; it tries c = 1
-    only, the Newton step, and its margin is the sum of the mean and
-    dispersion margins. Returns (c, the accepted point). Raises
-    ScalingError after the doubling budget (for the joint step, after
-    its one try); reason "not-positive-definite" when no system ever
-    factored, "no-decrease" otherwise.
+    Each step solves [P_b + c*H_b] delta = -(g_b + P_b theta_b) on its
+    block b: (beta, alpha) for "mean", gamma for "disp" and all of theta
+    for "joint"; the candidate is theta with theta_b + delta in block b,
+    under the point's spec. The gradient and the Hessian at the point
+    are computed once and shared by every scaling tried. A mean
+    candidate is evaluated with the point's dispersion terms, a
+    dispersion candidate with its mean exponent, and a joint candidate
+    builds both. The joint step tries c = 1 only, the Newton step.
+    Returns (c, the accepted point). Raises ScalingError after the
+    doubling budget (for the joint step, after its one try); reason
+    "not-positive-definite" when no system ever factored, "no-decrease"
+    otherwise.
     """
     if step_kind not in ("mean", "disp", "joint"):
         raise ConfigError("step_kind must be 'mean', 'disp' or 'joint'")
     theta, spec = point.theta, point.spec
     derivs = _block_derivatives(step_kind, data, point)
-    if step_kind == "mean":
-        def solve(c):
-            return solve_mean_step(penalty, c, derivs)
-        with_block, held = theta.with_eta, {"terms": point.terms}
-    elif step_kind == "disp":
-        def solve(c):
-            return solve_disp_step(theta.gamma, penalty, c, derivs)
-        with_block, held = theta.with_gamma, {"exponent": point.exponent}
-    else:
-        def solve(c):
-            return solve_joint_step(theta, penalty, c, derivs)
-
-        def with_block(vec):
-            kb, nv = theta.beta.size, theta.alpha.size
-            return Coefficients(vec[:kb], vec[kb:kb + nv], vec[kb + nv:])
-        held = {}
+    eta = theta.beta.size + theta.alpha.size
+    # the step's solver, its block of the packed theta and the held
+    # block its candidates reuse
+    solve, block, held = {
+        "mean": (solve_mean_step, slice(eta), {"terms": point.terms}),
+        "disp": (solve_disp_step, slice(eta, None),
+                 {"exponent": point.exponent}),
+        "joint": (solve_mean_step, slice(None), {}),
+    }[step_kind]
     doublings = 0 if step_kind == "joint" else MAX_DOUBLINGS
     c = 1.0
     solvable_seen = False
     for _ in range(doublings + 1):
-        cand = _try_candidate(solve, with_block, c)
+        cand = _try_candidate(solve, theta, penalty, c, derivs, block)
         if cand is not None:
             solvable_seen = True
             new = _evaluate_or_reject(data, cand, spec, links,
                                       penalty.value(cand.as_vector()),
                                       **held)
-            margin = _descent_margin(penalty, step_kind, theta, cand)
+            margin = _descent_margin(penalty, theta, cand)
             if (new is not None and new.f <= point.f
                     and point.f - new.f >= margin - DESCENT_SLACK):
                 return c, new

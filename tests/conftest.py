@@ -118,6 +118,17 @@ def make_instance(member: Member, mean_link, disp_link="log", n=50,
     return data, theta, spec, links
 
 
+def with_eta(theta, eta):
+    """theta with its mean block eta = (beta, alpha) replaced."""
+    kb = theta.beta.size
+    return Coefficients(eta[:kb], eta[kb:], theta.gamma.copy())
+
+
+def with_gamma(theta, gamma):
+    """theta with its dispersion block gamma replaced."""
+    return Coefficients(theta.beta.copy(), theta.alpha.copy(), gamma)
+
+
 def blocks(data, theta, spec, links):
     """The two likelihood blocks at theta under spec: (dispersion terms,
     mean exponent), the arguments every likelihood function takes after
@@ -252,12 +263,21 @@ def min_norm_mean_solve(hess, pen, c1, rhs, rcond=None) -> np.ndarray:
     return sol
 
 
-def min_norm_mean_step(penalty, c1, derivs):
-    """``optimizer.solve_mean_step`` with the dense ``min_norm_mean_solve``
-    in place of the partitioned solve; a fit with it patched in is the
-    oracle for lambda1 = 0 fits."""
-    g, hess, h_eta = derivs
-    return min_norm_mean_solve(hess, penalty, c1, c1 * h_eta - g)
+def min_norm_mean_step(theta, penalty, c, derivs):
+    """``optimizer.solve_mean_step`` by the dense minimum-norm
+    least-squares solution of [P + c*H] theta* = c*H theta - grad over
+    its block, (beta, alpha) for a mean step and (beta, alpha, gamma)
+    for a joint one, in place of the partitioned solve; a fit with it
+    patched in is the oracle for lambda1 = 0 fits."""
+    g, hess, gamma_block = derivs
+    if gamma_block is None:
+        return min_norm_mean_solve(
+            hess, penalty, c, c * dense_hessian(hess) @ theta.eta - g)
+    sol, *_ = np.linalg.lstsq(
+        dense_joint_matrix(hess, gamma_block, penalty, c),
+        c * dense_joint_hessian(hess, gamma_block) @ theta.as_vector() - g,
+        rcond=None)
+    return sol
 
 
 def dense_fisher_information(data, theta_hat, spec_hat, links):

@@ -16,7 +16,8 @@ from scipy import integrate, stats
 
 from conftest import (MEAN_LINKS_BY_MEMBER, blocks, dense_hessian,
                       dense_mean_step, fd_gradient, fd_jacobian,
-                      make_instance, nll_at, rel_err, step_derivs)
+                      make_instance, nll_at, rel_err, step_derivs, with_eta,
+                      with_gamma)
 from twdglm.family import (Approx, FamilySpec, Member, log_density,
                            log_normalizer_series)
 from twdglm.graph import PenaltyMode, assemble_penalty
@@ -53,7 +54,7 @@ class TestAcceptance:
                         member, mean_link, n=50, rows=1, cols=5, seed=seed)
 
                     def nll_eta(eta):
-                        return nll_at(data, theta.with_eta(eta), spec, links)
+                        return nll_at(data, with_eta(theta, eta), spec, links)
 
                     held = blocks(data, theta, spec, links)
                     g = grad_mean(data, *held)
@@ -63,7 +64,7 @@ class TestAcceptance:
                     h = dense_hessian(hess_mean(data, *held))
                     fd_h = fd_jacobian(
                         lambda e: grad_mean(data, *blocks(
-                            data, theta.with_eta(e), spec, links)),
+                            data, with_eta(theta, e), spec, links)),
                         theta.eta)
                     worst_h = max(worst_h, rel_err(h, fd_h, floor=1e-6))
         for member in DISP_MEMBERS:
@@ -75,7 +76,7 @@ class TestAcceptance:
                         rows=1, cols=5, seed=seed)
 
                     def nll_gamma(ga):
-                        return nll_at(data, theta.with_gamma(ga), spec,
+                        return nll_at(data, with_gamma(theta, ga), spec,
                                       links)
 
                     held = blocks(data, theta, spec, links)
@@ -86,7 +87,7 @@ class TestAcceptance:
                     h = hess_disp(data, *held)
                     fd_h = fd_jacobian(
                         lambda ga: grad_disp(data, *blocks(
-                            data, theta.with_gamma(ga), spec, links)),
+                            data, with_gamma(theta, ga), spec, links)),
                         theta.gamma)
                     worst_h = max(worst_h, rel_err(h, fd_h, floor=1e-6))
         elapsed_ok = time.time() - started < 60.0
@@ -282,7 +283,7 @@ class TestAcceptance:
                                        data.graph, data.k_gamma)
                 dense = dense_mean_step(data, theta, spec, links, pen,
                                         c1=1.5)
-                block = solve_mean_step(pen, 1.5, step_derivs(
+                block = solve_mean_step(theta, pen, 1.5, step_derivs(
                     "mean", data, theta, spec, links))
                 worst[mode] = max(worst[mode],
                                   float(np.max(np.abs(dense - block))))

@@ -425,6 +425,13 @@ class TestPipeline:
         (["simulate", "--seed", "-1"], "E_CONFIG"),
         (["tune", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
           "--grid=-1:1:2,-1:1:2", "--seed", "-1"], "E_CONFIG"),
+        # sizes above 2**47 bytes, which no allocation can reach
+        (["fit", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--p-grid", "1.0001:1.9999:1e-15"], "E_RUNTIME"),
+        (["tune", "--data", "{sim}/data.csv", "--graph", "{sim}/graph.tsv",
+          "--family", "cpg", "--grid=-5:5:1000000000000000,-5:5:2"],
+         "E_RUNTIME"),
+        (["simulate", "--n", "1000000000000000"], "E_RUNTIME"),
     ], ids=["simulate", "fit", "tune", "predict", "report",
             "simulate-zero-prop", "simulate-empty-lattice",
             "simulate-negative-n", "simulate-zero-n",
@@ -434,7 +441,8 @@ class TestPipeline:
             "fit-inf-lambda1", "fit-overflowing-penalty", "tune-nan-grid",
             "tune-overflowing-grid", "tune-overflowing-penalty",
             "tune-empty-grid-axis", "simulate-negative-seed",
-            "tune-negative-seed"])
+            "tune-negative-seed", "fit-unallocatable-p-grid",
+            "tune-unallocatable-grid", "simulate-unallocatable-n"])
     def test_invalid_options_create_no_outdir(self, sim_dir, tmp_path,
                                               capsys, argv, code):
         """Each ends in one error line, with no warning on the way (an
@@ -670,6 +678,44 @@ class TestUnreadableFiles:
         assert err == (f"error[E_SCHEMA]: {bad}: line 4: byte 0xe9 is not "
                        "UTF-8\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("which", ["coefficients", "oracle", "summary"])
+    def test_non_finite_value(self, sim_dir, fit_dir, tmp_path, capsys,
+                              which):
+        """A number that reads back as nan is a schema error at its
+        line, not a config error about the model built from it."""
+        bad_dir = tmp_path / "fit"
+        bad_dir.mkdir()
+        for name in ("coefficients.tsv", "summary.tsv",
+                     "effective_config.json"):
+            (bad_dir / name).write_bytes((fit_dir / name).read_bytes())
+        out = tmp_path / "o"
+        if which == "summary":
+            bad = bad_dir / "summary.tsv"
+            lines = bad.read_text(encoding="utf-8").split("\n")
+            lineno = next(i for i, line in enumerate(lines, start=1)
+                          if line.startswith("p_hat\t"))
+            lines[lineno - 1] = "p_hat\tnan"
+            argv = self._predict(sim_dir, bad_dir, out)
+            reason = "non-finite p_hat value"
+        else:
+            src = (fit_dir / "coefficients.tsv" if which == "coefficients"
+                   else sim_dir / "oracle.tsv")
+            bad = tmp_path / "bad.tsv"
+            lines = src.read_text(encoding="utf-8").split("\n")
+            lineno = 3
+            block, name, _ = lines[lineno - 1].split("\t")
+            lines[lineno - 1] = f"{block}\t{name}\tnan"
+            argv = (self._predict(sim_dir, bad_dir, out,
+                                  ["--coefficients", str(bad)])
+                    if which == "coefficients" else
+                    ["report", "--fit-dir", str(bad_dir), "--oracle",
+                     str(bad), "--out", str(out)])
+            reason = "non-finite value"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        err = self._one_error_line(argv, capsys)
+        assert err == f"error[E_SCHEMA]: {bad}: line {lineno}: {reason}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("content,reason", [
         (b'{"family": "cpg",\n "p": 1.5,,}',

@@ -14,7 +14,8 @@ from conftest import (MEAN_LINKS_BY_MEMBER, blocks, c_order_band_solve,
                       dense_hessian, fd_gradient, fd_jacobian, link_inverse,
                       make_instance, mean_exponent_generic, nll_at,
                       predictors, rel_err, rowmajor_disp_derivatives,
-                      rowmajor_hess_mean, spec_for, unheld_dispersion_terms)
+                      rowmajor_hess_mean, spec_for, unheld_dispersion_terms,
+                      with_eta, with_gamma)
 from twdglm import graph as graph_mod
 from twdglm import likelihood as lik
 from twdglm.errors import ConfigError, DomainError
@@ -33,11 +34,11 @@ DISP_MEMBERS = [Member.NORMAL, Member.GAMMA, Member.INVERSE_GAUSSIAN,
 
 
 def _nll_eta(data, theta, spec, links):
-    return lambda eta: nll_at(data, theta.with_eta(eta), spec, links)
+    return lambda eta: nll_at(data, with_eta(theta, eta), spec, links)
 
 
 def _nll_gamma(data, theta, spec, links):
-    return lambda ga: nll_at(data, theta.with_gamma(ga), spec, links)
+    return lambda ga: nll_at(data, with_gamma(theta, ga), spec, links)
 
 
 class TestValues:
@@ -166,7 +167,7 @@ class TestHessMean:
                                                   links)))
 
         def grad_at(eta):
-            return grad_mean(data, *blocks(data, theta.with_eta(eta),
+            return grad_mean(data, *blocks(data, with_eta(theta, eta),
                                            spec, links))
 
         fd = fd_jacobian(grad_at, theta.eta)
@@ -202,7 +203,7 @@ class TestDispDerivatives:
         np.testing.assert_array_equal(h, h.T)
 
         def grad_at(ga):
-            return grad_disp(data, *blocks(data, theta.with_gamma(ga),
+            return grad_disp(data, *blocks(data, with_gamma(theta, ga),
                                            spec, links))
 
         fd = fd_jacobian(grad_at, theta.gamma)
@@ -214,7 +215,7 @@ class TestDispDerivatives:
         h = hess_disp(data, *blocks(data, theta, spec, links))
         assert h.shape == (1, 1)
         fd = fd_jacobian(
-            lambda ga: grad_disp(data, *blocks(data, theta.with_gamma(ga),
+            lambda ga: grad_disp(data, *blocks(data, with_gamma(theta, ga),
                                                spec, links)),
             theta.gamma)
         assert rel_err(h, fd, floor=1e-6) < 1e-4
@@ -227,13 +228,13 @@ class TestDispDerivatives:
             Member.COMPOUND_POISSON_GAMMA, "log", n=200, seed=6)
         gamma_gen = np.zeros_like(theta.gamma)
         gamma_gen[0] = math.log(0.1)
-        theta = theta.with_gamma(gamma_gen)
+        theta = with_gamma(theta, gamma_gen)
         t, s = predictors(data, theta)
         y = sample_cpg(np.exp(t), np.exp(s), 1.5, seed=13)
         data = Dataset(y, data.w, data.vertex, data.X, data.Z, data.graph)
         gamma_eval = gamma_gen.copy()
         gamma_eval[0] -= 0.4
-        theta = theta.with_gamma(gamma_eval)
+        theta = with_gamma(theta, gamma_eval)
         spec_saddle = FamilySpec.compound_poisson_gamma(
             1.5, approx=Approx.SADDLEPOINT)
         g_series = grad_disp(data, *blocks(data, theta, spec, links))
@@ -271,7 +272,7 @@ class TestHessCross:
         assert np.all(h_ga[:, 5] == 0.0)
 
         def grad_at(ga):
-            return grad_mean(data, *blocks(data, theta.with_gamma(ga),
+            return grad_mean(data, *blocks(data, with_gamma(theta, ga),
                                            spec, links))
 
         fd = fd_jacobian(grad_at, theta.gamma)
@@ -334,10 +335,10 @@ class TestHeldRows:
         other = Coefficients(theta.beta + 0.01, theta.alpha - 0.01,
                              theta.gamma * 1.01)
         np.testing.assert_array_equal(
-            terms, dispersion_terms(data, theta.with_eta(other.eta), spec,
+            terms, dispersion_terms(data, with_eta(theta, other.eta), spec,
                                     links))
         np.testing.assert_array_equal(
-            exponent, exponent_terms(data, theta.with_gamma(other.gamma),
+            exponent, exponent_terms(data, with_gamma(theta, other.gamma),
                                      spec, links))
 
         s = predictors(data, theta)[1]
@@ -357,7 +358,7 @@ class TestHeldRows:
                                    theta.eta)) < 1e-5
         assert rel_err(dense_hessian(hess_mean(data, terms, exponent)),
                        fd_jacobian(lambda eta: grad_mean(data, *blocks(
-                           data, theta.with_eta(eta), spec, links)),
+                           data, with_eta(theta, eta), spec, links)),
                            theta.eta), floor=1e-6) < 1e-4
 
         if spec.member is Member.POISSON:
@@ -368,7 +369,7 @@ class TestHeldRows:
         assert rel_err(g, fd_gradient(_nll_gamma(data, theta, spec, links),
                                       theta.gamma)) < 1e-5
         assert rel_err(h, fd_jacobian(
-            lambda ga: grad_disp(data, *blocks(data, theta.with_gamma(ga),
+            lambda ga: grad_disp(data, *blocks(data, with_gamma(theta, ga),
                                                spec, links)),
             theta.gamma), floor=1e-6) < 1e-4
 
@@ -384,7 +385,7 @@ class TestHeldLayouts:
                                         st.integers(1, 6))))
     def test_kernels_match_unheld_oracles_exactly(self, instance):
         data, theta, spec, links = instance
-        other = theta.with_gamma(theta.gamma * 0.9)
+        other = with_gamma(theta, theta.gamma * 0.9)
         # the second call reads the rows the first one held
         for at in (theta, other):
             terms, exponent = blocks(data, at, spec, links)

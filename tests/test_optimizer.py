@@ -12,7 +12,8 @@ from conftest import (MEAN_LINKS_BY_MEMBER, blocks, dense_hessian,
                       dense_joint_matrix, dense_joint_step,
                       dense_mean_matrix, dense_mean_step, make_instance,
                       min_norm_mean_solve, min_norm_mean_step, nll_at,
-                      scan_update_index, spec_for, step_derivs)
+                      penalty_mask, scan_update_index, spec_for,
+                      step_derivs, with_eta, with_gamma)
 from twdglm import family as fam
 from twdglm import graph as graph_mod
 from twdglm import likelihood as lik
@@ -62,7 +63,7 @@ class TestSolveMeanStep:
         res = fit(data, spec, links, cfg)
         pen_tiny = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1e-10, 0.0,
                                     data.k_beta, data.graph, data.k_gamma)
-        eta_star = solve_mean_step(pen_tiny, 1.0, step_derivs(
+        eta_star = solve_mean_step(res.theta_hat, pen_tiny, 1.0, step_derivs(
             "mean", data, res.theta_hat, spec, links))
         np.testing.assert_allclose(eta_star, res.theta_hat.eta, atol=1e-7)
 
@@ -71,8 +72,9 @@ class TestSolveMeanStep:
         spec = spec_for(Member.NORMAL)
         theta = Coefficients(np.zeros(data.k_beta),
                              np.zeros(6), np.zeros(1))
-        eta_star = solve_mean_step(_zero_penalty(data), 1.0, step_derivs(
-            "mean", data, theta, spec, links))
+        eta_star = solve_mean_step(theta, _zero_penalty(data), 1.0,
+                                   step_derivs("mean", data, theta, spec,
+                                               links))
         design = np.zeros((data.n_rows, data.k_beta + 6))
         design[:, :data.k_beta] = data.X
         design[np.arange(data.n_rows), data.k_beta + data.vertex] = 1.0
@@ -82,42 +84,58 @@ class TestSolveMeanStep:
     @pytest.mark.parametrize("mode", list(PenaltyMode))
     @pytest.mark.parametrize("seed", range(3))
     def test_block_solve_matches_dense(self, mode, seed):
-        data, theta, spec, links = make_instance(
-            Member.COMPOUND_POISSON_GAMMA, "log", n=120, rows=2, cols=5,
-            k_beta=3, seed=seed)
-        pen = assemble_penalty(mode, 0.8, 1.3, data.k_beta, data.graph,
-                               data.k_gamma)
-        dense = dense_mean_step(data, theta, spec, links, pen, c1=2.0)
-        block = solve_mean_step(pen, 2.0, step_derivs("mean", data, theta,
-                                                      spec, links))
-        assert np.max(np.abs(dense - block)) < 1e-8
+        _block_step_matches_dense("mean", mode, seed)
 
     def test_not_positive_definite_raises(self):
-        data, theta, spec, links = make_instance(
-            Member.COMPOUND_POISSON_GAMMA, "log", n=120, rows=2, cols=5,
-            seed=0)
-        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1e-3, 0.0,
-                               data.k_beta, data.graph, data.k_gamma)
-        with pytest.raises(SingularSystemError, match="not positive"):
-            solve_mean_step(pen, -1.0, step_derivs("mean", data, theta,
-                                                   spec, links))
+        _block_step_not_positive_definite_raises("mean")
 
     @pytest.mark.parametrize("lambda2", [0.0, 1.0])
-    def test_zero_lambda1_rowless_rhs_must_be_zero(self, lambda2):
-        # vertices 2 and 3 form a component without Hessian entries: the
-        # system restricted to it is lambda2 * Laplacian, singular
+    def test_zero_lambda1_rowless_component_comes_back_zero(self, lambda2):
+        """Vertices 2 and 3 form a component without Hessian entries:
+        the system restricted to it is lambda2 * Laplacian, singular.
+        Whatever alpha the step starts from there, the step's
+        right-hand side there is -lambda2 * L alpha, consistent, and the
+        minimum-norm result there is 0."""
         graph = ArealGraph.from_edges(4, [(0, 1), (2, 3)])
         hess = MeanHessian(np.array([[2.0]]), np.array([[1.0, 1.0, 0, 0]]),
                            np.array([1.0, 1.0, 0, 0]))
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.0, lambda2, 1,
                                graph, 0)
-        rhs = np.array([2.0, 1.0, 1.0, 0.0, 0.0])
-        got = _sparse_schur_solve(hess, pen, 1.0, rhs)
-        np.testing.assert_allclose(got, min_norm_mean_solve(hess, pen, 1.0,
-                                                            rhs), atol=1e-12)
+        base = np.array([0.3, -0.2, 0.4, 0.7, -1.1])
+        grad = np.array([-2.0, -1.0, -1.0, 0.0, 0.0])
+        rhs = -(grad + pen.gradient(base))
+        got = _sparse_schur_solve(hess, pen, 1.0, rhs, base, None)
+        want = min_norm_mean_solve(
+            hess, pen, 1.0, dense_mean_matrix(hess, pen, 1.0) @ base + rhs)
+        np.testing.assert_allclose(got, want, atol=1e-12)
         assert np.all(got[3:] == 0.0)
-        rhs[3] = 1e-300
-        assert _sparse_schur_solve(hess, pen, 1.0, rhs) is None
+
+
+def _block_step_matches_dense(kind, mode, seed):
+    """One block step by ``solve_mean_step``, on (beta, alpha) for the
+    mean step and on (beta, alpha, gamma) for the joint one, against the
+    dense Cholesky oracle of its system."""
+    data, theta, spec, links = make_instance(
+        Member.COMPOUND_POISSON_GAMMA, "log", n=120, rows=2, cols=5,
+        k_beta=3, seed=seed)
+    pen = assemble_penalty(mode, 0.8, 1.3, data.k_beta, data.graph,
+                           data.k_gamma)
+    oracle = dense_mean_step if kind == "mean" else dense_joint_step
+    dense = oracle(data, theta, spec, links, pen, 2.0)
+    block = solve_mean_step(theta, pen, 2.0, step_derivs(kind, data, theta,
+                                                         spec, links))
+    assert dense is not None
+    assert np.max(np.abs(dense - block)) < 1e-8
+
+
+def _block_step_not_positive_definite_raises(kind):
+    data, theta, spec, links = make_instance(
+        Member.COMPOUND_POISSON_GAMMA, "log", n=120, rows=2, cols=5, seed=0)
+    pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1e-3, 0.0,
+                           data.k_beta, data.graph, data.k_gamma)
+    with pytest.raises(SingularSystemError, match="not positive"):
+        solve_mean_step(theta, pen, -1.0, step_derivs(kind, data, theta,
+                                                      spec, links))
 
 
 def _shuffled(draw, nv, edges):
@@ -239,7 +257,8 @@ class TestSparseSolveProperties:
         if pen.lambda1 > 0:
             scale = max(1.0, scale)
         near_zero = np.abs(eigs) <= self.MARGIN * scale
-        got = _sparse_schur_solve(hess, pen, c1, rhs)
+        got = _sparse_schur_solve(hess, pen, c1, rhs, np.zeros(rhs.size),
+                                  None)
         if eigs.min() < -self.MARGIN * scale:
             assert got is None
             return
@@ -327,7 +346,8 @@ class TestJointSolveProperties:
         if pen.lambda1 > 0:
             scale = max(1.0, scale)
         near_zero = np.abs(eigs) <= self.MARGIN * scale
-        got = _sparse_schur_solve(hess, pen, c, rhs, gamma_block)
+        got = _sparse_schur_solve(hess, pen, c, rhs, np.zeros(rhs.size),
+                                  gamma_block)
         if eigs.min() < -self.MARGIN * scale:
             assert got is None
             return
@@ -358,33 +378,19 @@ class TestJointSolveProperties:
         assert np.linalg.eigvalsh(
             dense_joint_matrix(hess, gamma_block, pen, 1.0)).min() < 0
         assert _sparse_schur_solve(hess, pen, 1.0, np.array([1.0, 0.0, 1.0]),
-                                   gamma_block) is None
+                                   np.zeros(3), gamma_block) is None
 
 
 class TestSolveJointStep:
+    """The joint step is the mean step's solve with a gamma block."""
+
     @pytest.mark.parametrize("mode", list(PenaltyMode))
     @pytest.mark.parametrize("seed", range(3))
     def test_block_solve_matches_dense(self, mode, seed):
-        data, theta, spec, links = make_instance(
-            Member.COMPOUND_POISSON_GAMMA, "log", n=120, rows=2, cols=5,
-            k_beta=3, seed=seed)
-        pen = assemble_penalty(mode, 0.8, 1.3, data.k_beta, data.graph,
-                               data.k_gamma)
-        dense = dense_joint_step(data, theta, spec, links, pen, c=2.0)
-        block = opt.solve_joint_step(theta, pen, 2.0, step_derivs(
-            "joint", data, theta, spec, links))
-        assert dense is not None
-        assert np.max(np.abs(dense - block)) < 1e-8
+        _block_step_matches_dense("joint", mode, seed)
 
     def test_not_positive_definite_raises(self):
-        data, theta, spec, links = make_instance(
-            Member.COMPOUND_POISSON_GAMMA, "log", n=120, rows=2, cols=5,
-            seed=0)
-        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1e-3, 0.0,
-                               data.k_beta, data.graph, data.k_gamma)
-        with pytest.raises(SingularSystemError, match="not positive"):
-            opt.solve_joint_step(theta, pen, -1.0, step_derivs(
-                "joint", data, theta, spec, links))
+        _block_step_not_positive_definite_raises("joint")
 
     @pytest.mark.parametrize("mode", list(PenaltyMode))
     def test_margin_is_the_sum_of_the_block_margins(self, mode):
@@ -394,10 +400,54 @@ class TestSolveJointStep:
                                data.k_gamma)
         moved = Coefficients(theta.beta + 0.1, theta.alpha - 0.2,
                              theta.gamma + 0.3)
-        want = sum(opt._descent_margin(pen, kind, theta, moved)
-                   for kind in ("mean", "disp"))
+        want = (opt._descent_margin(pen, theta, with_eta(theta, moved.eta))
+                + opt._descent_margin(pen, theta,
+                                      with_gamma(theta, moved.gamma)))
         assert want > 0
-        assert opt._descent_margin(pen, "joint", theta, moved) == want
+        assert opt._descent_margin(pen, theta, moved) == pytest.approx(
+            want, rel=1e-14)
+
+
+@st.composite
+def block_displacements(draw):
+    """A penalty of either mode on a small lattice, a start theta, and
+    a displacement of it confined to one block: the mean, the
+    dispersion or the whole vector."""
+    kb, kg = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    graph = lattice_graph(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    nv = graph.n_vertices
+    pen = assemble_penalty(draw(st.sampled_from(list(PenaltyMode))),
+                           draw(st.floats(0, 5)), draw(st.floats(0, 5)),
+                           kb, graph, kg)
+    values = st.floats(-10, 10)
+    start = draw(arrays(np.float64, kb + nv + kg, elements=values))
+    step = draw(arrays(np.float64, kb + nv + kg, elements=values))
+    block = draw(st.sampled_from(["mean", "disp", "joint"]))
+    if block == "mean":
+        step[kb + nv:] = 0.0
+    elif block == "disp":
+        step[:kb + nv] = 0.0
+    return pen, start, step
+
+
+class TestDescentMargin:
+    @settings(max_examples=300)
+    @given(block_displacements())
+    def test_margin_is_the_ridge_norm_of_the_displacement(self, case):
+        """The margin takes no step kind: for a displacement confined
+        to any block it is l1/2 times the displacement's squared norm
+        over the coefficients the ridge term penalizes."""
+        pen, start, step = case
+        kb, nv = pen.k_beta, pen.n_vertices
+
+        def unpack(vec):
+            return Coefficients(*np.split(vec, [kb, kb + nv]))
+
+        moved = start + step
+        d = (moved - start) * penalty_mask(pen)
+        got = opt._descent_margin(pen, unpack(start), unpack(moved))
+        assert got == pytest.approx(0.5 * pen.lambda1 * float(d @ d),
+                                    rel=1e-12, abs=1e-300)
 
 
 class TestJointStepInFit:
@@ -435,13 +485,17 @@ class TestJointStepInFit:
 
     def test_rejected_joint_step_falls_back_to_the_sweep(self,
                                                          monkeypatch):
-        def indefinite(*_):
-            raise SingularSystemError("joint-step system not positive "
-                                      "definite")
+        raw = opt.solve_mean_step
+
+        def indefinite(theta, penalty, c, derivs):
+            if derivs[2] is not None:
+                raise SingularSystemError("mean-step system not positive "
+                                          "definite")
+            return raw(theta, penalty, c, derivs)
 
         data, spec, links, cfg = self._instance()
         want = fit(data, spec, links, cfg)
-        monkeypatch.setattr(opt, "solve_joint_step", indefinite)
+        monkeypatch.setattr(opt, "solve_mean_step", indefinite)
         kinds = self._kinds(monkeypatch)
         res = fit(data, spec, links, cfg)
         assert res.converged and res.iters > want.iters
@@ -508,7 +562,7 @@ class TestSolveDispStep:
         spec = spec_for(Member.NORMAL)
         res = fit(data, spec, links, FitConfig(penalty=_zero_penalty(data)))
         gamma_star = solve_disp_step(
-            res.theta_hat.gamma, _zero_penalty(data), 1.0,
+            res.theta_hat, _zero_penalty(data), 1.0,
             step_derivs("disp", data, res.theta_hat, spec, links))
         np.testing.assert_allclose(gamma_star, res.theta_hat.gamma,
                                    atol=1e-6)
@@ -520,7 +574,7 @@ class TestSolveDispStep:
                              np.array([0.4]))
         c2 = 3.0
         held = blocks(data, theta, spec, links)
-        got = solve_disp_step(theta.gamma, _zero_penalty(data), c2,
+        got = solve_disp_step(theta, _zero_penalty(data), c2,
                               step_derivs("disp", data, theta, spec, links))
         g = grad_disp(data, *held)[0]
         h = hess_disp(data, *held)[0, 0]
@@ -535,7 +589,7 @@ class TestSolveDispStep:
         g = np.array([1.0, -2.0])
         h = np.array([[1.0, 2.0], [2.0, 1.0]])      # eigenvalues 3, -1
         h_abs = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 3, 1
-        got = solve_disp_step(theta.gamma, pen, 4.0, (g, h))
+        got = solve_disp_step(theta, pen, 4.0, (g, h))
         lam = pen.gamma_ridge()
         if lam > 0:
             want = np.linalg.solve(lam * np.eye(2) + 4.0 * h_abs,
@@ -551,7 +605,7 @@ class TestSolveDispStep:
                              np.array([0.8]))
         pen = assemble_penalty(PenaltyMode.SPATIAL_PLUS_RIDGE, 1e12, 0.0,
                                data.k_beta, data.graph, data.k_gamma)
-        got = solve_disp_step(theta.gamma, pen, 1.0,
+        got = solve_disp_step(theta, pen, 1.0,
                               step_derivs("disp", data, theta, spec, links))
         assert abs(got[0]) < 1e-6
 
@@ -746,13 +800,12 @@ class TestUpdateIndex:
         monkeypatch.setattr(lik, "_mean_exponent",
                             lambda *a: passes.append(1) or raw(*a))
         with mock.patch.object(opt, "solve_mean_step",
-                               wraps=opt.solve_mean_step) as candidates, \
-                mock.patch.object(opt, "solve_joint_step",
-                                  wraps=opt.solve_joint_step) as joint:
+                               wraps=opt.solve_mean_step) as candidates:
             res = fit(data, spec, LinkPair.of("log", "log"),
                       FitConfig(penalty=pen, p_grid=np.array([1.5])))
         assert res.iters >= 3
-        assert len(passes) <= candidates.call_count + joint.call_count + 1
+        # mean-step and joint-step candidates alike
+        assert len(passes) <= candidates.call_count + 1
 
     @pytest.mark.parametrize("approx, p_grid", [
         (Approx.SERIES, np.round(np.arange(1.05, 1.951, 0.05), 10)),
@@ -775,15 +828,19 @@ class TestUpdateIndex:
                             lambda *a: built.append(1) or raw_terms(*a))
         with mock.patch.object(opt, "solve_disp_step",
                                wraps=opt.solve_disp_step) as candidates, \
-                mock.patch.object(opt, "solve_joint_step",
-                                  wraps=opt.solve_joint_step) as joint:
+                mock.patch.object(opt, "solve_mean_step",
+                                  wraps=opt.solve_mean_step) as block:
             res = fit(data, FamilySpec.compound_poisson_gamma(
                 1.5, approx=approx), LinkPair.of("log", "log"),
                 FitConfig(penalty=pen, p_grid=p_grid))
         assert res.iters >= 3
         assert len(scales) == len(built)
+        # a joint candidate is a mean-step solve whose derivs have a
+        # gamma block
+        joint = sum(call.args[3][2] is not None
+                    for call in block.call_args_list)
         if approx is Approx.SADDLEPOINT:
-            assert len(built) <= candidates.call_count + joint.call_count + 1
+            assert len(built) <= candidates.call_count + joint + 1
 
     def test_recovers_generating_index_roughly(self):
         links = LinkPair.of("log", "log")
