@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import inference
 from .errors import (CalibrationError, ConfigError, DomainError, SchemaError,
                      SingularSystemError, TwdglmError, read_lines,
                      utf8_error_at)
@@ -33,7 +32,7 @@ from .likelihood import Coefficients, Dataset
 from .links import LinkPair, default_links, link_eval, validate_links
 from .optimizer import FitConfig, default_p_grid, fit
 from .simgen import SimConfig, make_dataset
-from .tuning import GridSpec, export_surface, grid_search, weighted_deviance
+from .tuning import GridSpec, grid_search, weighted_deviance
 
 _FAMILY_NAMES = {
     "normal": Member.NORMAL,
@@ -196,16 +195,10 @@ def _fit_dir_options(fit_dir) -> dict:
                 opts[key] = fit_cfg[key]
     summary = os.path.join(fit_dir, "summary.tsv")
     if os.path.exists(summary):
-        for lineno, line in enumerate(read_lines(summary), start=1):
-            if line.startswith("p_hat\t"):
-                try:
-                    opts["p"] = float(line.split("\t")[1])
-                except ValueError:
-                    raise SchemaError(f"{summary}: line {lineno}: bad "
-                                      "p_hat value") from None
-                if not np.isfinite(opts["p"]):
-                    raise SchemaError(f"{summary}: line {lineno}: "
-                                      "non-finite p_hat value")
+        for lineno, (key, value) in _read_table(summary, _SUMMARY,
+                                                "summary"):
+            if key == "p_hat":
+                opts["p"] = _finite(summary, lineno, value, "p_hat value")
     return opts
 
 
@@ -577,69 +570,102 @@ def _first_bad_support(spec: FamilySpec, ystar: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Output writers / readers
+# Tables
 # ---------------------------------------------------------------------------
+
+# the header of a coefficients file and of a summary
+_COEFFICIENTS = ("block", "name", "value")
+_SUMMARY = ("key", "value")
+
+
+def _write_table(path, header, *columns) -> None:
+    """Write a tab-separated table: the ``header`` names, then one line
+    per row holding that row's entry of each column. A float is written
+    by ``_fmt``, any other entry by ``str``; a column passed twice is
+    formatted once."""
+    text = {}
+    for col in columns:
+        if id(col) not in text:
+            entries = col.tolist() if isinstance(col, np.ndarray) else col
+            text[id(col)] = [_fmt(v) if isinstance(v, float) else str(v)
+                             for v in entries]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(header) + "\n")
+        fh.writelines("\t".join(row) + "\n"
+                      for row in zip(*(text[id(col)] for col in columns)))
+
+
+def _read_table(path, header, what):
+    """(line number, fields) of each line after the header of a table
+    that ``_write_table`` wrote with ``header``; SchemaError names the
+    file when its first line is not ``header``, and the line when one
+    has another number of fields."""
+    lines = read_lines(path)
+    if not lines or lines[0].rstrip("\r\n").split("\t") != list(header):
+        raise SchemaError(f"{path}: not a {what} file")
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.rstrip("\r\n").split("\t")
+        if len(fields) != len(header):
+            raise SchemaError(f"{path}: line {lineno}: expected "
+                              f"{len(header)} fields")
+        yield lineno, fields
+
+
+def _finite(path, lineno, text, what="value") -> float:
+    """The finite number a table cell holds; SchemaError names the file
+    and the line otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise SchemaError(f"{path}: line {lineno}: bad {what}") from None
+    if not np.isfinite(value):
+        raise SchemaError(f"{path}: line {lineno}: non-finite {what}")
+    return value
+
 
 def _write_coefficients(path, theta: Coefficients, beta_names, gamma_names,
                         labels):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("block\tname\tvalue\n")
-        for block, names, vals in (("beta", beta_names, theta.beta),
-                                   ("alpha", labels, theta.alpha),
-                                   ("gamma", gamma_names, theta.gamma)):
-            fh.writelines(f"{block}\t{name}\t{v}\n"
-                          for name, v in zip(names, map(_fmt, vals.tolist())))
+    blocks = {"beta": beta_names, "alpha": labels, "gamma": gamma_names}
+    _write_table(path, _COEFFICIENTS,
+                 [block for block, names in blocks.items() for _ in names],
+                 [name for names in blocks.values() for name in names],
+                 theta.as_vector())
 
 
 def read_coefficients(path):
     """Inverse of the coefficients writer; returns (theta, beta_names,
     gamma_names, alpha_labels)."""
-    beta, alpha, gamma = [], [], []
-    beta_names, gamma_names, labels = [], [], []
-    lines = read_lines(path)
-    if not lines or not lines[0].startswith("block\t"):
-        raise SchemaError(f"{path}: not a coefficients file")
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise SchemaError(f"{path}: line {lineno}: expected 3 "
-                              "fields")
-        block, name, value = parts
-        try:
-            val = float(value)
-        except ValueError:
-            raise SchemaError(f"{path}: line {lineno}: bad value")
-        if not np.isfinite(val):
-            raise SchemaError(f"{path}: line {lineno}: non-finite value")
-        if block == "beta":
-            beta.append(val)
-            beta_names.append(name)
-        elif block == "alpha":
-            alpha.append(val)
-            labels.append(name)
-        elif block == "gamma":
-            gamma.append(val)
-            gamma_names.append(name)
-        else:
+    blocks = {"beta": ([], []), "alpha": ([], []), "gamma": ([], [])}
+    for lineno, (block, name, value) in _read_table(path, _COEFFICIENTS,
+                                                    "coefficients"):
+        value = _finite(path, lineno, value)
+        if block not in blocks:
             raise SchemaError(f"{path}: line {lineno}: unknown block "
                               f"{block!r}")
+        blocks[block][0].append(value)
+        blocks[block][1].append(name)
+    (beta, beta_names), (alpha, labels), (gamma, gamma_names) = \
+        blocks.values()
     theta = Coefficients(np.array(beta), np.array(alpha), np.array(gamma))
     return theta, beta_names, gamma_names, labels
 
 
-def _write_trace(path, trace):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration\tobjective\n")
-        fh.writelines(f"{i}\t{_fmt(v)}\n" for i, v in enumerate(trace))
+def write_wald_table(path, rows) -> None:
+    """The Wald rows of ``inference.wald_table``, one per coefficient."""
+    _write_table(path, ("effect", "level", "estimate", "std_error", "z",
+                        "p_value"),
+                 *zip(*((r.name, "--", r.estimate, r.std_error, r.z,
+                         r.p_value) for r in rows)))
 
 
-def _write_summary(path, items):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("key\tvalue\n")
-        for key, val in items:
-            if isinstance(val, float):
-                val = _fmt(val)
-            fh.write(f"{key}\t{val}\n")
+def export_surface(path, surface) -> None:
+    """The deviance surface of ``tuning.grid_search``, one row per
+    cell in traversal order."""
+    _write_table(path, ("log_lambda1", "log_lambda2", "holdout_deviance",
+                        "converged", "iters", "error"),
+                 *zip(*((c.log_lambda1, c.log_lambda2, c.deviance,
+                         int(c.converged), c.iters, c.error)
+                        for c in surface)))
 
 
 # ---------------------------------------------------------------------------
@@ -708,12 +734,14 @@ def _write_fit_outputs(out, spec, links, data, beta_names, gamma_names,
     labels = data.graph.labels
     _write_coefficients(os.path.join(out, "coefficients.tsv"),
                         result.theta_hat, beta_names, gamma_names, labels)
-    _write_trace(os.path.join(out, "trace.tsv"), result.objective_trace)
+    trace = result.objective_trace
+    _write_table(os.path.join(out, "trace.tsv"), ("iteration", "objective"),
+                 range(trace.size), trace)
     spec_hat = spec.with_p(result.p_hat)
     info = fisher_information(data, result.theta_hat, spec_hat, links)
     try:
         rows = wald_table(result.theta_hat, info, beta_names, gamma_names)
-        inference.write_wald_table(os.path.join(out, "wald.tsv"), rows)
+        write_wald_table(os.path.join(out, "wald.tsv"), rows)
     except SingularSystemError as exc:
         with open(os.path.join(out, "wald.tsv"), "w",
                   encoding="utf-8") as fh:
@@ -733,7 +761,7 @@ def _write_fit_outputs(out, spec, links, data, beta_names, gamma_names,
         ("alpha_sd", summ["sd"]),
         ("alpha_range", summ["range"]),
     ] + extra_summary
-    _write_summary(os.path.join(out, "summary.tsv"), items)
+    _write_table(os.path.join(out, "summary.tsv"), _SUMMARY, *zip(*items))
 
 
 def _cmd_fit(opts) -> int:
@@ -817,22 +845,17 @@ def _cmd_predict(opts) -> int:
     mu = link_eval(links.mean, t)
     s = data.Z @ theta.gamma if data.k_gamma else np.zeros(data.n_rows)
     phi = link_eval(links.disp, s)
-    with open(os.path.join(out, "predictions.tsv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("row\tvertex\tmu_hat\tphi_hat\texpected_per_exposure\t"
-                 "expected_total\n")
-        fh.writelines(
-            f"{i}\t{lab}\t{m}\t{ph}\t{m}\t{tot}\n"
-            for i, lab, m, ph, tot in zip(
-                range(data.n_rows),
-                map(graph.labels.__getitem__, data.vertex.tolist()),
-                map(_fmt, mu.tolist()), map(_fmt, phi.tolist()),
-                map(_fmt, (mu * data.w).tolist())))
+    _write_table(os.path.join(out, "predictions.tsv"),
+                 ("row", "vertex", "mu_hat", "phi_hat",
+                  "expected_per_exposure", "expected_total"),
+                 range(data.n_rows),
+                 map(graph.labels.__getitem__, data.vertex.tolist()),
+                 mu, phi, mu, mu * data.w)
     dev = weighted_deviance(data, theta.eta, spec, links.mean)
-    _write_summary(os.path.join(out, "predict_summary.tsv"),
-                   [("n_rows", data.n_rows),
-                    ("total_weighted_deviance", dev),
-                    ("mean_expected_per_exposure", float(mu.mean()))])
+    _write_table(os.path.join(out, "predict_summary.tsv"), _SUMMARY,
+                 ("n_rows", "total_weighted_deviance",
+                  "mean_expected_per_exposure"),
+                 (data.n_rows, dev, float(mu.mean())))
     _echo_config(out, "predict", opts)
     print(f"predict: scored {data.n_rows} rows, weighted deviance "
           f"{dev:.6g}, out={out}")
@@ -866,23 +889,15 @@ def _cmd_report(opts) -> int:
     fit_dir = _require(opts, "fit_dir", "--fit-dir")
     theta, beta_names, gamma_names, labels = read_coefficients(
         os.path.join(fit_dir, "coefficients.tsv"))
-    oracle_alpha = None
+    header, columns = ("vertex", "alpha_hat"), [labels, theta.alpha]
     if opts.get("oracle"):
         o_theta, _, _, o_labels = read_coefficients(opts["oracle"])
-        lookup = dict(zip(o_labels, o_theta.alpha))
-        oracle_alpha = [lookup.get(lab) for lab in labels]
+        lookup = dict(zip(o_labels, o_theta.alpha.tolist()))
+        header += ("alpha_oracle",)
+        columns.append([lookup.get(lab, np.nan) for lab in labels])
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "alpha_vs_pattern.tsv"), "w",
-              encoding="utf-8") as fh:
-        if oracle_alpha is None:
-            fh.write("vertex\talpha_hat\n")
-            for lab, a in zip(labels, theta.alpha):
-                fh.write(f"{lab}\t{_fmt(a)}\n")
-        else:
-            fh.write("vertex\talpha_hat\talpha_oracle\n")
-            for lab, a, o in zip(labels, theta.alpha, oracle_alpha):
-                oval = "nan" if o is None else _fmt(o)
-                fh.write(f"{lab}\t{_fmt(a)}\t{oval}\n")
+    _write_table(os.path.join(out, "alpha_vs_pattern.tsv"), header,
+                 *columns)
     surface_src = os.path.join(fit_dir, "surface.tsv")
     if os.path.exists(surface_src):
         shutil.copyfile(surface_src, os.path.join(out, "report_surface.tsv"))

@@ -104,8 +104,8 @@ class ArealGraph:
     def laplacian_band(self) -> "SpatialBand":
         """The Laplacian laid out by ``lower_band`` in the reverse
         Cuthill-McKee order of its pattern with the whole diagonal, which
-        is the pattern of lambda1*I + lambda2*Laplacian for every
-        positive lambda1 and lambda2; built on first use and kept."""
+        holds lambda1*I + lambda2*Laplacian for every lambda1 >= 0 and
+        lambda2 > 0; built on first use and kept."""
         n = self.n_vertices
         unit = lower_band(sparse.csr_matrix(sparse.eye(n) + self.laplacian))
         unit.ab[0] -= 1.0
@@ -201,36 +201,38 @@ class PenaltyConfig:
         kb, nv = self.k_beta, self.n_vertices
         alpha = v[kb:kb + nv]
         quad = self.lambda2 * float(alpha @ (self.laplacian @ alpha))
-        if self.mode is PenaltyMode.SPATIAL_ONLY:
-            quad += self.lambda1 * float(alpha @ alpha)
-        else:
-            quad += self.lambda1 * float(v @ v)
+        covered = self.covered(v)
+        quad += self.lambda1 * float(covered @ covered)
         return 0.5 * quad
+
+    @property
+    def ridge(self) -> float:
+        """The multiplier of the identity on beta and gamma: lambda1
+        under ``SPATIAL_PLUS_RIDGE``, else 0."""
+        return (self.lambda1 if self.mode is PenaltyMode.SPATIAL_PLUS_RIDGE
+                else 0.0)
+
+    def covered(self, vec: np.ndarray) -> np.ndarray:
+        """The part of a packed (beta, alpha, gamma) vector that the
+        lambda1 term penalizes: all of it with a ridge, else alpha."""
+        kb = self.k_beta
+        return vec if self.ridge else vec[kb:kb + self.n_vertices]
 
     def gradient(self, theta_vec: np.ndarray) -> np.ndarray:
         """Gradient of ``value`` at a packed (beta, alpha, gamma) vector."""
         v = np.asarray(theta_vec, dtype=float)
         kb, nv = self.k_beta, self.n_vertices
         alpha = v[kb:kb + nv]
-        out = (self.lambda1 * v if self.mode is PenaltyMode.SPATIAL_PLUS_RIDGE
-               else np.zeros_like(v))
+        out = self.ridge * v if self.ridge else np.zeros_like(v)
         out[kb:kb + nv] = (self.lambda1 * alpha
                            + self.lambda2 * (self.laplacian @ alpha))
         return out
 
     def eta_matrix(self) -> sparse.csr_matrix:
         """lambda1*I0 + lambda2*W0 restricted to the (beta, alpha) block."""
-        ridge = (self.lambda1 if self.mode is PenaltyMode.SPATIAL_PLUS_RIDGE
-                 else 0.0)
         return sparse.block_diag(
-            [ridge * sparse.eye(self.k_beta), self.alpha_penalty_matrix()],
-            format="csr")
-
-    def gamma_ridge(self) -> float:
-        """Ridge multiplier applied to the dispersion step."""
-        if self.mode is PenaltyMode.SPATIAL_PLUS_RIDGE:
-            return self.lambda1
-        return 0.0
+            [self.ridge * sparse.eye(self.k_beta),
+             self.alpha_penalty_matrix()], format="csr")
 
     def alpha_penalty_matrix(self) -> sparse.csr_matrix:
         """lambda1*I + lambda2*Laplacian over the alpha block only."""
@@ -242,17 +244,17 @@ class PenaltyConfig:
     def alpha_band(self) -> "SpatialBand":
         """``alpha_penalty_matrix`` laid out for the banded mean-step
         solve; built on first use and kept for this penalty's life. With
-        both multipliers positive it is the graph's ``laplacian_band``
-        scaled, the same numbers in the same order as a layout of its
-        own, so the cells of a grid search share one ordering; with a
-        zero multiplier the pattern differs and the band is laid out
-        here."""
-        if self.lambda1 > 0 and self.lambda2 > 0:
-            unit = self.graph.laplacian_band
-            ab = self.lambda2 * unit.ab
-            ab[0] += self.lambda1
-            return SpatialBand(unit.order, unit.inverse, ab)
-        return lower_band(self.alpha_penalty_matrix())
+        lambda2 > 0 it is the graph's ``laplacian_band`` scaled, so the
+        cells of a grid search share one ordering; with lambda2 = 0 it
+        is the diagonal lambda1*I in vertex order."""
+        n = self.n_vertices
+        if self.lambda2 == 0:
+            return SpatialBand(np.arange(n), np.arange(n),
+                               np.full((1, n), self.lambda1))
+        unit = self.graph.laplacian_band
+        ab = self.lambda2 * unit.ab
+        ab[0] += self.lambda1
+        return SpatialBand(unit.order, unit.inverse, ab)
 
     @cached_property
     def alpha_components(self) -> np.ndarray:

@@ -104,10 +104,3 @@ def alpha_summary(alpha: np.ndarray) -> dict:
         "range": float(a.max() - a.min()) if a.size else 0.0,
     }
 
-
-def write_wald_table(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("effect\tlevel\testimate\tstd_error\tz\tp_value\n")
-        for r in rows:
-            fh.write(f"{r.name}\t--\t{r.estimate:.17g}\t{r.std_error:.17g}\t"
-                     f"{r.z:.17g}\t{r.p_value:.17g}\n")

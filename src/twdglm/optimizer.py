@@ -247,9 +247,10 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c: float,
     l1 > 0 and by ``_min_norm_close`` when l1 = 0. The dense part is
     beta for the mean step. With ``gamma_block`` = (H_gg, H_gb, H_ga),
     the system is the joint one, ``rhs``, ``base`` and the result are
-    packed (beta, alpha, gamma), and the dense part is (beta, gamma),
-    with the gamma ridge on its diagonal. Returns None when the system
-    is not positive definite, or with l1 = 0 not positive semidefinite.
+    packed (beta, alpha, gamma), and the dense part is (beta, gamma).
+    The penalty's ``ridge`` is on the dense part's diagonal. Returns
+    None when the system is not positive definite, or with l1 = 0 not
+    positive semidefinite.
 
     With l1 = 0 a component of ``penalty.alpha_components`` that no row
     reaches has no Hessian entry and is decoupled from the rest; a unit
@@ -258,8 +259,6 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c: float,
     """
     kb, nv = penalty.k_beta, penalty.n_vertices
     a11 = c * hess.h_bb
-    if penalty.mode is PenaltyMode.SPATIAL_PLUS_RIDGE:
-        a11 = a11 + penalty.lambda1 * np.eye(kb)
     cross = hess.h_ba                         # the dense part against alpha
     if gamma_block is not None:
         h_gg, h_gb, h_ga = gamma_block
@@ -267,9 +266,9 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c: float,
         dense[:kb, :kb], dense[kb:, kb:] = a11, c * h_gg
         dense[kb:, :kb] = c * h_gb
         dense[:kb, kb:] = dense[kb:, :kb].T
-        dense[kb:, kb:] += penalty.gamma_ridge() * np.eye(h_gg.shape[0])
         a11, cross = dense, np.vstack([cross, h_ga])
     nd = a11.shape[0]
+    a11 = a11 + penalty.ridge * np.eye(nd)
     # rhs and base in the solve's order: the dense part, then alpha
     rhs_d = np.concatenate([rhs[:kb], rhs[kb + nv:]])
     base = np.concatenate([base[:kb], base[kb + nv:], base[kb:kb + nv]])
@@ -321,7 +320,7 @@ def _min_norm_close(schur, r_dense, v, x_cols, tol, base):
 
 def solve_disp_step(theta: Coefficients, penalty: PenaltyConfig, c: float,
                     derivs) -> np.ndarray:
-    """Solve [l*I + c*H] delta = -(g + l*gamma), with l the gamma ridge;
+    """Solve [l*I + c*H] delta = -(g + l*gamma), with l the penalty's ridge;
     return gamma + delta. ``derivs`` are the gradient and Hessian in
     gamma at theta, as ``_block_derivatives`` makes them.
 
@@ -334,7 +333,7 @@ def solve_disp_step(theta: Coefficients, penalty: PenaltyConfig, c: float,
     non-finite Hessian).
     """
     g, h = derivs
-    lam = penalty.gamma_ridge()
+    lam = penalty.ridge
     ridge, rhs = lam * np.eye(g.size), g + lam * theta.gamma
     step = _chol_solve(ridge + c * h, rhs)
     if step is None and np.all(np.isfinite(h)):
@@ -360,10 +359,7 @@ def _abs_eigen(h):
 def _descent_margin(penalty: PenaltyConfig, theta_old, theta_new) -> float:
     """Quantitative decrease the accepted step must achieve: l1/2 times
     the squared step over the coefficients the ridge term penalizes."""
-    if penalty.mode is PenaltyMode.SPATIAL_ONLY:
-        d = theta_new.alpha - theta_old.alpha
-    else:
-        d = theta_new.as_vector() - theta_old.as_vector()
+    d = penalty.covered(theta_new.as_vector() - theta_old.as_vector())
     return 0.5 * penalty.lambda1 * float(d @ d)
 
 
@@ -488,9 +484,9 @@ def _check_identifiable(data: Dataset, penalty: PenaltyConfig,
     block at lambda1 = 0 is exempt: its step is the minimum-norm one.
     """
     blocks = []
-    if penalty.lambda1 > 0 and penalty.mode is PenaltyMode.SPATIAL_ONLY:
+    if penalty.lambda1 > 0 and not penalty.ridge:
         blocks.append(("mean", "X", data.X, data.rank_X, "beta"))
-    if has_disp and penalty.gamma_ridge() == 0:
+    if has_disp and not penalty.ridge:
         blocks.append(("dispersion", "Z", data.Z, data.rank_Z, "gamma"))
     for what, name, mat, rank, coef in blocks:
         if rank < mat.shape[1]:

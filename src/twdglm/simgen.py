@@ -231,9 +231,7 @@ def make_dataset(n: int, rows: int, cols: int, pattern: PatternKind | str,
                           f"of a {rows}x{cols} lattice")
     rng = np.random.default_rng(seed)
 
-    pattern_spec = PatternSpec(pattern if isinstance(pattern, PatternKind)
-                               else PatternKind.from_name(pattern),
-                               rows, cols, amplitude=sim.amplitude,
+    pattern_spec = PatternSpec(pattern, rows, cols, amplitude=sim.amplitude,
                                seed=seed)
     alpha0 = make_pattern(pattern_spec)
 

@@ -155,13 +155,3 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
                       best_fit=bfit, surface=surface,
                       train_index=train_idx, holdout_index=hold_idx)
 
-
-def export_surface(path, surface) -> None:
-    """Write the deviance surface as tab-delimited text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("log_lambda1\tlog_lambda2\tholdout_deviance\tconverged"
-                 "\titers\terror\n")
-        for cell in surface:
-            fh.write(f"{cell.log_lambda1:.17g}\t{cell.log_lambda2:.17g}\t"
-                     f"{cell.deviance:.17g}\t{int(cell.converged)}\t"
-                     f"{cell.iters}\t{cell.error}\n")

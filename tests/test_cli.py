@@ -16,16 +16,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_fisher_information, rowwise_load_dataset
 from twdglm import cli
-from twdglm.cli import load_dataset, read_coefficients, run_command
+from twdglm.cli import (load_dataset, read_coefficients, run_command,
+                        write_wald_table)
 from twdglm.errors import DomainError, SchemaError
 from twdglm.family import FamilySpec
 from twdglm.graph import ArealGraph
-from twdglm.inference import wald_table, write_wald_table
+from twdglm.inference import wald_table
 from twdglm.links import default_links, link_eval
 
 
@@ -717,6 +718,24 @@ class TestUnreadableFiles:
         assert err == f"error[E_SCHEMA]: {bad}: line {lineno}: {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("which", ["coefficients", "summary"])
+    def test_table_header(self, sim_dir, fit_dir, tmp_path, capsys, which):
+        """A fit directory's table whose first line is not its header is
+        a schema error naming the file."""
+        bad_dir = tmp_path / "fit"
+        bad_dir.mkdir()
+        for name in ("coefficients.tsv", "summary.tsv",
+                     "effective_config.json"):
+            (bad_dir / name).write_bytes((fit_dir / name).read_bytes())
+        bad = bad_dir / f"{which}.tsv"
+        bad.write_text(bad.read_text(encoding="utf-8").replace(
+            "\tvalue\n", "\tval\n", 1), encoding="utf-8")
+        out = tmp_path / "o"
+        err = self._one_error_line(self._predict(sim_dir, bad_dir, out),
+                                   capsys)
+        assert err == f"error[E_SCHEMA]: {bad}: not a {which} file\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("content,reason", [
         (b'{"family": "cpg",\n "p": 1.5,,}',
          "Expecting property name enclosed in double quotes: line 2 "
@@ -1116,6 +1135,31 @@ class TestEdgeListFuzz:
             assert ERROR_LINE.fullmatch(err), (fault, err)
             assert "Traceback" not in err
             assert not out.exists()
+
+
+class TestTableRoundTrip:
+    """The README's 17-digit rule: every double a table holds reads back
+    as the same double."""
+
+    @settings(max_examples=200)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=20))
+    @example(values=[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     0.1, 1.0 / 3.0])
+    def test_finite_doubles_read_back_bit_for_bit(self, values):
+        header = ("name", "value")
+        names = [f"v{i}" for i in range(len(values))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.tsv")
+            cli._write_table(path, header, names, np.array(values))
+            rows = list(cli._read_table(path, header, "test"))
+        assert [fields[0] for _, fields in rows] == names
+        assert [lineno for lineno, _ in rows] == \
+            list(range(2, len(values) + 2))
+        got = np.array([float(fields[1]) for _, fields in rows])
+        assert np.array_equal(got.view(np.uint64),
+                              np.array(values).view(np.uint64))
 
 
 class TestParserReuse:

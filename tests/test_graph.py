@@ -127,12 +127,12 @@ class TestLowerBand:
             band_to_dense(band.ab), pen.alpha_penalty_matrix().toarray()[perm])
 
     @pytest.mark.parametrize("lambda1,lambda2", [(0.7, 1.3), (2.0, 1e-3),
-                                                 (1e-3, 5.0)])
+                                                 (1e-3, 5.0), (0.0, 0.7)])
     def test_graph_layout_equals_own_layout(self, lambda1, lambda2):
-        """With both multipliers positive, the penalty's band is the
-        graph's Laplacian band scaled: bit for bit the band and order it
-        would lay out itself, on a shuffled lattice and on a star with
-        isolated vertices."""
+        """With lambda2 positive (lambda1 = 0 included), the penalty's
+        band is the graph's Laplacian band scaled: bit for bit the band
+        and order it would lay out itself, on a shuffled lattice and on
+        a star with isolated vertices."""
         for g in (shuffled_lattice(6, 7, seed=4),
                   ArealGraph.from_edges(9, [(4, i) for i in (0, 2, 6, 7, 8)])):
             pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, lambda1, lambda2,
@@ -144,6 +144,23 @@ class TestLowerBand:
             other = assemble_penalty(PenaltyMode.SPATIAL_PLUS_RIDGE, 1.0, 1.0,
                                      1, g, 1)
             assert other.alpha_band.order is pen.alpha_band.order
+
+    @pytest.mark.parametrize("lambda1", [0.0, 0.5])
+    def test_ridge_only_band_solves_as_own_layout(self, lambda1):
+        """With lambda2 = 0 the band is lambda1*I in vertex order, and
+        its solves equal bit for bit those of the layout the penalty
+        would make itself, on both graphs of the test above."""
+        rng = np.random.default_rng(5)
+        for g in (shuffled_lattice(6, 7, seed=4),
+                  ArealGraph.from_edges(9, [(4, i) for i in (0, 2, 6, 7, 8)])):
+            pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, lambda1, 0.0, 1,
+                                   g, 1)
+            own = lower_band(pen.alpha_penalty_matrix())
+            n = g.n_vertices
+            np.testing.assert_array_equal(pen.alpha_band.order, np.arange(n))
+            diag, cols = rng.uniform(0.1, 2.0, n), rng.normal(size=(n, 3))
+            assert np.array_equal(pen.alpha_band.solve(diag, cols),
+                                  own.solve(diag, cols))
 
     def test_solve_in_vertex_order(self):
         g = shuffled_lattice(4, 5, seed=2)

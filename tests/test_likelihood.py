@@ -25,12 +25,25 @@ from twdglm.likelihood import (Coefficients, Dataset, disp_derivatives,
                                dispersion_terms, exponent_terms, grad_disp,
                                grad_mean, hess_disp, hess_mean)
 from twdglm.likelihood import _mean_exponent
-from twdglm.links import LinkPair
+from twdglm.links import LinkPair, link_eval
 from twdglm.optimizer import FitConfig, fit
 from twdglm.simgen import make_dataset
 
 DISP_MEMBERS = [Member.NORMAL, Member.GAMMA, Member.INVERSE_GAUSSIAN,
                 Member.COMPOUND_POISSON_GAMMA]
+
+# every permitted (member, mean link, dispersion link, normalizer, unit
+# exposure): Poisson has no dispersion model, and only the compound
+# member reads the normalizer
+EVERY_MODEL = [
+    (member, mean_link, disp_link, approx, unit)
+    for member, mean_links in MEAN_LINKS_BY_MEMBER.items()
+    for mean_link in mean_links
+    for disp_link in (("log",) if member is Member.POISSON
+                      else ("log", "identity"))
+    for approx in (list(Approx) if member is Member.COMPOUND_POISSON_GAMMA
+                   else [Approx.SERIES])
+    for unit in (True, False)]
 
 
 def _nll_eta(data, theta, spec, links):
@@ -69,17 +82,32 @@ class TestValues:
         assert got == pytest.approx(2.0)
 
     def test_matches_rowwise_log_density(self):
-        # the exposure rule: y/w enters with dispersion phi/w
-        data, theta, spec, links = make_instance(Member.GAMMA, "log", seed=4)
-        rng = np.random.default_rng(9)
-        w = rng.uniform(0.5, 2.0, data.n_rows)
-        data_w = Dataset(data.y * w, w, data.vertex, data.X, data.Z,
-                         data.graph)
-        t, s = predictors(data_w, theta)
-        manual = -np.sum(log_density(spec, data_w.ystar, np.exp(t),
-                                     np.exp(s) / w))
-        assert nll_at(data_w, theta, spec, links) == \
-            pytest.approx(manual, rel=1e-12)
+        """The fit's likelihood is minus the row sum of the public
+        density, for every permitted (member, mean link), dispersion
+        link and normalizer, with unit and non-unit exposure. The
+        exposure rule: y/w enters with dispersion phi/w, and a Poisson
+        row is the count y ~ Poisson(w*mu)."""
+        for member, mean_link, disp_link, approx, unit in EVERY_MODEL:
+            data, theta, spec, links = make_instance(
+                member, mean_link, disp_link, seed=4, approx=approx)
+            rng = np.random.default_rng(9)
+            poisson = member is Member.POISSON
+            if unit:
+                w = np.ones(data.n_rows)
+            elif poisson:   # y/w stays a count under an integer exposure
+                w = rng.integers(1, 4, data.n_rows).astype(float)
+            else:
+                w = rng.uniform(0.5, 2.0, data.n_rows)
+            data_w = Dataset(data.y * w, w, data.vertex, data.X, data.Z,
+                             data.graph)
+            t, s = predictors(data_w, theta)
+            mu = link_eval(links.mean, t)
+            rows = (log_density(spec, data_w.y, w * mu) if poisson
+                    else log_density(spec, data_w.ystar, mu,
+                                     link_eval(links.disp, s) / w))
+            assert nll_at(data_w, theta, spec, links) == \
+                pytest.approx(-np.sum(rows), rel=1e-12), \
+                (member, mean_link, disp_link, approx, unit)
 
     @pytest.mark.parametrize("disp_link", ["log", "identity"])
     @pytest.mark.parametrize("approx", list(Approx))

@@ -590,7 +590,7 @@ class TestSolveDispStep:
         h = np.array([[1.0, 2.0], [2.0, 1.0]])      # eigenvalues 3, -1
         h_abs = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 3, 1
         got = solve_disp_step(theta, pen, 4.0, (g, h))
-        lam = pen.gamma_ridge()
+        lam = pen.ridge
         if lam > 0:
             want = np.linalg.solve(lam * np.eye(2) + 4.0 * h_abs,
                                    4.0 * h_abs @ theta.gamma - g)

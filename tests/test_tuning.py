@@ -7,6 +7,7 @@ import pytest
 
 from conftest import spec_for
 from twdglm import tuning
+from twdglm.cli import export_surface
 from twdglm.errors import ConfigError, ScalingError
 from twdglm.family import Approx, FamilySpec, Member, unit_deviance
 from twdglm.graph import PenaltyMode, assemble_penalty, lattice_graph
@@ -14,9 +15,8 @@ from twdglm.likelihood import Dataset
 from twdglm.links import LinkPair
 from twdglm.optimizer import FitConfig, fit, fit_ridge
 from twdglm.simgen import make_dataset
-from twdglm.tuning import (GridSpec, deviance_ratio, export_surface,
-                           grid_search, split_train_holdout,
-                           weighted_deviance)
+from twdglm.tuning import (GridSpec, deviance_ratio, grid_search,
+                           split_train_holdout, weighted_deviance)
 
 
 def _cpg_instance(n=1200, seed=1, zero=0.2):
