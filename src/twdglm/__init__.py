@@ -12,9 +12,9 @@ harness.
 from .errors import (CalibrationError, ConfigError, DomainError,
                      NonFiniteError, SchemaError, ScalingError,
                      SeriesInfeasibleError, SingularSystemError, TwdglmError)
-from .family import (Approx, FamilySpec, Member, log_density,
-                     log_normalizer_saddlepoint, log_normalizer_series,
-                     unit_deviance)
+from .family import (Approx, FamilySpec, Member, default_p_grid,
+                     log_density, log_normalizer_saddlepoint,
+                     log_normalizer_series, unit_deviance, validate_links)
 from .graph import (ArealGraph, PenaltyConfig, PenaltyMode, assemble_penalty,
                     build_laplacian, lattice_graph)
 from .inference import (WaldRow, alpha_summary, fisher_information,
@@ -22,9 +22,8 @@ from .inference import (WaldRow, alpha_summary, fisher_information,
 from .likelihood import (Coefficients, Dataset, MeanHessian, dispersion_terms,
                          exponent_terms, grad_disp, grad_mean, hess_disp,
                          hess_mean, neg_log_lik)
-from .links import (LinkKind, LinkPair, default_links, link_apply, link_eval,
-                    validate_links)
-from .optimizer import (FitConfig, FitResult, default_p_grid, fit, fit_ridge,
+from .links import LinkKind, LinkPair, link_apply, link_eval
+from .optimizer import (FitConfig, FitResult, fit, fit_ridge,
                         fit_unpenalized, objective, solve_disp_step,
                         solve_mean_step)
 from .simgen import (PatternKind, PatternSpec, SimConfig, gen_covariates,

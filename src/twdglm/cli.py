@@ -25,23 +25,14 @@ import numpy as np
 from .errors import (CalibrationError, ConfigError, DomainError, SchemaError,
                      SingularSystemError, TwdglmError, read_lines,
                      utf8_error_at)
-from .family import _FIXED_P, Approx, FamilySpec, Member, check_support
+from .family import Approx, FamilySpec, check_support, validate_links
 from .graph import ArealGraph, PenaltyMode, assemble_penalty
 from .inference import alpha_summary, fisher_information, wald_table
 from .likelihood import Coefficients, Dataset
-from .links import LinkPair, default_links, link_eval, validate_links
-from .optimizer import FitConfig, default_p_grid, fit
+from .links import LinkPair, link_eval
+from .optimizer import FitConfig, fit
 from .simgen import SimConfig, make_dataset
 from .tuning import GridSpec, grid_search, weighted_deviance
-
-_FAMILY_NAMES = {
-    "normal": Member.NORMAL,
-    "poisson": Member.POISSON,
-    "cpg": Member.COMPOUND_POISSON_GAMMA,
-    "compound-poisson-gamma": Member.COMPOUND_POISSON_GAMMA,
-    "gamma": Member.GAMMA,
-    "inverse-gaussian": Member.INVERSE_GAUSSIAN,
-}
 
 _ALL = ("simulate", "fit", "tune", "predict", "report")
 _MODEL = ("fit", "tune", "predict")
@@ -216,44 +207,6 @@ def _read_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: expected a JSON "
                           "object")
     return cfg
-
-
-def _family_from_options(opts: dict) -> FamilySpec:
-    """The family of the options, with the series normalizer unless the
-    command reads ``approx``."""
-    name = opts["family"].lower()
-    if name not in _FAMILY_NAMES:
-        raise ConfigError(f"unknown family {name!r}")
-    member = _FAMILY_NAMES[name]
-    p = opts["p"] if opts["p"] is not None else _FIXED_P.get(member, 1.5)
-    return FamilySpec(member, float(p),
-                      approx=Approx(opts.get("approx", Approx.SERIES)))
-
-
-def _links_from_options(opts: dict, spec: FamilySpec) -> LinkPair:
-    mean = opts["mean_link"]
-    links = LinkPair.of(default_links(spec).mean if mean is None else mean,
-                        opts["disp_link"])
-    validate_links(spec, links)
-    return links
-
-
-def _parse_p_grid(opts: dict, spec: FamilySpec) -> np.ndarray:
-    raw = opts["p_grid"]
-    if raw is None:
-        if spec.member is Member.COMPOUND_POISSON_GAMMA \
-                and opts["p"] is not None:
-            return np.array([float(opts["p"])])
-        return default_p_grid(spec)
-    try:
-        lo, hi, step = (float(v) for v in raw.split(":"))
-    except ValueError:
-        raise ConfigError("--p-grid expects lo:hi:step")
-    if not np.all(np.isfinite([lo, hi, step])):
-        raise ConfigError("--p-grid expects finite lo, hi and step")
-    if step <= 0 or hi < lo:
-        raise ConfigError("--p-grid expects lo <= hi and step > 0")
-    return np.round(np.arange(lo, hi + step / 2.0, step), 12)
 
 
 def _parse_lambda_grid(opts: dict):
@@ -470,8 +423,7 @@ def _header_columns(path, spec, header):
         if required not in col:
             raise SchemaError(f"{path}: missing required column "
                               f"{required!r}")
-    if spec.member is Member.POISSON and any(h.startswith("z_")
-                                             for h in header):
+    if not spec.has_dispersion and any(h.startswith("z_") for h in header):
         raise ConfigError(
             "constant dispersion member: Poisson admits no dispersion "
             "covariates")
@@ -545,7 +497,7 @@ def _assemble(path, spec, graph, col, floats, cells, expand):
     z_mats, gamma_names = build_design("z_")
     x_mats.insert(0, np.ones(n))
     beta_names.insert(0, "(intercept)")
-    if spec.member is not Member.POISSON:
+    if spec.has_dispersion:
         z_mats.insert(0, np.ones(n))
         gamma_names.insert(0, "(intercept)")
     X = np.column_stack(x_mats)
@@ -714,8 +666,13 @@ def _cmd_simulate(opts) -> int:
 
 
 def _prepare_model(opts):
-    spec = _family_from_options(opts)
-    links = _links_from_options(opts, spec)
+    """The family, links, graph and dataset of the options."""
+    spec = FamilySpec.named(opts["family"], opts["p"],
+                            Approx(opts.get("approx", Approx.SERIES)))
+    mean = opts["mean_link"]
+    links = LinkPair.of(spec.default_link if mean is None else mean,
+                        opts["disp_link"])
+    validate_links(spec, links)
     graph = ArealGraph.from_edge_list_file(_require(opts, "graph", "--graph"))
     data, beta_names, gamma_names = load_dataset(
         _require(opts, "data", "--data"), spec, graph, expand=opts["expand"])
@@ -723,10 +680,24 @@ def _prepare_model(opts):
 
 
 def _fit_config(opts, spec, data, lambda1, lambda2) -> FitConfig:
+    """The fit's penalty and index grid: a given p is fixed unless
+    ``--p-grid`` is set, and the member checks the grid."""
     penalty = assemble_penalty(PenaltyMode.from_name(opts["penalty"]),
                                lambda1, lambda2, data.k_beta, data.graph,
                                data.k_gamma)
-    return FitConfig(penalty=penalty, p_grid=_parse_p_grid(opts, spec))
+    raw = opts["p_grid"]
+    grid = [] if opts["p"] is None else [spec.p]
+    if raw is not None:
+        try:
+            lo, hi, step = (float(v) for v in raw.split(":"))
+        except ValueError:
+            raise ConfigError("--p-grid expects lo:hi:step")
+        if not np.all(np.isfinite([lo, hi, step])):
+            raise ConfigError("--p-grid expects finite lo, hi and step")
+        if step <= 0 or hi < lo:
+            raise ConfigError("--p-grid expects lo <= hi and step > 0")
+        grid = np.round(np.arange(lo, hi + step / 2.0, step), 12)
+    return FitConfig(penalty=penalty, p_grid=spec.index_grid(grid)[1])
 
 
 def _write_fit_outputs(out, spec, links, data, beta_names, gamma_names,
@@ -801,12 +772,9 @@ def _cmd_tune(opts) -> int:
               encoding="utf-8") as fh:
         fh.writelines(f"{idx}\n" for idx in result.holdout_index)
     train = data.subset(result.train_index)
-    best = result.best_fit
-    hold = data.subset(result.holdout_index)
-    dev = weighted_deviance(hold, best.theta_hat.eta,
-                            spec.with_p(best.p_hat), links.mean)
+    dev = result.best_deviance
     _write_fit_outputs(
-        out, spec, links, train, beta_names, gamma_names, best,
+        out, spec, links, train, beta_names, gamma_names, result.best_fit,
         extra_summary=[("lambda1", result.best_lambda1),
                        ("lambda2", result.best_lambda2),
                        ("holdout_weighted_deviance", dev)])

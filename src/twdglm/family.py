@@ -12,11 +12,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
 from .errors import ConfigError, DomainError, SeriesInfeasibleError
+from .links import LinkKind, LinkPair
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -50,26 +52,45 @@ class Approx(enum.Enum):
     SADDLEPOINT = "saddlepoint"
 
 
-_FIXED_P = {
-    Member.NORMAL: 0.0,
-    Member.POISSON: 1.0,
-    Member.GAMMA: 2.0,
-    Member.INVERSE_GAUSSIAN: 3.0,
+class _Facts(NamedTuple):  # a row of the member table _MEMBERS
+    names: tuple                # command-line names
+    fixed_p: float | None       # None: a fit profiles p over a grid
+    start: float                # p when a command line gives none
+    mean_links: tuple           # closed-form ones, in message order
+    default_link: LinkKind
+    dispersion: bool            # phi has a link-linear model
+
+
+_MEMBERS = {
+    Member.NORMAL: _Facts(
+        ("normal",), 0.0, 0.0, (LinkKind.IDENTITY,), LinkKind.IDENTITY, True),
+    Member.POISSON: _Facts(
+        ("poisson",), 1.0, 1.0,
+        (LinkKind.LOG, LinkKind.SQRT, LinkKind.IDENTITY), LinkKind.LOG, False),
+    Member.COMPOUND_POISSON_GAMMA: _Facts(
+        ("cpg", "compound-poisson-gamma"), None, 1.5, (LinkKind.LOG,),
+        LinkKind.LOG, True),
+    Member.GAMMA: _Facts(
+        ("gamma",), 2.0, 2.0, (LinkKind.INVERSE, LinkKind.IDENTITY,
+                               LinkKind.LOG), LinkKind.LOG, True),
+    Member.INVERSE_GAUSSIAN: _Facts(
+        ("inverse-gaussian",), 3.0, 3.0, (LinkKind.INVERSE_SQUARED,),
+        LinkKind.INVERSE_SQUARED, True),
 }
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A family member together with its index parameter and normalizer.
+    What the member decides is answered from the table ``_MEMBERS``.
 
     Parameters
     ----------
     member : Member
         Which member of the family.
     p : float
-        Power-variance index. Must match the member: 0 (Normal), 1
-        (Poisson), open (1, 2) (compound Poisson-gamma), 2 (Gamma),
-        3 (inverse Gaussian).
+        Power-variance index: the member's fixed index, or inside
+        (1, 2) for compound Poisson-gamma.
     approx : Approx
         Normalizer approximation; only consulted for the compound
         Poisson-gamma member. The series truncation and the saddlepoint's
@@ -82,22 +103,91 @@ class FamilySpec:
     approx: Approx = Approx.SERIES
 
     def __post_init__(self):
-        if self.member in _FIXED_P:
-            if self.p != _FIXED_P[self.member]:
+        fixed_p = _MEMBERS[self.member].fixed_p
+        if fixed_p is not None:
+            if self.p != fixed_p:
                 raise ConfigError(
-                    f"{self.member.value} requires p = {_FIXED_P[self.member]}, "
+                    f"{self.member.value} requires p = {fixed_p}, "
                     f"got {self.p}")
-        else:
-            if not 1.0 < self.p < 2.0:
-                raise ConfigError(
-                    f"compound-poisson-gamma requires 1 < p < 2, got {self.p}")
+        elif not 1.0 < self.p < 2.0:
+            raise ConfigError(
+                f"{self.member.value} requires 1 < p < 2, got {self.p}")
+
+    @property
+    def free_index(self) -> bool:
+        """Whether a fit profiles p over a grid rather than fixing it."""
+        return _MEMBERS[self.member].fixed_p is None
+
+    @property
+    def has_dispersion(self) -> bool:
+        """Whether phi has a link-linear model; Poisson's is fixed at 1."""
+        return _MEMBERS[self.member].dispersion
+
+    @property
+    def default_link(self) -> LinkKind:
+        """The mean link used when none is given."""
+        return _MEMBERS[self.member].default_link
 
     def with_p(self, p: float) -> "FamilySpec":
         return replace(self, p=p)
 
+    def index_grid(self, p_grid) -> tuple["FamilySpec", np.ndarray]:
+        """The grid a fit walks in p and the spec it starts from: a free
+        index takes ``p_grid`` (``default_p_grid`` if empty) inside
+        (1, 2) and starts at its point nearest p; a fixed index takes
+        only an empty grid or [p]."""
+        grid = np.asarray(p_grid, dtype=float).ravel()
+        if not self.free_index:
+            if grid.size and not np.array_equal(grid, [self.p]):
+                raise ConfigError(
+                    f"p_grid does not apply to {self.member.value}, whose "
+                    f"index is fixed at p = {self.p}")
+            return self, default_p_grid(self)
+        grid = grid if grid.size else default_p_grid(self)
+        if np.any(grid <= 1.0) or np.any(grid >= 2.0):
+            raise ConfigError("p_grid must lie inside (1, 2)")
+        start = float(grid[np.argmin(np.abs(grid - self.p))])
+        return self.with_p(start), grid
+
+    @classmethod
+    def named(cls, name: str, p: float | None = None,
+              approx: Approx = Approx.SERIES) -> "FamilySpec":
+        """The member a command-line name stands for, in any letter
+        case, at ``p`` or, when p is None, at the member's start."""
+        name = name.lower()
+        for member, facts in _MEMBERS.items():
+            if name in facts.names:
+                return cls(member, float(facts.start if p is None else p),
+                           approx)
+        raise ConfigError(f"unknown family {name!r}")
+
     @classmethod
     def compound_poisson_gamma(cls, p: float, **kw) -> "FamilySpec":
         return cls(Member.COMPOUND_POISSON_GAMMA, p, **kw)
+
+
+def default_p_grid(spec: FamilySpec) -> np.ndarray:
+    """Profile grid for a member with a free index; fixed-p members get
+    a single-point grid."""
+    return (np.round(np.arange(1.05, 1.9501, 0.05), 10) if spec.free_index
+            else np.array([spec.p]))
+
+
+def validate_links(spec: FamilySpec, links: LinkPair) -> None:
+    """Reject a mean link without closed-form derivatives for the
+    member, and the identity dispersion link for a member without a
+    dispersion model, whose fixed dispersion h2(0) it would put at 0."""
+    facts = _MEMBERS[spec.member]
+    if links.mean not in facts.mean_links:
+        allowed = [k.value for k in facts.mean_links]
+        raise ConfigError(
+            f"mean link {links.mean.value!r} not permitted for "
+            f"{spec.member.value}; allowed: {allowed}")
+    if not facts.dispersion and links.disp is LinkKind.IDENTITY:
+        raise ConfigError(
+            "dispersion link 'identity' not permitted for "
+            f"{spec.member.value}: its fixed dispersion h2(0) would be 0; "
+            "use 'log'")
 
 
 def _as_array(x):

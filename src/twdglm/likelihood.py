@@ -372,7 +372,7 @@ def _check_member_data(data: Dataset, spec: FamilySpec):
     has no dispersion design; every entry point that takes a raw
     dataset checks this once, before it builds a block."""
     fam.check_support(spec, data.ystar, what="y/w")
-    if spec.member is Member.POISSON and data.k_gamma:
+    if not spec.has_dispersion and data.k_gamma:
         raise ConfigError(
             "constant dispersion member: Poisson admits no dispersion model")
 
@@ -399,11 +399,10 @@ def dispersion_terms(data: Dataset, theta: Coefficients, spec: FamilySpec,
     # The block is allocated before the pass's temporaries: built after
     # them (np.stack), the block a fit holds sat above their freed space
     # and raised the peak resident memory of a 72 000-row fit.
-    poisson = spec.member is Member.POISSON
-    out = np.empty((2 if poisson else 6, data.n_rows))
+    out = np.empty((6 if spec.has_dispersion else 2, data.n_rows))
     with np.errstate(over="ignore", invalid="ignore"):
         h2, l1, l2, out[1] = _dispersion_scale(data, theta, links)
-        if poisson:
+        if not spec.has_dispersion:
             # phi* = 1/w: the scaled-count normalizer, constant in gamma
             out[0] = data.y * data.log_w - special.gammaln(data.y + 1.0)
             return out

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .family import FamilySpec, Member
 
 
 class LinkKind(enum.Enum):
@@ -53,43 +52,6 @@ class LinkPair:
         if isinstance(disp, str):
             disp = LinkKind.from_name(disp)
         return cls(mean, disp)
-
-
-# Mean links for which closed-form likelihood derivatives exist.
-PERMITTED_MEAN_LINKS = {
-    Member.NORMAL: (LinkKind.IDENTITY,),
-    Member.POISSON: (LinkKind.LOG, LinkKind.SQRT, LinkKind.IDENTITY),
-    Member.COMPOUND_POISSON_GAMMA: (LinkKind.LOG,),
-    Member.GAMMA: (LinkKind.INVERSE, LinkKind.IDENTITY, LinkKind.LOG),
-    Member.INVERSE_GAUSSIAN: (LinkKind.INVERSE_SQUARED,),
-}
-
-
-def default_links(spec: FamilySpec) -> LinkPair:
-    """Conventional link pair per member (log dispersion throughout)."""
-    mean = {
-        Member.NORMAL: LinkKind.IDENTITY,
-        Member.POISSON: LinkKind.LOG,
-        Member.COMPOUND_POISSON_GAMMA: LinkKind.LOG,
-        Member.GAMMA: LinkKind.LOG,
-        Member.INVERSE_GAUSSIAN: LinkKind.INVERSE_SQUARED,
-    }[spec.member]
-    return LinkPair(mean, LinkKind.LOG)
-
-
-def validate_links(spec: FamilySpec, links: LinkPair) -> None:
-    """Reject (member, link) combinations outside the supported table."""
-    if links.mean not in PERMITTED_MEAN_LINKS[spec.member]:
-        allowed = [k.value for k in PERMITTED_MEAN_LINKS[spec.member]]
-        raise ConfigError(
-            f"mean link {links.mean.value!r} not permitted for "
-            f"{spec.member.value}; allowed: {allowed}")
-    if spec.member is Member.POISSON and links.disp is LinkKind.IDENTITY:
-        # Poisson has no dispersion coefficients: its dispersion is h2(0),
-        # which the identity link puts at 0.
-        raise ConfigError(
-            "dispersion link 'identity' not permitted for poisson: its "
-            "fixed dispersion h2(0) would be 0; use 'log'")
 
 
 def _check_domain(kind: LinkKind, t: np.ndarray) -> None:

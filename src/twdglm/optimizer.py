@@ -58,10 +58,10 @@ from scipy import linalg
 from . import likelihood as lik
 from .errors import (ConfigError, DomainError, NonFiniteError, ScalingError,
                      SeriesInfeasibleError, SingularSystemError)
-from .family import FamilySpec, Member
+from .family import FamilySpec, validate_links
 from .graph import PenaltyConfig, PenaltyMode, assemble_penalty
 from .likelihood import Coefficients, Dataset, MeanHessian
-from .links import LinkPair, validate_links
+from .links import LinkPair
 
 # Stop once an iteration lowers the objective by less than this.
 EPS_CONVERGE = 1e-8
@@ -85,8 +85,8 @@ class FitConfig:
     factor are the module constants ``EPS_CONVERGE``, ``MAX_ITERS`` and
     ``C_GROWTH``.
 
-    ``p_grid`` must lie inside the member's index range; a single-point
-    grid pins p.
+    ``p_grid`` is resolved by ``FamilySpec.index_grid``: a free index
+    walks it, and a single-point grid pins p.
     """
 
     penalty: PenaltyConfig
@@ -112,14 +112,6 @@ class FitResult:
     iters: int
     converged: bool
     history: list[Coefficients]
-
-
-def default_p_grid(spec: FamilySpec) -> np.ndarray:
-    """Profile grid for the compound member; fixed-p members get a
-    single-point grid."""
-    if spec.member is Member.COMPOUND_POISSON_GAMMA:
-        return np.round(np.arange(1.05, 1.9501, 0.05), 10)
-    return np.array([spec.p])
 
 
 def objective(data: Dataset, theta: Coefficients, spec: FamilySpec,
@@ -449,8 +441,7 @@ def update_index(data: Dataset, point: _Point, links: LinkPair,
     empty grid.
     """
     grid = np.asarray(p_grid, dtype=float).ravel()
-    if (point.spec.member is not Member.COMPOUND_POISSON_GAMMA
-            or grid.size == 0):
+    if not point.spec.free_index or grid.size == 0:
         return point
     i = int(np.argmin(np.abs(grid - point.spec.p)))
 
@@ -470,10 +461,6 @@ def update_index(data: Dataset, point: _Point, links: LinkPair,
     if not walk(-1, operator.le):
         walk(1, operator.lt)
     return point
-
-
-def _snap_to_grid(p: float, p_grid: np.ndarray) -> float:
-    return float(p_grid[int(np.argmin(np.abs(p_grid - p)))])
 
 
 def _check_identifiable(data: Dataset, penalty: PenaltyConfig,
@@ -515,14 +502,8 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
     validate_links(spec, links)
     if data.n_rows == 0:
         raise ConfigError("cannot fit an empty dataset")
-    p_grid = config.p_grid
-    if p_grid.size == 0:
-        p_grid = default_p_grid(spec)
-    if spec.member is Member.COMPOUND_POISSON_GAMMA:
-        if np.any(p_grid <= 1.0) or np.any(p_grid >= 2.0):
-            raise ConfigError("p_grid must lie inside (1, 2)")
-    has_disp = (data.k_gamma > 0
-                and spec.member is not Member.POISSON)
+    spec_start, p_grid = spec.index_grid(config.p_grid)
+    has_disp = data.k_gamma > 0 and spec.has_dispersion
     _check_identifiable(data, config.penalty, has_disp)
     theta = init.copy() if init is not None else \
         data.initial_coefficients(spec, links)
@@ -530,13 +511,11 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
             or theta.alpha.size != data.graph.n_vertices:
         raise ConfigError("init has wrong block sizes for this dataset")
 
-    if spec.member is Member.COMPOUND_POISSON_GAMMA:
-        spec = spec.with_p(_snap_to_grid(spec.p, p_grid))
-    lik._check_member_data(data, spec)
+    lik._check_member_data(data, spec_start)
 
     # evaluated unguarded, so that a start the series cannot sum says so
     try:
-        point = _evaluate(data, theta, spec, links,
+        point = _evaluate(data, theta, spec_start, links,
                           config.penalty.value(theta.as_vector()))
     except (DomainError, NonFiniteError):
         point = None

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, ConfigError
-from .family import FamilySpec, Member
+from .family import FamilySpec
 from .graph import lattice_graph
 from .likelihood import Coefficients, Dataset
 
@@ -215,7 +215,7 @@ def make_dataset(n: int, rows: int, cols: int, pattern: PatternKind | str,
     with log-linear mean and dispersion models and the configured
     spatial pattern added to the mean predictor.
     """
-    if spec.member is not Member.COMPOUND_POISSON_GAMMA:
+    if not spec.free_index:
         raise ConfigError("synthetic responses are compound Poisson-gamma")
     if n < 1:
         raise ConfigError("n must be at least 1")

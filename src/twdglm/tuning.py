@@ -65,6 +65,7 @@ class TuneResult:
     best_lambda1: float
     best_lambda2: float
     best_fit: FitResult
+    best_deviance: float
     surface: list
     train_index: np.ndarray
     holdout_index: np.ndarray
@@ -113,6 +114,7 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
     recorded on the surface and excluded from the argmin; ties break
     toward the first (hence lexicographically smallest) cell.
     """
+    spec.index_grid(config_template.p_grid)     # fails here, not per cell
     train_idx, hold_idx = split_train_holdout(data, grid.train_frac,
                                               grid.seed)
     train = data.subset(train_idx)
@@ -149,9 +151,9 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
             best = (dev, float(ll1), float(ll2), res)
     if best is None:
         raise ConfigError("every grid cell failed to fit")
-    _, bl1, bl2, bfit = best
+    bdev, bl1, bl2, bfit = best
     return TuneResult(best_lambda1=float(np.exp(bl1)),
                       best_lambda2=float(np.exp(bl2)),
-                      best_fit=bfit, surface=surface,
+                      best_fit=bfit, best_deviance=bdev, surface=surface,
                       train_index=train_idx, holdout_index=hold_idx)
 

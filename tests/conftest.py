@@ -31,7 +31,7 @@ def spec_for(member: Member, p_cpg: float = 1.5,
              approx: Approx = Approx.SERIES) -> FamilySpec:
     if member is Member.COMPOUND_POISSON_GAMMA:
         return FamilySpec.compound_poisson_gamma(p_cpg, approx=approx)
-    return FamilySpec(member, fam._FIXED_P[member])
+    return FamilySpec(member, fam._MEMBERS[member].fixed_p)
 
 
 # h'(t) and h''(t) of each link's inverse map h

@@ -1,6 +1,7 @@
 """One parse of the package and of the suite for the static checks: the
-unused import, parameter, private and public name checks and the
-index-in-spec check. ``SCANS`` maps each file to its ``Scan``."""
+unused import, parameter, private and public name checks, the
+index-in-spec check and the member-table checks. ``SCANS`` maps each
+file to its ``Scan``."""
 
 import ast
 from collections import Counter, defaultdict
@@ -82,3 +83,27 @@ def package_references(exclude=()) -> Counter:
 def parameters(fn):
     args = fn.args
     return args.posonlyargs + args.args + args.kwonlyargs
+
+
+def attribute_reads(node, owner) -> list:
+    """The ``owner.<name>`` reads under ``node``, also when ``owner`` is
+    itself an attribute (``fam.Member.POISSON``)."""
+    return [sub for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+            and getattr(sub.value, "id", getattr(sub.value, "attr", None))
+            == owner]
+
+
+def imported_modules(node) -> set:
+    """The last dotted part of every module an import under ``node``
+    names: ``from .family import x``, ``from . import family`` and
+    ``import twdglm.family`` each give ``family``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            found.update(a.name.split(".")[-1] for a in sub.names)
+        elif isinstance(sub, ast.ImportFrom):
+            if sub.module:
+                found.add(sub.module.split(".")[-1])
+            if not sub.module or sub.module == "twdglm":
+                found.update(a.name for a in sub.names)
+    return found

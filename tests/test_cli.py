@@ -27,7 +27,7 @@ from twdglm.errors import DomainError, SchemaError
 from twdglm.family import FamilySpec
 from twdglm.graph import ArealGraph
 from twdglm.inference import wald_table
-from twdglm.links import default_links, link_eval
+from twdglm.links import link_eval
 
 
 def run_ok(argv, capsys=None):
@@ -184,6 +184,106 @@ class TestLoadDataset:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error[E_SCHEMA]: {bad}: duplicate column 'y'\n")
+
+    def test_header_only_file(self, tmp_path):
+        graph = tmp_path / "g.tsv"
+        graph.write_text("a\tb\n", encoding="utf-8")
+        csvf = tmp_path / "d.csv"
+        csvf.write_text("y,vertex\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            load_dataset(csvf, FamilySpec.compound_poisson_gamma(1.5),
+                         ArealGraph.from_edge_list_file(graph))
+        assert str(err.value) == f"{csvf}: no data rows"
+
+    def test_quoted_header_reads_as_unquoted(self, tmp_path):
+        """A quote in the header sends the file to the column-wise
+        reader, which takes the quoted names as the plain ones."""
+        graph = tmp_path / "g.tsv"
+        graph.write_text("a\tb\n", encoding="utf-8")
+        g = ArealGraph.from_edge_list_file(graph)
+        spec = FamilySpec.compound_poisson_gamma(1.5)
+        body = "1.5,a,0.2\n0,b,0.1\n"
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("y,vertex,x_1\n" + body, encoding="utf-8")
+        quoted.write_text('"y","vertex","x_1"\n' + body, encoding="utf-8")
+        assert cli._line_layout(quoted) is None
+        (want, *want_names), (got, *got_names) = (
+            load_dataset(f, spec, g) for f in (plain, quoted))
+        assert got_names == want_names
+        for name in ("y", "w", "vertex", "X", "Z"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+
+
+class TestReadTable:
+    def test_line_with_another_field_count(self, tmp_path):
+        path = tmp_path / "summary.tsv"
+        path.write_text("key\tvalue\nn_rows\t3\nalpha_sd\t0.5\textra\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            list(cli._read_table(path, ("key", "value"), "summary"))
+        assert str(err.value) == f"{path}: line 3: expected 2 fields"
+
+
+@pytest.fixture(scope="module")
+def positive_sim_dir(sim_dir, tmp_path_factory):
+    """The instance of ``sim_dir`` with 1 added to every response, so
+    that the Gamma and inverse Gaussian members accept it."""
+    out = tmp_path_factory.mktemp("positive")
+    with open(sim_dir / "data.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with open(out / "data.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(
+            [header] + [[repr(float(r[0]) + 1.0)] + r[1:] for r in rows])
+    (out / "graph.tsv").write_bytes((sim_dir / "graph.tsv").read_bytes())
+    return out
+
+
+class TestIndexGridOption:
+    """``--p-grid`` either means what it says or ends in one error line
+    before ``--out`` exists."""
+
+    @pytest.mark.parametrize("family, grid, line", [
+        ("gamma", "5:9:1", "p_grid does not apply to gamma, whose index is "
+         "fixed at p = 2.0"),
+        ("gamma", "1.1:1.5:0.4", "p_grid does not apply to gamma, whose "
+         "index is fixed at p = 2.0"),
+        ("normal", "0:0.5:0.5", "p_grid does not apply to normal, whose "
+         "index is fixed at p = 0.0"),
+        ("inverse-gaussian", "3:3.5:0.5", "p_grid does not apply to "
+         "inverse-gaussian, whose index is fixed at p = 3.0"),
+        ("cpg", "1:2", "--p-grid expects lo:hi:step"),
+        ("cpg", "2:1:0.1", "--p-grid expects lo <= hi and step > 0"),
+        ("cpg", "1:2:0", "--p-grid expects lo <= hi and step > 0"),
+        ("cpg", "0.5:1.5:0.5", "p_grid must lie inside (1, 2)"),
+    ], ids=["gamma", "gamma-inside-1-2", "normal", "inverse-gaussian",
+            "two-parts", "descending", "zero-step", "outside"])
+    @pytest.mark.parametrize("command", ["fit", "tune"])
+    def test_refused_grid_is_one_config_line(self, positive_sim_dir,
+                                             tmp_path, capsys, command,
+                                             family, grid, line):
+        out = tmp_path / "out"
+        code = run_command(
+            [command, "--data", str(positive_sim_dir / "data.csv"),
+             "--graph", str(positive_sim_dir / "graph.tsv"), "--family",
+             family, "--p-grid", grid, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"error[E_CONFIG]: {line}\n")
+        assert not out.exists()
+
+    def test_fixed_member_takes_its_own_point(self, positive_sim_dir,
+                                              tmp_path):
+        """``--p-grid 2:2:1`` is Gamma's own single point: the fit is
+        that without the flag, and p_hat is 2."""
+        argv = ["fit", "--data", str(positive_sim_dir / "data.csv"),
+                "--graph", str(positive_sim_dir / "graph.tsv"), "--family",
+                "gamma"]
+        run_ok(argv + ["--out", str(tmp_path / "plain")])
+        run_ok(argv + ["--p-grid", "2:2:1", "--out", str(tmp_path / "own")])
+        for name in ("coefficients.tsv", "summary.tsv"):
+            assert (tmp_path / "own" / name).read_bytes() == (
+                tmp_path / "plain" / name).read_bytes()
+        assert "p_hat\t2\n" in (tmp_path / "own" / "summary.tsv").read_text()
 
 
 class TestPipeline:
@@ -562,7 +662,7 @@ class TestPredictMatchesNames:
             sim_dir / "data.csv", spec,
             ArealGraph.from_edge_list_file(sim_dir / "graph.tsv"))
         theta = read_coefficients(fit_dir / "coefficients.tsv")[0]
-        mu = link_eval(default_links(spec).mean,
+        mu = link_eval(spec.default_link,
                        data.X @ theta.beta + theta.alpha[data.vertex])
         got = [line.split("\t")[2]
                for line in predictions.decode().splitlines()[1:]]

@@ -54,6 +54,40 @@ def _nll_gamma(data, theta, spec, links):
     return lambda ga: nll_at(data, with_gamma(theta, ga), spec, links)
 
 
+class TestDatasetChecks:
+    """Each malformed input to ``Dataset`` raises ConfigError with its
+    own message."""
+
+    @staticmethod
+    def _build(**change):
+        g = lattice_graph(1, 4)
+        parts = dict(y=[1.0, 2.0, 3.0], w=[1.0, 1.0, 1.0], vertex=[0, 1, 3],
+                     X=np.ones((3, 2)), Z=np.ones((3, 1)), graph=g)
+        parts.update(change)
+        return Dataset(**parts)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(X=np.ones((2, 2))),
+         "design matrices must have one row per observation"),
+        (dict(Z=np.ones((4, 1))),
+         "design matrices must have one row per observation"),
+        (dict(w=[1.0, 1.0]), "y, w and vertex must have equal length"),
+        (dict(vertex=[0, 1]), "y, w and vertex must have equal length"),
+        (dict(w=[1.0, 0.0, 1.0]), "exposures must be strictly positive"),
+        (dict(vertex=[0, 1, 4]), "vertex index out of range for the graph"),
+        (dict(vertex=[0, -1, 2]), "vertex index out of range for the graph"),
+        (dict(X=np.array([[1.0, np.nan]] * 3)), "non-finite entries in X"),
+        (dict(Z=np.array([[np.inf]] * 3)), "non-finite entries in Z"),
+        (dict(y=[1.0, np.nan, 3.0]), "non-finite responses"),
+    ], ids=["X-rows", "Z-rows", "w-length", "vertex-length", "exposure",
+            "vertex-high", "vertex-negative", "X-nan", "Z-inf", "y-nan"])
+    def test_rejects(self, change, message):
+        self._build()       # the unchanged parts are a valid dataset
+        with pytest.raises(ConfigError) as err:
+            self._build(**change)
+        assert str(err.value) == message
+
+
 class TestValues:
     def test_empty_dataset(self):
         g = lattice_graph(1, 4)

@@ -7,9 +7,8 @@ import pytest
 
 from conftest import link_inverse, natural_from_predictor, spec_for
 from twdglm.errors import ConfigError, DomainError
-from twdglm.family import FamilySpec, Member
-from twdglm.links import (LinkKind, LinkPair, link_apply, link_eval,
-                          validate_links)
+from twdglm.family import FamilySpec, Member, validate_links
+from twdglm.links import LinkKind, LinkPair, link_apply, link_eval
 
 ALL_KINDS = list(LinkKind)
 

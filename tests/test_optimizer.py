@@ -858,6 +858,38 @@ class TestUpdateIndex:
         assert hits >= 2
 
 
+class TestFitChecks:
+    """Inputs that ``fit`` and ``FitConfig`` refuse before iterating."""
+
+    def test_grid_not_ascending(self):
+        data, _ = _normal_instance()
+        with pytest.raises(ConfigError) as err:
+            FitConfig(penalty=_zero_penalty(data), p_grid=[1.5, 1.3])
+        assert str(err.value) == "p_grid must be strictly ascending"
+
+    def test_empty_dataset(self):
+        g = lattice_graph(1, 4)
+        data = Dataset(np.zeros(0), np.zeros(0), np.zeros(0, dtype=int),
+                       np.zeros((0, 1)), np.zeros((0, 1)), g)
+        with pytest.raises(ConfigError) as err:
+            fit(data, spec_for(Member.NORMAL), LinkPair.of("identity", "log"),
+                FitConfig(penalty=_zero_penalty(data)))
+        assert str(err.value) == "cannot fit an empty dataset"
+
+    @pytest.mark.parametrize("block", ["beta", "alpha", "gamma"])
+    def test_init_of_the_wrong_size(self, block):
+        data, links = _normal_instance()
+        theta = data.initial_coefficients(spec_for(Member.NORMAL), links)
+        parts = {name: getattr(theta, name)
+                 for name in ("beta", "alpha", "gamma")}
+        parts[block] = np.append(parts[block], 0.0)
+        with pytest.raises(ConfigError) as err:
+            fit(data, spec_for(Member.NORMAL), links,
+                FitConfig(penalty=_zero_penalty(data)),
+                init=Coefficients(**parts))
+        assert str(err.value) == "init has wrong block sizes for this dataset"
+
+
 class TestFit:
     def test_matches_least_squares_and_moment_dispersion(self):
         data, links = _normal_instance(seed=21)
@@ -985,7 +1017,7 @@ class TestFit:
         res = fit(data, spec, links, FitConfig(penalty=pen))
         assert res.objective_trace[0] == objective(
             data, res.history[0], spec.with_p(1.5), links, pen)
-        assert res.p_hat in opt.default_p_grid(spec)
+        assert res.p_hat in fam.default_p_grid(spec)
 
     def test_single_point_grid_pins_p(self):
         """From p = 1.3 with the grid [1.5] the fit snaps to 1.5 and

@@ -105,6 +105,18 @@ class TestGridSearch:
         assert all(np.isfinite(c.deviance) for c in r1.surface
                    if not c.failed)
 
+    def test_best_deviance_is_the_best_cells_holdout_score(self):
+        """The result carries the hold-out deviance of its best cell: the
+        surface's minimum, and the best fit scored on the hold-out rows."""
+        data, oracle, spec, links, cfg = _cpg_instance(n=500, seed=8)
+        grid = GridSpec(np.linspace(-2, 2, 2), np.linspace(-2, 2, 2), 0.6,
+                        seed=8)
+        res = grid_search(data, spec, links, cfg, grid)
+        assert res.best_deviance == min(c.deviance for c in res.surface)
+        assert res.best_deviance == weighted_deviance(
+            data.subset(res.holdout_index), res.best_fit.theta_hat.eta,
+            spec.with_p(res.best_fit.p_hat), links.mean)
+
     def test_traversal_row_major_and_warm_start_chain(self):
         data, oracle, spec, links, cfg = _cpg_instance(n=500, seed=9)
         grid = GridSpec(np.array([-1.0, 1.0]), np.array([-1.0, 1.0]), 0.6,
