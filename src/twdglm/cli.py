@@ -666,25 +666,25 @@ def _cmd_simulate(opts) -> int:
 
 
 def _prepare_model(opts):
-    """The family, links, graph and dataset of the options."""
+    """The family, links, index grid, graph and dataset of the options.
+    The index grid (None for a command without ``--p-grid``) is checked
+    before any file is read."""
     spec = FamilySpec.named(opts["family"], opts["p"],
                             Approx(opts.get("approx", Approx.SERIES)))
     mean = opts["mean_link"]
     links = LinkPair.of(spec.default_link if mean is None else mean,
                         opts["disp_link"])
     validate_links(spec, links)
+    p_grid = _index_grid(opts, spec) if "p_grid" in opts else None
     graph = ArealGraph.from_edge_list_file(_require(opts, "graph", "--graph"))
     data, beta_names, gamma_names = load_dataset(
         _require(opts, "data", "--data"), spec, graph, expand=opts["expand"])
-    return spec, links, graph, data, beta_names, gamma_names
+    return spec, links, p_grid, graph, data, beta_names, gamma_names
 
 
-def _fit_config(opts, spec, data, lambda1, lambda2) -> FitConfig:
-    """The fit's penalty and index grid: a given p is fixed unless
-    ``--p-grid`` is set, and the member checks the grid."""
-    penalty = assemble_penalty(PenaltyMode.from_name(opts["penalty"]),
-                               lambda1, lambda2, data.k_beta, data.graph,
-                               data.k_gamma)
+def _index_grid(opts, spec) -> np.ndarray:
+    """The fit's index grid: a given p is fixed unless ``--p-grid`` is
+    set, and the member checks the grid."""
     raw = opts["p_grid"]
     grid = [] if opts["p"] is None else [spec.p]
     if raw is not None:
@@ -697,7 +697,15 @@ def _fit_config(opts, spec, data, lambda1, lambda2) -> FitConfig:
         if step <= 0 or hi < lo:
             raise ConfigError("--p-grid expects lo <= hi and step > 0")
         grid = np.round(np.arange(lo, hi + step / 2.0, step), 12)
-    return FitConfig(penalty=penalty, p_grid=spec.index_grid(grid)[1])
+    return spec.index_grid(grid)[1]
+
+
+def _fit_config(opts, data, p_grid, lambda1, lambda2) -> FitConfig:
+    """The fit's penalty and index grid."""
+    penalty = assemble_penalty(PenaltyMode.from_name(opts["penalty"]),
+                               lambda1, lambda2, data.k_beta, data.graph,
+                               data.k_gamma)
+    return FitConfig(penalty=penalty, p_grid=p_grid)
 
 
 def _write_fit_outputs(out, spec, links, data, beta_names, gamma_names,
@@ -738,8 +746,9 @@ def _write_fit_outputs(out, spec, links, data, beta_names, gamma_names,
 def _cmd_fit(opts) -> int:
     """fit one model"""
     out = _require(opts, "out", "--out")
-    spec, links, graph, data, beta_names, gamma_names = _prepare_model(opts)
-    cfg = _fit_config(opts, spec, data, float(opts["lambda1"]),
+    spec, links, p_grid, graph, data, beta_names, gamma_names = \
+        _prepare_model(opts)
+    cfg = _fit_config(opts, data, p_grid, float(opts["lambda1"]),
                       float(opts["lambda2"]))
     os.makedirs(out, exist_ok=True)
     result = fit(data, spec, links, cfg)
@@ -756,15 +765,16 @@ def _cmd_fit(opts) -> int:
 def _cmd_tune(opts) -> int:
     """grid-search the penalty multipliers"""
     out = _require(opts, "out", "--out")
-    spec, links, graph, data, beta_names, gamma_names = _prepare_model(opts)
     ax1, ax2 = _parse_lambda_grid(opts)
+    spec, links, p_grid, graph, data, beta_names, gamma_names = \
+        _prepare_model(opts)
     grid = GridSpec(ax1, ax2, float(opts["train_frac"]), opts["seed"])
     # grid_search replaces the penalty in every cell, so the template
     # is that of the largest cell: its entries are the largest, and an
     # exp that overflows gives inf, which assemble_penalty rejects
     with np.errstate(over="ignore"):
         top1, top2 = np.exp(ax1.max()), np.exp(ax2.max())
-    cfg = _fit_config(opts, spec, data, float(top1), float(top2))
+    cfg = _fit_config(opts, data, p_grid, float(top1), float(top2))
     os.makedirs(out, exist_ok=True)
     result = grid_search(data, spec, links, cfg, grid)
     export_surface(os.path.join(out, "surface.tsv"), result.surface)
@@ -793,7 +803,8 @@ def _cmd_predict(opts) -> int:
         fit_dir = _require(opts, "fit_dir", "--fit-dir or --coefficients")
         coef_path = os.path.join(fit_dir, "coefficients.tsv")
     theta, beta_names, gamma_names, labels = read_coefficients(coef_path)
-    spec, links, graph, data, data_beta, data_gamma = _prepare_model(opts)
+    spec, links, _, graph, data, data_beta, data_gamma = \
+        _prepare_model(opts)
     alpha = np.empty(graph.n_vertices)
     alpha[_positions(coef_path, "alpha", labels, graph.labels,
                      "graph")] = theta.alpha

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse import csgraph
 
 from .errors import ConfigError, SchemaError, read_lines
@@ -266,34 +267,45 @@ class PenaltyConfig:
 
 @dataclass(frozen=True, eq=False)
 class SpatialBand:
-    """A symmetric matrix in reverse Cuthill-McKee order, as the lower
-    band of LAPACK's banded storage: ``ab[d, k]`` holds entry
-    (k + d, k) of the permuted matrix, whose row k is vertex
-    ``order[k]``; ``inverse`` maps a vertex to its permuted row. ``ab``
-    is column-major, the layout LAPACK reads, so that a solve hands its
-    one copy of the band to LAPACK to factor in place."""
+    """A matrix in reverse Cuthill-McKee order, as the lower band of
+    LAPACK's banded storage: ``ab[d, k]`` holds entry (k + d, k) of the
+    permuted matrix, whose row k is vertex ``order[k]``; ``inverse``
+    maps a vertex to its permuted row. The matrix is symmetric, or, as
+    ``factor`` returns it, the lower-triangular Cholesky factor L of
+    one. ``ab`` is column-major, the layout LAPACK reads, so that
+    ``factor`` hands its one copy of the band to LAPACK in place."""
 
     order: np.ndarray
     inverse: np.ndarray
     ab: np.ndarray
 
-    def solve(self, diag: np.ndarray, cols: np.ndarray):
-        """Solve (M + diag(diag)) x = cols by banded Cholesky, for the
-        matrix M held here, with ``diag`` and the rows of ``cols`` and
-        of x in vertex order. LAPACK stops at the first pivot that is
-        not positive, so None comes back exactly when M + diag(diag) is
-        not positive definite."""
+    def factor(self, diag: np.ndarray) -> "SpatialBand | None":
+        """The banded Cholesky factor L of P (M + diag(diag)) P', for the
+        symmetric matrix M held here and P its permutation, with
+        ``diag`` in vertex order. LAPACK stops at the first pivot that
+        is not positive, so None comes back exactly when
+        M + diag(diag) is not positive definite."""
         ab = self.ab.copy(order="F")
         ab[0] += diag[self.order]
-        try:
-            factor = linalg.cholesky_banded(ab, lower=True, overwrite_ab=True,
-                                            check_finite=False)
-        except linalg.LinAlgError:
+        low, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0 or np.isnan(low[0]).any():  # NaN passes the pivot test
             return None
-        if np.isnan(factor[0]).any():       # LAPACK's pivot test passes NaN
-            return None
-        return linalg.cho_solve_banded((factor, True), cols[self.order],
-                                       check_finite=False)[self.inverse]
+        return SpatialBand(self.order, self.inverse, low)
+
+    def forward(self, cols: np.ndarray) -> np.ndarray:
+        """L^{-1} P cols for the factor L held here, with the rows of
+        ``cols`` in vertex order and those of the result in the band's:
+        the forward half of a solve, whose column products are those
+        of a Schur complement."""
+        return lapack.dtbtrs(self.ab, cols[self.order], uplo="L")[0]
+
+    def back(self, rows: np.ndarray) -> np.ndarray:
+        """P' L^{-T} rows for the factor L held here, with ``rows`` in
+        the band's order and the result's rows in vertex order: the
+        back half of a solve, so that ``back(forward(b))`` solves the
+        factored system for b."""
+        return lapack.dtbtrs(self.ab, rows, uplo="L",
+                             trans="T")[0][self.inverse]
 
 
 def lower_band(mat: sparse.csr_matrix) -> SpatialBand:

@@ -15,7 +15,15 @@ only linearly. From the second iteration on, a member with a dispersion
 model first tries the joint step (b = all of theta, cross block
 included) at scaling 1 only, through the mean step's solver with gamma
 beside beta in its dense block. When that step is rejected, or its
-system is not positive definite, the iteration takes the sweep instead.
+system is not positive definite, the iteration takes the sweep instead,
+except where the rejected step's Newton model predicted a decrease
+below the convergence threshold (half the squared Newton decrement,
+Boyd and Vandenberghe 2004, 9.5.1): rounding rejects such a step at
+the optimum, where a sweep would lower the objective by nothing, so the
+iteration takes no block step and, unless the index moves, the fit
+stops. The mean and joint steps factor the spatial band once and solve
+through it by one forward pass over all their columns and one back
+pass for alpha (``_sparse_schur_solve``).
 Every iteration ends by updating the index parameter by a walk on its
 grid from the current p to a local minimum of the likelihood in p (the
 grid minimum when the profile is unimodal; on a multimodal profile it
@@ -53,7 +61,7 @@ import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from . import likelihood as lik
 from .errors import (ConfigError, DomainError, NonFiniteError, ScalingError,
@@ -175,13 +183,12 @@ def _evaluate_or_reject(*args, **kwargs) -> _Point | None:
 # ---------------------------------------------------------------------------
 
 def _chol_solve(mat: np.ndarray, rhs: np.ndarray):
-    """Cholesky solve; returns None when the matrix is not positive
-    definite."""
-    try:
-        c, low = linalg.cho_factor(mat, lower=True, check_finite=False)
-    except linalg.LinAlgError:
+    """Cholesky solve by LAPACK's dpotrf and dpotrs; returns None when
+    the matrix is not positive definite."""
+    low, info = lapack.dpotrf(mat, lower=1, clean=0)
+    if info != 0:
         return None
-    return linalg.cho_solve((c, low), rhs, check_finite=False)
+    return lapack.dpotrs(low, rhs, lower=1)[0]
 
 
 def _block_derivatives(step_kind: str, data: Dataset, point: _Point):
@@ -232,14 +239,16 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c: float,
     through the sparse spatial block.
 
     S22 = l1*I + l2*Laplacian + c*diag(H_aa) is a sparse GMRF precision,
-    factored by the penalty's ``alpha_band`` (banded
-    Cholesky in reverse Cuthill-McKee order). The same factor solves for
-    rhs_a and the columns of A21, and the dense Schur complement
-    A11 - A12 S22^{-1} A21 then closes the dense part, by Cholesky when
-    l1 > 0 and by ``_min_norm_close`` when l1 = 0. The dense part is
-    beta for the mean step. With ``gamma_block`` = (H_gg, H_gb, H_ga),
-    the system is the joint one, ``rhs``, ``base`` and the result are
-    packed (beta, alpha, gamma), and the dense part is (beta, gamma).
+    factored as S22 = P' L L' P by the penalty's ``alpha_band`` (banded
+    Cholesky in reverse Cuthill-McKee order P). One forward solve over
+    1 + k columns gives y = L^{-1} P rhs_a and Y = L^{-1} P A21, so the
+    dense Schur complement is A11 - Y'Y and its right-hand side
+    rhs_d - Y'y; that closes the dense part, by Cholesky when l1 > 0 and
+    by ``_min_norm_close`` when l1 = 0, and alpha is one back solve of
+    y - Y star. The dense part is beta for the mean step (k = k_beta).
+    With ``gamma_block`` = (H_gg, H_gb, H_ga), the system is the joint
+    one, ``rhs``, ``base`` and the result are packed (beta, alpha,
+    gamma), and the dense part is (beta, gamma) (k = k_beta + k_gamma).
     The penalty's ``ridge`` is on the dense part's diagonal. Returns
     None when the system is not positive definite, or with l1 = 0 not
     positive semidefinite.
@@ -264,28 +273,27 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c: float,
     # rhs and base in the solve's order: the dense part, then alpha
     rhs_d = np.concatenate([rhs[:kb], rhs[kb + nv:]])
     base = np.concatenate([base[:kb], base[kb + nv:], base[kb:kb + nv]])
-    a12 = c * cross
     diag = c * hess.h_aa_diag
     singular = penalty.lambda1 == 0
     if singular:
         labels = penalty.alpha_components
         touched = (hess.h_aa_diag != 0) | np.any(cross != 0, axis=0)
         loose = np.bincount(labels, weights=touched)[labels] == 0
-    sol = penalty.alpha_band.solve(diag + loose if singular else diag,
-                                   np.column_stack([rhs[kb:kb + nv], a12.T]))
-    if sol is None:
+    factor = penalty.alpha_band.factor(diag + loose if singular else diag)
+    if factor is None:
         return None
-    v, x_cols = sol[:, 0], sol[:, 1:]         # S22^{-1} rhs_a, S22^{-1} A21
+    fwd = factor.forward(np.column_stack([rhs[kb:kb + nv], c * cross.T]))
+    y_r, y_a = fwd[:, 0], fwd[:, 1:]          # L^{-1} P rhs_a, L^{-1} P A21
+    schur, r_dense = a11 - y_a.T @ y_a, rhs_d - y_a.T @ y_r
     if nd == 0:
-        out = base + v
+        out = base + factor.back(y_r)
     elif singular:
         tol = SCHUR_NULL_TOL * max(np.abs(a11).max(), np.abs(diag).max())
-        out = _min_norm_close(a11 - a12 @ x_cols, rhs_d - a12 @ v, v, x_cols,
-                              tol, base)
+        out = _min_norm_close(schur, r_dense, y_r, y_a, factor, tol, base)
     else:
-        star = _chol_solve(a11 - a12 @ x_cols, rhs_d - a12 @ v)
-        out = (None if star is None
-               else base + np.concatenate([star, v - x_cols @ star]))
+        star = _chol_solve(schur, r_dense)
+        out = (None if star is None else base + np.concatenate(
+            [star, factor.back(y_r - y_a @ star)]))
     if out is None:
         return None
     if singular:
@@ -293,20 +301,23 @@ def _sparse_schur_solve(hess: MeanHessian, penalty: PenaltyConfig, c: float,
     return np.concatenate([out[:kb], out[nd:], out[kb:nd]])
 
 
-def _min_norm_close(schur, r_dense, v, x_cols, tol, base):
+def _min_norm_close(schur, r_dense, y_r, y_a, factor, tol, base):
     """Minimum-norm base + delta of a consistent l1 = 0 system from its
-    Schur complement, r_dense = rhs_d - A12 v, v = S22^{-1} rhs_a and
-    x_cols = S22^{-1} A21: delta's dense part by the pseudo-inverse over
-    eigenvalues above tol (None if one is below -tol), then the null
-    directions [B; -x_cols B] out of base + delta, not out of delta."""
+    Schur complement, r_dense = rhs_d - Y'y and the forward halves
+    y = L^{-1} P rhs_a and Y = L^{-1} P A21 of the band ``factor``:
+    delta's dense part by the pseudo-inverse over eigenvalues above tol
+    (None if one is below -tol); alpha and the null directions
+    [B; -S22^{-1} A21 B] by one back solve of [y - Y star | Y B], and
+    the null directions taken out of base + delta, not out of delta."""
     vals, vecs = np.linalg.eigh(schur)
     if vals.min() < -tol:
         return None
     live = vals > tol
     star = vecs[:, live] @ ((vecs[:, live].T @ r_dense) / vals[live])
-    out = base + np.concatenate([star, v - x_cols @ star])
     null = vecs[:, ~live]
-    basis, _ = np.linalg.qr(np.vstack([null, -x_cols @ null]))
+    back = factor.back(np.column_stack([y_r - y_a @ star, y_a @ null]))
+    out = base + np.concatenate([star, back[:, 0]])
+    basis, _ = np.linalg.qr(np.vstack([null, -back[:, 1:]]))
     return out - basis @ (basis.T @ out)
 
 
@@ -384,8 +395,9 @@ def _scaled_step(step_kind: str, data, point: _Point, links, penalty):
     builds both. The joint step tries c = 1 only, the Newton step.
     Returns (c, the accepted point). Raises ScalingError after the
     doubling budget (for the joint step, after its one try); reason
-    "not-positive-definite" when no system ever factored, "no-decrease"
-    otherwise.
+    "not-positive-definite" when no system ever factored, "flat" when
+    the joint step's Newton model predicts a decrease below
+    ``EPS_CONVERGE``, "no-decrease" otherwise.
     """
     if step_kind not in ("mean", "disp", "joint"):
         raise ConfigError("step_kind must be 'mean', 'disp' or 'joint'")
@@ -416,6 +428,13 @@ def _scaled_step(step_kind: str, data, point: _Point, links, penalty):
                 return c, new
         c *= C_GROWTH
     reason = "no-decrease" if solvable_seen else "not-positive-definite"
+    if step_kind == "joint" and solvable_seen:
+        # the decrease the Newton step's quadratic model predicts,
+        # -1/2 (g + P theta)' delta
+        vec = theta.as_vector()
+        slope = derivs[0] + penalty.gradient(vec)
+        if -0.5 * float(slope @ (cand.as_vector() - vec)) < EPS_CONVERGE:
+            reason = "flat"
     raise ScalingError(
         f"no majorization constant found for the {step_kind} step after "
         f"{doublings} doublings", reason=reason)
@@ -489,7 +508,8 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
 
     Each iteration from the second on first tries the joint step
     (members with a dispersion model only) and sweeps the mean and
-    dispersion blocks when it is rejected; the index walk follows.
+    dispersion blocks when it is rejected, unless its Newton model
+    predicted a decrease below ``EPS_CONVERGE``; the index walk follows.
 
     Stops when the per-iteration objective decrease falls below
     ``EPS_CONVERGE`` or after ``MAX_ITERS`` iterations. A compound fit
@@ -535,8 +555,9 @@ def fit(data: Dataset, spec: FamilySpec, links: LinkPair, config: FitConfig,
                 _, point = _scaled_step("joint", data, point, links,
                                         config.penalty)
                 kinds = ()
-            except ScalingError:
-                pass        # rejected or indefinite: the sweep instead
+            except ScalingError as err:
+                if err.reason == "flat":    # nothing left for a sweep
+                    kinds = ()
         for kind in kinds:
             try:
                 _, point = _scaled_step(kind, data, point, links,

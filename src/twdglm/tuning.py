@@ -49,7 +49,8 @@ class GridSpec:
 class SurfaceCell:
     """One grid cell: its hold-out deviance, whether its fit converged
     and in how many iterations (0 where the fit raised), and for a
-    failed cell the class name of the error (empty where it fitted)."""
+    failed cell the class name of the error, raised by the fit or by
+    the hold-out scoring (empty where the cell was scored)."""
 
     log_lambda1: float
     log_lambda2: float
@@ -111,8 +112,12 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
 
     Cells are visited in row-major order, each warm-started from the
     estimates and index of the last cell that fitted. Failed cells are
-    recorded on the surface and excluded from the argmin; ties break
-    toward the first (hence lexicographically smallest) cell.
+    recorded on the surface and excluded from the argmin; a cell whose
+    fit ran but whose hold-out scoring raised keeps the fit's iteration
+    count and convergence flag there. Ties break toward the first (hence
+    lexicographically smallest) cell. When every cell fails, the
+    ConfigError counts the failures of fitting and of scoring and
+    quotes the first error.
     """
     spec.index_grid(config_template.p_grid)     # fails here, not per cell
     train_idx, hold_idx = split_train_holdout(data, grid.train_frac,
@@ -127,6 +132,8 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
     best: tuple[float, float, float, FitResult] | None = None
     carry: Coefficients | None = None
     carry_p: float | None = None
+    failures: dict[str, int] = {}
+    first_error: TwdglmError | None = None
     for ll1, ll2 in cells:
         penalty = assemble_penalty(mode, float(np.exp(ll1)),
                                    float(np.exp(ll2)), data.k_beta,
@@ -139,10 +146,16 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
             dev = weighted_deviance(hold, res.theta_hat.eta,
                                     spec.with_p(res.p_hat), links.mean)
         except TwdglmError as err:
+            fitted = res is not None
             surface.append(SurfaceCell(
-                float(ll1), float(ll2), float("nan"), False, failed=True,
-                iters=res.iters if res is not None else 0,
-                error=type(err).__name__))
+                float(ll1), float(ll2), float("nan"),
+                fitted and res.converged, failed=True,
+                iters=res.iters if fitted else 0, error=type(err).__name__))
+            stage = "hold-out scoring" if fitted else "fitting"
+            failures[stage] = failures.get(stage, 0) + 1
+            first_error = first_error or err
+            if fitted:
+                carry, carry_p = res.theta_hat, res.p_hat
             continue
         surface.append(SurfaceCell(float(ll1), float(ll2), dev,
                                    res.converged, iters=res.iters))
@@ -150,7 +163,13 @@ def grid_search(data: Dataset, spec: FamilySpec, links: LinkPair,
         if np.isfinite(dev) and (best is None or dev < best[0]):
             best = (dev, float(ll1), float(ll2), res)
     if best is None:
-        raise ConfigError("every grid cell failed to fit")
+        if first_error is None:
+            raise ConfigError("no grid cell has a finite hold-out deviance")
+        where = ", ".join(f"{stage} raised in {count}"
+                          for stage, count in failures.items())
+        raise ConfigError(
+            f"every grid cell failed ({where} of {len(cells)}); first: "
+            f"{type(first_error).__name__}: {first_error}")
     bdev, bl1, bl2, bfit = best
     return TuneResult(best_lambda1=float(np.exp(bl1)),
                       best_lambda2=float(np.exp(bl2)),

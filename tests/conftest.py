@@ -13,7 +13,7 @@ from twdglm import optimizer as opt
 from twdglm.errors import (ConfigError, DomainError, NonFiniteError,
                            SchemaError, SeriesInfeasibleError)
 from twdglm.family import Approx, FamilySpec, Member
-from twdglm.graph import PenaltyMode, lattice_graph
+from twdglm.graph import PenaltyMode, SpatialBand, lattice_graph
 from twdglm.likelihood import Coefficients, Dataset, grad_mean, hess_mean
 from twdglm.links import LinkKind, LinkPair, link_eval
 
@@ -653,19 +653,39 @@ def unheld_dispersion_terms(data, theta, spec, links) -> np.ndarray:
     return out
 
 
-def c_order_band_solve(band, diag, cols):
-    """``graph.SpatialBand.solve`` on a C-ordered copy of the band, which
-    LAPACK's wrapper copies again into column-major order."""
+def c_order_band_factor(band, diag):
+    """``graph.SpatialBand.factor`` by scipy's ``cholesky_banded`` on a
+    C-ordered copy of the band, which its wrapper copies again into
+    column-major order."""
     ab = band.ab.copy()
     ab[0] += diag[band.order]
     try:
-        factor = linalg.cholesky_banded(ab, lower=True, check_finite=False)
+        low = linalg.cholesky_banded(ab, lower=True, check_finite=False)
     except linalg.LinAlgError:
         return None
-    if np.isnan(factor[0]).any():
+    if np.isnan(low[0]).any():
         return None
-    return linalg.cho_solve_banded((factor, True), cols[band.order],
+    return SpatialBand(band.order, band.inverse, low)
+
+
+def c_order_band_solve(band, diag, cols):
+    """Solve (M + diag(diag)) x = cols for the band's matrix M by
+    scipy's ``cholesky_banded`` and ``cho_solve_banded`` on a C-ordered
+    copy of the band, in vertex order; None where it is not positive
+    definite. The oracle for ``SpatialBand.factor``, ``forward`` and
+    ``back`` in turn."""
+    low = c_order_band_factor(band, diag)
+    if low is None:
+        return None
+    return linalg.cho_solve_banded((low.ab, True), cols[band.order],
                                    check_finite=False)[band.inverse]
+
+
+def band_solve(band, diag, cols):
+    """Solve (M + diag(diag)) x = cols for the band's matrix M by its
+    ``factor``, ``forward`` and ``back``; None where the factor is."""
+    low = band.factor(diag)
+    return None if low is None else low.back(low.forward(cols))
 
 
 def fd_gradient(f, x0, h=1e-6):

@@ -225,18 +225,42 @@ class TestReadTable:
         assert str(err.value) == f"{path}: line 3: expected 2 fields"
 
 
-@pytest.fixture(scope="module")
-def positive_sim_dir(sim_dir, tmp_path_factory):
-    """The instance of ``sim_dir`` with 1 added to every response, so
-    that the Gamma and inverse Gaussian members accept it."""
-    out = tmp_path_factory.mktemp("positive")
-    with open(sim_dir / "data.csv", encoding="utf-8", newline="") as fh:
+def _shift_responses(sim, out):
+    """Copy the instance in ``sim`` to ``out`` with 1 added to every
+    response, so that the Gamma and inverse Gaussian members accept it."""
+    with open(sim / "data.csv", encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
     with open(out / "data.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(
             [header] + [[repr(float(r[0]) + 1.0)] + r[1:] for r in rows])
-    (out / "graph.tsv").write_bytes((sim_dir / "graph.tsv").read_bytes())
+    (out / "graph.tsv").write_bytes((sim / "graph.tsv").read_bytes())
     return out
+
+
+@pytest.fixture(scope="module")
+def positive_sim_dir(sim_dir, tmp_path_factory):
+    """The instance of ``sim_dir`` with 1 added to every response."""
+    return _shift_responses(sim_dir, tmp_path_factory.mktemp("positive"))
+
+
+def test_tune_reports_cells_whose_scoring_raised(tmp_path_factory, capsys):
+    """On this instance every training fit of inverse Gaussian converges,
+    but each fitted mean predictor is negative on a hold-out row, so
+    every cell's hold-out scoring raises, and the error says so, naming
+    the first error."""
+    sim = tmp_path_factory.mktemp("ig")
+    run_ok(["simulate", "--n", "3000", "--lattice", "4x4", "--seed", "3",
+            "--out", str(sim)])
+    _shift_responses(sim, sim)
+    out = sim / "tune"
+    code = run_command(["tune", "--data", str(sim / "data.csv"), "--graph",
+                        str(sim / "graph.tsv"), "--family",
+                        "inverse-gaussian", "--grid=-1:1:2,-1:1:2", "--out",
+                        str(out)])
+    assert (code, capsys.readouterr().err) == (
+        2, "error[E_CONFIG]: every grid cell failed (hold-out scoring "
+        "raised in 4 of 4); first: DomainError: inverse-squared link "
+        "inverse requires t > 0\n")
 
 
 class TestIndexGridOption:
@@ -267,6 +291,29 @@ class TestIndexGridOption:
             [command, "--data", str(positive_sim_dir / "data.csv"),
              "--graph", str(positive_sim_dir / "graph.tsv"), "--family",
              family, "--p-grid", grid, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"error[E_CONFIG]: {line}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, grid, line", [
+        ("gamma", "1:2:0.5", "p_grid does not apply to gamma, whose index "
+         "is fixed at p = 2.0"),
+        ("cpg", "1:2:0", "--p-grid expects lo <= hi and step > 0"),
+    ], ids=["refused", "malformed"])
+    @pytest.mark.parametrize("files", ["given", "absent"])
+    @pytest.mark.parametrize("command", ["fit", "tune"])
+    def test_grid_checked_before_any_file(self, sim_dir, tmp_path, capsys,
+                                          command, files, family, grid,
+                                          line):
+        """The grid is checked before ``--graph`` and ``--data`` are
+        read: with both given (data that Gamma's support refuses, as the
+        instance has zero responses) or with neither, the grid's line is
+        the one reported."""
+        out = tmp_path / "out"
+        paths = ["--data", str(sim_dir / "data.csv"), "--graph",
+                 str(sim_dir / "graph.tsv")] if files == "given" else []
+        code = run_command([command, *paths, "--family", family,
+                            "--p-grid", grid, "--out", str(out)])
         assert (code, capsys.readouterr().err) == (
             2, f"error[E_CONFIG]: {line}\n")
         assert not out.exists()

@@ -5,8 +5,8 @@ import pytest
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from conftest import (c_order_band_solve, identity_block, laplacian_block,
-                      penalty_mask)
+from conftest import (band_solve, c_order_band_factor, c_order_band_solve,
+                      identity_block, laplacian_block, penalty_mask)
 from twdglm.errors import ConfigError, SchemaError
 from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
                           build_laplacian, lattice_graph, lower_band)
@@ -159,8 +159,8 @@ class TestLowerBand:
             n = g.n_vertices
             np.testing.assert_array_equal(pen.alpha_band.order, np.arange(n))
             diag, cols = rng.uniform(0.1, 2.0, n), rng.normal(size=(n, 3))
-            assert np.array_equal(pen.alpha_band.solve(diag, cols),
-                                  own.solve(diag, cols))
+            assert np.array_equal(band_solve(pen.alpha_band, diag, cols),
+                                  band_solve(own, diag, cols))
 
     def test_solve_in_vertex_order(self):
         g = shuffled_lattice(4, 5, seed=2)
@@ -168,13 +168,19 @@ class TestLowerBand:
         rng = np.random.default_rng(3)
         diag, cols = rng.uniform(0, 2, 20), rng.normal(size=(20, 3))
         mat = pen.alpha_penalty_matrix().toarray() + np.diag(diag)
-        np.testing.assert_allclose(pen.alpha_band.solve(diag, cols),
+        np.testing.assert_allclose(band_solve(pen.alpha_band, diag, cols),
                                    np.linalg.solve(mat, cols), rtol=1e-12,
                                    atol=1e-12)
+        # the forward half alone carries the Gram products of a Schur
+        # complement: F'F = cols' (M + diag)^{-1} cols
+        fwd = pen.alpha_band.factor(diag).forward(cols)
+        np.testing.assert_allclose(fwd.T @ fwd,
+                                   cols.T @ np.linalg.solve(mat, cols),
+                                   rtol=1e-12, atol=1e-12)
         # e_7' (M + diag) e_7 < 0, and a NaN passes LAPACK's pivot test
         for bad in (-10.0, np.nan):
             diag[7] = bad
-            assert pen.alpha_band.solve(diag, cols) is None
+            assert pen.alpha_band.factor(diag) is None
         # the solves left the band as laid out
         np.testing.assert_array_equal(
             band_to_dense(pen.alpha_band.ab),
@@ -187,9 +193,12 @@ class TestLowerBand:
     def test_solve_matches_c_order_solve_exactly(self, rows, cols, lambda1,
                                                  lambda2):
         """The column-major band factored in place hands LAPACK the same
-        numbers as a C-ordered copy that its wrapper copies again, so
-        the solutions are equal bit for bit, and so is each refusal.
-        With lambda2 = 0 the band is one row, both C- and F-ordered."""
+        numbers as a C-ordered copy that scipy's wrapper copies again,
+        so the factors are equal bit for bit, and so is each refusal;
+        forward then back makes the same triangular solves, column by
+        column, as ``cho_solve_banded``, so the solutions are equal bit
+        for bit too. With lambda2 = 0 the band is one row, both C- and
+        F-ordered."""
         g = shuffled_lattice(rows, cols, seed=rows * 100 + cols)
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, lambda1, lambda2, 2,
                                g, 1)
@@ -199,11 +208,13 @@ class TestLowerBand:
         rng = np.random.default_rng(rows + cols)
         n = g.n_vertices
         diag, rhs = rng.uniform(0.1, 2, n), rng.normal(size=(n, 4))
-        assert np.array_equal(band.solve(diag, rhs),
+        assert np.array_equal(band.factor(diag).ab,
+                              c_order_band_factor(band, diag).ab)
+        assert np.array_equal(band_solve(band, diag, rhs),
                               c_order_band_solve(band, diag, rhs))
         diag[n // 2] = -1e3
-        assert band.solve(diag, rhs) is None
-        assert c_order_band_solve(band, diag, rhs) is None
+        assert band.factor(diag) is None
+        assert c_order_band_factor(band, diag) is None
         np.testing.assert_array_equal(band.ab, laid_out)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (MEAN_LINKS_BY_MEMBER, blocks, c_order_band_solve,
+from conftest import (MEAN_LINKS_BY_MEMBER, blocks, c_order_band_factor,
                       dense_hessian, fd_gradient, fd_jacobian, link_inverse,
                       make_instance, mean_exponent_generic, nll_at,
                       predictors, rel_err, rowmajor_disp_derivatives,
@@ -505,9 +505,10 @@ class TestHeldLayouts:
     def test_index_walk_fit_matches_unheld_fit_exactly(self):
         """A saddlepoint fit over a 19-point index grid, which rebuilds
         the held rows at each p it visits, equals bit for bit the fit
-        whose kernels rebuild every row on each call and solve on a
-        C-ordered band. Each fit runs on its own copy of the dataset,
-        so the second holds nothing the first built."""
+        whose kernels rebuild every row on each call and whose mean and
+        joint steps factor a C-ordered band by scipy's wrapper. Each
+        fit runs on its own copy of the dataset, so the second holds
+        nothing the first built."""
         gen = FamilySpec.compound_poisson_gamma(1.5)
         data, _ = make_dataset(3000, 5, 5, "smooth", gen, 0.15, seed=3)
         # three mean and two dispersion columns: Gram products of those
@@ -532,9 +533,11 @@ class TestHeldLayouts:
                 mock.patch.object(lik, "hess_mean", rowmajor_hess_mean), \
                 mock.patch.object(lik, "disp_derivatives",
                                   rowmajor_disp_derivatives), \
-                mock.patch.object(graph_mod.SpatialBand, "solve",
-                                  c_order_band_solve):
+                mock.patch.object(graph_mod.SpatialBand, "factor",
+                                  autospec=True,
+                                  side_effect=c_order_band_factor) as factor:
             unheld = run()
+        assert factor.call_count >= held.iters
         assert held.p_hat == unheld.p_hat and held.iters == unheld.iters
         assert np.array_equal(held.objective_trace, unheld.objective_trace)
         assert np.array_equal(held.theta_hat.as_vector(),

@@ -18,7 +18,9 @@ from twdglm import family as fam
 from twdglm import graph as graph_mod
 from twdglm import likelihood as lik
 from twdglm import optimizer as opt
-from twdglm.errors import ConfigError, DomainError, SingularSystemError
+from twdglm import tuning
+from twdglm.errors import (ConfigError, DomainError, ScalingError,
+                           SingularSystemError)
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
                           lattice_graph)
@@ -29,7 +31,7 @@ from twdglm.links import LinkPair
 from twdglm.optimizer import (FitConfig, _scaled_step, _sparse_schur_solve,
                               fit, fit_ridge, fit_unpenalized, objective,
                               solve_disp_step, solve_mean_step, update_index)
-from twdglm.simgen import make_dataset
+from twdglm.simgen import SimConfig, make_dataset
 from twdglm.tuning import GridSpec, grid_search
 
 
@@ -503,6 +505,124 @@ class TestJointStepInFit:
         assert kinds.count("joint") == res.iters - 1
         np.testing.assert_allclose(res.objective_trace[-1],
                                    want.objective_trace[-1], rtol=1e-10)
+
+    @staticmethod
+    def _steps(monkeypatch):
+        """The block steps and index walks of the fits that follow, in
+        order: ("walk", None) for a walk, and for a step (kind, model)
+        with model, for a rejected joint step, the decrease
+        -1/2 (g + P theta)' delta that its Newton model predicts, by the
+        dense oracle from the point it started at, else None."""
+        events, raw_step, raw_walk = [], opt._scaled_step, opt.update_index
+
+        def step(kind, data, point, links, penalty):
+            try:
+                out = raw_step(kind, data, point, links, penalty)
+            except ScalingError:
+                model = None
+                theta, spec = point.theta, point.spec
+                star = dense_joint_step(data, theta, spec, links, penalty,
+                                        1.0)
+                if kind == "joint" and star is not None:
+                    vec = theta.as_vector()
+                    g = step_derivs("joint", data, theta, spec, links)[0]
+                    model = -0.5 * float((g + penalty.gradient(vec))
+                                         @ (star - vec))
+                events.append((kind, model))
+                raise
+            events.append((kind, None))
+            return out
+
+        def walk(*args):
+            events.append(("walk", None))
+            return raw_walk(*args)
+
+        monkeypatch.setattr(opt, "_scaled_step", step)
+        monkeypatch.setattr(opt, "update_index", walk)
+        return events
+
+    @staticmethod
+    def _after_rejected_joint(events):
+        """What followed each rejected joint step: the steps after one
+        whose model decrease is below EPS_CONVERGE, and after one whose
+        model decrease is not."""
+        flat, steep = [], []
+        for (kind, model), (after, _) in zip(events, events[1:]):
+            if kind == "joint" and model is not None:
+                (flat if model < opt.EPS_CONVERGE else steep).append(after)
+        return flat, steep
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_sweep_after_a_flat_joint_step(self, monkeypatch, seed):
+        """On the criterion-5 instance's warm-started 5x5 grid, rounding
+        rejects joint steps whose Newton model predicts a decrease far
+        below EPS_CONVERGE; the index walk follows each at once, every
+        trace is non-increasing, and the grid picks the cell it picks
+        when such a step is followed by the sweep, with hold-out
+        deviances that agree to far inside what the fits' stopping rule
+        (an objective decrease below 1e-8) pins down."""
+        gen = FamilySpec.compound_poisson_gamma(1.5)
+        sim = SimConfig(gamma0=(np.log(2.0), 0.2, -0.1, 0.3, -0.3))
+        data, _ = make_dataset(10_000, 20, 20, "block", gen, 0.15,
+                               seed=seed, sim=sim)
+        spec = FamilySpec.compound_poisson_gamma(1.5,
+                                                 approx=Approx.SADDLEPOINT)
+        cfg = FitConfig(penalty=assemble_penalty(
+            PenaltyMode.SPATIAL_ONLY, 1.0, 1.0, data.k_beta, data.graph,
+            data.k_gamma), p_grid=np.array([1.5]))
+        axis = np.linspace(-5.0, 5.0, 5)
+
+        def search():
+            return grid_search(data, spec, LinkPair.of("log", "log"), cfg,
+                               GridSpec(axis, axis, 0.6, seed))
+
+        with monkeypatch.context() as patched:
+            events = self._steps(patched)
+            traces, raw_fit = [], tuning.fit
+
+            def traced(*args, **kwargs):
+                res = raw_fit(*args, **kwargs)
+                traces.append(res.objective_trace)
+                return res
+
+            patched.setattr(tuning, "fit", traced)
+            res = search()
+        flat, steep = self._after_rejected_joint(events)
+        assert flat and set(flat) == {"walk"}
+        assert set(steep) <= {"mean"}
+        assert len(traces) == len(res.surface)
+        assert all(np.all(np.diff(t) <= 0) for t in traces)
+
+        raw_step = opt._scaled_step
+
+        def sweep_after_flat(kind, *args):
+            try:
+                return raw_step(kind, *args)
+            except ScalingError as err:
+                raise ScalingError(str(err)) from None
+
+        monkeypatch.setattr(opt, "_scaled_step", sweep_after_flat)
+        swept = search()
+        assert (swept.best_lambda1, swept.best_lambda2) == \
+            (res.best_lambda1, res.best_lambda2)
+        np.testing.assert_allclose([c.deviance for c in res.surface],
+                                   [c.deviance for c in swept.surface],
+                                   rtol=1e-7)
+
+    def test_rejected_steep_joint_step_still_sweeps(self, monkeypatch):
+        """An identity-link Gamma fit whose joint Newton step overshoots:
+        rejected with a model decrease far above EPS_CONVERGE, it is
+        followed by the mean-then-dispersion sweep, and the trace stays
+        non-increasing."""
+        data, _, spec, links = make_instance(Member.GAMMA, "identity", n=60,
+                                             rows=2, cols=3, seed=4)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.01, 0.1,
+                               data.k_beta, data.graph, data.k_gamma)
+        events = self._steps(monkeypatch)
+        res = fit(data, spec, links, FitConfig(penalty=pen))
+        flat, steep = self._after_rejected_joint(events)
+        assert steep and set(steep) == {"mean"}
+        assert np.all(np.diff(res.objective_trace) <= 0)
 
     def test_never_tried_without_a_dispersion_model(self, monkeypatch):
         data, theta, spec, links = make_instance(Member.POISSON, "log",

@@ -8,7 +8,7 @@ import pytest
 from conftest import spec_for
 from twdglm import tuning
 from twdglm.cli import export_surface
-from twdglm.errors import ConfigError, ScalingError
+from twdglm.errors import ConfigError, DomainError, ScalingError
 from twdglm.family import Approx, FamilySpec, Member, unit_deviance
 from twdglm.graph import PenaltyMode, assemble_penalty, lattice_graph
 from twdglm.likelihood import Dataset
@@ -240,3 +240,55 @@ class TestSurfaceExport:
         assert rows[0][-2:] == ["iters", "error"]
         assert [r[-2:] for r in rows[1:]] == \
             [[str(c.iters), c.error] for c in res.surface]
+
+    def test_scoring_failure_keeps_the_fit(self, monkeypatch):
+        """A cell whose fit converged but whose hold-out scoring raised
+        keeps the fit's iteration count and convergence flag, and warm-
+        starts the next cell as a cell that scored does."""
+        data, oracle, spec, links, cfg = _cpg_instance(n=400, seed=11)
+        grid = GridSpec(np.array([-1.0, 0.0]), np.array([0.0]), 0.6,
+                        seed=11)
+        fits, scores = [], []
+        raw_fit, raw_score = tuning.fit, tuning.weighted_deviance
+
+        def record_fit(*args, **kwargs):
+            fits.append((kwargs["init"], raw_fit(*args, **kwargs)))
+            return fits[-1][1]
+
+        def first_score_fails(*args):
+            scores.append(1)
+            if len(scores) == 1:
+                raise DomainError("inverse-squared link inverse requires "
+                                  "t > 0")
+            return raw_score(*args)
+
+        monkeypatch.setattr(tuning, "fit", record_fit)
+        monkeypatch.setattr(tuning, "weighted_deviance", first_score_fails)
+        res = grid_search(data, spec, links, cfg, grid)
+        bad, good = res.surface
+        first = fits[0][1]
+        assert bad.failed and bad.error == "DomainError"
+        assert np.isnan(bad.deviance)
+        assert (bad.iters, bad.converged) == (first.iters, first.converged)
+        assert bad.iters >= 1 and bad.converged
+        assert fits[1][0] is first.theta_hat
+        assert not good.failed and res.best_lambda1 == 1.0
+
+    @pytest.mark.parametrize("stage", ["fitting", "hold-out scoring"])
+    def test_all_cells_failed_says_where(self, monkeypatch, stage):
+        """When no cell scores, the error counts where the cells failed
+        and quotes the first error's class and text."""
+        data, oracle, spec, links, cfg = _cpg_instance(n=400, seed=11)
+        grid = GridSpec(np.array([-1.0, 0.0]), np.array([0.0]), 0.6,
+                        seed=11)
+
+        def fails(*args, **kwargs):
+            raise DomainError("outside the domain")
+
+        target = "fit" if stage == "fitting" else "weighted_deviance"
+        monkeypatch.setattr(tuning, target, fails)
+        with pytest.raises(ConfigError) as err:
+            grid_search(data, spec, links, cfg, grid)
+        assert str(err.value) == (
+            f"every grid cell failed ({stage} raised in 2 of 2); first: "
+            "DomainError: outside the domain")
