@@ -775,8 +775,8 @@ def _cmd_tune(opts) -> int:
     with np.errstate(over="ignore"):
         top1, top2 = np.exp(ax1.max()), np.exp(ax2.max())
     cfg = _fit_config(opts, data, p_grid, float(top1), float(top2))
-    os.makedirs(out, exist_ok=True)
     result = grid_search(data, spec, links, cfg, grid)
+    os.makedirs(out, exist_ok=True)
     export_surface(os.path.join(out, "surface.tsv"), result.surface)
     with open(os.path.join(out, "holdout_rows.txt"), "w",
               encoding="utf-8") as fh:

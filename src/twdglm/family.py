@@ -31,8 +31,6 @@ SERIES_RTOL = 1e-12
 SERIES_KMAX_CAP = 1e7
 # Hard limit on terms added on either side of the series mode.
 SERIES_SIDE_CAP = 1_000_000
-# Terms per row added in one step of the series window's outward walk.
-_SERIES_BLOCK = 8
 
 
 class Member(enum.Enum):
@@ -295,27 +293,32 @@ def _series_logsums(y, phi, p):
     by the dispersion derivatives; the series for a, a' and a'' share
     the same term mode).
 
-    Terms T_k = t^k / (k! * Gamma(k*xi)) rise then fall in k, since
-    log T_k is concave in k. Each row sums only a window of terms
-    around its mode k_max = y**(2-p) / ((2-p)*phi) (Dunn & Smyth 2005):
-    starting at max(1, floor(k_max)) it walks outward in blocks of
-    ``_SERIES_BLOCK`` terms, in log space anchored at the row's running
-    maximum. The right side stops once its last term is below
-    ``SERIES_RTOL`` times that maximum, the left side at the same
-    threshold or at k = 1.
-    A term below an earlier one lies past the mode, so by concavity
-    every term beyond either end is smaller still and falling.
-    ``SERIES_SIDE_CAP`` bounds the terms on either side, and a mode
-    above ``SERIES_KMAX_CAP`` raises SeriesInfeasibleError. A y that is
-    not positive, or a phi that is not finite and positive, raises
-    DomainError.
+    The terms are T_k = t^k / (k! * Gamma(k*xi)), so log T_k = k*z - L(k)
+    with z = log t and L(k) = log k! + log Gamma(k*xi) convex in k (Dunn
+    & Smyth 2005). Before it sums anything, the pass finds each row's
+    exact integer mode m, the first k >= 1 whose increment
+    L(k+1) - L(k) exceeds z (the increments rise with k), and so the
+    row's log-maximum M = m*z - L(m). Every term is then
+    exp(k*z - L(k) - M) <= 1 and goes into plain sums.
 
-    A block is laid out as (term, row): its maximum and its three
-    moment sums are vector operations across the rows still walking.
-    ``_pairwise_sum`` adds a block's terms in the order in which
-    ``ndarray.sum`` adds ``_SERIES_BLOCK`` contiguous values, so the
-    results are bit for bit those of per-row sums over (row, term)
-    blocks.
+    A row sums its terms from a start about a reach below its mode
+    (k = 1 when the mode is within that reach of 1, so there is no
+    left walk), rounded down so that rows with nearby modes share it;
+    rows with one start share one range of k (``_window_sums``). The
+    range is walked right in blocks whose width depends on the start
+    alone, and a row stops after the first block whose last term, at or
+    beyond its mode, is below ``SERIES_RTOL`` times its maximum: by
+    concavity every later term is smaller still and falling. A row
+    whose term at its start is within that share restarts lower. A
+    row's window and the order in which its terms are added thus depend
+    on that row alone, so its results are bit for bit the same whichever
+    rows share the pass.
+
+    ``SERIES_SIDE_CAP`` bounds how far below its mode a row starts and
+    how far past the modes the walk goes, and a mode above
+    ``SERIES_KMAX_CAP`` raises SeriesInfeasibleError. A y that
+    is not positive, or a phi that is not finite and positive, raises
+    DomainError.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     phi = np.broadcast_to(np.asarray(phi, dtype=float), y.shape)
@@ -323,7 +326,8 @@ def _series_logsums(y, phi, p):
         raise DomainError("series normalizer requires y > 0")
     check_dispersion(phi)
     xi = (2.0 - p) / (p - 1.0)
-    log_t = (xi * np.log(y) - xi * math.log(p - 1.0) - math.log(2.0 - p)
+    log_y = np.log(y)
+    log_t = (xi * log_y - xi * math.log(p - 1.0) - math.log(2.0 - p)
              - (1.0 + xi) * np.log(phi))
     kmax = y ** (2.0 - p) / ((2.0 - p) * phi)
     if np.any(kmax > SERIES_KMAX_CAP):
@@ -332,85 +336,114 @@ def _series_logsums(y, phi, p):
             f"{SERIES_KMAX_CAP:.3e}; "
             "use the saddlepoint approximation instead")
 
-    k0 = np.maximum(np.floor(kmax), 1.0).astype(np.int64)
-    log_rtol = math.log(SERIES_RTOL)
-    steps = np.arange(_SERIES_BLOCK)[:, None]
-    # lgam[k - base] = gammaln(k+1) + gammaln(xi*k) over the k the walk
-    # has reached, +inf at k = 0 so that k < 1 adds no term. A block
-    # outside it extends it by at least the walk's reach from the starts.
-    base = int(k0.min())
-    lgam = np.empty(0)
-
-    def block(rows, k, reach, old_m=None):
-        """The terms at k (term x row) of the rows: the rows' running
-        maximum after them, their moment sums (s0, s1, s2) relative to
-        it, and whether each row's last term is at least ``SERIES_RTOL``
-        times it. old_m is the maximum before the block, None for the
-        first."""
-        nonlocal base, lgam
-        lo, hi = max(int(k.min()), 0), int(k.max())
-        grow = max(4 * _SERIES_BLOCK, reach)
-        end = base + lgam.size
-        if hi >= end:
-            lgam = np.concatenate([lgam, _lgam_range(end, hi + 1 + grow, xi)])
-        if lo < base:
-            start = max(lo - grow, 0)
-            lgam = np.concatenate([_lgam_range(start, base, xi), lgam])
-            base = start
-        kf = k.astype(float)
-        wts = log_t[rows] * kf
-        wts -= lgam[np.maximum(k, 0) - base]
-        new_m = wts.max(axis=0)
-        if old_m is not None:
-            np.maximum(old_m, new_m, out=new_m)
-        wts -= new_m
-        above = wts[-1] >= log_rtol
-        np.exp(wts, out=wts)
-        wk = wts * kf
-        s0b, s1b = _pairwise_sum(wts), _pairwise_sum(wk)
-        wk *= kf
-        return new_m, (s0b, s1b, _pairwise_sum(wk)), above
-
-    def fold(rows, k, reach):
-        """Add the block at k to the rows' sums, rescaled to their new
-        maximum; returns whether each row's last term is still above
-        the threshold."""
-        old_m = big_m[rows]
-        new_m, sums, above = block(rows, k, reach, old_m)
-        rescale = np.exp(old_m - new_m)
-        for s, sb in zip((s0, s1, s2), sums):
-            s[rows] = s[rows] * rescale + sb
-        big_m[rows] = new_m
-        return above
-
-    # right side: k0, k0+1, ...; the first block starts every row's sums
-    big_m, (s0, s1, s2), above = block(slice(None), k0 + steps, 0)
-    rows = np.flatnonzero(above)
-    offset = _SERIES_BLOCK
-    while rows.size and offset < SERIES_SIDE_CAP:
-        rows = rows[fold(rows, k0[rows] + (offset + steps), offset)]
-        offset += _SERIES_BLOCK
-    # left side: k0-1, k0-2, ..., 1
-    rows = np.flatnonzero(k0 > 1)
-    offset = 1
-    while rows.size and offset <= SERIES_SIDE_CAP:
-        k = k0[rows] - (offset + steps)
-        rows = rows[fold(rows, k, offset) & (k[-1] > 1)]
-        offset += _SERIES_BLOCK
-    log_a = -np.log(y) + big_m + np.log(s0)
+    # log T_k falls by |log SERIES_RTOL| about sqrt(reach * k) terms from
+    # a mode near k, where its curvature is about -(1 + xi) / k
+    reach = -2.0 * math.log(SERIES_RTOL) / (1.0 + xi)
+    k0 = np.maximum(np.floor(kmax), 1.0)
+    log_m = np.empty(y.size)
+    sums = np.empty((3, y.size))
+    # every row starts at k = 1 when k - sqrt(reach * k) - 2 <= 1 at the
+    # largest mode: it is convex in k, and below 1 at k = 1
+    k_top = float(k0.max())
+    if k_top - math.sqrt(reach * k_top) - 2.0 <= 1.0:
+        groups = [(slice(None), 1.0)]
+    else:
+        first = _range_start(k0, reach)
+        order = np.argsort(first, kind="stable")
+        cuts = np.flatnonzero(np.diff(first[order])) + 1
+        groups = [(rows, first[rows[0]]) for rows in np.split(order, cuts)]
+    # a block holds no more terms than one of a pass whose rows all start
+    # at k = 1
+    most = y.size * _block_width(1, reach)
+    for rows, a in groups:
+        log_m[rows], sums[:, rows] = _window_sums(log_t[rows], k0[rows],
+                                                  int(a), xi, reach, most)
+    s0, s1, s2 = sums
+    log_a = log_m + np.log(s0) - log_y
     scale = 1.0 + xi
-    r1 = scale * s1 / s0
-    r2 = scale ** 2 * s2 / s0
-    return log_a, r1, r2
+    return log_a, scale * s1 / s0, scale ** 2 * s2 / s0
 
 
-def _pairwise_sum(t):
-    """Sum over the first axis of a (_SERIES_BLOCK, rows) block as the
-    tree ((t0+t1) + (t2+t3)) + ((t4+t5) + (t6+t7)): the order in which
-    ``ndarray.sum`` adds eight contiguous values."""
-    while len(t) > 1:
-        t = t[0::2] + t[1::2]
-    return t[0]
+def _range_start(k0, reach):
+    """The first k of the terms summed for rows with approximate mode
+    k0: a reach below the mode, by at most ``SERIES_SIDE_CAP``, rounded
+    down to a multiple of a power of two below the reach there, so that
+    rows with nearby modes share it, and at least 1."""
+    below = k0 - np.minimum(np.ceil(np.sqrt(reach * k0)) + 2.0,
+                            SERIES_SIDE_CAP)
+    step = 2.0 ** np.floor(np.log2(np.sqrt(reach * np.maximum(below, 1.0))))
+    return np.maximum(np.floor(below / step) * step, 1.0)
+
+
+def _block_width(a, reach):
+    """Terms per block of a walk that starts at k = a: the reach of
+    log T_k there, twice its reach at k = 1 and one (each reach rounded
+    up). A walk from k = 1 then covers a small mode and its right tail
+    in one block, and a walk far out overshoots a window by about one
+    reach."""
+    one = math.ceil(math.sqrt(reach))
+    return math.ceil(math.sqrt(reach * a)) + 2 * one + 1
+
+
+def _window_sums(z, k0, a, xi, reach, most):
+    """The log-maxima M and the window sums (s0, s1, s2) of
+    exp(k*z - L(k) - M) times 1, k and k^2 for rows with log t = z and
+    approximate modes k0 whose terms are summed from k = a (see
+    ``_series_logsums``).
+
+    The terms from a are laid out in (term, row) blocks of
+    ``_block_width(a)`` terms, over as many rows at a time as keep a
+    block within ``most`` terms, and a row walks right until the last
+    term of a block beyond its mode is below ``SERIES_RTOL`` times its
+    maximum; the rows share one log-gamma table. A block's moments are
+    its terms' product with the columns [1, k, k^2], added to the row's
+    sums; ``np.einsum`` adds over k one term at a time, where a BLAS
+    product rounds a row differently with the number of rows in the
+    call. A row whose term at a is within
+    that share starts again from a lower a, its own next start."""
+    log_rtol = math.log(SERIES_RTOL)
+    top = int(k0.max()) + 2
+    while True:
+        lgam = _lgam_range(a, top + 1, xi)  # L(a), ..., L(top)
+        m = a + np.searchsorted(np.diff(lgam), z, side="right")
+        if m.max() < top:
+            break
+        top *= 2
+    log_m = m * z - lgam[m - a]
+
+    width = _block_width(a, reach)
+    last_mode = int(m.max())
+    sums = np.zeros((3, z.size))
+    per = max(1, most // width)
+    for first in range(0, z.size, per):
+        rows = slice(first, first + per)
+        lo = a
+        while True:
+            hi = lo + width
+            if hi > a + lgam.size:
+                lgam = np.concatenate(
+                    [lgam, _lgam_range(a + lgam.size, hi + width, xi)])
+            k = np.arange(lo, hi, dtype=float)[:, None]
+            e = k * z[rows]
+            e -= np.add.outer(lgam[lo - a:hi - a], log_m[rows])
+            walking = e[-1] >= log_rtol
+            if hi <= last_mode:
+                walking |= hi <= m[rows]
+            if lo == a and a > 1 and np.any(e[0] >= log_rtol):
+                early = np.flatnonzero(e[0] >= log_rtol)
+                log_m[early + first], sums[:, early + first] = _window_sums(
+                    z[rows][early], k0[rows][early], max(1, a - width), xi,
+                    reach, most)
+                walking[early] = False
+                e[:, early] = -np.inf
+            np.exp(e, out=e)
+            sums[:, rows] += np.einsum("kr,km->mr", e, k ** np.arange(3.0))
+            walking = np.flatnonzero(walking)
+            rows = walking + first if lo == a else rows[walking]
+            if not rows.size or lo - last_mode > SERIES_SIDE_CAP:
+                break
+            lo = hi
+    return log_m, sums
 
 
 def _lgam_range(start, stop, xi):

@@ -82,7 +82,8 @@ class Dataset:
 
     The arrays the likelihood's row kernels read on every iteration are
     built on first use and kept, as ``rank_X`` is: the C-contiguous
-    (k, n) transposes ``Xt`` and ``Zt``, the row ``log_w`` and, for one
+    (k, n) transposes ``Xt`` and ``Zt``, the row ``log_w``, the
+    ``positive_rows`` the series normalizer sums over and, for one
     family spec at a time, its ``saddle_rows``. A dataset is not changed
     after it is built; ``subset`` makes a new one that builds its own.
     """
@@ -168,6 +169,13 @@ class Dataset:
     def log_w(self) -> np.ndarray:
         """log w per row."""
         return np.log(self.w)
+
+    @cached_property
+    def positive_rows(self):
+        """The rows with y > 0, whose compound Poisson-gamma normalizer
+        is the series: their index, y/w and w."""
+        rows = np.flatnonzero(self.ystar > 0)
+        return rows, self.ystar[rows], self.w[rows]
 
     def saddle_rows(self, spec: FamilySpec):
         """The rows (LOG_2PI + log Vy, Dsat) of ``_lognorm_saddle_family``
@@ -348,18 +356,16 @@ def _lognorm_terms(data: Dataset, spec: FamilySpec, h2, l1, l2, u, up, upp):
                                       h2, l1, l2, u)
 
     # compound Poisson-gamma, series normalizer
-    w = data.w
-    pos = y > 0
+    rows, y_pos, w_pos = data.positive_rows
     c0 = np.zeros(data.n_rows)
     c1 = np.zeros(data.n_rows)
     c2 = np.zeros(data.n_rows)
-    if np.any(pos):
-        log_a, r1, r2 = fam._series_logsums(y[pos], h2[pos] / w[pos],
-                                              spec.p)
-        l1p, l2p = (np.broadcast_to(r, y.shape)[pos] for r in (l1, l2))
-        c0[pos] = log_a
-        c1[pos] = -r1 * l1p
-        c2[pos] = (r2 - r1 ** 2 + r1) * l1p ** 2 - r1 * l2p
+    if rows.size:
+        log_a, r1, r2 = fam._series_logsums(y_pos, h2[rows] / w_pos, spec.p)
+        l1p, l2p = (r[rows] if np.ndim(r) else r for r in (l1, l2))
+        c0[rows] = log_a
+        c1[rows] = -r1 * l1p
+        c2[rows] = (r2 - r1 ** 2 + r1) * l1p ** 2 - r1 * l2p
     return c0, c1, c2
 
 

@@ -1,7 +1,6 @@
 """Shared instance generators, oracles and finite-difference helpers."""
 
 import csv
-import math
 
 import numpy as np
 from hypothesis import settings
@@ -446,92 +445,6 @@ def full_series_logsums(y, phi, p):
     return (-np.log(y) + top + np.log(s0),
             scale * (wts @ k) / s0,
             scale ** 2 * (wts @ (k * k)) / s0)
-
-
-def windowed_series_logsums(y, phi, p):
-    """(log_a, r1, r2) by the windowed walk of
-    ``family._series_logsums`` with each block laid out as (row, term),
-    rescaled from a running maximum of -inf and summed per row with
-    ``sum(axis=1)``: the kernel that the (term, row) one replaced, and
-    its exact oracle."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), y.shape)
-    if np.any(y <= 0):
-        raise DomainError("series normalizer requires y > 0")
-    if np.any(phi <= 0):
-        raise DomainError("series normalizer requires phi > 0")
-    xi = (2.0 - p) / (p - 1.0)
-    log_t = (xi * np.log(y) - xi * math.log(p - 1.0) - math.log(2.0 - p)
-             - (1.0 + xi) * np.log(phi))
-    kmax = y ** (2.0 - p) / ((2.0 - p) * phi)
-    if np.any(kmax > fam.SERIES_KMAX_CAP):
-        raise SeriesInfeasibleError(
-            f"series mode index {kmax.max():.3e} exceeds cap "
-            f"{fam.SERIES_KMAX_CAP:.3e}; "
-            "use the saddlepoint approximation instead")
-
-    n = y.size
-    k0 = np.maximum(np.floor(kmax), 1.0).astype(np.int64)
-    big_m = np.full(n, -np.inf)
-    s0 = np.zeros(n)
-    s1 = np.zeros(n)
-    s2 = np.zeros(n)
-    log_rtol = math.log(fam.SERIES_RTOL)
-    steps = np.arange(fam._SERIES_BLOCK)
-    # lgam[k - base] = gammaln(k+1) + gammaln(xi*k) over the k the walk
-    # has reached, +inf at k = 0 so that k < 1 adds no term. A block
-    # outside it extends it by at least the walk's reach from the starts.
-    base = int(k0.min())
-    lgam = np.empty(0)
-
-    def add_block(rows, k, reach):
-        """Fold the terms at k (rows x block) into the rows' sums and
-        return their logs."""
-        nonlocal base, lgam
-        lo, hi = max(int(k.min()), 0), int(k.max())
-        grow = max(4 * fam._SERIES_BLOCK, reach)
-        end = base + lgam.size
-        if hi >= end:
-            lgam = np.concatenate([lgam,
-                                   fam._lgam_range(end, hi + 1 + grow, xi)])
-        if lo < base:
-            start = max(lo - grow, 0)
-            lgam = np.concatenate([fam._lgam_range(start, base, xi), lgam])
-            base = start
-        log_terms = log_t[rows, None] * k - lgam[np.maximum(k, 0) - base]
-        old_m = big_m[rows]
-        new_m = np.maximum(old_m, log_terms.max(axis=1))
-        rescale = np.exp(old_m - new_m)
-        wts = np.exp(log_terms - new_m[:, None])
-        wk = wts * k
-        s0[rows] = s0[rows] * rescale + wts.sum(axis=1)
-        s1[rows] = s1[rows] * rescale + wk.sum(axis=1)
-        s2[rows] = s2[rows] * rescale + (wk * k).sum(axis=1)
-        big_m[rows] = new_m
-        return log_terms
-
-    # right side: k0, k0+1, ...
-    rows = np.arange(n)
-    offset = 0
-    while rows.size and offset < fam.SERIES_SIDE_CAP:
-        log_terms = add_block(rows, k0[rows, None] + (offset + steps), offset)
-        rows = rows[log_terms[:, -1] - big_m[rows] >= log_rtol]
-        offset += fam._SERIES_BLOCK
-    # left side: k0-1, k0-2, ..., 1
-    rows = np.flatnonzero(k0 > 1)
-    offset = 1
-    while rows.size and offset <= fam.SERIES_SIDE_CAP:
-        k = k0[rows, None] - (offset + steps)
-        log_terms = add_block(rows, k, offset)
-        done = ((log_terms[:, -1] - big_m[rows] < log_rtol)
-                | (k[:, -1] <= 1))
-        rows = rows[~done]
-        offset += fam._SERIES_BLOCK
-    log_a = -np.log(y) + big_m + np.log(s0)
-    scale = 1.0 + xi
-    r1 = scale * s1 / s0
-    r2 = scale ** 2 * s2 / s0
-    return log_a, r1, r2
 
 
 # The likelihood kernels as they were before the dataset held the

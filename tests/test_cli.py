@@ -247,7 +247,8 @@ def test_tune_reports_cells_whose_scoring_raised(tmp_path_factory, capsys):
     """On this instance every training fit of inverse Gaussian converges,
     but each fitted mean predictor is negative on a hold-out row, so
     every cell's hold-out scoring raises, and the error says so, naming
-    the first error."""
+    the first error; ``--out`` is made only after the search, so the
+    refused tune leaves none."""
     sim = tmp_path_factory.mktemp("ig")
     run_ok(["simulate", "--n", "3000", "--lattice", "4x4", "--seed", "3",
             "--out", str(sim)])
@@ -261,6 +262,7 @@ def test_tune_reports_cells_whose_scoring_raised(tmp_path_factory, capsys):
         2, "error[E_CONFIG]: every grid cell failed (hold-out scoring "
         "raised in 4 of 4); first: DomainError: inverse-squared link "
         "inverse requires t > 0\n")
+    assert not out.exists()
 
 
 class TestIndexGridOption:

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from conftest import (full_series_logsums, series_log_terms, series_mode,
-                      spec_for, windowed_series_logsums)
+                      spec_for)
 from twdglm.errors import ConfigError, DomainError, SeriesInfeasibleError
-from twdglm.family import (_SERIES_BLOCK, SADDLE_EPS0, SERIES_KMAX_CAP,
-                           Approx, FamilySpec, Member, _pairwise_sum,
-                           _series_logsums, log_density,
+from twdglm.family import (SADDLE_EPS0, SERIES_KMAX_CAP, Approx, FamilySpec,
+                           Member, _series_logsums, log_density,
                            log_normalizer_saddlepoint, log_normalizer_series,
                            unit_deviance)
 
@@ -163,7 +162,19 @@ def rows_with_modes(p, y, modes):
 class TestSeriesWindowProperties:
     @settings(max_examples=200)
     @given(series_rows())
+    @example(rows_with_modes(1.05, [0.5, 2.0, 30.0], [0.3, 4000.0, 1500.0]))
+    @example(rows_with_modes(1.95, [0.01, 1.0, 500.0], [0.5, 2000.0, 9000.0]))
+    @example(rows_with_modes(1.5, [1.0], [3000.0]))
+    @example(rows_with_modes(1.3, [0.2], [0.01]))
+    # mode 32 at p near 1: a window whose right end is tested left of
+    # the mode misses log a by 0.15 relative
+    @example((np.array([1.0]), np.array([0.03212473]), 1.015625))
+    # mode 100 at p near 2: the walk starts at k = 1, blocks short of it
+    @example(rows_with_modes(1.984375, [1.0], [100.0]))
     def test_matches_full_range_sum(self, rows):
+        """The examples pin p near either end, modes below 1 (the walk
+        starts at k = 1), modes in the thousands, a mode past the first
+        block and a single row."""
         y, phi, p = rows
         got = _series_logsums(y, phi, p)
         want = full_series_logsums(y, phi, p)
@@ -174,21 +185,23 @@ class TestSeriesWindowProperties:
             assert err.max() <= 1e-10, name
 
     @settings(max_examples=300)
-    @given(series_rows())
-    @example(rows_with_modes(1.05, [0.5, 2.0, 30.0], [0.3, 4000.0, 1500.0]))
-    @example(rows_with_modes(1.95, [0.01, 1.0, 500.0], [0.5, 2000.0, 9000.0]))
-    @example(rows_with_modes(1.5, [1.0], [3000.0]))
-    @example(rows_with_modes(1.3, [0.2], [0.01]))
-    def test_matches_row_by_row_kernel_exactly(self, rows):
-        """The (term, row) kernel adds the same terms in the same order
-        as the (row, term) one. The examples pin p near either end,
-        modes below 1 (the walk starts at k = 1), modes in the thousands
-        (the left walk takes 8 to 85 blocks) and a single row."""
+    @given(series_rows(), st.randoms(use_true_random=False))
+    @example(rows_with_modes(1.05, [0.5, 2.0, 30.0], [0.3, 4000.0, 1500.0]),
+             None)
+    @example(rows_with_modes(1.7, [1.0, 1.0, 1.0], [0.5, 40.0, 600.0]), None)
+    def test_rows_together_equal_rows_alone_exactly(self, rows, rnd):
+        """A row's window and the order in which its terms are added
+        depend on that row alone: each row of a pass, in any order, is
+        bit for bit the pass of that row by itself."""
         y, phi, p = rows
-        got = _series_logsums(y, phi, p)
-        want = windowed_series_logsums(y, phi, p)
-        for name, a, b in zip(("log_a", "r1", "r2"), got, want):
-            assert np.array_equal(a, b), name
+        order = np.arange(y.size)
+        if rnd is not None:
+            rnd.shuffle(order)
+        together = _series_logsums(y[order], phi[order], p)
+        for i, row in enumerate(order):
+            alone = _series_logsums(y[row:row + 1], phi[row:row + 1], p)
+            for name, a, b in zip(("log_a", "r1", "r2"), together, alone):
+                assert a[i] == b[0], name
 
     @settings(max_examples=20)
     @given(INDICES, st.floats(-3, 3), st.floats(1.001, 100.0))
@@ -197,18 +210,6 @@ class TestSeriesWindowProperties:
         phi = y ** (2.0 - p) / ((2.0 - p) * SERIES_KMAX_CAP * excess)
         with pytest.raises(SeriesInfeasibleError):
             _series_logsums(np.array([1.0, y]), np.array([1.0, phi]), p)
-
-
-class TestPairwiseSum:
-    @pytest.mark.parametrize("rows", [1, 7, 3494])
-    def test_matches_ndarray_row_sums(self, rows):
-        """The kernel's block sum is bit for bit ``sum(axis=1)`` over
-        (row, term) blocks; a numpy whose pairwise order differs, or
-        another ``_SERIES_BLOCK``, fails here instead of moving fits."""
-        rng = np.random.default_rng(rows)
-        x = np.exp(rng.normal(0.0, 5.0, (rows, _SERIES_BLOCK)))
-        got = _pairwise_sum(np.ascontiguousarray(x.T))
-        assert np.array_equal(got, x.sum(axis=1))
 
 
 class TestNonFiniteDispersion:

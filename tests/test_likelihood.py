@@ -502,6 +502,57 @@ class TestHeldLayouts:
                 hess_mean(sub, terms, exponent).h_bb,
                 rowmajor_hess_mean(sub, terms, exponent).h_bb)
 
+    def test_subset_holds_its_own_positive_rows(self):
+        """The series normalizer's rows of a subset are built from that
+        subset, share no memory with the parent's and give the block
+        that the unheld kernels give."""
+        data, theta, spec, links = make_instance(
+            Member.COMPOUND_POISSON_GAMMA, "log", n=300, approx=Approx.SERIES)
+        w = np.random.default_rng(6).uniform(0.5, 2.0, data.n_rows)
+        data = Dataset(data.y * w, w, data.vertex, data.X, data.Z,
+                       data.graph)
+        blocks(data, theta, spec, links)
+        parent = data.positive_rows
+        assert parent[0].size < data.n_rows  # the instance has zero rows
+        for idx in (np.arange(data.n_rows), np.arange(1, data.n_rows, 3)):
+            sub = data.subset(idx)
+            terms, _ = blocks(sub, theta, spec, links)
+            held = sub.positive_rows
+            rows = np.flatnonzero(sub.ystar > 0)
+            for mine, theirs, fresh in zip(
+                    held, parent, (rows, sub.ystar[rows], w[idx][rows])):
+                assert not np.shares_memory(mine, theirs)
+                assert np.array_equal(mine, fresh)
+            assert sub.positive_rows is held
+            assert np.array_equal(
+                terms, unheld_dispersion_terms(sub, theta, spec, links))
+
+    def test_series_fit_matches_unheld_fit_exactly(self):
+        """A series fit over a 19-point index grid, whose passes read the
+        positive rows the dataset holds, equals bit for bit the fit whose
+        dispersion kernel selects them afresh on each call."""
+        gen = FamilySpec.compound_poisson_gamma(1.5)
+        data, _ = make_dataset(3000, 5, 5, "smooth", gen, 0.3, seed=4)
+        links = LinkPair.of("log", "log")
+        config = FitConfig(
+            penalty=assemble_penalty("spatial", 1.0, 1.0, data.k_beta,
+                                     data.graph, data.k_gamma),
+            p_grid=np.round(np.linspace(1.05, 1.95, 19), 10))
+
+        def run():
+            return fit(data.subset(np.arange(data.n_rows)), gen, links,
+                       config)
+
+        held = run()
+        with mock.patch.object(lik, "dispersion_terms",
+                               side_effect=unheld_dispersion_terms) as oracle:
+            unheld = run()
+        assert oracle.call_count >= held.iters
+        assert held.p_hat == unheld.p_hat and held.iters == unheld.iters
+        assert np.array_equal(held.objective_trace, unheld.objective_trace)
+        assert np.array_equal(held.theta_hat.as_vector(),
+                              unheld.theta_hat.as_vector())
+
     def test_index_walk_fit_matches_unheld_fit_exactly(self):
         """A saddlepoint fit over a 19-point index grid, which rebuilds
         the held rows at each p it visits, equals bit for bit the fit
