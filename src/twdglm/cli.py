@@ -503,22 +503,12 @@ def _assemble(path, spec, graph, col, floats, cells, expand):
     X = np.column_stack(x_mats)
     Z = np.column_stack(z_mats) if z_mats else np.zeros((n, 0))
 
+    data = Dataset(y, w, vertex, X, Z, graph)
     try:
-        data = Dataset(y, w, vertex, X, Z, graph)
         check_support(spec, data.ystar, what="y/exposure")
     except DomainError as exc:
-        bad = _first_bad_support(spec, y / w)
-        raise DomainError(f"{path}: row {bad}: {exc}")
+        raise DomainError(f"{path}: row {exc.row + 1}: {exc}")
     return data, beta_names, gamma_names
-
-
-def _first_bad_support(spec: FamilySpec, ystar: np.ndarray) -> int:
-    for i, val in enumerate(ystar, start=1):
-        try:
-            check_support(spec, float(val))
-        except DomainError:
-            return i
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +628,7 @@ def _cmd_simulate(opts) -> int:
     g = data.graph
     with open(os.path.join(out, "graph.tsv"), "w", encoding="utf-8") as fh:
         fh.write("# edge list\n")
-        isolated = set(range(g.n_vertices))
-        for a, b in g.edges:
-            isolated.discard(a)
-            isolated.discard(b)
-            fh.write(f"{g.labels[a]}\t{g.labels[b]}\n")
-        for v in sorted(isolated):
-            fh.write(f"{g.labels[v]}\n")
+        fh.writelines(f"{g.labels[a]}\t{g.labels[b]}\n" for a, b in g.edges)
     with open(os.path.join(out, "data.csv"), "w", encoding="utf-8",
               newline="") as fh:
         writer = csv.writer(fh)

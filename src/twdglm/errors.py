@@ -6,7 +6,14 @@ class TwdglmError(Exception):
 
 
 class DomainError(TwdglmError, ValueError):
-    """A value lies outside the support / mean space / link domain."""
+    """A value lies outside the support / mean space / link domain.
+
+    Carries the index of the first offending row when known.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConfigError(TwdglmError, ValueError):

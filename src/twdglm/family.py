@@ -4,7 +4,9 @@ Implements the five supported members (Normal, Poisson, compound
 Poisson-gamma, Gamma, inverse Gaussian), their variance / cumulant /
 deviance functions, and the two normalizer approximations for the
 compound Poisson-gamma member: the windowed Bessel-series summation and
-the modified saddlepoint form.
+the modified saddlepoint form. The series sums each row over a window
+about its exact term mode, which lies in [floor(kmax) - 1, floor(kmax) + 2]
+for kmax = y**(2-p) / ((2-p)*phi).
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ SADDLE_EPS0 = 1e-6
 SERIES_RTOL = 1e-12
 # Refuse the series when a row's term-mode index exceeds this.
 SERIES_KMAX_CAP = 1e7
-# Hard limit on terms added on either side of the series mode.
-SERIES_SIDE_CAP = 1_000_000
 
 
 class Member(enum.Enum):
@@ -204,21 +204,29 @@ def check_mean_space(spec: FamilySpec, mu, what: str = "mu") -> None:
 
 
 def check_support(spec: FamilySpec, y, what: str = "y") -> None:
-    """Raise DomainError unless y lies in the member's support."""
-    a, _ = _as_array(y)
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{what} must be finite")
-    if spec.member is Member.POISSON:
-        if np.any(a < 0) or np.any(np.abs(a - np.round(a)) > 1e-8):
-            raise DomainError(f"{what} must be a nonnegative integer count")
-    elif spec.member in (Member.GAMMA, Member.INVERSE_GAUSSIAN):
-        if np.any(a <= 0):
-            raise DomainError(f"{what} must be strictly positive "
-                              f"for {spec.member.value}")
-    elif spec.member is Member.COMPOUND_POISSON_GAMMA:
-        if np.any(a < 0):
-            raise DomainError(f"{what} must be nonnegative for "
-                              "compound-poisson-gamma")
+    """Raise DomainError unless y lies in the member's support; the
+    error carries the index of the first row outside it."""
+    a = np.atleast_1d(np.asarray(y, dtype=float))
+    member = spec.member
+    with np.errstate(invalid="ignore"):
+        if member is Member.POISSON:
+            outside = (a < 0) | (np.abs(a - np.round(a)) > 1e-8)
+            rule = "a nonnegative integer count"
+        elif member in (Member.GAMMA, Member.INVERSE_GAUSSIAN):
+            outside = a <= 0
+            rule = f"strictly positive for {member.value}"
+        elif member is Member.COMPOUND_POISSON_GAMMA:
+            outside = a < 0
+            rule = "nonnegative for compound-poisson-gamma"
+        else:
+            outside = np.zeros(a.shape, dtype=bool)
+    finite = np.isfinite(a)
+    if not finite.all():
+        rule = "finite"
+    outside |= ~finite
+    if outside.any():
+        raise DomainError(f"{what} must be {rule}",
+                          row=int(np.flatnonzero(outside)[0]))
 
 
 def check_dispersion(phi, what: str = "phi") -> None:
@@ -299,24 +307,27 @@ def _series_logsums(y, phi, p):
     exact integer mode m, the first k >= 1 whose increment
     L(k+1) - L(k) exceeds z (the increments rise with k), and so the
     row's log-maximum M = m*z - L(m). Every term is then
-    exp(k*z - L(k) - M) <= 1 and goes into plain sums.
+    exp(k*z - L(k) - M) <= 1 and goes into plain sums. The mode lies in
+    [floor(kmax) - 1, floor(kmax) + 2], kmax = y**(2-p) / ((2-p)*phi):
+    z = log kmax + xi*log(xi*kmax) and L(k+1) - L(k) < log(k+1) +
+    xi*log(xi*(k+1)), so it is not below floor(kmax) but for float
+    rounding near ``SERIES_KMAX_CAP``; the upper end is measured, over
+    p in (1, 2) and kmax up to that cap.
 
-    A row sums its terms from a start about a reach below its mode
-    (k = 1 when the mode is within that reach of 1, so there is no
-    left walk), rounded down so that rows with nearby modes share it;
-    rows with one start share one range of k (``_window_sums``). The
-    range is walked right in blocks whose width depends on the start
-    alone, and a row stops after the first block whose last term, at or
-    beyond its mode, is below ``SERIES_RTOL`` times its maximum: by
-    concavity every later term is smaller still and falling. A row
-    whose term at its start is within that share restarts lower. A
-    row's window and the order in which its terms are added thus depend
-    on that row alone, so its results are bit for bit the same whichever
-    rows share the pass.
+    A row sums its terms from a start a reach plus two terms below
+    floor(kmax) (k = 1 when the mode is within that reach of 1, so there
+    is no left walk), rounded down so that rows with nearby modes share
+    it; its term there is below ``SERIES_RTOL`` times its maximum. Rows
+    with one start share one range of k (``_window_sums``). The range is
+    walked right in blocks whose width depends on the start alone, and a
+    row stops after the first block whose last term, at or beyond its
+    mode, is below ``SERIES_RTOL`` times its maximum: by concavity every
+    later term is smaller still and falling. A row's window and the
+    order in which its terms are added thus depend on that row alone, so
+    its results are bit for bit the same whichever rows share the pass.
 
-    ``SERIES_SIDE_CAP`` bounds how far below its mode a row starts and
-    how far past the modes the walk goes, and a mode above
-    ``SERIES_KMAX_CAP`` raises SeriesInfeasibleError. A y that
+    A mode above ``SERIES_KMAX_CAP`` raises SeriesInfeasibleError; it
+    keeps every window within a few tens of thousands of terms. A y that
     is not positive, or a phi that is not finite and positive, raises
     DomainError.
     """
@@ -366,11 +377,10 @@ def _series_logsums(y, phi, p):
 
 def _range_start(k0, reach):
     """The first k of the terms summed for rows with approximate mode
-    k0: a reach below the mode, by at most ``SERIES_SIDE_CAP``, rounded
-    down to a multiple of a power of two below the reach there, so that
-    rows with nearby modes share it, and at least 1."""
-    below = k0 - np.minimum(np.ceil(np.sqrt(reach * k0)) + 2.0,
-                            SERIES_SIDE_CAP)
+    k0: a reach plus two terms below the mode, rounded down to a
+    multiple of a power of two below the reach there, so that rows with
+    nearby modes share it, and at least 1."""
+    below = k0 - np.ceil(np.sqrt(reach * k0)) - 2.0
     step = 2.0 ** np.floor(np.log2(np.sqrt(reach * np.maximum(below, 1.0))))
     return np.maximum(np.floor(below / step) * step, 1.0)
 
@@ -391,28 +401,36 @@ def _window_sums(z, k0, a, xi, reach, most):
     approximate modes k0 whose terms are summed from k = a (see
     ``_series_logsums``).
 
-    The terms from a are laid out in (term, row) blocks of
+    The rows share one log-gamma table from L(a), first through
+    L(max k0 + 2); the mode search and the walk extend it a block at a
+    time. The terms from a are laid out in (term, row) blocks of
     ``_block_width(a)`` terms, over as many rows at a time as keep a
     block within ``most`` terms, and a row walks right until the last
     term of a block beyond its mode is below ``SERIES_RTOL`` times its
-    maximum; the rows share one log-gamma table. A block's moments are
-    its terms' product with the columns [1, k, k^2], added to the row's
-    sums; ``np.einsum`` adds over k one term at a time, where a BLAS
-    product rounds a row differently with the number of rows in the
-    call. A row whose term at a is within
-    that share starts again from a lower a, its own next start."""
+    maximum. A block's moments are its terms' product with the columns
+    [1, k, k^2], added to the row's sums; ``np.einsum`` adds over k one
+    term at a time, where a BLAS product rounds a row differently with
+    the number of rows in the call."""
     log_rtol = math.log(SERIES_RTOL)
-    top = int(k0.max()) + 2
+    width = _block_width(a, reach)
+
+    def through(lgam, stop):
+        # the table, extended a block past L(stop - 1) when it ends before
+        if stop <= a + lgam.size:
+            return lgam
+        return np.concatenate(
+            [lgam, _lgam_range(a + lgam.size, stop + width, xi)])
+
+    lgam = _lgam_range(a, int(k0.max()) + 3, xi)  # L(a), ..., L(max k0 + 2)
     while True:
-        lgam = _lgam_range(a, top + 1, xi)  # L(a), ..., L(top)
+        # a mode is exact once the table holds the increment after it
         m = a + np.searchsorted(np.diff(lgam), z, side="right")
-        if m.max() < top:
+        last_mode = int(m.max())
+        if last_mode + 2 <= a + lgam.size:
             break
-        top *= 2
+        lgam = through(lgam, last_mode + 2)
     log_m = m * z - lgam[m - a]
 
-    width = _block_width(a, reach)
-    last_mode = int(m.max())
     sums = np.zeros((3, z.size))
     per = max(1, most // width)
     for first in range(0, z.size, per):
@@ -420,27 +438,18 @@ def _window_sums(z, k0, a, xi, reach, most):
         lo = a
         while True:
             hi = lo + width
-            if hi > a + lgam.size:
-                lgam = np.concatenate(
-                    [lgam, _lgam_range(a + lgam.size, hi + width, xi)])
+            lgam = through(lgam, hi)
             k = np.arange(lo, hi, dtype=float)[:, None]
             e = k * z[rows]
             e -= np.add.outer(lgam[lo - a:hi - a], log_m[rows])
             walking = e[-1] >= log_rtol
             if hi <= last_mode:
                 walking |= hi <= m[rows]
-            if lo == a and a > 1 and np.any(e[0] >= log_rtol):
-                early = np.flatnonzero(e[0] >= log_rtol)
-                log_m[early + first], sums[:, early + first] = _window_sums(
-                    z[rows][early], k0[rows][early], max(1, a - width), xi,
-                    reach, most)
-                walking[early] = False
-                e[:, early] = -np.inf
             np.exp(e, out=e)
             sums[:, rows] += np.einsum("kr,km->mr", e, k ** np.arange(3.0))
             walking = np.flatnonzero(walking)
             rows = walking + first if lo == a else rows[walking]
-            if not rows.size or lo - last_mode > SERIES_SIDE_CAP:
+            if not rows.size:
                 break
             lo = hi
     return log_m, sums

@@ -496,8 +496,6 @@ def disp_derivatives(data: Dataset, terms: np.ndarray, exponent: np.ndarray):
     terms hold no derivative rows."""
     if len(terms) == 2:
         raise ConfigError("constant dispersion member")
-    if data.k_gamma == 0:
-        return np.zeros(0), np.zeros((0, 0))
     _, _, c1, up, c2, upp = terms
     d0 = exponent[0]
     grad = -(data.Z.T @ (d0 * up + c1))

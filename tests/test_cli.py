@@ -437,6 +437,15 @@ class TestPipeline:
             pytest.approx(float(tune_summary["holdout_weighted_deviance"]),
                           abs=1e-9)
 
+    def test_report_copies_a_tune_surface(self, sim_dir, tmp_path):
+        tune_out, rep_out = tmp_path / "tune", tmp_path / "rep"
+        run_ok(cpg_argv("tune", sim_dir, "--approx", "saddlepoint",
+                        "--grid=-1:1:2,-1:1:2", "--out", str(tune_out)))
+        run_ok(["report", "--fit-dir", str(tune_out), "--out",
+                str(rep_out)])
+        assert (rep_out / "report_surface.tsv").read_bytes() == \
+            (tune_out / "surface.tsv").read_bytes()
+
     def test_byte_identical_reruns_and_config_echo(self, sim_dir, tmp_path):
         out1, out2, out3 = (tmp_path / n for n in ("r1", "r2", "r3"))
         argv = cpg_argv("fit", sim_dir, "--approx", "saddlepoint", "--lambda1",
@@ -480,6 +489,27 @@ class TestPipeline:
                         "0", "--lambda2", lambda2, "--out", str(out)))
         trace = np.loadtxt(out / "trace.tsv", skiprows=1)[:, 1]
         assert np.all(np.diff(trace) <= 1e-10)
+
+    def test_singular_wald_block_is_noted(self, sim_dir, tmp_path):
+        """With lambda1 = 0 the mean step is a minimum-norm solve, so a
+        design with a repeated column fits; its Wald block is singular,
+        and wald.tsv says why in one comment line."""
+        with open(sim_dir / "data.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        j = rows[0].index("x_1")
+        data = tmp_path / "repeated.csv"
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([rows[0] + ["x_again"]]
+                                     + [row + [row[j]] for row in rows[1:]])
+        out = tmp_path / "fit"
+        run_ok(["fit", "--data", str(data), "--graph",
+                str(sim_dir / "graph.tsv"), "--family", "cpg", "--p", "1.5",
+                "--approx", "saddlepoint", "--lambda1", "0", "--out",
+                str(out)])
+        wald = (out / "wald.tsv").read_text(encoding="utf-8")
+        assert wald.startswith("# unavailable: mean fixed-effect "
+                               "information block is singular")
+        assert wald.count("\n") == 1
 
     @pytest.mark.parametrize("column,cell,what", [
         ("y", "nan", "non-finite"),
@@ -865,6 +895,31 @@ class TestUnreadableFiles:
         bad.write_text("\n".join(lines), encoding="utf-8")
         err = self._one_error_line(argv, capsys)
         assert err == f"error[E_SCHEMA]: {bad}: line {lineno}: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,text,reason", [
+        (0, "delta", "E_SCHEMA]: {bad}: line 3: unknown block 'delta'"),
+        (2, "abc", "E_SCHEMA]: {bad}: line 3: bad value"),
+        (1, "(intercept)", "E_CONFIG]: {bad}: beta coefficient "
+                           "'(intercept)' appears twice"),
+    ])
+    def test_bad_coefficient_line(self, sim_dir, fit_dir, tmp_path, capsys,
+                                  field, text, reason):
+        """A coefficient line with an unknown block, a value that is not
+        a number or a repeated name ends in one error line."""
+        bad = tmp_path / "bad.tsv"
+        lines = (fit_dir / "coefficients.tsv").read_text(
+            encoding="utf-8").split("\n")
+        cells = lines[2].split("\t")
+        assert cells[:2] == ["beta", "x_1"]
+        cells[field] = text
+        lines[2] = "\t".join(cells)
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "o"
+        err = self._one_error_line(
+            self._predict(sim_dir, fit_dir, out, ["--coefficients",
+                                                  str(bad)]), capsys)
+        assert err == "error[" + reason.format(bad=bad) + "\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("which", ["coefficients", "summary"])

@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from conftest import (full_series_logsums, series_log_terms, series_mode,
                       spec_for)
+from twdglm import family as fam
 from twdglm.errors import ConfigError, DomainError, SeriesInfeasibleError
-from twdglm.family import (SADDLE_EPS0, SERIES_KMAX_CAP, Approx, FamilySpec,
-                           Member, _series_logsums, log_density,
-                           log_normalizer_saddlepoint, log_normalizer_series,
-                           unit_deviance)
+from twdglm.family import (SADDLE_EPS0, SERIES_KMAX_CAP, SERIES_RTOL, Approx,
+                           FamilySpec, Member, _series_logsums, check_support,
+                           log_density, log_normalizer_saddlepoint,
+                           log_normalizer_series, unit_deviance)
 
 # Extended-precision full summation (mpmath, 60 digits, 10,000 terms) of
 # the Bessel-series normalizer; frozen reference values for log a(y, phi, p).
@@ -77,6 +78,31 @@ class TestUnitDeviance:
     def test_support_violation(self):
         with pytest.raises(DomainError):
             unit_deviance(spec_for(Member.GAMMA), -0.5, 1.0)
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(ALL_SPECS),
+           st.lists(st.sampled_from([0.0, 1.0, 2.5, 3.0, -1.0, np.nan,
+                                     np.inf, -np.inf]), min_size=1,
+                    max_size=8))
+    def test_support_error_names_the_first_row_outside(self, spec, values):
+        """The row a support error carries is the first that fails the
+        check by itself; its message is that of the whole array."""
+        def inside(value):
+            try:
+                check_support(spec, value)
+            except DomainError:
+                return False
+            return True
+
+        outside = [i for i, v in enumerate(values) if not inside(v)]
+        if not outside:
+            check_support(spec, np.array(values))
+            return
+        with pytest.raises(DomainError) as info:
+            check_support(spec, np.array(values))
+        assert info.value.row == outside[0]
+        assert str(info.value).endswith("must be finite") == \
+            (not np.all(np.isfinite(values)))
 
     @pytest.mark.parametrize("spec", ALL_SPECS,
                              ids=lambda s: s.member.value)
@@ -202,6 +228,55 @@ class TestSeriesWindowProperties:
             alone = _series_logsums(y[row:row + 1], phi[row:row + 1], p)
             for name, a, b in zip(("log_a", "r1", "r2"), together, alone):
                 assert a[i] == b[0], name
+
+    # y = 1 at p = 1.005 with kmax just below 8 922 147: the exact mode
+    # lies two above floor(kmax), past the table the mode search starts with
+    EDGE_P, EDGE_KMAX = 1.005, 8_922_147 - 1e-9
+
+    def test_edge_row_extends_its_table_a_block_at_a_time(self,
+                                                         monkeypatch):
+        """No log-gamma table the pass builds spans more than a few block
+        widths, and its sums are the frozen ones bit for bit."""
+        spans, raw = [], fam._lgam_range
+
+        def spy(start, stop, xi):
+            spans.append(stop - start)
+            return raw(start, stop, xi)
+
+        monkeypatch.setattr(fam, "_lgam_range", spy)
+        p = self.EDGE_P
+        phi = 1.0 / ((2.0 - p) * self.EDGE_KMAX)
+        got = _series_logsums(np.array([1.0]), phi, p)
+        reach = -2.0 * math.log(SERIES_RTOL) / (1.0 + (2.0 - p) / (p - 1.0))
+        assert max(spans) <= 4 * fam._block_width(self.EDGE_KMAX, reach)
+        want = ("0x1.a970ed7c528c6p+30", "0x1.a970ed61fc5a3p+30",
+                "0x1.6184130347c19p+61")
+        assert [float(v[0]) for v in got] == [float.fromhex(v) for v in want]
+
+    @settings(max_examples=300)
+    @given(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+           st.one_of(st.floats(1e-6, SERIES_KMAX_CAP),
+                     st.integers(2, int(SERIES_KMAX_CAP)).map(
+                         lambda k: float(np.nextafter(k, 0.0))),
+                     st.integers(2, int(SERIES_KMAX_CAP)).map(
+                         lambda k: k - 1e-9)))
+    @example(EDGE_P, EDGE_KMAX)
+    def test_mode_and_start_bounds(self, p, kmax):
+        """A row's exact mode lies in [floor(kmax) - 1, floor(kmax) + 2],
+        and its term at the start of its range is below SERIES_RTOL times
+        its largest term: no row has terms to add below its start."""
+        phi = 1.0 / ((2.0 - p) * kmax)
+        kmax = series_mode(1.0, phi, p)
+        assume(kmax <= SERIES_KMAX_CAP)
+        floor = math.floor(kmax)
+        k = np.arange(max(floor - 3, 1), floor + 6, dtype=float)
+        log_terms = series_log_terms(1.0, phi, p, k)[0]
+        assert floor - 1 <= k[np.argmax(log_terms)] <= floor + 2
+        reach = -2.0 * math.log(SERIES_RTOL) / (1.0 + (2.0 - p) / (p - 1.0))
+        start = fam._range_start(np.array([max(floor, 1.0)]), reach)
+        if start[0] > 1.0:
+            at_start = series_log_terms(1.0, phi, p, start)[0, 0]
+            assert at_start - log_terms.max() < math.log(SERIES_RTOL)
 
     @settings(max_examples=20)
     @given(INDICES, st.floats(-3, 3), st.floats(1.001, 100.0))

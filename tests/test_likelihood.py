@@ -282,6 +282,14 @@ class TestDispDerivatives:
             theta.gamma)
         assert rel_err(h, fd, floor=1e-6) < 1e-4
 
+    def test_no_dispersion_columns(self):
+        """A dispersion design with no columns has an empty gradient and
+        Hessian."""
+        data, theta, spec, links = make_instance(Member.GAMMA, "log",
+                                                 k_gamma=0, seed=1)
+        g, h = disp_derivatives(data, *blocks(data, theta, spec, links))
+        assert g.shape == (0,) and h.shape == (0, 0)
+
     def test_series_and_saddlepoint_agree_at_small_dispersion(self):
         # data drawn at phi = 0.1 (where the saddlepoint is accurate),
         # scores compared away from the root so they are O(n)

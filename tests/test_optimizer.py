@@ -19,8 +19,8 @@ from twdglm import graph as graph_mod
 from twdglm import likelihood as lik
 from twdglm import optimizer as opt
 from twdglm import tuning
-from twdglm.errors import (ConfigError, DomainError, ScalingError,
-                           SingularSystemError)
+from twdglm.errors import (ConfigError, DomainError, NonFiniteError,
+                           ScalingError, SingularSystemError)
 from twdglm.family import Approx, FamilySpec, Member
 from twdglm.graph import (ArealGraph, PenaltyMode, assemble_penalty,
                           lattice_graph)
@@ -1176,6 +1176,37 @@ class TestFit:
         assert res.iters >= 2
         assert len(calls) == 1
 
+    def test_sweep_that_never_factors_names_its_iteration(self,
+                                                         monkeypatch):
+        """A sweep step none of whose systems factors ends the fit with a
+        ScalingError that names the iteration and keeps its reason."""
+        data, _, spec, links = make_instance(Member.GAMMA, "log", seed=2)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+
+        def indefinite(*args):
+            raise SingularSystemError("not positive definite")
+
+        monkeypatch.setattr(opt, "solve_disp_step", indefinite)
+        with pytest.raises(ScalingError, match="^iteration 1: no "
+                           "majorization constant found for the disp "
+                           "step") as info:
+            fit(data, spec, links, FitConfig(penalty=pen))
+        assert info.value.reason == "not-positive-definite"
+
+    def test_start_outside_the_domain_is_not_finite(self):
+        """A start given through ``init`` at which the mean leaves its
+        space is refused before any step."""
+        data, theta, spec, links = make_instance(Member.GAMMA, "identity",
+                                                 seed=2)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
+                               data.k_beta, data.graph, data.k_gamma)
+        start = theta.copy()
+        start.beta[0] = -100.0
+        with pytest.raises(NonFiniteError, match="objective not finite at "
+                           "the starting point"):
+            fit(data, spec, links, FitConfig(penalty=pen), init=start)
+
     def test_response_outside_the_support_is_a_domain_error(self):
         data, _ = make_dataset(400, 3, 3, "smooth",
                                FamilySpec.compound_poisson_gamma(1.5), 0.3,
@@ -1185,9 +1216,10 @@ class TestFit:
         bad = Dataset(y, data.w, data.vertex, data.X, data.Z, data.graph)
         pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 1.0, 1.0,
                                bad.k_beta, bad.graph, bad.k_gamma)
-        with pytest.raises(DomainError, match="nonnegative"):
+        with pytest.raises(DomainError, match="nonnegative") as info:
             fit(bad, FamilySpec.compound_poisson_gamma(1.5),
                 LinkPair.of("log", "log"), FitConfig(penalty=pen))
+        assert info.value.row == 0
 
     @pytest.mark.parametrize("entry", ["fit", "objective",
                                        "fisher_information"])
