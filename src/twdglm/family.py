@@ -91,7 +91,8 @@ class FamilySpec:
         (1, 2) for compound Poisson-gamma.
     approx : Approx
         Normalizer approximation; only consulted for the compound
-        Poisson-gamma member. The series truncation and the saddlepoint's
+        Poisson-gamma member, whose index it fixes under the saddlepoint
+        (``free_index``). The series truncation and the saddlepoint's
         stand-in for y = 0 are the module constants ``SERIES_RTOL``,
         ``SERIES_KMAX_CAP`` and ``SADDLE_EPS0``.
     """
@@ -113,8 +114,13 @@ class FamilySpec:
 
     @property
     def free_index(self) -> bool:
-        """Whether a fit profiles p over a grid rather than fixing it."""
-        return _MEMBERS[self.member].fixed_p is None
+        """Whether a fit profiles p over a grid rather than fixing it:
+        only the compound Poisson-gamma member under the series
+        normalizer does. Under the saddlepoint every zero row's density
+        carries -p/2 log ``SADDLE_EPS0`` (+6.9 p), which rewards a larger
+        p, so a profile there follows that constant and not the data."""
+        return (_MEMBERS[self.member].fixed_p is None
+                and self.approx is not Approx.SADDLEPOINT)
 
     @property
     def has_dispersion(self) -> bool:
@@ -132,11 +138,18 @@ class FamilySpec:
     def index_grid(self, p_grid) -> tuple["FamilySpec", np.ndarray]:
         """The grid a fit walks in p and the spec it starts from: a free
         index takes ``p_grid`` (``default_p_grid`` if empty) inside
-        (1, 2) and starts at its point nearest p; a fixed index takes
-        only an empty grid or [p]."""
+        (1, 2) and starts at its point nearest p; a fixed index, that of
+        a fixed member or of the saddlepoint, takes only an empty grid
+        or [p], and holds p."""
         grid = np.asarray(p_grid, dtype=float).ravel()
         if not self.free_index:
             if grid.size and not np.array_equal(grid, [self.p]):
+                if _MEMBERS[self.member].fixed_p is None:
+                    raise ConfigError(
+                        "p_grid does not apply to the saddlepoint "
+                        f"normalizer, which holds p fixed at {self.p}; use "
+                        "--approx series (the series normalizer) to "
+                        "estimate p")
                 raise ConfigError(
                     f"p_grid does not apply to {self.member.value}, whose "
                     f"index is fixed at p = {self.p}")
@@ -165,8 +178,8 @@ class FamilySpec:
 
 
 def default_p_grid(spec: FamilySpec) -> np.ndarray:
-    """Profile grid for a member with a free index; fixed-p members get
-    a single-point grid."""
+    """Profile grid for a free index; a fixed index (a fixed member, or
+    the compound member under the saddlepoint) gets [spec.p]."""
     return (np.round(np.arange(1.05, 1.9501, 0.05), 10) if spec.free_index
             else np.array([spec.p]))
 
@@ -261,31 +274,6 @@ def unit_deviance(spec: FamilySpec, y, mu):
                      + ma ** (2 - p) / (2 - p))
     out = np.maximum(out, 0.0)  # clip float noise at y ~= mu
     return float(out) if (s1 and s2) else out
-
-
-def saturated_cumulant_term(spec: FamilySpec, y):
-    """The saturated exponent y*theta(y) - kappa(theta(y)).
-
-    This is the y-dependent part of the log-normalizer that carries a
-    1/phi factor; it vanishes at y = 0 for the compound member.
-    """
-    ya, scalar = _as_array(y)
-    flat = np.atleast_1d(ya)
-    mem = spec.member
-    p = spec.p
-    if mem is Member.NORMAL:
-        out = flat ** 2 / 2.0
-    elif mem is Member.INVERSE_GAUSSIAN:
-        out = 0.5 / flat
-    elif mem is Member.GAMMA:
-        out = -1.0 - np.log(flat)
-    elif mem is Member.COMPOUND_POISSON_GAMMA:
-        out = np.zeros_like(flat)
-        pos = flat > 0
-        out[pos] = flat[pos] ** (2 - p) * (1.0 / (1 - p) - 1.0 / (2 - p))
-    else:  # Poisson: handled through its discrete normalizer
-        out = np.zeros_like(flat)
-    return float(out[0]) if scalar else out.reshape(ya.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,10 @@ class Dataset:
         """The rows (LOG_2PI + log Vy, Dsat) of ``_lognorm_saddle_family``
         for a Normal, inverse Gaussian or saddlepoint compound
         Poisson-gamma ``spec``; they depend on y/w and spec.p only. The
-        rows of the last spec asked for are kept, so that a walk over
-        an index grid holds one pair, not one per grid point."""
+        rows of the last spec asked for are kept, keyed by that spec: a
+        fit holds p fixed under the saddlepoint and so asks for one
+        spec, but one dataset may meet specs at other p or of other
+        members from one fit to the next."""
         if self._saddle is None or self._saddle[0] != spec:
             self._saddle = (spec, *_saddle_rows(spec, self.ystar))
         return self._saddle[1:]
@@ -310,15 +312,21 @@ def _require_positive(t: np.ndarray, what: str):
 
 def _saddle_rows(spec: FamilySpec, y):
     """(LOG_2PI + log Vy, Dsat) per row of a saddlepoint-shaped
-    normalizer at spec.p, for the rows' y/w; the first is the scalar
-    LOG_2PI for the Normal member, whose Vy is 1."""
+    normalizer at spec.p, for the rows' y/w, where Dsat is the saturated
+    exponent y*theta(y) - kappa(theta(y)); the first is the scalar
+    LOG_2PI for the Normal member, whose Vy is 1. For the compound
+    member ``SADDLE_EPS0`` stands in for Vy's y at y = 0, where Dsat
+    vanishes."""
     if spec.member is Member.NORMAL:
-        lead = LOG_2PI
-    elif spec.member is Member.INVERSE_GAUSSIAN:
-        lead = LOG_2PI + 3.0 * np.log(y)
-    else:
-        lead = LOG_2PI + spec.p * np.log(np.where(y > 0, y, fam.SADDLE_EPS0))
-    return lead, fam.saturated_cumulant_term(spec, y)
+        return LOG_2PI, y ** 2 / 2.0
+    if spec.member is Member.INVERSE_GAUSSIAN:
+        return LOG_2PI + 3.0 * np.log(y), 0.5 / y
+    p = spec.p
+    pos = y > 0
+    lead = LOG_2PI + p * np.log(np.where(pos, y, fam.SADDLE_EPS0))
+    d_sat = np.zeros_like(y)
+    d_sat[pos] = y[pos] ** (2 - p) * (1.0 / (1 - p) - 1.0 / (2 - p))
+    return lead, d_sat
 
 
 def _lognorm_saddle_family(lead, d_sat, log_w, h2, l1, l2, u):

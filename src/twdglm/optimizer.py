@@ -94,7 +94,8 @@ class FitConfig:
     ``C_GROWTH``.
 
     ``p_grid`` is resolved by ``FamilySpec.index_grid``: a free index
-    walks it, and a single-point grid pins p.
+    walks it, and a single-point grid pins p. A fixed index, which the
+    saddlepoint's is, takes only an empty grid or [p].
     """
 
     penalty: PenaltyConfig
@@ -456,8 +457,9 @@ def update_index(data: Dataset, point: _Point, links: LinkPair,
     point's, so the objective stays non-increasing.
 
     Returns the point reached: the held one when no neighbour is
-    better, for fixed-p members, for a single-point grid and for an
-    empty grid.
+    better, for a fixed index (a fixed member, or the compound member
+    under the saddlepoint), for a single-point grid and for an empty
+    grid.
     """
     grid = np.asarray(p_grid, dtype=float).ravel()
     if not point.spec.free_index or grid.size == 0:

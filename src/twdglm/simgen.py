@@ -215,7 +215,7 @@ def make_dataset(n: int, rows: int, cols: int, pattern: PatternKind | str,
     with log-linear mean and dispersion models and the configured
     spatial pattern added to the mean predictor.
     """
-    if not spec.free_index:
+    if not 1.0 < spec.p < 2.0:  # the compound member's index range
         raise ConfigError("synthetic responses are compound Poisson-gamma")
     if n < 1:
         raise ConfigError("n must be at least 1")

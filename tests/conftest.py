@@ -528,9 +528,12 @@ def _unheld_lognorm_terms(data, spec, h2, l1, l2, u, up, upp):
 
     # compound Poisson-gamma
     if spec.approx is Approx.SADDLEPOINT:
+        p = spec.p
+        d_sat = np.zeros_like(y)
+        d_sat[y > 0] = y[y > 0] ** (2 - p) * (1.0 / (1 - p) - 1.0 / (2 - p))
         return _unheld_lognorm_saddle_family(
-            spec.p * np.log(np.where(y > 0, y, fam.SADDLE_EPS0)),
-            fam.saturated_cumulant_term(spec, y), w, h2, l1, l2, u)
+            p * np.log(np.where(y > 0, y, fam.SADDLE_EPS0)), d_sat, w, h2,
+            l1, l2, u)
 
     pos = y > 0
     c0 = np.zeros(data.n_rows)

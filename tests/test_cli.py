@@ -320,6 +320,31 @@ class TestIndexGridOption:
             2, f"error[E_CONFIG]: {line}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "tune"])
+    def test_saddlepoint_refuses_a_grid(self, sim_dir, tmp_path, capsys,
+                                        command):
+        out = tmp_path / "out"
+        code = run_command(cpg_argv(command, sim_dir, "--approx",
+                                    "saddlepoint", "--p-grid", "1.3:1.7:0.1",
+                                    "--out", str(out)))
+        assert (code, capsys.readouterr().err) == (
+            2, "error[E_CONFIG]: p_grid does not apply to the saddlepoint "
+            "normalizer, which holds p fixed at 1.5; use --approx series "
+            "(the series normalizer) to estimate p\n")
+        assert not out.exists()
+
+    def test_saddlepoint_holds_the_default_p(self, sim_dir, fit_dir,
+                                             tmp_path):
+        """With no ``--p`` a saddlepoint fit holds cpg's default 1.5: it
+        is the fit at ``--p 1.5``."""
+        out = tmp_path / "out"
+        run_ok(["fit", "--data", str(sim_dir / "data.csv"), "--graph",
+                str(sim_dir / "graph.tsv"), "--approx", "saddlepoint",
+                "--out", str(out)])
+        for name in ("coefficients.tsv", "summary.tsv"):
+            assert (out / name).read_bytes() == (fit_dir / name).read_bytes()
+        assert "p_hat\t1.5\n" in (out / "summary.tsv").read_text()
+
     def test_fixed_member_takes_its_own_point(self, positive_sim_dir,
                                               tmp_path):
         """``--p-grid 2:2:1`` is Gamma's own single point: the fit is
@@ -1226,8 +1251,9 @@ class TestLoaderEquivalence:
 @st.composite
 def fit_options(draw):
     """Flags of a valid ``fit`` on the small instance: the family, the
-    index and its grid, the normalizer, the penalty and its multipliers,
-    each left unset or drawn."""
+    index and its grid (never beside the saddlepoint, which refuses
+    one), the normalizer, the penalty and its multipliers, each left
+    unset or drawn."""
     argv = []
 
     def maybe(flag, values):
@@ -1240,8 +1266,11 @@ def fit_options(draw):
         argv.extend(["--family", family])
     if family != "normal":
         maybe("--p", ["1.3", "1.5", "1.7"])
-        maybe("--approx", ["series", "saddlepoint"])
-        maybe("--p-grid", ["1.3:1.7:0.1", "1.2:1.8:0.2"])
+        approx = draw(st.sampled_from([None, "series", "saddlepoint"]))
+        if approx is not None:
+            argv.extend(["--approx", approx])
+        if approx != "saddlepoint":     # which holds p fixed
+            maybe("--p-grid", ["1.3:1.7:0.1", "1.2:1.8:0.2"])
     maybe("--penalty", ["spatial", "spatial+ridge"])
     maybe("--lambda1", ["0", "0.5", "2"])
     maybe("--lambda2", ["0", "1", "3"])

@@ -562,20 +562,18 @@ class TestHeldLayouts:
                               unheld.theta_hat.as_vector())
 
     def test_index_walk_fit_matches_unheld_fit_exactly(self):
-        """A saddlepoint fit over a 19-point index grid, which rebuilds
-        the held rows at each p it visits, equals bit for bit the fit
-        whose kernels rebuild every row on each call and whose mean and
-        joint steps factor a C-ordered band by scipy's wrapper. Each
-        fit runs on its own copy of the dataset, so the second holds
-        nothing the first built."""
+        """A series fit over a 19-point index grid, which builds the
+        dispersion block at each p it visits, equals bit for bit the fit
+        whose kernels rebuild every row on each call, form the Hessians
+        row-major and whose mean and joint steps factor a C-ordered band
+        by scipy's wrapper. Each fit runs on its own copy of the
+        dataset, so the second holds nothing the first built."""
         gen = FamilySpec.compound_poisson_gamma(1.5)
         data, _ = make_dataset(3000, 5, 5, "smooth", gen, 0.15, seed=3)
         # three mean and two dispersion columns: Gram products of those
         # widths round differently with the operands' roles swapped
         data = Dataset(data.y, data.w, data.vertex, data.X[:, :3],
                        data.Z[:, :2], data.graph)
-        spec = FamilySpec.compound_poisson_gamma(1.5,
-                                                 approx=Approx.SADDLEPOINT)
         links = LinkPair.of("log", "log")
         config = FitConfig(
             penalty=assemble_penalty("spatial", 1.0, 1.0, data.k_beta,
@@ -583,7 +581,7 @@ class TestHeldLayouts:
             p_grid=np.round(np.linspace(1.05, 1.95, 19), 10))
 
         def run():
-            return fit(data.subset(np.arange(data.n_rows)), spec, links,
+            return fit(data.subset(np.arange(data.n_rows)), gen, links,
                        config)
 
         held = run()

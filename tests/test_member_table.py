@@ -4,18 +4,22 @@ index and grid, its mean links and its dispersion model) is read from
 table states the same facts, and a grid in p reaches a member only
 where it means something."""
 
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import make_instance, spec_for
 from static_scan import MODULES, SCANS, attribute_reads, imported_modules
-from twdglm import family as fam
+from twdglm import family as fam, tuning
 from twdglm.errors import ConfigError
-from twdglm.family import FamilySpec, Member, default_p_grid
+from twdglm.family import Approx, FamilySpec, Member, default_p_grid
 from twdglm.graph import PenaltyMode, assemble_penalty
+from twdglm.links import LinkPair
 from twdglm.optimizer import FitConfig, fit
+from twdglm.simgen import make_dataset
 from twdglm.tuning import GridSpec, grid_search
 
 # the closed forms per (member, link), which may branch on the member
@@ -64,6 +68,9 @@ class TestSpecAnswers:
     def test_only_the_compound_member_profiles_p(self):
         assert [m for m in Member if spec_for(m).free_index] == [
             Member.COMPOUND_POISSON_GAMMA]
+        # and under the saddlepoint, none does
+        assert not [m for m in Member if replace(
+            spec_for(m), approx=Approx.SADDLEPOINT).free_index]
 
     def test_only_poisson_lacks_a_dispersion_model(self):
         assert [m for m in Member if not spec_for(m).has_dispersion] == [
@@ -131,6 +138,16 @@ class TestIndexGrid:
         np.testing.assert_array_equal(walk, default_p_grid(spec))
         assert got == spec.with_p(1.5)
 
+    def test_saddlepoint_holds_its_own_p(self):
+        """No grid, or [p], holds the saddlepoint spec's p, which need
+        not lie on the default grid."""
+        spec = FamilySpec.compound_poisson_gamma(1.52,
+                                                 approx=Approx.SADDLEPOINT)
+        for grid in ([], [1.52]):
+            got, walk = spec.index_grid(grid)
+            assert got == spec and walk.tolist() == [1.52]
+        assert default_p_grid(spec).tolist() == [1.52]
+
     def test_compound_grid_outside_the_range(self):
         with pytest.raises(ConfigError) as err:
             FamilySpec.compound_poisson_gamma(1.5).index_grid([0.5, 1.5])
@@ -171,3 +188,53 @@ class TestFitHonoursTheGrid:
         b = fit(data, spec, links, FitConfig(penalty=pen, p_grid=[2.0]))
         assert a.p_hat == b.p_hat == 2.0
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+
+
+class TestSaddlepointHoldsP:
+    """Under the saddlepoint a p grid would follow the stand-in for
+    y = 0, not the data, so a grid other than [p] is refused before
+    anything is fitted."""
+
+    MESSAGE = ("p_grid does not apply to the saddlepoint normalizer, which "
+               "holds p fixed at 1.5; use --approx series (the series "
+               "normalizer) to estimate p")
+    GRID = np.round(np.linspace(1.05, 1.95, 19), 10)
+
+    @staticmethod
+    def _problem():
+        """A 400-row instance on which a saddlepoint walk over the
+        19-point grid drives p up until a mean step finds no scaling
+        constant (ScalingError at iteration 27); with p held the fit
+        converges in 8 iterations."""
+        data, _ = make_dataset(400, 3, 3, "smooth",
+                               FamilySpec.compound_poisson_gamma(1.5), 0.3,
+                               seed=4)
+        spec = FamilySpec.compound_poisson_gamma(1.5,
+                                                 approx=Approx.SADDLEPOINT)
+        pen = assemble_penalty(PenaltyMode.SPATIAL_ONLY, 0.5, 0.7,
+                               data.k_beta, data.graph, data.k_gamma)
+        return data, spec, LinkPair.of("log", "identity"), pen
+
+    def test_fit_refuses_a_grid(self):
+        data, spec, links, pen = self._problem()
+        for grid in (self.GRID, [1.3, 1.5]):
+            with pytest.raises(ConfigError) as err:
+                fit(data, spec, links, FitConfig(penalty=pen, p_grid=grid))
+            assert str(err.value) == self.MESSAGE
+
+    def test_no_grid_or_its_own_point_holds_p(self):
+        data, spec, links, pen = self._problem()
+        a, b = (fit(data, spec, links, FitConfig(penalty=pen, p_grid=grid))
+                for grid in ([], [1.5]))
+        assert a.converged and a.iters == 8 and a.p_hat == b.p_hat == 1.5
+        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+
+    def test_grid_search_refuses_before_any_cell(self):
+        data, spec, links, pen = self._problem()
+        with mock.patch.object(tuning, "fit", side_effect=fit) as cells:
+            with pytest.raises(ConfigError) as err:
+                grid_search(data, spec, links,
+                            FitConfig(penalty=pen, p_grid=self.GRID),
+                            GridSpec([0.0], [0.0]))
+        assert str(err.value) == self.MESSAGE
+        assert cells.call_count == 0

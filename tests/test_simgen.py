@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twdglm.errors import CalibrationError, ConfigError
-from twdglm.family import FamilySpec
+from twdglm.family import Approx, FamilySpec, Member
 from twdglm.simgen import (BETA_SLOPES, GP_SIGMA2, PatternKind, PatternSpec,
                            SimConfig, draw_gp, gen_covariates, gp_covariance,
                            make_dataset, make_pattern, sample_cpg, sse)
@@ -135,6 +135,22 @@ class TestMakeDataset:
         spec = FamilySpec.compound_poisson_gamma(1.5)
         with pytest.raises(CalibrationError, match="unreachable"):
             make_dataset(500, 3, 3, "block", spec, 0.999999, seed=3)
+
+    def test_only_the_compound_member_generates(self):
+        """A saddlepoint generator, whose index is fixed, draws what the
+        series one draws; a Gamma spec is refused."""
+        a, _ = make_dataset(400, 3, 3, "smooth",
+                            FamilySpec.compound_poisson_gamma(1.5), 0.3,
+                            seed=4)
+        b, _ = make_dataset(400, 3, 3, "smooth",
+                            FamilySpec.compound_poisson_gamma(
+                                1.5, approx=Approx.SADDLEPOINT), 0.3, seed=4)
+        np.testing.assert_array_equal(a.y, b.y)
+        with pytest.raises(ConfigError) as err:
+            make_dataset(400, 3, 3, "smooth", FamilySpec(Member.GAMMA, 2.0),
+                         0.3, seed=4)
+        assert str(err.value) == \
+            "synthetic responses are compound Poisson-gamma"
 
     def test_seed_determinism(self):
         spec = FamilySpec.compound_poisson_gamma(1.5)
